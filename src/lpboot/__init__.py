@@ -6,8 +6,9 @@ structured covariance estimation, hypothesis tests and confidence sets for
 mean vectors, diagnostic probes, and a Monte Carlo experiment harness.
 """
 
-from .bootstrap import (EmpiricalDistribution, empirical_quantile, gmb_draws,
-                        gpb_draws, ks_distance, proxy_draws)
+from .bootstrap import (EmpiricalDistribution, critical_value,
+                        empirical_quantile, gmb_draws, gpb_draws, ks_distance,
+                        proxy_draws)
 from .covariance import (CovDiagnostics, CovError, CovMatrix, band,
                          correlation_threshold, cov_diagnostics, cov_error,
                          cv_select_lambda, psd_project, sample_covariance,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -114,13 +115,23 @@ def gmb_draws(X: np.ndarray, p: LpExponent, B: int, rng: RngSeed,
     return EmpiricalDistribution(out, {"engine": "gmb", "p": p.label, "seed": _seed_label(rng)})
 
 
-def empirical_quantile(D: EmpiricalDistribution, alpha: float) -> float:
-    """Order statistic at 1-based index ceil(alpha * B): the inf-form quantile."""
+def empirical_quantile(D: EmpiricalDistribution, alpha: float | Fraction) -> float:
+    """Order statistic at 1-based index ceil(alpha * B): the inf-form quantile.
+
+    The index is exact for the decimal a float alpha was written as, or for
+    alpha given as a Fraction; a float product alpha * B can land just above
+    an integer and pick the next order statistic.
+    """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    B = len(D)
-    idx = math.ceil(alpha * B)
+    idx = math.ceil(Fraction(str(alpha)) * len(D))
     return float(D.samples[idx - 1])
+
+
+def critical_value(D: EmpiricalDistribution, alpha: float) -> float:
+    """Upper-alpha critical value: the quantile at the exact level 1 - alpha
+    (the float 1 - alpha can exceed it, e.g. 1 - 0.059 > 0.941)."""
+    return empirical_quantile(D, 1 - Fraction(str(alpha)))
 
 
 def ks_distance(A: EmpiricalDistribution, B: EmpiricalDistribution) -> float:

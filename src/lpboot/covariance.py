@@ -31,7 +31,7 @@ class CovMatrix:
     values: np.ndarray
     psd_certified: bool = False
     provenance: str = "unspecified"
-    _factor: object = field(default=None, repr=False, compare=False)
+    _factors: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         a = np.asarray(self.values, dtype=float)
@@ -46,12 +46,12 @@ class CovMatrix:
         return self.values.shape[0]
 
     def factor(self, tol: float = 1e-10):
-        """Cached PSD factorization (lazy import avoids a module cycle)."""
-        if self._factor is None:
+        """PSD factorization at tol, cached per tol (lazy import avoids a module cycle)."""
+        if tol not in self._factors:
             from .sampling import factorize_psd
 
-            self._factor = factorize_psd(self, tol=tol)
-        return self._factor
+            self._factors[tol] = factorize_psd(self, tol=tol)
+        return self._factors[tol]
 
     def to_csv(self, path: str) -> None:
         np.savetxt(path, self.values, delimiter=",", fmt="%.17g")
@@ -102,18 +102,32 @@ def threshold(M: CovMatrix, lam: float, kind: str = "hard") -> CovMatrix:
                      provenance=f"{kind}-threshold({lam:g})<-{M.provenance}")
 
 
-def correlation_threshold(M: CovMatrix, lam: float) -> CovMatrix:
-    """Keep entry (j,k) iff |m_jk| / sqrt(m_jj m_kk) >= lam; diagonal always kept."""
+def _check_correlation_level(lam: float) -> None:
     if not 0.0 <= lam <= 1.0:
         raise ValueError("correlation threshold must lie in [0, 1]")
-    d = np.diag(M.values)
+
+
+def _abs_correlation(a: np.ndarray) -> np.ndarray:
+    """The matrix |a_jk| / sqrt(a_jj a_kk)."""
+    d = np.diag(a)
     if np.any(d <= 0.0):
         raise ValueError("correlation thresholding requires a positive diagonal")
     sd = np.sqrt(d)
-    corr = np.abs(M.values) / np.outer(sd, sd)
-    out = np.where(corr >= lam, M.values, 0.0)
-    np.fill_diagonal(out, d)
-    return CovMatrix(out, psd_certified=False,
+    return np.abs(a) / np.outer(sd, sd)
+
+
+def _keep_correlated(a: np.ndarray, corr: np.ndarray, lam: float) -> np.ndarray:
+    """a with the off-diagonal entries whose corr is below lam zeroed."""
+    out = np.where(corr >= lam, a, 0.0)
+    np.fill_diagonal(out, np.diag(a))
+    return out
+
+
+def correlation_threshold(M: CovMatrix, lam: float) -> CovMatrix:
+    """Keep entry (j,k) iff |m_jk| / sqrt(m_jj m_kk) >= lam; diagonal always kept."""
+    _check_correlation_level(lam)
+    corr = _abs_correlation(M.values)
+    return CovMatrix(_keep_correlated(M.values, corr, lam), psd_certified=False,
                      provenance=f"corr-threshold({lam:g})<-{M.provenance}")
 
 
@@ -128,6 +142,27 @@ def band(M: CovMatrix, ell: int) -> CovMatrix:
                      provenance=f"band({ell})<-{M.provenance}")
 
 
+def _psd_clip(a: np.ndarray, tol: float = 0.0) -> np.ndarray:
+    """Array body of psd_project for a symmetric a.
+
+    Returns a itself when tol == 0 and a Cholesky factorization certifies it
+    PSD; otherwise the eigenvalue clip, symmetrized so that wrapping it in a
+    CovMatrix leaves its bytes unchanged.
+    """
+    scale = max(float(np.abs(np.diag(a)).max(initial=0.0)), 1.0)
+    if tol == 0.0:
+        try:
+            np.linalg.cholesky(a + (PSD_CERT_TOL * 0.01 * scale) * np.eye(a.shape[0]))
+            return a
+        except np.linalg.LinAlgError:
+            pass
+    w, V = np.linalg.eigh(a)
+    cut = tol * max(float(np.abs(w).max(initial=0.0)), 1.0)
+    w = np.where(w > cut, w, 0.0)
+    out = (V * w) @ V.T
+    return (out + out.T) / 2.0
+
+
 def psd_project(M: CovMatrix, tol: float = 0.0) -> CovMatrix:
     """Frobenius-nearest PSD matrix: clip eigenvalues below tol*scale to zero.
 
@@ -136,19 +171,8 @@ def psd_project(M: CovMatrix, tol: float = 0.0) -> CovMatrix:
     """
     if tol < 0.0:
         raise ValueError("tol must be nonnegative")
-    a = M.values
-    scale = max(float(np.abs(np.diag(a)).max(initial=0.0)), 1.0)
-    if tol == 0.0:
-        try:
-            np.linalg.cholesky(a + (PSD_CERT_TOL * 0.01 * scale) * np.eye(M.dim))
-            return CovMatrix(a, psd_certified=True, provenance=f"psd<-{M.provenance}")
-        except np.linalg.LinAlgError:
-            pass
-    w, V = np.linalg.eigh(a)
-    cut = tol * max(float(np.abs(w).max(initial=0.0)), 1.0)
-    w = np.where(w > cut, w, 0.0)
-    out = (V * w) @ V.T
-    return CovMatrix(out, psd_certified=True, provenance=f"psd<-{M.provenance}")
+    return CovMatrix(_psd_clip(M.values, tol), psd_certified=True,
+                     provenance=f"psd<-{M.provenance}")
 
 
 def cv_select_lambda(X: np.ndarray, grid, folds: int, seed) -> tuple[float, list[float]]:
@@ -157,13 +181,22 @@ def cv_select_lambda(X: np.ndarray, grid, folds: int, seed) -> tuple[float, list
     Each fold splits the rows into ceil(n/3) vs the rest; the risk at lambda
     is the Frobenius distance between the projected thresholded estimate on
     the small split and the plain sample covariance on the large split.
-    Ties break toward the smallest lambda.
+
+    The keep-masks {|corr| >= lambda} are nested in lambda, so within a fold
+    the number of kept off-diagonal entries identifies the mask.  Each fold
+    therefore projects and scores each distinct mask once and adds that risk
+    to every grid point producing it, for any grid order and with repeated
+    grid values; the risks equal those of scoring every grid point apart.
+    Ties break toward the earliest grid point, which is the smallest lambda
+    for an ascending grid.
     """
     X = np.asarray(X, dtype=float)
     n = X.shape[0]
     grid = [float(g) for g in grid]
     if not grid:
         raise ValueError("empty threshold grid")
+    for lam in grid:
+        _check_correlation_level(lam)
     if folds < 1:
         raise ValueError("folds must be >= 1")
     n1 = math.ceil(n / 3)
@@ -173,13 +206,19 @@ def cv_select_lambda(X: np.ndarray, grid, folds: int, seed) -> tuple[float, list
     for nu in range(folds):
         rng = seed.child(nu).generator()
         perm = rng.permutation(n)
-        S1 = sample_covariance(X[perm[:n1]])
-        S2 = sample_covariance(X[perm[n1:]])
-        for i, lam in enumerate(grid):
-            est = psd_project(correlation_threshold(S1, lam))
-            risks[i] += np.linalg.norm(est.values - S2.values, "fro")
+        S1 = sample_covariance(X[perm[:n1]]).values
+        S2 = sample_covariance(X[perm[n1:]]).values
+        corr = _abs_correlation(S1)
+        off = np.sort(corr[np.triu_indices_from(corr, 1)])
+        kept = off.size - np.searchsorted(off, grid, side="left")
+        mask_risk = {}
+        for i, (lam, key) in enumerate(zip(grid, kept.tolist())):
+            if key not in mask_risk:
+                est = _psd_clip(_keep_correlated(S1, corr, lam))
+                mask_risk[key] = np.linalg.norm(est - S2, "fro")
+            risks[i] += mask_risk[key]
     risks /= folds
-    best = int(np.argmin(risks))  # argmin returns the first (smallest-lambda) minimizer
+    best = int(np.argmin(risks))  # argmin returns the first minimizer
     return grid[best], risks.tolist()
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bootstrap import EmpiricalDistribution, empirical_quantile, ks_distance
+from .bootstrap import EmpiricalDistribution, critical_value, ks_distance
 from .covariance import (CovMatrix, correlation_threshold, cv_select_lambda,
                          psd_project, sample_covariance)
 from .diagnostics import comparison_ks, levy_concentration
@@ -26,6 +26,7 @@ from .sampling import (MarginalKind, RngSeed, build_block_covariance,
 _CHUNK = 4096
 
 KINDS = ("ks", "coverage", "power-dense", "power-sparse", "probe")
+ENGINES = ("proxy", "gmb", "naive", "corr_cv")
 
 
 def default_p_list() -> tuple:
@@ -46,7 +47,7 @@ class ExperimentConfig:
     d: int = 200
     marginal: MarginalKind = MarginalKind.UNIFORM_SYM
     p_list: tuple = field(default_factory=default_p_list)
-    estimators: tuple = ("proxy", "gmb", "naive", "corr_cv")
+    estimators: tuple = ENGINES
     mc_reps: int = 500
     B: int = 500
     truth_reps: int = 2000
@@ -64,6 +65,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
+        unknown = [e for e in self.estimators if e not in ENGINES]
+        if unknown:
+            raise ValueError(f"unknown estimators {', '.join(map(repr, unknown))}; "
+                             f"expected some of {', '.join(ENGINES)}")
         if self.block == 0:
             self.block = _default_block(self.d)
         if self.d % self.block != 0:
@@ -309,7 +314,7 @@ def run_coverage_experiment(cfg: ExperimentConfig) -> list:
         for est in cfg.estimators:
             draws = _engine_draws(est, X, Sigma_X, cfg, rep_seed)
             for p in cfg.p_list:
-                q = empirical_quantile(draws[p], 1.0 - cfg.alpha)
+                q = critical_value(draws[p], cfg.alpha)
                 covered = int(stats[p] <= q)
                 rows.append(f"{rep},{p.label},{est},{covered}")
         return rows
@@ -371,7 +376,7 @@ def run_power_experiment(cfg: ExperimentConfig) -> list:
                           standardize=cfg.standardize)
         S = _cv_covariance(X, cfg, rep_seed.child(4))
         draws = _multi_norm_draws(S.factor(), cfg.p_list, cfg.B, rep_seed.child(5), cfg.d)
-        crit = {p: empirical_quantile(draws[p], 1.0 - cfg.alpha) for p in cfg.p_list}
+        crit = {p: critical_value(draws[p], cfg.alpha) for p in cfg.p_list}
         s0 = X.sum(axis=0) / sqrt_n
         reject = np.empty((len(deltas), len(cfg.p_list)), dtype=bool)
         for i, delta in enumerate(deltas):

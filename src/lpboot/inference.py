@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .bootstrap import EmpiricalDistribution, empirical_quantile, gpb_draws
+from .bootstrap import EmpiricalDistribution, critical_value, gpb_draws
 from .covariance import (CovMatrix, band, correlation_threshold,
                          cv_select_lambda, psd_project, sample_covariance,
                          threshold)
@@ -142,7 +142,7 @@ def run_test(X: np.ndarray, spec: TestSpec) -> TestResult:
     if not Omega.psd_certified:
         Omega = psd_project(Omega)
     dist = gpb_draws(Omega, spec.p, spec.B, spec.seed.child(2))
-    crit = empirical_quantile(dist, 1.0 - spec.alpha)
+    crit = critical_value(dist, spec.alpha)
     p_value = float((dist.samples >= stat).mean())
     return TestResult(statistic=stat, critical_value=crit,
                       reject=bool(stat >= crit), p_value=p_value,
@@ -174,7 +174,7 @@ def confidence_set(X: np.ndarray, p: LpExponent, alpha: float,
     n = X.shape[0]
     Sigma = estimate_covariance(X, estimator, seed.child(1))
     dist = gpb_draws(Sigma, p, B, seed.child(2))
-    crit = empirical_quantile(dist, 1.0 - alpha)
+    crit = critical_value(dist, alpha)
     return ConfidenceSet(center=X.mean(axis=0), radius=crit / math.sqrt(n), p=p)
 
 

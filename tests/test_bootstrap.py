@@ -1,13 +1,17 @@
 """Bootstrap engines, empirical quantiles, and KS distance."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
-from lpboot.bootstrap import (EmpiricalDistribution, empirical_quantile,
-                              gmb_draws, gpb_draws, ks_distance, proxy_draws)
+from lpboot.bootstrap import (EmpiricalDistribution, critical_value,
+                              empirical_quantile, gmb_draws, gpb_draws,
+                              ks_distance, proxy_draws)
 from lpboot.covariance import CovMatrix, sample_covariance
 from lpboot.lp import LpExponent
 from lpboot.sampling import RngSeed
@@ -52,6 +56,18 @@ class TestEmpiricalQuantile:
         for a in (0.0, 1.0):
             with pytest.raises(ValueError):
                 empirical_quantile(d, a)
+
+    @given(k=st.integers(1, 999), B=st.integers(100, 10_000))
+    @example(k=59, B=1000)   # float: ceil((1 - 0.059) * 1000) = 942
+    @example(k=180, B=250)   # float: ceil((1 - 0.18) * 250) = 206
+    @settings(max_examples=300, deadline=None)
+    def test_index_is_exact(self, k, B):
+        d = dist(np.arange(B))  # the i-th order statistic is i - 1
+        level = Fraction(k, 1000)
+        upper = math.ceil((1 - level) * B)
+        assert critical_value(d, k / 1000) == upper - 1
+        assert empirical_quantile(d, 1 - level) == upper - 1
+        assert empirical_quantile(d, k / 1000) == math.ceil(level * B) - 1
 
     def test_matches_chi_quantile(self):
         # ||V||_2 with V ~ N(0, I_3) is a chi(3) variable

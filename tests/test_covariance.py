@@ -1,5 +1,7 @@
 """Covariance estimators, regularizers, projection, CV tuning, diagnostics."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,32 @@ def random_symmetric(rng, d):
     return CovMatrix(a + a.T)
 
 
+def _cv_select_lambda_reference(X, grid, folds, seed):
+    """Per-lambda CV loop: thresholds, projects and scores every grid point."""
+    X = np.asarray(X, dtype=float)
+    n = X.shape[0]
+    grid = [float(g) for g in grid]
+    if not grid:
+        raise ValueError("empty threshold grid")
+    if folds < 1:
+        raise ValueError("folds must be >= 1")
+    n1 = math.ceil(n / 3)
+    if n1 < 2 or n - n1 < 2:
+        raise ValueError(f"n={n} too small to split into {n1} / {n - n1}")
+    risks = np.zeros(len(grid))
+    for nu in range(folds):
+        rng = seed.child(nu).generator()
+        perm = rng.permutation(n)
+        S1 = sample_covariance(X[perm[:n1]])
+        S2 = sample_covariance(X[perm[n1:]])
+        for i, lam in enumerate(grid):
+            est = psd_project(correlation_threshold(S1, lam))
+            risks[i] += np.linalg.norm(est.values - S2.values, "fro")
+    risks /= folds
+    best = int(np.argmin(risks))  # argmin returns the first (smallest-lambda) minimizer
+    return grid[best], risks.tolist()
+
+
 class TestCovMatrix:
     def test_symmetrized_on_construction(self):
         m = CovMatrix(np.array([[1.0, 0.4], [0.0, 1.0]]))
@@ -28,6 +56,12 @@ class TestCovMatrix:
             CovMatrix(np.ones((2, 3)))
         with pytest.raises(ValueError):
             CovMatrix(np.array([[np.inf, 0.0], [0.0, 1.0]]))
+
+    def test_factor_cached_per_tolerance(self):
+        m = CovMatrix(np.diag([1.0, 1e-6]), psd_certified=True)
+        fine = m.factor(1e-10)
+        assert m.factor(1e-3).rank == 1
+        assert fine.rank == 2 and m.factor(1e-10) is fine
 
     def test_csv_roundtrip(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -203,6 +237,41 @@ class TestCvSelectLambda:
     def test_rejects_tiny_samples(self):
         with pytest.raises(ValueError):
             cv_select_lambda(np.ones((4, 3)), [0.1], 2, RngSeed(0))
+
+    def test_rejects_bad_grid_before_fold_work(self):
+        # seed=None would fail with AttributeError once any fold starts
+        X = np.random.default_rng(14).normal(size=(30, 4))
+        for grid in ([0.2, 1.5], [-0.1], [float("nan")]):
+            with pytest.raises(ValueError, match=r"\[0, 1\]"):
+                cv_select_lambda(X, grid, 2, None)
+
+    def test_rejects_constant_column(self):
+        X = np.random.default_rng(15).normal(size=(30, 4))
+        X[:, 2] = 3.0
+        with pytest.raises(ValueError, match="positive diagonal"):
+            cv_select_lambda(X, [0.0, 0.5], 2, RngSeed(0))
+
+    @given(n=st.integers(6, 30), d=st.integers(2, 12),
+           structure=st.sampled_from(["diagonal", "correlated", "mixed"]),
+           grid=st.lists(st.one_of(st.sampled_from([0.0, 0.05, 0.5, 0.999, 1.0]),
+                                   st.floats(0.0, 1.0)), min_size=1, max_size=12),
+           folds=st.integers(1, 4), data_seed=st.integers(0, 2**32 - 1),
+           cv_seed=st.integers(0, 1000))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_per_lambda_reference(self, n, d, structure, grid, folds,
+                                          data_seed, cv_seed):
+        # grids come unsorted, with repeats, and with levels above every
+        # off-diagonal |corr|; equality is exact, not approximate
+        rng = np.random.default_rng(data_seed)
+        X = rng.normal(size=(n, d)) * rng.uniform(0.5, 3.0, size=d)
+        if structure != "diagonal":
+            common = rng.normal(size=(n, 1))
+            w = rng.uniform(5.0, 20.0, size=d)
+            if structure == "mixed":
+                w[: d // 2] = 0.0
+            X = X + common * w
+        got = cv_select_lambda(X, grid, folds, RngSeed(cv_seed))
+        assert got == _cv_select_lambda_reference(X, grid, folds, RngSeed(cv_seed))
 
 
 class TestDiagnostics:

@@ -48,6 +48,12 @@ class TestExperimentConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(kind="ks", mc_reps=0)
 
+    def test_rejects_unknown_estimator(self):
+        with pytest.raises(ValueError, match="'gmbb'"):
+            ExperimentConfig(kind="ks", estimators=("proxy", "gmbb"))
+        with pytest.raises(ValueError, match="'corrcv'"):
+            config_from_dict({"kind": "coverage", "estimators": "naive,corrcv"})
+
     def test_paper_scale_preset(self):
         cfg = paper_scale_preset("coverage")
         assert cfg.d == 1000 and cfg.mc_reps == 1000 and cfg.truth_reps == 5000
