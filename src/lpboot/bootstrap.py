@@ -54,34 +54,49 @@ def _seed_label(rng: RngSeed) -> str:
     return str(rng.master) + "".join(f".{i}" for i in rng.stream_path)
 
 
-def _norm_draws(factor, p: LpExponent, B: int, rng: RngSeed, d: int) -> np.ndarray:
-    """B draws of ||V||_p with V ~ N(0, L L'), chunked to bound memory."""
-    out = np.empty(B)
-    pos = 0
-    chunk_index = 0
-    while pos < B:
-        m = min(_CHUNK, B - pos)
-        V = mvn_sample(factor, m, rng.child(chunk_index))
-        out[pos:pos + m] = lp_norm_rows(V, p, d_context=d)
-        pos += m
-        chunk_index += 1
+def _norm_draws(rows, p_list, B: int, rng: RngSeed, d: int) -> dict:
+    """B draws of ||V||_p for every p in p_list, all read from one stream of
+    Gaussian rows V: chunk k has at most _CHUNK rows, made by rows(m,
+    rng.child(k)), so memory stays bounded and single-p output equals
+    multi-p output draw-for-draw."""
+    if not 1 <= B <= MAX_DRAWS:
+        raise ValueError(f"B must lie in [1, {MAX_DRAWS}]")
+    out = {p: np.empty(B) for p in p_list}
+    for k, pos in enumerate(range(0, B, _CHUNK)):
+        V = rows(min(_CHUNK, B - pos), rng.child(k))
+        for p in p_list:
+            out[p][pos:pos + V.shape[0]] = lp_norm_rows(V, p, d_context=d)
     return out
+
+
+def _mvn_rows(S: CovMatrix):
+    """Row source for the kernel: m rows of N(0, S)."""
+    factor = S.factor()
+    return lambda m, seed: mvn_sample(factor, m, seed)
+
+
+def _multiplier_rows(X: np.ndarray):
+    """Row source for the kernel: m rows n^{-1/2} sum_i g_i (X_i - Xbar) with
+    i.i.d. standard normal multipliers g_i."""
+    n = X.shape[0]
+    Xc = (X - X.mean(axis=0)) / math.sqrt(n)
+    return lambda m, seed: seed.generator().standard_normal((m, n)) @ Xc
+
+
+def _distribution(engine: str, rows, p: LpExponent, B: int, rng: RngSeed,
+                  d: int) -> EmpiricalDistribution:
+    draws = _norm_draws(rows, (p,), B, rng, d)[p]
+    return EmpiricalDistribution(draws, {"engine": engine, "p": p.label, "seed": _seed_label(rng)})
 
 
 def gpb_draws(Sigma_hat: CovMatrix, p: LpExponent, B: int, rng: RngSeed) -> EmpiricalDistribution:
     """Draws of ||V||_p with V ~ N(0, Sigma_hat)."""
-    if not 1 <= B <= MAX_DRAWS:
-        raise ValueError(f"B must lie in [1, {MAX_DRAWS}]")
-    draws = _norm_draws(Sigma_hat.factor(), p, B, rng, Sigma_hat.dim)
-    return EmpiricalDistribution(draws, {"engine": "gpb", "p": p.label, "seed": _seed_label(rng)})
+    return _distribution("gpb", _mvn_rows(Sigma_hat), p, B, rng, Sigma_hat.dim)
 
 
 def proxy_draws(Sigma_true: CovMatrix, p: LpExponent, B: int, rng: RngSeed) -> EmpiricalDistribution:
     """Oracle variant of gpb_draws using the true covariance."""
-    if not 1 <= B <= MAX_DRAWS:
-        raise ValueError(f"B must lie in [1, {MAX_DRAWS}]")
-    draws = _norm_draws(Sigma_true.factor(), p, B, rng, Sigma_true.dim)
-    return EmpiricalDistribution(draws, {"engine": "proxy", "p": p.label, "seed": _seed_label(rng)})
+    return _distribution("proxy", _mvn_rows(Sigma_true), p, B, rng, Sigma_true.dim)
 
 
 def gmb_draws(X: np.ndarray, p: LpExponent, B: int, rng: RngSeed,
@@ -95,24 +110,8 @@ def gmb_draws(X: np.ndarray, p: LpExponent, B: int, rng: RngSeed,
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[0] < 2:
         raise ValueError("need at least two observations")
-    if not 1 <= B <= MAX_DRAWS:
-        raise ValueError(f"B must lie in [1, {MAX_DRAWS}]")
-    if not exact:
-        S = sample_covariance(X)
-        draws = _norm_draws(S.factor(), p, B, rng, S.dim)
-        return EmpiricalDistribution(draws, {"engine": "gmb", "p": p.label, "seed": _seed_label(rng)})
-    n, d = X.shape
-    Xc = (X - X.mean(axis=0)) / math.sqrt(n)
-    out = np.empty(B)
-    pos = 0
-    chunk_index = 0
-    while pos < B:
-        m = min(_CHUNK, B - pos)
-        g = rng.child(chunk_index).generator().standard_normal((m, n))
-        out[pos:pos + m] = lp_norm_rows(g @ Xc, p, d_context=d)
-        pos += m
-        chunk_index += 1
-    return EmpiricalDistribution(out, {"engine": "gmb", "p": p.label, "seed": _seed_label(rng)})
+    rows = _multiplier_rows(X) if exact else _mvn_rows(sample_covariance(X))
+    return _distribution("gmb", rows, p, B, rng, X.shape[1])
 
 
 def empirical_quantile(D: EmpiricalDistribution, alpha: float | Fraction) -> float:

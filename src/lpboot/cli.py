@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -78,8 +79,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _experiment_config(args, kind: str) -> ExperimentConfig:
-    if getattr(args, "paper_scale", False):
+def _experiment_config(args) -> ExperimentConfig:
+    """Config for an experiment subcommand; the power subcommand runs
+    whichever power kind a config file names (--sparse picks it otherwise)."""
+    command = args.command
+    kind = command
+    if command == "power":
+        kind = "power-sparse" if args.sparse else "power-dense"
+    if args.paper_scale:
         cfg = paper_scale_preset(kind)
     elif args.config:
         try:
@@ -88,8 +95,8 @@ def _experiment_config(args, kind: str) -> ExperimentConfig:
             raise ConfigError(f"cannot read config: {exc}") from exc
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        if cfg.kind != kind:
-            raise ConfigError(f"config kind {cfg.kind!r} does not match subcommand {kind!r}")
+        if cfg.kind.partition("-")[0] != command:
+            raise ConfigError(f"config kind {cfg.kind!r} does not match subcommand {command!r}")
     else:
         cfg = config_from_dict({"kind": kind})
     if args.seed is not None:
@@ -102,12 +109,18 @@ def _experiment_config(args, kind: str) -> ExperimentConfig:
 
 def _load_csv(path: str, skip_header: bool = False, ndmin: int = 2) -> np.ndarray:
     try:
-        return np.loadtxt(path, delimiter=",", skiprows=1 if skip_header else 0,
-                          ndmin=ndmin)
+        with warnings.catch_warnings():
+            # an empty file is reported below, not as numpy's warning
+            warnings.simplefilter("ignore", UserWarning)
+            values = np.loadtxt(path, delimiter=",", skiprows=1 if skip_header else 0,
+                                ndmin=ndmin)
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
     except ValueError as exc:
         raise ConfigError(f"malformed CSV {path}: {exc}") from exc
+    if values.size == 0:
+        raise ConfigError(f"{path}: no data")
+    return values
 
 
 def _cmd_test(args) -> int:
@@ -156,15 +169,7 @@ def main(argv=None) -> int:
             return _cmd_test(args)
         if args.command == "volume":
             return _cmd_volume(args)
-        kind = args.command
-        if kind == "power":
-            kind = "power-sparse" if args.sparse else "power-dense"
-            if args.config:
-                # config file may name either power kind; trust it
-                kind_from_file = parse_config(args.config).kind
-                if kind_from_file.startswith("power"):
-                    kind = kind_from_file
-        cfg = _experiment_config(args, kind)
+        cfg = _experiment_config(args)
         if not cfg.output_path:
             raise ConfigError("an output path is required (--out or output_path=...)")
         run_experiment(cfg)

@@ -15,18 +15,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bootstrap import EmpiricalDistribution, critical_value, ks_distance
-from .covariance import (CovMatrix, correlation_threshold, cv_select_lambda,
-                         psd_project, sample_covariance)
+from .bootstrap import (MAX_DRAWS, EmpiricalDistribution, _multiplier_rows,
+                        _mvn_rows, _norm_draws, critical_value, ks_distance)
+from .covariance import CovMatrix
 from .diagnostics import comparison_ks, levy_concentration
-from .lp import LpExponent, lp_norm, lp_norm_rows
+from .inference import EstimatorSpec, estimate_covariance
+from .lp import LpExponent, lp_norm
 from .sampling import (MarginalKind, RngSeed, build_block_covariance,
-                       copula_covariance, copula_sample, mvn_sample)
-
-_CHUNK = 4096
+                       copula_covariance, copula_sample)
 
 KINDS = ("ks", "coverage", "power-dense", "power-sparse", "probe")
-ENGINES = ("proxy", "gmb", "naive", "corr_cv")
+# engine -> sub-stream of the replicate seed its draws use
+ENGINE_STREAMS = {"proxy": 1, "gmb": 2, "naive": 3, "corr_cv": 5}
+ENGINES = tuple(ENGINE_STREAMS)
 
 
 def default_p_list() -> tuple:
@@ -75,9 +76,11 @@ class ExperimentConfig:
             raise ValueError("block size must divide d")
         if self.kind.startswith("power") and not self.delta_grid:
             self.delta_grid = tuple(default_delta_grid(self.kind, self.n, self.d))
-        for name in ("n", "d", "mc_reps", "B", "truth_reps"):
+        for name in ("n", "d", "mc_reps", "B", "truth_reps", "cv_folds", "cv_grid_size"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
+        if self.B > MAX_DRAWS:
+            raise ValueError(f"B must be at most {MAX_DRAWS}")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
 
@@ -173,61 +176,22 @@ def paper_scale_preset(kind: str) -> ExperimentConfig:
 # shared machinery
 
 
-def _multi_norm_draws(factor, p_list, B: int, rng: RngSeed, d: int) -> dict:
-    """Norm draws for every p from one shared stream of Gaussian vectors;
-    single-p output matches bootstrap.gpb_draws draw-for-draw."""
-    out = {p: np.empty(B) for p in p_list}
-    pos = 0
-    chunk_index = 0
-    while pos < B:
-        m = min(_CHUNK, B - pos)
-        V = mvn_sample(factor, m, rng.child(chunk_index))
-        for p in p_list:
-            out[p][pos:pos + m] = lp_norm_rows(V, p, d_context=d)
-        pos += m
-        chunk_index += 1
-    return {p: EmpiricalDistribution(v, {"engine": "multi", "p": p.label}) for p, v in out.items()}
-
-
-def _multi_gmb_draws(X: np.ndarray, p_list, B: int, rng: RngSeed) -> dict:
-    n, d = X.shape
-    Xc = (X - X.mean(axis=0)) / math.sqrt(n)
-    out = {p: np.empty(B) for p in p_list}
-    pos = 0
-    chunk_index = 0
-    while pos < B:
-        m = min(_CHUNK, B - pos)
-        g = rng.child(chunk_index).generator().standard_normal((m, n))
-        Z = g @ Xc
-        for p in p_list:
-            out[p][pos:pos + m] = lp_norm_rows(Z, p, d_context=d)
-        pos += m
-        chunk_index += 1
-    return {p: EmpiricalDistribution(v, {"engine": "gmb", "p": p.label}) for p, v in out.items()}
-
-
-def _cv_covariance(X: np.ndarray, cfg: ExperimentConfig, seed: RngSeed) -> CovMatrix:
-    lam_hat, _ = cv_select_lambda(X, cfg.cv_grid, cfg.cv_folds, seed)
-    return psd_project(correlation_threshold(sample_covariance(X), lam_hat))
-
-
 def _engine_draws(name: str, X: np.ndarray, Sigma_true: CovMatrix,
                   cfg: ExperimentConfig, rep_seed: RngSeed) -> dict:
-    """Bootstrap distributions for all p under one engine; fixed sub-stream
-    layout per engine keeps streams independent across engines."""
-    d = cfg.d
+    """Bootstrap distributions for all p under one engine, drawn on the
+    engine's own sub-stream of rep_seed (ENGINE_STREAMS) so streams stay
+    independent across engines; corr_cv's folds use sub-stream 4."""
+    if name not in ENGINE_STREAMS:
+        raise ValueError(f"unknown engine {name!r}")
     if name == "proxy":
-        return _multi_norm_draws(Sigma_true.factor(), cfg.p_list, cfg.B,
-                                 rep_seed.child(1), d)
-    if name == "gmb":
-        return _multi_gmb_draws(X, cfg.p_list, cfg.B, rep_seed.child(2))
-    if name == "naive":
-        S = sample_covariance(X)
-        return _multi_norm_draws(S.factor(), cfg.p_list, cfg.B, rep_seed.child(3), d)
-    if name == "corr_cv":
-        S = _cv_covariance(X, cfg, rep_seed.child(4))
-        return _multi_norm_draws(S.factor(), cfg.p_list, cfg.B, rep_seed.child(5), d)
-    raise ValueError(f"unknown engine {name!r}")
+        rows = _mvn_rows(Sigma_true)
+    elif name == "gmb":
+        rows = _multiplier_rows(X)
+    else:
+        spec = EstimatorSpec(name, cv_folds=cfg.cv_folds, cv_grid=tuple(cfg.cv_grid))
+        rows = _mvn_rows(estimate_covariance(X, spec, rep_seed.child(4)))
+    draws = _norm_draws(rows, cfg.p_list, cfg.B, rep_seed.child(ENGINE_STREAMS[name]), cfg.d)
+    return {p: EmpiricalDistribution(v, {"engine": name, "p": p.label}) for p, v in draws.items()}
 
 
 def _statistics(X: np.ndarray, p_list, shift: np.ndarray | None = None) -> dict:
@@ -374,8 +338,7 @@ def run_power_experiment(cfg: ExperimentConfig) -> list:
         rep_seed = cfg.rng.child(2, rep)
         X = copula_sample(Sigma, cfg.marginal, cfg.n, rep_seed.child(0),
                           standardize=cfg.standardize)
-        S = _cv_covariance(X, cfg, rep_seed.child(4))
-        draws = _multi_norm_draws(S.factor(), cfg.p_list, cfg.B, rep_seed.child(5), cfg.d)
+        draws = _engine_draws("corr_cv", X, None, cfg, rep_seed)
         crit = {p: critical_value(draws[p], cfg.alpha) for p in cfg.p_list}
         s0 = X.sum(axis=0) / sqrt_n
         reject = np.empty((len(deltas), len(cfg.p_list)), dtype=bool)

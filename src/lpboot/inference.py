@@ -55,8 +55,12 @@ class EstimatorSpec:
         return self.kind
 
 
-def estimate_covariance(X: np.ndarray, spec: EstimatorSpec, seed: RngSeed) -> CovMatrix:
-    """Sample covariance regularized per spec; PSD-projected where needed."""
+def estimate_covariance(X: np.ndarray, spec: EstimatorSpec, cv_seed: RngSeed) -> CovMatrix:
+    """Sample covariance regularized per spec; PSD-projected where needed.
+
+    cv_seed is the stream corr_cv draws its folds from: fold k permutes the
+    rows with cv_seed.child(k). The other kinds use no randomness.
+    """
     S = sample_covariance(X)
     if spec.kind == "naive":
         return S
@@ -65,7 +69,7 @@ def estimate_covariance(X: np.ndarray, spec: EstimatorSpec, seed: RngSeed) -> Co
     if spec.kind == "band":
         return psd_project(band(S, spec.ell))
     if spec.kind == "corr_cv":
-        lam_hat, _ = cv_select_lambda(X, list(spec.cv_grid), spec.cv_folds, seed.child(0))
+        lam_hat, _ = cv_select_lambda(X, list(spec.cv_grid), spec.cv_folds, cv_seed)
         return psd_project(correlation_threshold(S, lam_hat))
     raise ValueError(f"unknown estimator kind {spec.kind!r}")
 
@@ -135,7 +139,7 @@ def run_test(X: np.ndarray, spec: TestSpec) -> TestResult:
     if X.shape[1] != spec.M.shape[1]:
         raise ValueError("data dimension does not match the restriction map")
     stat = test_statistic(X, spec.M, spec.m0, spec.p)
-    Sigma = estimate_covariance(X, spec.estimator, spec.seed.child(1))
+    Sigma = estimate_covariance(X, spec.estimator, spec.seed.child(1, 0))
     Omega = CovMatrix(spec.M @ Sigma.values @ spec.M.T,
                       psd_certified=Sigma.psd_certified,
                       provenance=f"conjugate<-{Sigma.provenance}")
@@ -172,7 +176,7 @@ def confidence_set(X: np.ndarray, p: LpExponent, alpha: float,
     """lp-ball around the sample mean with radius c*(1-alpha)/sqrt(n)."""
     X = np.asarray(X, dtype=float)
     n = X.shape[0]
-    Sigma = estimate_covariance(X, estimator, seed.child(1))
+    Sigma = estimate_covariance(X, estimator, seed.child(1, 0))
     dist = gpb_draws(Sigma, p, B, seed.child(2))
     crit = critical_value(dist, alpha)
     return ConfidenceSet(center=X.mean(axis=0), radius=crit / math.sqrt(n), p=p)
@@ -196,5 +200,8 @@ def lp_ball_volume(d: int, p: float, r: float) -> BallVolume:
         logv = d * math.log(2.0 * r)
     else:
         logv = d * math.log(2.0 * r) + d * gammaln(1.0 + 1.0 / p) - gammaln(1.0 + d / p)
-    vol = math.exp(logv) if logv < 709.0 else math.inf
+    try:
+        vol = math.exp(logv)
+    except OverflowError:
+        vol = math.inf
     return BallVolume(log_volume=float(logv), volume=vol)

@@ -2,17 +2,25 @@
 
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import lpboot
+from lpboot import harness
+from lpboot.bootstrap import MAX_DRAWS, gmb_draws, gpb_draws, proxy_draws
 from lpboot.cli import main
-from lpboot.harness import (ExperimentConfig, config_from_dict,
-                            default_delta_grid, parse_config,
+from lpboot.covariance import sample_covariance
+from lpboot.harness import (ENGINES, ExperimentConfig, config_from_dict,
+                            default_delta_grid, default_p_list, parse_config,
                             paper_scale_preset, run_experiment,
                             sparse_direction, summarize_coverage)
+from lpboot.inference import EstimatorSpec, estimate_covariance
 from lpboot.lp import LpExponent
-from lpboot.sampling import MarginalKind
+from lpboot.sampling import (MarginalKind, RngSeed, build_block_covariance,
+                             copula_covariance, copula_sample)
 
 SMALL = dict(n=40, d=20, mc_reps=4, B=200, truth_reps=200, block=2,
              cv_folds=3, cv_grid_size=5)
@@ -47,6 +55,23 @@ class TestExperimentConfig:
             ExperimentConfig(kind="ks", alpha=1.5)
         with pytest.raises(ValueError):
             ExperimentConfig(kind="ks", mc_reps=0)
+        with pytest.raises(ValueError, match="B must be at most"):
+            ExperimentConfig(kind="ks", B=MAX_DRAWS + 1)
+        for name in ("cv_grid_size", "cv_folds"):
+            with pytest.raises(ValueError, match=name):
+                ExperimentConfig(kind="power-dense", **{name: 0})
+
+    @pytest.mark.parametrize("bad", [dict(cv_grid_size=0), dict(B=MAX_DRAWS + 1)])
+    def test_bad_config_fails_before_any_compute(self, tmp_path, monkeypatch, bad):
+        def no_compute(*args, **kwargs):
+            raise AssertionError("copula_sample ran before the config was checked")
+
+        monkeypatch.setattr(harness, "copula_sample", no_compute)
+        cfgfile = tmp_path / "c.txt"
+        cfgfile.write_text("kind=ks\nn=30\nd=10\nblock=2\nmc_reps=2\n"
+                           + "".join(f"{k}={v}\n" for k, v in bad.items()))
+        with pytest.raises(ValueError):
+            run_experiment(parse_config(str(cfgfile)))
 
     def test_rejects_unknown_estimator(self):
         with pytest.raises(ValueError, match="'gmbb'"):
@@ -132,9 +157,30 @@ class TestKsExperiment:
         assert run_experiment(cfg2) == rows
 
     def test_threads_do_not_change_output(self, tmp_path):
-        one = small_cfg("ks", estimators=("proxy", "gmb"), seed=5, threads=1)
-        four = small_cfg("ks", estimators=("proxy", "gmb"), seed=5, threads=4)
+        one = small_cfg("ks", estimators=ENGINES, seed=5, threads=1)
+        four = small_cfg("ks", estimators=ENGINES, seed=5, threads=4)
         assert run_experiment(one) == run_experiment(four)
+
+    def test_blas_threads_do_not_change_output(self, tmp_path):
+        # sizes large enough that OpenBLAS would split the products over threads
+        cfgfile = tmp_path / "c.txt"
+        cfgfile.write_text("kind=ks\nn=60\nd=40\nblock=2\nmc_reps=2\nB=600\n"
+                           "truth_reps=100\ncv_folds=3\ncv_grid_size=4\nseed=13\n")
+        single = tmp_path / "single.csv"
+        src = os.path.dirname(os.path.dirname(lpboot.__file__))
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                   PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        proc = subprocess.run(
+            [sys.executable, "-m", "lpboot.cli", "ks", "--config", str(cfgfile),
+             "--out", str(single), "--threads", "1"],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        here = tmp_path / "here.csv"
+        cfg = parse_config(str(cfgfile))
+        cfg.output_path = str(here)
+        assert cfg.estimators == ENGINES
+        run_experiment(cfg)
+        assert single.read_bytes() == here.read_bytes()
 
     def test_proxy_tracks_truth(self):
         # the oracle engine should sit close to the simulated truth
@@ -142,6 +188,29 @@ class TestKsExperiment:
                         truth_reps=400, seed=9)
         ks_vals = [float(r.split(",")[3]) for r in run_experiment(cfg)]
         assert np.median(ks_vals) <= 0.25
+
+
+class TestEngineDraws:
+    def test_replicate_draws_equal_public_engines(self):
+        # B crosses the 4096-row chunk boundary; each engine keeps its sub-stream
+        cfg = small_cfg("ks", n=30, d=10, B=4097)
+        S = build_block_covariance(cfg.d, cfg.block, cfg.decay, RngSeed(1))
+        Sigma_X = copula_covariance(S, cfg.marginal)
+        X = copula_sample(S, cfg.marginal, cfg.n, RngSeed(2))
+        rep = RngSeed(3).child(2, 7)
+        cv = EstimatorSpec("corr_cv", cv_folds=cfg.cv_folds, cv_grid=tuple(cfg.cv_grid))
+        Sigma_cv = estimate_covariance(X, cv, rep.child(4))
+        expected = {
+            "proxy": lambda p: proxy_draws(Sigma_X, p, cfg.B, rep.child(1)),
+            "gmb": lambda p: gmb_draws(X, p, cfg.B, rep.child(2)),
+            "naive": lambda p: gpb_draws(sample_covariance(X), p, cfg.B, rep.child(3)),
+            "corr_cv": lambda p: gpb_draws(Sigma_cv, p, cfg.B, rep.child(5)),
+        }
+        assert cfg.p_list == default_p_list()
+        for engine in ENGINES:
+            draws = harness._engine_draws(engine, X, Sigma_X, cfg, rep)
+            for p in cfg.p_list:
+                assert np.array_equal(draws[p].samples, expected[engine](p).samples), (engine, p)
 
 
 class TestCoverageExperiment:
@@ -230,6 +299,11 @@ class TestCli:
         assert main(["power", "--config", str(cfgfile), "--out", str(out)]) == 0
         assert out.read_text().splitlines()[0] == "delta,p,power,mc_se"
 
+    def test_missing_power_config_is_config_error(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.txt")
+        assert main(["power", "--config", missing, "--out", str(tmp_path / "o.csv")]) == 2
+        assert "cannot read config" in capsys.readouterr().err
+
     def test_threads_env_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv("HDBOOT_THREADS", "3")
         from lpboot.cli import _threads_default
@@ -266,3 +340,50 @@ class TestCli:
 
     def test_volume_bad_args(self, capsys):
         assert main(["volume", "--d", "0", "--p", "2", "--r", "1"]) == 2
+
+
+FUZZ_FILES = {
+    "x.csv": "1,2,3\n4,5,6\n7,8,1\n2,2,2\n",
+    "empty.csv": "",
+    "nan.csv": "1,2\nnan,3\n4,5\n",
+    "onecol.csv": "1\n2\n3\n4\n5\n6\n",
+    "onerow.csv": "1,2,3\n",
+    "M_cols.csv": "1,0\n0,1\n",
+    "m0_long.csv": "0\n0\n0\n0\n",
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv", [
+    ["test", "empty.csv"],
+    ["test", "nan.csv", "--B", "50"],
+    ["test", "onecol.csv", "--B", "50"],
+    ["test", "onerow.csv"],
+    ["test", "x.csv", "--M-file", "M_cols.csv"],
+    ["test", "x.csv", "--m0-file", "m0_long.csv"],
+    ["test", "x.csv", "--m0-file", "empty.csv"],
+    ["test", "x.csv", "--p", "0.5"],
+    ["test", "x.csv", "--p", "abc"],
+    ["test", "x.csv", "--alpha", "1.5"],
+    ["test", "x.csv", "--alpha", "x"],
+    ["test", "x.csv", "--B", "0"],
+    ["test", "x.csv", "--B", str(MAX_DRAWS + 1), "--estimator", "naive"],
+    ["test", "x.csv", "--estimator", "bogus"],
+    ["test", "x.csv", "--estimator", "hard(x)"],
+    ["ks", "--config", "missing.txt", "--out", "o.csv"],
+    ["coverage", "--config", "missing.txt", "--out", "o.csv"],
+    ["power", "--config", "missing.txt", "--out", "o.csv"],
+    ["probe", "--config", "missing.txt", "--out", "o.csv"],
+])
+def test_cli_bad_input_exits_cleanly(tmp_path, monkeypatch, capsys, argv):
+    for name, text in FUZZ_FILES.items():
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if "missing.txt" in argv:
+        assert code == 2
+    if argv[1] == "empty.csv":
+        assert code == 2 and "error: empty.csv: no data" in err

@@ -200,6 +200,12 @@ class TestBallVolume:
         assert not v.representable and math.isinf(v.volume)
         assert v.log_volume == pytest.approx(2000 * math.log(20.0), rel=1e-12)
 
+    def test_largest_doubles_stay_representable(self):
+        # log volumes in [709, log(DBL_MAX)) still fit in a double
+        v = lp_ball_volume(1, math.inf, math.exp(709.5) / 2)
+        assert v.representable and v.volume == pytest.approx(math.exp(709.5), rel=1e-12)
+        assert not lp_ball_volume(1, math.inf, 1e308).representable
+
     def test_underflow_keeps_log(self):
         v = lp_ball_volume(2000, 1.0, 1.0)
         assert v.volume == 0.0 and v.representable
