@@ -14,9 +14,7 @@ from .covariance import (CovDiagnostics, CovError, CovMatrix, band,
                          cv_select_lambda, psd_project, sample_covariance,
                          threshold)
 from .diagnostics import ProbeReport, comparison_ks, levy_concentration
-from .harness import (ExperimentConfig, parse_config, run_coverage_experiment,
-                      run_experiment, run_ks_experiment, run_power_experiment,
-                      run_probe_experiment)
+from .harness import ExperimentConfig, parse_config, run_experiment
 from .inference import (ConfidenceSet, EstimatorSpec, TestResult, TestSpec,
                         confidence_set, estimate_covariance, lp_ball_volume,
                         run_test, test_statistic)

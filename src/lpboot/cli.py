@@ -13,8 +13,8 @@ import warnings
 
 import numpy as np
 
-from .harness import (ExperimentConfig, config_from_dict, parse_config,
-                      paper_scale_preset, run_experiment)
+from .harness import (ExperimentConfig, _write_csv, config_from_dict,
+                      parse_config, paper_scale_preset, run_experiment)
 from .inference import EstimatorSpec, TestSpec, run_test
 from .inference import lp_ball_volume
 from .lp import LpExponent
@@ -24,8 +24,8 @@ CONFIG_ERROR = 2
 RUNTIME_ERROR = 1
 
 
-class ConfigError(Exception):
-    pass
+class ConfigError(ValueError):
+    """Bad input from the command line or from a file it names."""
 
 
 def _threads_default() -> int:
@@ -93,8 +93,6 @@ def _experiment_config(args) -> ExperimentConfig:
             cfg = parse_config(args.config)
         except OSError as exc:
             raise ConfigError(f"cannot read config: {exc}") from exc
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
         if cfg.kind.partition("-")[0] != command:
             raise ConfigError(f"config kind {cfg.kind!r} does not match subcommand {command!r}")
     else:
@@ -120,6 +118,8 @@ def _load_csv(path: str, skip_header: bool = False, ndmin: int = 2) -> np.ndarra
         raise ConfigError(f"malformed CSV {path}: {exc}") from exc
     if values.size == 0:
         raise ConfigError(f"{path}: no data")
+    if not np.isfinite(values).all():
+        raise ConfigError(f"{path}: non-finite value")
     return values
 
 
@@ -128,29 +128,20 @@ def _cmd_test(args) -> int:
     d = X.shape[1]
     M = _load_csv(args.M_file) if args.M_file else np.eye(d)
     m0 = _load_csv(args.m0_file, ndmin=1).ravel() if args.m0_file else np.zeros(M.shape[0])
-    try:
-        p = LpExponent.parse(args.p)
-        estimator = EstimatorSpec.parse(args.estimator)
-        spec = TestSpec(M=M, m0=m0, p=p, alpha=args.alpha, estimator=estimator,
-                        B=args.B, seed=RngSeed(args.seed))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    spec = TestSpec(M=M, m0=m0, p=LpExponent.parse(args.p), alpha=args.alpha,
+                    estimator=EstimatorSpec.parse(args.estimator), B=args.B,
+                    seed=RngSeed(args.seed))
     result = run_test(X, spec)
     row = result.csv_row(spec)
     print(result.csv_header)
     print(row)
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(result.csv_header + "\n" + row + "\n")
+        _write_csv(args.out, result.csv_header, [row])
     return 0
 
 
 def _cmd_volume(args) -> int:
-    try:
-        p = LpExponent.parse(args.p)
-        vol = lp_ball_volume(args.d, p.resolve(args.d), args.r)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    vol = lp_ball_volume(args.d, LpExponent.parse(args.p).resolve(args.d), args.r)
     if vol.representable:
         print(f"{vol.volume:.12g}")
     else:
@@ -174,10 +165,7 @@ def main(argv=None) -> int:
             raise ConfigError("an output path is required (--out or output_path=...)")
         run_experiment(cfg)
         return 0
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return CONFIG_ERROR
-    except ValueError as exc:
+    except ValueError as exc:  # ConfigError is one
         print(f"error: {exc}", file=sys.stderr)
         return CONFIG_ERROR
     except Exception as exc:  # runtime failure

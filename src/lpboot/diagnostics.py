@@ -30,12 +30,6 @@ class ProbeReport:
     n_mc: int
     passed: bool
 
-    def csv_row(self, instance: str = "") -> str:
-        return ",".join([
-            self.name, instance, f"{self.estimate:.17g}", f"{self.bound:.17g}",
-            f"{self.C:g}", str(self.n_mc), str(int(self.passed)),
-        ])
-
     csv_header = "probe,instance,estimate,bound,C,n_mc,passed"
 
 

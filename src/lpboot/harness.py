@@ -18,13 +18,12 @@ import numpy as np
 from .bootstrap import (MAX_DRAWS, EmpiricalDistribution, _multiplier_rows,
                         _mvn_rows, _norm_draws, critical_value, ks_distance)
 from .covariance import CovMatrix
-from .diagnostics import comparison_ks, levy_concentration
+from .diagnostics import ProbeReport, comparison_ks, levy_concentration
 from .inference import EstimatorSpec, estimate_covariance
 from .lp import LpExponent, lp_norm
 from .sampling import (MarginalKind, RngSeed, build_block_covariance,
                        copula_covariance, copula_sample)
 
-KINDS = ("ks", "coverage", "power-dense", "power-sparse", "probe")
 # engine -> sub-stream of the replicate seed its draws use
 ENGINE_STREAMS = {"proxy": 1, "gmb": 2, "naive": 3, "corr_cv": 5}
 ENGINES = tuple(ENGINE_STREAMS)
@@ -194,10 +193,8 @@ def _engine_draws(name: str, X: np.ndarray, Sigma_true: CovMatrix,
     return {p: EmpiricalDistribution(v, {"engine": name, "p": p.label}) for p, v in draws.items()}
 
 
-def _statistics(X: np.ndarray, p_list, shift: np.ndarray | None = None) -> dict:
+def _statistics(X: np.ndarray, p_list) -> dict:
     s = X.sum(axis=0) / math.sqrt(X.shape[0])
-    if shift is not None:
-        s = s + shift
     return {p: lp_norm(s, p, d_context=X.shape[1]) for p in p_list}
 
 
@@ -228,98 +225,77 @@ def _write_csv(path: str, header: str, rows) -> None:
             fh.write(row + "\n")
 
 
-# ---------------------------------------------------------------------------
-# experiment drivers; each returns the emitted rows (list of strings)
+def _format(record: tuple) -> str:
+    """One CSV row: floats to 17 significant digits, other values by str."""
+    return ",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in record)
 
 
-def run_ks_experiment(cfg: ExperimentConfig) -> list:
-    """Distance between each engine's bootstrap law and the simulated truth."""
-    if cfg.kind != "ks":
-        raise ValueError("config kind must be 'ks'")
-    Sigma = build_block_covariance(cfg.d, cfg.block, cfg.decay, cfg.rng.child(0))
+def _replicates(cfg: ExperimentConfig, Sigma: CovMatrix, body) -> list:
+    """body(rep, X, rep_seed) for each of the mc_reps replicates, in replicate
+    order; replicate rep draws its data X on sub-stream 0 of rep_seed."""
+    def worker(rep: int):
+        rep_seed = cfg.rng.child(2, rep)
+        X = copula_sample(Sigma, cfg.marginal, cfg.n, rep_seed.child(0),
+                          standardize=cfg.standardize)
+        return body(rep, X, rep_seed)
+
+    return _run_indexed(worker, cfg.mc_reps, cfg.threads)
+
+
+def _engine_records(cfg: ExperimentConfig, Sigma: CovMatrix, scorer) -> list:
+    """(rep, p, engine, value) for each replicate, engine and p, where
+    scorer(X) returns value(p, D) for the engine's bootstrap law D of the
+    p-norm on the replicate's data X."""
     # the oracle engine needs the covariance of the transformed data, not
     # the latent Gaussian one
     Sigma_X = copula_covariance(Sigma, cfg.marginal, cfg.standardize)
+
+    def body(rep: int, X: np.ndarray, rep_seed: RngSeed) -> list:
+        value = scorer(X)
+        records = []
+        for est in cfg.estimators:
+            draws = _engine_draws(est, X, Sigma_X, cfg, rep_seed)
+            records.extend((rep, p.label, est, value(p, draws[p])) for p in cfg.p_list)
+        return records
+
+    return [r for chunk in _replicates(cfg, Sigma, body) for r in chunk]
+
+
+# ---------------------------------------------------------------------------
+# experiments; each returns its records, one typed tuple per CSV row
+
+
+def _ks_records(cfg: ExperimentConfig, Sigma: CovMatrix) -> list:
+    """Distance between each engine's bootstrap law and the simulated truth."""
     truth = _truth_distributions(cfg, Sigma)
-
-    def worker(rep: int) -> list:
-        rep_seed = cfg.rng.child(2, rep)
-        X = copula_sample(Sigma, cfg.marginal, cfg.n, rep_seed.child(0),
-                          standardize=cfg.standardize)
-        rows = []
-        for est in cfg.estimators:
-            draws = _engine_draws(est, X, Sigma_X, cfg, rep_seed)
-            for p in cfg.p_list:
-                ks = ks_distance(truth[p], draws[p])
-                rows.append(f"{rep},{p.label},{est},{ks:.17g}")
-        return rows
-
-    per_rep = _run_indexed(worker, cfg.mc_reps, cfg.threads)
-    rows = [r for chunk in per_rep for r in chunk]
-    if cfg.output_path:
-        _write_csv(cfg.output_path, "rep,p,estimator,ks", rows)
-    return rows
+    return _engine_records(cfg, Sigma, lambda X: lambda p, D: ks_distance(truth[p], D))
 
 
-def run_coverage_experiment(cfg: ExperimentConfig) -> list:
-    """Coverage of the simultaneous (1-alpha) confidence set under the null;
-    per-replicate indicators plus mean/standard-error aggregates."""
-    if cfg.kind != "coverage":
-        raise ValueError("config kind must be 'coverage'")
-    Sigma = build_block_covariance(cfg.d, cfg.block, cfg.decay, cfg.rng.child(0))
-    Sigma_X = copula_covariance(Sigma, cfg.marginal, cfg.standardize)
-
-    def worker(rep: int) -> list:
-        rep_seed = cfg.rng.child(2, rep)
-        X = copula_sample(Sigma, cfg.marginal, cfg.n, rep_seed.child(0),
-                          standardize=cfg.standardize)
+def _coverage_records(cfg: ExperimentConfig, Sigma: CovMatrix) -> list:
+    """Whether the simultaneous (1-alpha) confidence set covers the null mean."""
+    def scorer(X: np.ndarray):
         stats = _statistics(X, cfg.p_list)
-        rows = []
-        for est in cfg.estimators:
-            draws = _engine_draws(est, X, Sigma_X, cfg, rep_seed)
-            for p in cfg.p_list:
-                q = critical_value(draws[p], cfg.alpha)
-                covered = int(stats[p] <= q)
-                rows.append(f"{rep},{p.label},{est},{covered}")
-        return rows
+        return lambda p, D: int(stats[p] <= critical_value(D, cfg.alpha))
 
-    per_rep = _run_indexed(worker, cfg.mc_reps, cfg.threads)
-    rows = [r for chunk in per_rep for r in chunk]
-    summary = summarize_coverage(rows)
-    if cfg.output_path:
-        _write_csv(cfg.output_path, "rep,p,estimator,covered", rows)
-        _write_csv(_summary_path(cfg.output_path),
-                   "p,estimator,coverage,se,reps", summary)
-    return rows
+    return _engine_records(cfg, Sigma, scorer)
 
 
-def _summary_path(path: str) -> str:
-    root, ext = os.path.splitext(path)
-    return f"{root}.summary{ext or '.csv'}"
-
-
-def summarize_coverage(rows) -> list:
-    """Aggregate per-replicate indicators into coverage and binomial SE."""
+def summarize_coverage(records) -> list:
+    """Aggregate (rep, p, estimator, covered) records into (p, estimator,
+    coverage, binomial se, reps) records, in order of first appearance."""
     acc: dict = {}
-    order = []
-    for row in rows:
-        _, p, est, covered = row.split(",")
-        key = (p, est)
-        if key not in acc:
-            acc[key] = [0, 0]
-            order.append(key)
-        acc[key][0] += int(covered)
-        acc[key][1] += 1
+    for _, p, est, covered in records:
+        counts = acc.setdefault((p, est), [0, 0])
+        counts[0] += covered
+        counts[1] += 1
     out = []
-    for p, est in order:
-        hits, reps = acc[(p, est)]
+    for (p, est), (hits, reps) in acc.items():
         cov = hits / reps
-        se = math.sqrt(cov * (1.0 - cov) / reps)
-        out.append(f"{p},{est},{cov:.17g},{se:.17g},{reps}")
+        out.append((p, est, cov, math.sqrt(cov * (1.0 - cov) / reps), reps))
     return out
 
 
-def run_power_experiment(cfg: ExperimentConfig) -> list:
+def _power_records(cfg: ExperimentConfig, Sigma: CovMatrix) -> list:
     """Rejection frequency against mean shifts delta * v.
 
     The critical value uses the cross-validated thresholded estimate; a mean
@@ -327,17 +303,11 @@ def run_power_experiment(cfg: ExperimentConfig) -> list:
     unchanged, so each replicate computes it once and reuses it across the
     whole delta grid.
     """
-    if cfg.kind not in ("power-dense", "power-sparse"):
-        raise ValueError("config kind must be power-dense or power-sparse")
-    Sigma = build_block_covariance(cfg.d, cfg.block, cfg.decay, cfg.rng.child(0))
     v = np.ones(cfg.d) if cfg.kind == "power-dense" else sparse_direction(cfg.d)
-    deltas = list(cfg.delta_grid)
+    deltas = [float(delta) for delta in cfg.delta_grid]
     sqrt_n = math.sqrt(cfg.n)
 
-    def worker(rep: int) -> np.ndarray:
-        rep_seed = cfg.rng.child(2, rep)
-        X = copula_sample(Sigma, cfg.marginal, cfg.n, rep_seed.child(0),
-                          standardize=cfg.standardize)
+    def body(rep: int, X: np.ndarray, rep_seed: RngSeed) -> np.ndarray:
         draws = _engine_draws("corr_cv", X, None, cfg, rep_seed)
         crit = {p: critical_value(draws[p], cfg.alpha) for p in cfg.p_list}
         s0 = X.sum(axis=0) / sqrt_n
@@ -348,51 +318,60 @@ def run_power_experiment(cfg: ExperimentConfig) -> list:
                 reject[i, j] = lp_norm(s, p, d_context=cfg.d) >= crit[p]
         return reject
 
-    per_rep = _run_indexed(worker, cfg.mc_reps, cfg.threads)
-    stack = np.stack(per_rep)  # reps x deltas x p
-    rows = []
-    for i, delta in enumerate(deltas):
-        for j, p in enumerate(cfg.p_list):
-            pw = float(stack[:, i, j].mean())
-            se = math.sqrt(pw * (1.0 - pw) / cfg.mc_reps)
-            rows.append(f"{delta:.17g},{p.label},{pw:.17g},{se:.17g}")
-    if cfg.output_path:
-        _write_csv(cfg.output_path, "delta,p,power,mc_se", rows)
-    return rows
+    power = np.stack(_replicates(cfg, Sigma, body)).mean(axis=0)  # deltas x p
+    return [(delta, p.label, float(pw), math.sqrt(pw * (1.0 - pw) / cfg.mc_reps))
+            for delta, row in zip(deltas, power) for p, pw in zip(cfg.p_list, row)]
 
 
-def run_probe_experiment(cfg: ExperimentConfig) -> list:
-    """Concentration and comparison probes on identity-covariance grids."""
-    if cfg.kind != "probe":
-        raise ValueError("config kind must be 'probe'")
+def _probe_records(cfg: ExperimentConfig, Sigma: None) -> list:
+    """Concentration and comparison probes on identity-covariance grids;
+    the probe of row i draws on sub-stream i of its family's stream."""
     n_mc = max(cfg.truth_reps, 1000)
-    rows = []
-    idx = 0
+    records = []
+
+    def add(instance: str, rep: ProbeReport) -> None:
+        records.append((rep.name, instance, rep.estimate, rep.bound, rep.C, rep.n_mc,
+                        int(rep.passed)))
+
     for d in (50, cfg.d):
         eye = CovMatrix(np.eye(d), psd_certified=True, provenance="identity")
         for p in (LpExponent.finite(1), LpExponent.finite(2), LpExponent.finite(4)):
             for eps in (0.05, 0.1):
-                rep = levy_concentration(eye, p, eps, n_mc, cfg.rng.child(3, idx))
-                rows.append(rep.csv_row(f"levy:d={d}:p={p.label}:eps={eps:g}"))
-                idx += 1
+                add(f"levy:d={d}:p={p.label}:eps={eps:g}",
+                    levy_concentration(eye, p, eps, n_mc, cfg.rng.child(3, len(records))))
     eye = CovMatrix(np.eye(cfg.d), psd_certified=True, provenance="identity")
     for c in (1.0, 1.1, 1.5, 2.0):
         other = CovMatrix(c * np.eye(cfg.d), psd_certified=True, provenance="scaled")
         for p in cfg.p_list:
-            rep = comparison_ks(eye, other, p, n_mc, cfg.rng.child(4, idx))
-            rows.append(rep.csv_row(f"comparison:d={cfg.d}:p={p.label}:c={c:g}"))
-            idx += 1
-    if cfg.output_path:
-        _write_csv(cfg.output_path, "probe,instance,estimate,bound,C,n_mc,passed", rows)
-    return rows
+            add(f"comparison:d={cfg.d}:p={p.label}:c={c:g}",
+                comparison_ks(eye, other, p, n_mc, cfg.rng.child(4, len(records))))
+    return records
+
+
+# kind -> (CSV header, experiment)
+_EXPERIMENTS = {
+    "ks": ("rep,p,estimator,ks", _ks_records),
+    "coverage": ("rep,p,estimator,covered", _coverage_records),
+    "power-dense": ("delta,p,power,mc_se", _power_records),
+    "power-sparse": ("delta,p,power,mc_se", _power_records),
+    "probe": (ProbeReport.csv_header, _probe_records),
+}
+KINDS = tuple(_EXPERIMENTS)
 
 
 def run_experiment(cfg: ExperimentConfig) -> list:
-    drivers = {
-        "ks": run_ks_experiment,
-        "coverage": run_coverage_experiment,
-        "power-dense": run_power_experiment,
-        "power-sparse": run_power_experiment,
-        "probe": run_probe_experiment,
-    }
-    return drivers[cfg.kind](cfg)
+    """Run the experiment cfg.kind names and return its CSV rows; with an
+    output_path, also write them there (and, for coverage, the per-(p,
+    estimator) summary next to it)."""
+    header, experiment = _EXPERIMENTS[cfg.kind]
+    Sigma = None if cfg.kind == "probe" else build_block_covariance(
+        cfg.d, cfg.block, cfg.decay, cfg.rng.child(0))
+    records = experiment(cfg, Sigma)
+    rows = [_format(r) for r in records]
+    if cfg.output_path:
+        _write_csv(cfg.output_path, header, rows)
+        if cfg.kind == "coverage":
+            root, ext = os.path.splitext(cfg.output_path)
+            _write_csv(f"{root}.summary{ext or '.csv'}", "p,estimator,coverage,se,reps",
+                       map(_format, summarize_coverage(records)))
+    return rows

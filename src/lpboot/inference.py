@@ -10,7 +10,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .bootstrap import EmpiricalDistribution, critical_value, gpb_draws
+from .bootstrap import (MAX_DRAWS, EmpiricalDistribution, critical_value,
+                        gpb_draws)
 from .covariance import (CovMatrix, band, correlation_threshold,
                          cv_select_lambda, psd_project, sample_covariance,
                          threshold)
@@ -93,6 +94,8 @@ class TestSpec:
             raise ValueError("alpha must lie in (0, 1)")
         if self.B < 1:
             raise ValueError("B must be >= 1")
+        if self.B > MAX_DRAWS:
+            raise ValueError(f"B must lie in [1, {MAX_DRAWS}]")
 
 
 @dataclass

@@ -123,8 +123,9 @@ def smooth_norm(x: np.ndarray, p: int, eta: float) -> float:
     return m * s ** (1.0 / p)
 
 
-def smooth_max(x: np.ndarray, beta: float, d: int | None = None) -> float:
-    """Log-sum-exp smooth maximum at the log-dimension exponent p = log d:
+def smooth_max(x: np.ndarray, beta: float) -> float:
+    """Log-sum-exp smooth maximum at the log-dimension exponent p = log d,
+    d = len(x):
     d^{1/p} * beta^{-1} * log(sum_k exp(beta x_k d^{-1/p}) + exp(-beta x_k d^{-1/p})),
     with d^{1/p} = e.
 
@@ -136,9 +137,6 @@ def smooth_max(x: np.ndarray, beta: float, d: int | None = None) -> float:
     x = _check_vector(x)
     if not beta > 0.0:
         raise ValueError("beta must be positive")
-    if d is None:
-        d = len(x)
-    d = max(d, 3)
     z = beta * x / math.e  # d^{-1/log d} = 1/e
     return math.e * float(logsumexp(np.concatenate([z, -z]))) / beta
 

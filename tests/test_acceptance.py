@@ -236,7 +236,7 @@ def test_criterion_9_smooth_sandwiches():
         val = smooth_norm(x, p, eta)
         ok_norm &= norm_p <= val <= norm_p + eta + 1e-9 * max(norm_p, 1.0)
         beta = float(rng.uniform(0.5, 50.0))
-        sval = smooth_max(x, beta, d)
+        sval = smooth_max(x, beta)
         slack = math.e * math.log(2 * d) / beta
         hi = lp_norm(x, LpExponent.log_dim()) + slack
         lo = float(np.abs(x).max())

@@ -98,13 +98,6 @@ class TestComparisonKs:
                 rep = comparison_ks(S, T, p, 5000, RngSeed(9))
                 assert rep.passed, (c, p.label, rep.estimate, rep.bound)
 
-    def test_csv_row(self):
-        S = CovMatrix(np.eye(4), psd_certified=True)
-        rep = comparison_ks(S, S, LpExponent.finite(2), 1000, RngSeed(10))
-        row = rep.csv_row("identity")
-        assert len(row.split(",")) == len(rep.csv_header.split(","))
-        assert row.startswith("comparison_ks,identity,")
-
     def test_rejects_mismatched_dims(self):
         with pytest.raises(ValueError):
             comparison_ks(CovMatrix(np.eye(2)), CovMatrix(np.eye(3)),

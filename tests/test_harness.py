@@ -32,6 +32,20 @@ def small_cfg(kind, **over):
     return ExperimentConfig(kind=kind, **kw)
 
 
+def assert_threads_do_not_change_output(tmp_path, kind, **over):
+    """Run kind at 1 and 3 worker threads; the returned rows and every
+    written file must match byte for byte.  Returns the written file names."""
+    runs = []
+    for threads in (1, 3):
+        outdir = tmp_path / f"threads{threads}"
+        outdir.mkdir()
+        cfg = small_cfg(kind, seed=5, threads=threads, output_path=str(outdir / "o.csv"), **over)
+        rows = run_experiment(cfg)
+        runs.append((rows, {f.name: f.read_bytes() for f in outdir.iterdir()}))
+    assert runs[0] == runs[1]
+    return set(runs[0][1])
+
+
 class TestExperimentConfig:
     def test_defaults(self):
         cfg = ExperimentConfig(kind="ks")
@@ -157,9 +171,8 @@ class TestKsExperiment:
         assert run_experiment(cfg2) == rows
 
     def test_threads_do_not_change_output(self, tmp_path):
-        one = small_cfg("ks", estimators=ENGINES, seed=5, threads=1)
-        four = small_cfg("ks", estimators=ENGINES, seed=5, threads=4)
-        assert run_experiment(one) == run_experiment(four)
+        assert assert_threads_do_not_change_output(tmp_path, "ks", estimators=ENGINES) \
+            == {"o.csv"}
 
     def test_blas_threads_do_not_change_output(self, tmp_path):
         # sizes large enough that OpenBLAS would split the products over threads
@@ -229,10 +242,11 @@ class TestCoverageExperiment:
         assert abs(float(cov) - 0.95) <= 0.08  # binomial noise at 100 reps
 
     def test_summarize_coverage_direct(self):
-        rows = ["0,2,naive,1", "1,2,naive,0", "0,inf,naive,1", "1,inf,naive,1"]
-        out = summarize_coverage(rows)
-        assert out[0].startswith("2,naive,0.5,")
-        assert out[1].startswith("inf,naive,1,")
+        records = [(0, "2", "naive", 1), (1, "2", "naive", 0),
+                   (0, "inf", "naive", 1), (1, "inf", "naive", 1)]
+        out = summarize_coverage(records)
+        assert out[0][:3] == ("2", "naive", 0.5)
+        assert out[1][:3] == ("inf", "naive", 1.0)
 
 
 class TestPowerExperiment:
@@ -259,11 +273,25 @@ class TestProbeExperiment:
         out = str(tmp_path / "probe.csv")
         cfg = small_cfg("probe", truth_reps=1000, output_path=out, seed=8)
         rows = run_experiment(cfg)
-        assert open(out).read().splitlines()[0] == \
-            "probe,instance,estimate,bound,C,n_mc,passed"
+        header, *written = open(out).read().splitlines()
+        assert header == "probe,instance,estimate,bound,C,n_mc,passed"
+        assert written == rows
+        assert all(len(r.split(",")) == len(header.split(",")) for r in rows)
         # 2 dims x 3 p x 2 eps levy rows + 4 scales x |p_list| comparison rows
         assert len(rows) == 12 + 4 * len(cfg.p_list)
+        assert all(r.startswith("levy,levy:") for r in rows[:12])
+        assert all(r.startswith("comparison_ks,comparison:") for r in rows[12:])
         assert all(r.split(",")[-1] == "1" for r in rows)
+
+
+@pytest.mark.parametrize("kind,files", [
+    ("coverage", {"o.csv", "o.summary.csv"}),
+    ("power-dense", {"o.csv"}),
+    ("power-sparse", {"o.csv"}),
+    ("probe", {"o.csv"}),
+])
+def test_threads_do_not_change_output(tmp_path, kind, files):
+    assert assert_threads_do_not_change_output(tmp_path, kind) == files
 
 
 class TestCli:
@@ -346,6 +374,7 @@ FUZZ_FILES = {
     "x.csv": "1,2,3\n4,5,6\n7,8,1\n2,2,2\n",
     "empty.csv": "",
     "nan.csv": "1,2\nnan,3\n4,5\n",
+    "inf.csv": "1,2\ninf,3\n4,5\n",
     "onecol.csv": "1\n2\n3\n4\n5\n6\n",
     "onerow.csv": "1,2,3\n",
     "M_cols.csv": "1,0\n0,1\n",
@@ -374,6 +403,7 @@ FUZZ_FILES = {
     ["coverage", "--config", "missing.txt", "--out", "o.csv"],
     ["power", "--config", "missing.txt", "--out", "o.csv"],
     ["probe", "--config", "missing.txt", "--out", "o.csv"],
+    ["test", "inf.csv", "--B", "50"],
 ])
 def test_cli_bad_input_exits_cleanly(tmp_path, monkeypatch, capsys, argv):
     for name, text in FUZZ_FILES.items():
@@ -387,3 +417,5 @@ def test_cli_bad_input_exits_cleanly(tmp_path, monkeypatch, capsys, argv):
         assert code == 2
     if argv[1] == "empty.csv":
         assert code == 2 and "error: empty.csv: no data" in err
+    if argv[1] in ("nan.csv", "inf.csv"):
+        assert code == 2 and f"error: {argv[1]}: non-finite value" in err

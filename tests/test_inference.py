@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.special import gamma
 
-from lpboot.bootstrap import gpb_draws
+from lpboot.bootstrap import MAX_DRAWS, gpb_draws
+from lpboot.cli import main
 from lpboot.covariance import CovMatrix
 from lpboot import inference
 from lpboot.inference import (ConfidenceSet, EstimatorSpec, confidence_set,
@@ -121,6 +124,33 @@ class TestRunTest:
         res = run_test(X, make_spec(4, LpExponent.finite(1)))
         assert res.reject == (res.statistic >= res.critical_value)
         assert 0.0 <= res.p_value <= 1.0
+
+    @given(data_seed=st.integers(0, 2**32 - 1), n=st.integers(2, 30), d=st.integers(3, 6),
+           shift=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1),
+           k=st.integers(1, 999), B=st.integers(1, 3000),
+           p=st.sampled_from([LpExponent.finite(1), LpExponent.finite(2),
+                              LpExponent.log_dim(), LpExponent.infinity()]))
+    @settings(max_examples=200, deadline=None)
+    def test_reject_agrees_with_p_value(self, data_seed, n, d, shift, seed, k, B, p):
+        X = np.random.default_rng(data_seed).normal(size=(n, d)) + shift
+        res = run_test(X, make_spec(d, p, alpha=k / 1000, B=B, seed=seed))
+        # on an exact tie the statistic both meets the critical value and
+        # counts toward the p-value
+        assume(res.statistic not in res.distribution.samples)
+        assert res.reject == (res.p_value <= k / 1000)
+
+    def test_B_checked_before_covariance(self, tmp_path, monkeypatch, capsys):
+        with pytest.raises(ValueError, match="B must lie in"):
+            make_spec(3, LpExponent.finite(2), B=MAX_DRAWS + 1)
+
+        def no_covariance(*args, **kwargs):
+            raise AssertionError("estimate_covariance ran before B was checked")
+
+        monkeypatch.setattr(inference, "estimate_covariance", no_covariance)
+        data = tmp_path / "x.csv"
+        np.savetxt(data, np.random.default_rng(0).normal(size=(10, 3)), delimiter=",")
+        assert main(["test", str(data), "--B", str(MAX_DRAWS + 1)]) == 2
+        assert "B must lie in" in capsys.readouterr().err
 
     def test_restriction_map_conjugates_covariance(self):
         # with M selecting one coordinate, the critical value matches a
