@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .covariance import CovMatrix, sample_covariance
+from .covariance import CovMatrix
 from .lp import LpExponent, lp_norm_rows
 from .sampling import RngSeed, mvn_sample
 
@@ -40,14 +40,6 @@ class EmpiricalDistribution:
 
     def __len__(self) -> int:
         return self.samples.size
-
-    def to_csv(self, path: str) -> None:
-        """One-column CSV; the header names the engine, p, B, and seed."""
-        m = self.meta
-        header = f"draw_{m.get('engine', 'unknown')}_p{m.get('p', '?')}_B{len(self)}_seed{m.get('seed', '?')}"
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(header + "\n")
-            np.savetxt(fh, self.samples, fmt="%.17g")
 
 
 def _seed_label(rng: RngSeed) -> str:
@@ -99,19 +91,16 @@ def proxy_draws(Sigma_true: CovMatrix, p: LpExponent, B: int, rng: RngSeed) -> E
     return _distribution("proxy", _mvn_rows(Sigma_true), p, B, rng, Sigma_true.dim)
 
 
-def gmb_draws(X: np.ndarray, p: LpExponent, B: int, rng: RngSeed,
-              exact: bool = True) -> EmpiricalDistribution:
+def gmb_draws(X: np.ndarray, p: LpExponent, B: int, rng: RngSeed) -> EmpiricalDistribution:
     """Draws of ||n^{-1/2} sum_i g_i (X_i - Xbar)||_p with g_i ~ N(0,1).
 
     Conditionally on X this law equals N(0, Sigma_naive) pushed through the
-    norm, so with exact=False the draws are generated through that
-    factorization instead of fresh multipliers (same law, O(d) per draw).
+    norm, the law gpb_draws samples for the sample covariance.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[0] < 2:
         raise ValueError("need at least two observations")
-    rows = _multiplier_rows(X) if exact else _mvn_rows(sample_covariance(X))
-    return _distribution("gmb", rows, p, B, rng, X.shape[1])
+    return _distribution("gmb", _multiplier_rows(X), p, B, rng, X.shape[1])
 
 
 def empirical_quantile(D: EmpiricalDistribution, alpha: float | Fraction) -> float:

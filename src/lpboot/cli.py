@@ -28,12 +28,28 @@ class ConfigError(ValueError):
     """Bad input from the command line or from a file it names."""
 
 
-def _threads_default() -> int:
+def _threads_default(fallback: int = 1) -> int:
+    """HDBOOT_THREADS (at least 1) when it holds an integer, else fallback."""
     env = os.environ.get("HDBOOT_THREADS", "")
     try:
-        return max(int(env), 1) if env else 1
+        return max(int(env), 1) if env else fallback
     except ValueError:
-        return 1
+        return fallback
+
+
+def _parse_option(option: str, parse, text: str):
+    """parse(text), with a failure reported as a bad value of option."""
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise ConfigError(f"{option} {text!r}: {exc}") from exc
+
+
+def _check_out_dir(path: str) -> None:
+    """Fail before any compute when the directory path names is missing."""
+    directory = os.path.dirname(path) or "."
+    if not os.path.isdir(directory):
+        raise ConfigError(f"cannot write {path}: no directory {directory}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -47,7 +63,8 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--seed", type=int, help="master seed (overrides config)")
         sp.add_argument("--out", help="output CSV path (overrides config)")
         sp.add_argument("--threads", type=int, default=None,
-                        help="worker threads (default: HDBOOT_THREADS or 1)")
+                        help="worker threads (default: HDBOOT_THREADS, else the "
+                             "config's threads, else 1)")
         sp.add_argument("--paper-scale", action="store_true",
                         help="full-size preset (hours of compute)")
         return sp
@@ -101,7 +118,7 @@ def _experiment_config(args) -> ExperimentConfig:
         cfg.seed = args.seed
     if args.out:
         cfg.output_path = args.out
-    cfg.threads = args.threads if args.threads is not None else _threads_default()
+    cfg.threads = args.threads if args.threads is not None else _threads_default(cfg.threads)
     return cfg
 
 
@@ -124,12 +141,15 @@ def _load_csv(path: str, skip_header: bool = False, ndmin: int = 2) -> np.ndarra
 
 
 def _cmd_test(args) -> int:
+    p = _parse_option("--p", LpExponent.parse, args.p)
+    estimator = _parse_option("--estimator", EstimatorSpec.parse, args.estimator)
+    if args.out:
+        _check_out_dir(args.out)
     X = _load_csv(args.data, skip_header=args.header)
     d = X.shape[1]
     M = _load_csv(args.M_file) if args.M_file else np.eye(d)
     m0 = _load_csv(args.m0_file, ndmin=1).ravel() if args.m0_file else np.zeros(M.shape[0])
-    spec = TestSpec(M=M, m0=m0, p=LpExponent.parse(args.p), alpha=args.alpha,
-                    estimator=EstimatorSpec.parse(args.estimator), B=args.B,
+    spec = TestSpec(M=M, m0=m0, p=p, alpha=args.alpha, estimator=estimator, B=args.B,
                     seed=RngSeed(args.seed))
     result = run_test(X, spec)
     row = result.csv_row(spec)
@@ -141,7 +161,8 @@ def _cmd_test(args) -> int:
 
 
 def _cmd_volume(args) -> int:
-    vol = lp_ball_volume(args.d, LpExponent.parse(args.p).resolve(args.d), args.r)
+    p = _parse_option("--p", LpExponent.parse, args.p)
+    vol = lp_ball_volume(args.d, p.resolve(args.d), args.r)
     if vol.representable:
         print(f"{vol.volume:.12g}")
     else:
@@ -163,6 +184,7 @@ def main(argv=None) -> int:
         cfg = _experiment_config(args)
         if not cfg.output_path:
             raise ConfigError("an output path is required (--out or output_path=...)")
+        _check_out_dir(cfg.output_path)
         run_experiment(cfg)
         return 0
     except ValueError as exc:  # ConfigError is one

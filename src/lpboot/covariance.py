@@ -16,22 +16,23 @@ import numpy as np
 
 from .lp import LpExponent, lp_norm
 
-# relative tolerance for the smallest eigenvalue of a certified-PSD matrix
+# relative tolerance for the smallest eigenvalue of a matrix accepted as PSD
 PSD_CERT_TOL = 1e-8
+# relative eigenvalue below which a direction does not count toward the rank
+RANK_TOL = 1e-10
 
 
 @dataclass
 class CovMatrix:
-    """Symmetric d x d covariance matrix with PSD certificate and provenance.
+    """Symmetric d x d covariance matrix with provenance.
 
     The matrix is symmetrized on construction.  A PSD factorization is
     cached lazily (see :func:`lpboot.sampling.factorize_psd`).
     """
 
     values: np.ndarray
-    psd_certified: bool = False
     provenance: str = "unspecified"
-    _factors: dict = field(default_factory=dict, repr=False, compare=False)
+    _factor: object = field(default=None, repr=False, compare=False)  # PsdFactor
 
     def __post_init__(self):
         a = np.asarray(self.values, dtype=float)
@@ -45,13 +46,13 @@ class CovMatrix:
     def dim(self) -> int:
         return self.values.shape[0]
 
-    def factor(self, tol: float = 1e-10):
-        """PSD factorization at tol, cached per tol (lazy import avoids a module cycle)."""
-        if tol not in self._factors:
+    def factor(self):
+        """PSD factorization, computed once and cached (lazy import avoids a module cycle)."""
+        if self._factor is None:
             from .sampling import factorize_psd
 
-            self._factors[tol] = factorize_psd(self, tol=tol)
-        return self._factors[tol]
+            self._factor = factorize_psd(self)
+        return self._factor
 
     def to_csv(self, path: str) -> None:
         np.savetxt(path, self.values, delimiter=",", fmt="%.17g")
@@ -84,7 +85,7 @@ def sample_covariance(X: np.ndarray) -> CovMatrix:
         raise ValueError("data entries must be finite")
     Xc = X - X.mean(axis=0)
     S = Xc.T @ Xc / X.shape[0]
-    return CovMatrix(S, psd_certified=True, provenance="naive")
+    return CovMatrix(S, provenance="naive")
 
 
 def threshold(M: CovMatrix, lam: float, kind: str = "hard") -> CovMatrix:
@@ -98,8 +99,7 @@ def threshold(M: CovMatrix, lam: float, kind: str = "hard") -> CovMatrix:
         out = np.sign(a) * np.maximum(np.abs(a) - lam, 0.0)
     else:
         raise ValueError(f"unknown thresholding kind {kind!r}")
-    return CovMatrix(out, psd_certified=False,
-                     provenance=f"{kind}-threshold({lam:g})<-{M.provenance}")
+    return CovMatrix(out, provenance=f"{kind}-threshold({lam:g})<-{M.provenance}")
 
 
 def _check_correlation_level(lam: float) -> None:
@@ -127,7 +127,7 @@ def correlation_threshold(M: CovMatrix, lam: float) -> CovMatrix:
     """Keep entry (j,k) iff |m_jk| / sqrt(m_jj m_kk) >= lam; diagonal always kept."""
     _check_correlation_level(lam)
     corr = _abs_correlation(M.values)
-    return CovMatrix(_keep_correlated(M.values, corr, lam), psd_certified=False,
+    return CovMatrix(_keep_correlated(M.values, corr, lam),
                      provenance=f"corr-threshold({lam:g})<-{M.provenance}")
 
 
@@ -138,41 +138,35 @@ def band(M: CovMatrix, ell: int) -> CovMatrix:
     d = M.dim
     j, k = np.indices((d, d))
     out = np.where(np.abs(j - k) <= ell, M.values, 0.0)
-    return CovMatrix(out, psd_certified=False,
-                     provenance=f"band({ell})<-{M.provenance}")
+    return CovMatrix(out, provenance=f"band({ell})<-{M.provenance}")
 
 
-def _psd_clip(a: np.ndarray, tol: float = 0.0) -> np.ndarray:
+def _psd_clip(a: np.ndarray) -> np.ndarray:
     """Array body of psd_project for a symmetric a.
 
-    Returns a itself when tol == 0 and a Cholesky factorization certifies it
-    PSD; otherwise the eigenvalue clip, symmetrized so that wrapping it in a
+    Returns a itself when a Cholesky factorization accepts it as PSD;
+    otherwise the eigenvalue clip, symmetrized so that wrapping it in a
     CovMatrix leaves its bytes unchanged.
     """
     scale = max(float(np.abs(np.diag(a)).max(initial=0.0)), 1.0)
-    if tol == 0.0:
-        try:
-            np.linalg.cholesky(a + (PSD_CERT_TOL * 0.01 * scale) * np.eye(a.shape[0]))
-            return a
-        except np.linalg.LinAlgError:
-            pass
+    try:
+        np.linalg.cholesky(a + (PSD_CERT_TOL * 0.01 * scale) * np.eye(a.shape[0]))
+        return a
+    except np.linalg.LinAlgError:
+        pass
     w, V = np.linalg.eigh(a)
-    cut = tol * max(float(np.abs(w).max(initial=0.0)), 1.0)
-    w = np.where(w > cut, w, 0.0)
+    w = np.where(w > 0.0, w, 0.0)
     out = (V * w) @ V.T
     return (out + out.T) / 2.0
 
 
-def psd_project(M: CovMatrix, tol: float = 0.0) -> CovMatrix:
-    """Frobenius-nearest PSD matrix: clip eigenvalues below tol*scale to zero.
+def psd_project(M: CovMatrix) -> CovMatrix:
+    """Frobenius-nearest PSD matrix: clip negative eigenvalues to zero.
 
-    A Cholesky fast path certifies already-PSD inputs without a full
+    A Cholesky fast path accepts already-PSD inputs without a full
     eigendecomposition (the dominant cost inside cross-validation loops).
     """
-    if tol < 0.0:
-        raise ValueError("tol must be nonnegative")
-    return CovMatrix(_psd_clip(M.values, tol), psd_certified=True,
-                     provenance=f"psd<-{M.provenance}")
+    return CovMatrix(_psd_clip(M.values), provenance=f"psd<-{M.provenance}")
 
 
 def cv_select_lambda(X: np.ndarray, grid, folds: int, seed) -> tuple[float, list[float]]:
@@ -222,11 +216,11 @@ def cv_select_lambda(X: np.ndarray, grid, folds: int, seed) -> tuple[float, list
     return grid[best], risks.tolist()
 
 
-def cov_diagnostics(S: CovMatrix, rank_tol: float = 1e-10) -> CovDiagnostics:
+def cov_diagnostics(S: CovMatrix) -> CovDiagnostics:
     """Numerical rank, diagonal extremes, and effective rank (trace / op-norm)."""
     w = np.linalg.eigvalsh(S.values)
     wmax = float(np.abs(w).max(initial=0.0))
-    rank = int((w > rank_tol * max(wmax, 1e-300)).sum())
+    rank = int((w > RANK_TOL * max(wmax, 1e-300)).sum())
     d = np.diag(S.values)
     op = max(wmax, 1e-300)
     return CovDiagnostics(

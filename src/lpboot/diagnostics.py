@@ -2,8 +2,8 @@
 theory: Levy concentration of Gaussian lp-norms and the Kolmogorov-Smirnov
 comparison bound between lp-norms under two covariances.
 
-Both probes check direction only (estimate <= C * bound for a configurable
-C, default 10); the underlying absolute constants are unspecified.
+Both probes check direction only (estimate <= C * bound with C = 10); the
+underlying absolute constants are unspecified.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from .covariance import CovMatrix, cov_diagnostics, cov_error
 from .lp import LpExponent, lp_norm, lp_norm_rows
 from .sampling import RngSeed, mvn_sample
 
-DEFAULT_C = 10.0
+C = 10.0
 
 
 @dataclass
@@ -43,7 +43,7 @@ def _omega(p: LpExponent, d: int, r: int) -> float:
 
 
 def levy_concentration(S: CovMatrix, p: LpExponent, eps: float, n_mc: int,
-                       rng: RngSeed, C: float = DEFAULT_C) -> ProbeReport:
+                       rng: RngSeed) -> ProbeReport:
     """Largest probability mass of ||X||_p, X ~ N(0, S), in any interval of
     width eps * ||sigma||_p / omega_p(d, r); passes when <= C * eps."""
     if not eps > 0.0:
@@ -65,7 +65,7 @@ def levy_concentration(S: CovMatrix, p: LpExponent, eps: float, n_mc: int,
 
 
 def comparison_ks(Sx: CovMatrix, Sy: CovMatrix, p: LpExponent, n_mc: int,
-                  rng: RngSeed, C: float = DEFAULT_C) -> ProbeReport:
+                  rng: RngSeed) -> ProbeReport:
     """KS distance between Monte Carlo lp-norm laws under Sx and Sy, against
     the covariance-difference bound (plus KS sampling noise)."""
     if Sx.dim != Sy.dim:

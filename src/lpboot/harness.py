@@ -92,16 +92,16 @@ class ExperimentConfig:
         return list(np.linspace(0.0, 1.0, self.cv_grid_size))
 
 
-def default_delta_grid(kind: str, n: int, d: int, points: int = 13) -> list:
-    """Signal grids: dense alternatives scale as 1/sqrt(nd), sparse ones as
-    sqrt(log d / n)."""
+def default_delta_grid(kind: str, n: int, d: int) -> list:
+    """Signal grids of 13 points: dense alternatives scale as 1/sqrt(nd),
+    sparse ones as sqrt(log d / n)."""
     if kind == "power-dense":
         top = 6.0 / math.sqrt(n * d)
     elif kind == "power-sparse":
         top = 6.0 * math.sqrt(math.log(d) / n)
     else:
         raise ValueError(f"no delta grid for kind {kind!r}")
-    return list(np.linspace(0.0, top, points))
+    return list(np.linspace(0.0, top, 13))
 
 
 def sparse_direction(d: int) -> np.ndarray:
@@ -239,6 +239,7 @@ def _replicates(cfg: ExperimentConfig, Sigma: CovMatrix, body) -> list:
                           standardize=cfg.standardize)
         return body(rep, X, rep_seed)
 
+    Sigma.factor()  # fill the shared cache once, before the workers race for it
     return _run_indexed(worker, cfg.mc_reps, cfg.threads)
 
 
@@ -249,6 +250,8 @@ def _engine_records(cfg: ExperimentConfig, Sigma: CovMatrix, scorer) -> list:
     # the oracle engine needs the covariance of the transformed data, not
     # the latent Gaussian one
     Sigma_X = copula_covariance(Sigma, cfg.marginal, cfg.standardize)
+    if "proxy" in cfg.estimators:
+        Sigma_X.factor()  # as for Sigma in _replicates
 
     def body(rep: int, X: np.ndarray, rep_seed: RngSeed) -> list:
         value = scorer(X)
@@ -334,14 +337,14 @@ def _probe_records(cfg: ExperimentConfig, Sigma: None) -> list:
                         int(rep.passed)))
 
     for d in (50, cfg.d):
-        eye = CovMatrix(np.eye(d), psd_certified=True, provenance="identity")
+        eye = CovMatrix(np.eye(d), provenance="identity")
         for p in (LpExponent.finite(1), LpExponent.finite(2), LpExponent.finite(4)):
             for eps in (0.05, 0.1):
                 add(f"levy:d={d}:p={p.label}:eps={eps:g}",
                     levy_concentration(eye, p, eps, n_mc, cfg.rng.child(3, len(records))))
-    eye = CovMatrix(np.eye(cfg.d), psd_certified=True, provenance="identity")
+    eye = CovMatrix(np.eye(cfg.d), provenance="identity")
     for c in (1.0, 1.1, 1.5, 2.0):
-        other = CovMatrix(c * np.eye(cfg.d), psd_certified=True, provenance="scaled")
+        other = CovMatrix(c * np.eye(cfg.d), provenance="scaled")
         for p in cfg.p_list:
             add(f"comparison:d={cfg.d}:p={p.label}:c={c:g}",
                 comparison_ks(eye, other, p, n_mc, cfg.rng.child(4, len(records))))

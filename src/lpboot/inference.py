@@ -18,9 +18,6 @@ from .covariance import (CovMatrix, band, correlation_threshold,
 from .lp import LpExponent, lp_norm
 from .sampling import RngSeed
 
-DEFAULT_CV_GRID_SIZE = 40
-DEFAULT_CV_FOLDS = 10
-
 
 @dataclass(frozen=True)
 class EstimatorSpec:
@@ -31,8 +28,20 @@ class EstimatorSpec:
     kind: str  # "naive" | "hard" | "corr_cv" | "band"
     lam: float = 0.0          # hard-threshold level
     ell: int = 0              # band width
-    cv_folds: int = DEFAULT_CV_FOLDS
-    cv_grid: tuple = tuple(np.linspace(0.0, 1.0, DEFAULT_CV_GRID_SIZE))
+    cv_folds: int = 10
+    cv_grid: tuple = tuple(np.linspace(0.0, 1.0, 40))
+
+    def __post_init__(self):
+        if self.kind not in ("naive", "hard", "corr_cv", "band"):
+            raise ValueError(f"unknown estimator kind {self.kind!r}")
+        if not 0.0 <= self.lam < math.inf:
+            raise ValueError("threshold level must be finite and nonnegative")
+        if self.ell < 0:
+            raise ValueError("band width must be nonnegative")
+        if self.cv_folds < 1:
+            raise ValueError("folds must be >= 1")
+        if not self.cv_grid or not all(0.0 <= g <= 1.0 for g in self.cv_grid):
+            raise ValueError("cv_grid must be nonempty and lie in [0, 1]")
 
     @classmethod
     def parse(cls, text: str) -> "EstimatorSpec":
@@ -135,8 +144,8 @@ def run_test(X: np.ndarray, spec: TestSpec) -> TestResult:
     """Bootstrap test of M mu = m0 at level alpha.
 
     The covariance of the transformed coordinates is the conjugation
-    M Sigma_hat M' of the structured estimate, so sparsity assumptions on
-    Sigma keep paying off after the restriction map.
+    M Sigma_hat M' of the PSD structured estimate, so sparsity assumptions
+    on Sigma keep paying off after the restriction map.
     """
     X = np.asarray(X, dtype=float)
     if X.shape[1] != spec.M.shape[1]:
@@ -144,10 +153,7 @@ def run_test(X: np.ndarray, spec: TestSpec) -> TestResult:
     stat = test_statistic(X, spec.M, spec.m0, spec.p)
     Sigma = estimate_covariance(X, spec.estimator, spec.seed.child(1, 0))
     Omega = CovMatrix(spec.M @ Sigma.values @ spec.M.T,
-                      psd_certified=Sigma.psd_certified,
                       provenance=f"conjugate<-{Sigma.provenance}")
-    if not Omega.psd_certified:
-        Omega = psd_project(Omega)
     dist = gpb_draws(Omega, spec.p, spec.B, spec.seed.child(2))
     crit = critical_value(dist, spec.alpha)
     p_value = float((dist.samples >= stat).mean())

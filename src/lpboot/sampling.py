@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .covariance import CovMatrix
+from .covariance import PSD_CERT_TOL, RANK_TOL, CovMatrix
 
 
 @dataclass(frozen=True)
@@ -98,14 +98,14 @@ def marginal_quantile(kind: MarginalKind, u):
     return out if out.ndim else float(out)
 
 
-def factorize_psd(S: CovMatrix, tol: float = 1e-10) -> PsdFactor:
+def factorize_psd(S: CovMatrix) -> PsdFactor:
     """Eigen-based factor L (d x r) with L @ L.T = S; small eigenvalues dropped."""
     a = S.values
     w, V = np.linalg.eigh(a)
     scale = max(float(np.abs(w).max(initial=0.0)), 1.0)
-    if w.min(initial=0.0) < -max(tol, 1e-8) * scale:
+    if w.min(initial=0.0) < -PSD_CERT_TOL * scale:
         raise ValueError(f"matrix is not positive semi-definite (min eig {w.min():g})")
-    keep = w > tol * scale
+    keep = w > RANK_TOL * scale
     r = int(keep.sum())
     if r == 0:
         return PsdFactor(np.zeros((S.dim, 0)), 0)
@@ -143,11 +143,11 @@ def build_block_covariance(d: int, block: int, decay: float = 0.8,
     if perm_seed is not None:
         perm = perm_seed.generator().permutation(d)
         S = S[np.ix_(perm, perm)]
-    return CovMatrix(S, psd_certified=True, provenance=f"block({block},{decay:g})")
+    return CovMatrix(S, provenance=f"block({block},{decay:g})")
 
 
 def copula_covariance(S: CovMatrix, kind: MarginalKind,
-                      standardize: bool = True, terms: int = 60) -> CovMatrix:
+                      standardize: bool = True) -> CovMatrix:
     """Covariance of the copula-transformed vector X = F^{-1}(Phi(Y)).
 
     Expands the scalar transform in the orthonormal Hermite basis; by
@@ -162,13 +162,13 @@ def copula_covariance(S: CovMatrix, kind: MarginalKind,
         raise ValueError("latent covariance needs a strictly positive diagonal")
     R = S.values / np.outer(sd, sd)
     np.fill_diagonal(R, 1.0)
+    terms = 60  # Hermite terms kept in the expansion
     nodes, weights = np.polynomial.hermite_e.hermegauss(160)
     weights = weights / math.sqrt(2.0 * math.pi)  # N(0,1) expectation weights
     # orthonormal Hermite values at the quadrature nodes
     phi = np.empty((terms, nodes.size))
     phi[0] = 1.0
-    if terms > 1:
-        phi[1] = nodes
+    phi[1] = nodes
     for m in range(2, terms):
         phi[m] = (nodes * phi[m - 1] - math.sqrt(m - 1) * phi[m - 2]) / math.sqrt(m)
     u = np.clip(normal_cdf(nodes if standardize else np.outer(sd, nodes)),
@@ -186,8 +186,7 @@ def copula_covariance(S: CovMatrix, kind: MarginalKind,
         Rm = Rm * R
         C += coef_outer[m] * Rm
     # the mean term a_0 cancels in the covariance; enforce exact symmetry
-    return CovMatrix(C, psd_certified=True,
-                     provenance=f"copula({kind.value})<-{S.provenance}")
+    return CovMatrix(C, provenance=f"copula({kind.value})<-{S.provenance}")
 
 
 def copula_sample(S: CovMatrix, kind: MarginalKind, n: int, rng: RngSeed,

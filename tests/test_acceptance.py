@@ -134,7 +134,7 @@ def test_criterion_6_quantile_scaling():
     dims = (50, 100, 200, 400)
     ratios2, ratiosinf = [], []
     for i, d in enumerate(dims):
-        S = CovMatrix(np.eye(d), psd_certified=True)
+        S = CovMatrix(np.eye(d))
         d2 = gpb_draws(S, LpExponent.finite(2), 20_000, RngSeed(41).child(i, 0))
         dinf = gpb_draws(S, LpExponent.infinity(), 20_000, RngSeed(41).child(i, 1))
         ratios2.append(empirical_quantile(d2, 0.95) / (math.sqrt(2.0) * math.sqrt(d)))
@@ -255,7 +255,7 @@ def test_criterion_10_engine_equivalence():
         X = rng.child(2).generator().standard_normal((n, d))
         p = P4[i % 4]
         from lpboot.covariance import sample_covariance
-        a = gmb_draws(X, p, 10_000, rng.child(3), exact=True)
+        a = gmb_draws(X, p, 10_000, rng.child(3))
         b = gpb_draws(sample_covariance(X), p, 10_000, rng.child(4))
         worst = max(worst, ks_distance(a, b))
     report(10, "bootstrap engine equivalence", worst <= 0.03,
@@ -267,7 +267,7 @@ def test_criterion_11_quantile_bounds():
     details = []
     for sigma in (1.0, 2.0):
         for d in (50, 200):
-            S = CovMatrix(sigma ** 2 * np.eye(d), psd_certified=True)
+            S = CovMatrix(sigma ** 2 * np.eye(d))
             for p in P4:
                 ref = proxy_draws(S, p, 100_000, RngSeed(110).child(d, 0)).samples
                 E, sd = float(ref.mean()), float(ref.std())

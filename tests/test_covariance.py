@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lpboot import sampling
 from lpboot.covariance import (CovMatrix, band, correlation_threshold,
                                cov_diagnostics, cov_error, cv_select_lambda,
                                psd_project, sample_covariance, threshold)
 from lpboot.lp import LpExponent
-from lpboot.sampling import RngSeed
+from lpboot.sampling import RngSeed, factorize_psd
 
 
 def random_symmetric(rng, d):
@@ -57,11 +58,18 @@ class TestCovMatrix:
         with pytest.raises(ValueError):
             CovMatrix(np.array([[np.inf, 0.0], [0.0, 1.0]]))
 
-    def test_factor_cached_per_tolerance(self):
-        m = CovMatrix(np.diag([1.0, 1e-6]), psd_certified=True)
-        fine = m.factor(1e-10)
-        assert m.factor(1e-3).rank == 1
-        assert fine.rank == 2 and m.factor(1e-10) is fine
+    def test_factor_computed_once(self, monkeypatch):
+        calls = []
+
+        def counting(S):
+            calls.append(S)
+            return factorize_psd(S)
+
+        monkeypatch.setattr(sampling, "factorize_psd", counting)
+        m = CovMatrix(np.diag([1.0, 1e-6]))
+        first = m.factor()
+        assert first.rank == 2 and m.factor() is first
+        assert len(calls) == 1 and calls[0] is m
 
     def test_csv_roundtrip(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -175,7 +183,6 @@ class TestPsdProject:
     def test_diagonal_clip(self):
         out = psd_project(CovMatrix(np.diag([1.0, -1.0])))
         assert np.allclose(out.values, np.diag([1.0, 0.0]), atol=1e-12)
-        assert out.psd_certified
 
     def test_psd_input_unchanged(self):
         rng = np.random.default_rng(6)
@@ -202,7 +209,7 @@ class TestPsdProject:
         rng = np.random.default_rng(9)
         for _ in range(20):
             a = rng.normal(size=(5, 5))
-            truth = CovMatrix(a @ a.T, psd_certified=True)
+            truth = CovMatrix(a @ a.T)
             noisy = CovMatrix(truth.values + 0.3 * random_symmetric(rng, 5).values)
             proj = psd_project(noisy)
             for p in (LpExponent.finite(1), LpExponent.finite(2)):

@@ -14,7 +14,7 @@ from lpboot.sampling import RngSeed, build_block_covariance
 
 class TestLevyConcentration:
     def test_degenerate_covariance(self):
-        S = CovMatrix(np.zeros((3, 3)), psd_certified=True)
+        S = CovMatrix(np.zeros((3, 3)))
         rep = levy_concentration(S, LpExponent.finite(2), 0.5, 1000, RngSeed(0))
         assert rep.estimate == 1.0
         assert rep.passed
@@ -24,7 +24,7 @@ class TestLevyConcentration:
         from lpboot.lp import lp_norm_rows
         from lpboot.sampling import mvn_sample
 
-        S = CovMatrix(np.eye(4), psd_certified=True)
+        S = CovMatrix(np.eye(4))
         p, eps, n_mc = LpExponent.finite(2), 0.3, 2000
         rep = levy_concentration(S, p, eps, n_mc, RngSeed(1))
         draws = np.sort(lp_norm_rows(mvn_sample(S.factor(), n_mc, RngSeed(1)), p))
@@ -34,7 +34,7 @@ class TestLevyConcentration:
 
     def test_scalar_case_against_exact_density(self):
         # d=1, p=1: |Z| has max window mass 2 Phi(w/1) - 1 for windows at 0
-        S = CovMatrix(np.array([[1.0]]), psd_certified=True)
+        S = CovMatrix(np.array([[1.0]]))
         eps = 0.4
         rep = levy_concentration(S, LpExponent.finite(1), eps, 200_000, RngSeed(2))
         width = eps * 1.0 / math.sqrt(1.0)
@@ -43,20 +43,20 @@ class TestLevyConcentration:
 
     def test_passes_on_identity_suite(self):
         for d in (20, 100):
-            S = CovMatrix(np.eye(d), psd_certified=True)
+            S = CovMatrix(np.eye(d))
             for p in (LpExponent.finite(1), LpExponent.finite(4),
                       LpExponent.log_dim(), LpExponent.infinity()):
                 rep = levy_concentration(S, p, 0.1, 5000, RngSeed(3))
                 assert rep.passed, (d, p.label, rep.estimate)
 
     def test_monotone_in_eps(self):
-        S = CovMatrix(np.eye(10), psd_certified=True)
+        S = CovMatrix(np.eye(10))
         small = levy_concentration(S, LpExponent.finite(2), 0.05, 5000, RngSeed(4))
         large = levy_concentration(S, LpExponent.finite(2), 0.5, 5000, RngSeed(4))
         assert small.estimate <= large.estimate
 
     def test_rejects_bad_args(self):
-        S = CovMatrix(np.eye(2), psd_certified=True)
+        S = CovMatrix(np.eye(2))
         with pytest.raises(ValueError):
             levy_concentration(S, LpExponent.finite(2), 0.0, 1000, RngSeed(0))
         with pytest.raises(ValueError):
@@ -73,9 +73,9 @@ class TestComparisonKs:
             assert rep.passed
 
     def test_bound_grows_with_perturbation(self):
-        S = CovMatrix(np.eye(10), psd_certified=True)
-        near = CovMatrix(1.01 * np.eye(10), psd_certified=True)
-        far = CovMatrix(2.0 * np.eye(10), psd_certified=True)
+        S = CovMatrix(np.eye(10))
+        near = CovMatrix(1.01 * np.eye(10))
+        far = CovMatrix(2.0 * np.eye(10))
         p = LpExponent.finite(2)
         near_rep = comparison_ks(S, near, p, 2000, RngSeed(7))
         far_rep = comparison_ks(S, far, p, 2000, RngSeed(7))
@@ -83,16 +83,16 @@ class TestComparisonKs:
         assert near_rep.estimate < far_rep.estimate
 
     def test_symmetric_in_arguments(self):
-        A = CovMatrix(np.eye(6), psd_certified=True)
-        B = CovMatrix(np.diag(np.linspace(0.5, 2.0, 6)), psd_certified=True)
+        A = CovMatrix(np.eye(6))
+        B = CovMatrix(np.diag(np.linspace(0.5, 2.0, 6)))
         a = comparison_ks(A, B, LpExponent.finite(1), 2000, RngSeed(8))
         b = comparison_ks(B, A, LpExponent.finite(1), 2000, RngSeed(8))
         assert a.bound == pytest.approx(b.bound, rel=1e-12)
 
     def test_passes_on_scaled_identity_suite(self):
-        S = CovMatrix(np.eye(50), psd_certified=True)
+        S = CovMatrix(np.eye(50))
         for c in (1.0, 1.2, 2.0):
-            T = CovMatrix(c * np.eye(50), psd_certified=True)
+            T = CovMatrix(c * np.eye(50))
             for p in (LpExponent.finite(1), LpExponent.finite(2),
                       LpExponent.log_dim(), LpExponent.infinity()):
                 rep = comparison_ks(S, T, p, 5000, RngSeed(9))

@@ -4,12 +4,13 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
 
 import lpboot
-from lpboot import harness
+from lpboot import cli, harness, sampling
 from lpboot.bootstrap import MAX_DRAWS, gmb_draws, gpb_draws, proxy_draws
 from lpboot.cli import main
 from lpboot.covariance import sample_covariance
@@ -294,6 +295,22 @@ def test_threads_do_not_change_output(tmp_path, kind, files):
     assert assert_threads_do_not_change_output(tmp_path, kind) == files
 
 
+def test_shared_covariances_factored_once(monkeypatch):
+    # a slow factorization lets every worker reach the shared covariances'
+    # caches before the first one fills them
+    calls = []
+
+    def slow_counting(S):
+        calls.append(S.provenance)
+        time.sleep(0.05)
+        return factorize(S)
+
+    factorize = sampling.factorize_psd
+    monkeypatch.setattr(sampling, "factorize_psd", slow_counting)
+    run_experiment(small_cfg("coverage", estimators=("proxy",), threads=3))
+    assert len(calls) == 2
+
+
 class TestCli:
     def test_missing_out_is_config_error(self, capsys):
         assert main(["ks"]) == 2
@@ -331,6 +348,21 @@ class TestCli:
         missing = str(tmp_path / "missing.txt")
         assert main(["power", "--config", missing, "--out", str(tmp_path / "o.csv")]) == 2
         assert "cannot read config" in capsys.readouterr().err
+
+    def test_threads_precedence(self, tmp_path, monkeypatch):
+        # --threads, then a valid HDBOOT_THREADS, then the config's threads
+        cfgfile = tmp_path / "c.txt"
+        cfgfile.write_text("kind=ks\nthreads=3\n")
+        seen = []
+        monkeypatch.setattr(cli, "run_experiment", seen.append)
+        argv = ["ks", "--config", str(cfgfile), "--out", str(tmp_path / "o.csv")]
+        for env, extra in ((None, []), ("2", []), ("junk", []), ("2", ["--threads", "4"])):
+            if env is None:
+                monkeypatch.delenv("HDBOOT_THREADS", raising=False)
+            else:
+                monkeypatch.setenv("HDBOOT_THREADS", env)
+            assert main(argv + extra) == 0
+        assert [cfg.threads for cfg in seen] == [3, 2, 3, 4]
 
     def test_threads_env_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv("HDBOOT_THREADS", "3")
@@ -382,6 +414,17 @@ FUZZ_FILES = {
 }
 
 
+# cases that must exit 2 before any data is drawn or any test runs
+EARLY_FAILURES = [
+    ["test", "x.csv", "--estimator", "hard(nan)"],
+    ["test", "x.csv", "--estimator", "hard(inf)"],
+    ["test", "x.csv", "--estimator", "hard(-1)"],
+    ["test", "x.csv", "--estimator", "band(-1)"],
+    ["test", "x.csv", "--out", "nodir/o.csv"],
+    ["ks", "--out", "nodir/o.csv"],
+]
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("argv", [
     ["test", "empty.csv"],
@@ -404,11 +447,18 @@ FUZZ_FILES = {
     ["power", "--config", "missing.txt", "--out", "o.csv"],
     ["probe", "--config", "missing.txt", "--out", "o.csv"],
     ["test", "inf.csv", "--B", "50"],
+    *EARLY_FAILURES,
 ])
 def test_cli_bad_input_exits_cleanly(tmp_path, monkeypatch, capsys, argv):
     for name, text in FUZZ_FILES.items():
         (tmp_path / name).write_text(text)
     monkeypatch.chdir(tmp_path)
+    if argv in EARLY_FAILURES:
+        def no_compute(*args, **kwargs):
+            raise AssertionError("compute ran before the options were checked")
+
+        monkeypatch.setattr(harness, "copula_sample", no_compute)
+        monkeypatch.setattr(cli, "run_test", no_compute)
     code = main(argv)
     err = capsys.readouterr().err
     assert code in (0, 1, 2)
@@ -419,3 +469,7 @@ def test_cli_bad_input_exits_cleanly(tmp_path, monkeypatch, capsys, argv):
         assert code == 2 and "error: empty.csv: no data" in err
     if argv[1] in ("nan.csv", "inf.csv"):
         assert code == 2 and f"error: {argv[1]}: non-finite value" in err
+    if argv[2:3] in (["--p"], ["--estimator"]):
+        assert code == 2 and f"error: {argv[2]} {argv[3]!r}" in err
+    if "nodir/o.csv" in argv:
+        assert code == 2 and "nodir/o.csv" in err

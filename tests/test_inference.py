@@ -35,6 +35,22 @@ class TestEstimatorSpec:
         for text in ("naive", "corr_cv", "hard(0.25)", "band(3)"):
             assert EstimatorSpec.parse(text).label == text
 
+    @pytest.mark.parametrize("kw", [
+        dict(kind="mystery"),
+        dict(kind="hard", lam=math.nan),
+        dict(kind="hard", lam=math.inf),
+        dict(kind="hard", lam=-1.0),
+        dict(kind="band", ell=-1),
+        dict(kind="corr_cv", cv_folds=0),
+        dict(kind="corr_cv", cv_grid=()),
+        dict(kind="corr_cv", cv_grid=(0.0, 1.5)),
+        dict(kind="corr_cv", cv_grid=(-0.1, 0.5)),
+        dict(kind="corr_cv", cv_grid=(math.nan,)),
+    ])
+    def test_rejects_degenerate_specs(self, kw):
+        with pytest.raises(ValueError):
+            EstimatorSpec(**kw)
+
 
 class TestEstimateCovariance:
     def setup_method(self):
@@ -161,7 +177,7 @@ class TestRunTest:
         spec = make_spec(1, LpExponent.finite(2), M=M, m0=np.zeros(1), B=2000, seed=8)
         res = run_test(X, spec)
         s2 = X[:, 1].var()
-        onedim = gpb_draws(CovMatrix(np.array([[s2]]), psd_certified=True),
+        onedim = gpb_draws(CovMatrix(np.array([[s2]])),
                            LpExponent.finite(2), 2000, RngSeed(8).child(2))
         assert res.critical_value == pytest.approx(
             np.quantile(onedim.samples, 0.95), rel=0.1)

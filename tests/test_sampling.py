@@ -85,19 +85,19 @@ class TestMarginalQuantile:
 
 class TestFactorizePsd:
     def test_identity(self):
-        f = factorize_psd(CovMatrix(np.eye(4), psd_certified=True))
+        f = factorize_psd(CovMatrix(np.eye(4)))
         assert f.rank == 4
         assert np.allclose(f.factor @ f.factor.T, np.eye(4), atol=1e-10)
 
     def test_rank_one_block(self):
         v = 0.8 ** np.arange(5)
-        f = factorize_psd(CovMatrix(np.outer(v, v), psd_certified=True))
+        f = factorize_psd(CovMatrix(np.outer(v, v)))
         assert f.rank == 1
 
     def test_reconstruction(self):
         rng = np.random.default_rng(0)
         a = rng.normal(size=(6, 3))
-        S = CovMatrix(a @ a.T, psd_certified=True)
+        S = CovMatrix(a @ a.T)
         f = factorize_psd(S)
         assert f.rank == 3
         assert np.abs(f.factor @ f.factor.T - S.values).max() <= 1e-8 * S.values.diagonal().max()
@@ -109,15 +109,15 @@ class TestFactorizePsd:
 
 class TestMvnSample:
     def test_zero_covariance(self):
-        f = factorize_psd(CovMatrix(np.zeros((3, 3)), psd_certified=True))
+        f = factorize_psd(CovMatrix(np.zeros((3, 3))))
         assert np.all(mvn_sample(f, 5, RngSeed(0)) == 0.0)
 
     def test_deterministic(self):
-        f = factorize_psd(CovMatrix(np.eye(3), psd_certified=True))
+        f = factorize_psd(CovMatrix(np.eye(3)))
         assert np.array_equal(mvn_sample(f, 4, RngSeed(1)), mvn_sample(f, 4, RngSeed(1)))
 
     def test_moments(self):
-        f = factorize_psd(CovMatrix(np.eye(2), psd_certified=True))
+        f = factorize_psd(CovMatrix(np.eye(2)))
         X = mvn_sample(f, 100_000, RngSeed(2))
         emp = X.T @ X / X.shape[0]
         assert np.abs(emp - np.eye(2)).max() <= 0.05
@@ -126,7 +126,7 @@ class TestMvnSample:
         rng = np.random.default_rng(3)
         a = rng.normal(size=(6, 6)) / np.sqrt(6)
         a = a / np.linalg.norm(a, axis=1, keepdims=True)
-        S = CovMatrix(a @ a.T, psd_certified=True)
+        S = CovMatrix(a @ a.T)
         m = 100_000
         X = mvn_sample(S.factor(), m, RngSeed(4))
         err = np.abs(X.T @ X / m - S.values).max()
@@ -167,7 +167,7 @@ class TestCopulaSample:
 
     def test_marginals_exact(self):
         # KS of each coordinate against the target marginal CDF
-        S = CovMatrix(np.eye(3), psd_certified=True)
+        S = CovMatrix(np.eye(3))
         n = 100_000
         for kind, cdf in [(MarginalKind.UNIFORM_SYM, lambda x: (x + 1) / 2),
                           (MarginalKind.STUDENT_T4, lambda x: stats.t.cdf(x, df=4)),
@@ -189,19 +189,19 @@ class TestCopulaSample:
 class TestCopulaCovariance:
     def test_uniform_closed_form(self):
         rho = 0.6
-        S = CovMatrix(np.array([[1.0, rho], [rho, 1.0]]), psd_certified=True)
+        S = CovMatrix(np.array([[1.0, rho], [rho, 1.0]]))
         C = copula_covariance(S, MarginalKind.UNIFORM_SYM).values
         assert C[0, 0] == pytest.approx(1 / 3, abs=1e-9)
         assert C[0, 1] == pytest.approx((2 / math.pi) * math.asin(rho / 2), abs=1e-9)
 
     def test_normal_marginal_recovers_correlation(self):
         rho = -0.45
-        S = CovMatrix(np.array([[4.0, 2 * rho], [2 * rho, 1.0]]), psd_certified=True)
+        S = CovMatrix(np.array([[4.0, 2 * rho], [2 * rho, 1.0]]))
         C = copula_covariance(S, MarginalKind.STANDARD_NORMAL).values
         assert C[0, 1] == pytest.approx(rho, abs=1e-9)
 
     def test_t4_variance(self):
-        S = CovMatrix(np.eye(2), psd_certified=True)
+        S = CovMatrix(np.eye(2))
         C = copula_covariance(S, MarginalKind.STUDENT_T4).values
         assert C[0, 0] == pytest.approx(2.0, rel=1e-6)
 
