@@ -3,8 +3,9 @@
 Simulates the law of the lp-statistic ||n^{-1/2} sum X_i||_p under a sparse
 block covariance with uniform marginals, then measures the KS distance of
 each engine's draws to that simulated truth: the oracle that knows the true
-covariance, the multiplier bootstrap, the naive plug-in, and the
-cross-validated thresholded plug-in.
+covariance, the multiplier bootstrap, the naive plug-in, the
+cross-validated thresholded plug-in, and the plug-ins thresholded at a
+fixed level and banded (Bickel & Levina 2008).
 """
 
 import numpy as np
@@ -16,6 +17,7 @@ cfg = ExperimentConfig(
     block=2, cv_folds=4, cv_grid_size=10, seed=5,
     p_list=(LpExponent.finite(1), LpExponent.finite(2),
             LpExponent.log_dim(), LpExponent.infinity()),
+    estimators=("proxy", "gmb", "naive", "corr_cv", "hard(0.1)", "band(1)"),
 )
 rows = run_experiment(cfg)
 
@@ -31,6 +33,9 @@ for est in cfg.estimators:
     meds = [np.median(acc[(est, p.label)]) for p in cfg.p_list]
     print(f"{est:>10} " + " ".join(f"{m:.3f}" for m in meds))
 
-print("\nFor small p the thresholded estimate closes most of the gap between")
-print("the naive plug-in and the oracle; at p=logd and p=inf the statistic")
-print("depends on far fewer covariance entries and all engines agree.")
+print("\nThe oracle (proxy) sits closest to the simulated truth at every p.")
+print("Both thresholded plug-ins, cross-validated (corr_cv) and at a fixed")
+print("level (hard(0.1)), beat the naive plug-in and the multiplier bootstrap")
+print("at every p. Banding is worst at every p, and by far at p=inf: the")
+print("latent blocks sit at permuted coordinates, so a band around the")
+print("diagonal drops the true covariances and keeps noise.")

@@ -10,6 +10,7 @@ import argparse
 import os
 import sys
 import warnings
+from dataclasses import replace
 
 import numpy as np
 
@@ -114,12 +115,10 @@ def _experiment_config(args) -> ExperimentConfig:
             raise ConfigError(f"config kind {cfg.kind!r} does not match subcommand {command!r}")
     else:
         cfg = config_from_dict({"kind": kind})
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.out:
-        cfg.output_path = args.out
-    cfg.threads = args.threads if args.threads is not None else _threads_default(cfg.threads)
-    return cfg
+    # through replace, so that the config's own checks see these values too
+    threads = args.threads if args.threads is not None else _threads_default(cfg.threads)
+    return replace(cfg, threads=threads, seed=cfg.seed if args.seed is None else args.seed,
+                   output_path=args.out or cfg.output_path)
 
 
 def _load_csv(path: str, skip_header: bool = False, ndmin: int = 2) -> np.ndarray:

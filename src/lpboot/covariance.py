@@ -54,13 +54,6 @@ class CovMatrix:
             self._factor = factorize_psd(self)
         return self._factor
 
-    def to_csv(self, path: str) -> None:
-        np.savetxt(path, self.values, delimiter=",", fmt="%.17g")
-
-    @classmethod
-    def from_csv(cls, path: str, **kwargs) -> "CovMatrix":
-        return cls(np.loadtxt(path, delimiter=",", ndmin=2), **kwargs)
-
 
 @dataclass
 class CovDiagnostics:
@@ -108,11 +101,12 @@ def _check_correlation_level(lam: float) -> None:
 
 
 def _abs_correlation(a: np.ndarray) -> np.ndarray:
-    """The matrix |a_jk| / sqrt(a_jj a_kk)."""
+    """The matrix |a_jk| / sqrt(a_jj a_kk), where a coordinate with zero
+    variance has correlation 0 with every coordinate."""
     d = np.diag(a)
-    if np.any(d <= 0.0):
-        raise ValueError("correlation thresholding requires a positive diagonal")
-    sd = np.sqrt(d)
+    if np.any(d < 0.0):
+        raise ValueError("correlation thresholding requires a nonnegative diagonal")
+    sd = np.where(d > 0.0, np.sqrt(d), np.inf)
     return np.abs(a) / np.outer(sd, sd)
 
 
@@ -124,7 +118,8 @@ def _keep_correlated(a: np.ndarray, corr: np.ndarray, lam: float) -> np.ndarray:
 
 
 def correlation_threshold(M: CovMatrix, lam: float) -> CovMatrix:
-    """Keep entry (j,k) iff |m_jk| / sqrt(m_jj m_kk) >= lam; diagonal always kept."""
+    """Keep entry (j,k) iff |m_jk| / sqrt(m_jj m_kk) >= lam, taking a zero-variance
+    coordinate as uncorrelated with the rest; diagonal always kept."""
     _check_correlation_level(lam)
     corr = _abs_correlation(M.values)
     return CovMatrix(_keep_correlated(M.values, corr, lam),
@@ -208,8 +203,10 @@ def cv_select_lambda(X: np.ndarray, grid, folds: int, seed) -> tuple[float, list
         mask_risk = {}
         for i, (lam, key) in enumerate(zip(grid, kept.tolist())):
             if key not in mask_risk:
-                est = _psd_clip(_keep_correlated(S1, corr, lam))
-                mask_risk[key] = np.linalg.norm(est - S2, "fro")
+                D = _psd_clip(_keep_correlated(S1, corr, lam)) - S2
+                # einsum, unlike the BLAS dot inside np.linalg.norm, sums in
+                # the same order for any BLAS thread count
+                mask_risk[key] = math.sqrt(float(np.einsum("ij,ij->", D, D)))
             risks[i] += mask_risk[key]
     risks /= folds
     best = int(np.argmin(risks))  # argmin returns the first minimizer

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -24,9 +24,7 @@ from .lp import LpExponent, lp_norm
 from .sampling import (MarginalKind, RngSeed, build_block_covariance,
                        copula_covariance, copula_sample)
 
-# engine -> sub-stream of the replicate seed its draws use
-ENGINE_STREAMS = {"proxy": 1, "gmb": 2, "naive": 3, "corr_cv": 5}
-ENGINES = tuple(ENGINE_STREAMS)
+ENGINES = ("proxy", "gmb", "naive", "corr_cv")
 
 
 def default_p_list() -> tuple:
@@ -65,17 +63,17 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
-        unknown = [e for e in self.estimators if e not in ENGINES]
-        if unknown:
-            raise ValueError(f"unknown estimators {', '.join(map(repr, unknown))}; "
-                             f"expected some of {', '.join(ENGINES)}")
+        specs = [e if e in ("proxy", "gmb") else EstimatorSpec.parse(e) for e in self.estimators]
+        if len(set(specs)) < len(specs):
+            raise ValueError(f"estimators {', '.join(self.estimators)} name one estimator twice")
         if self.block == 0:
             self.block = _default_block(self.d)
         if self.d % self.block != 0:
             raise ValueError("block size must divide d")
         if self.kind.startswith("power") and not self.delta_grid:
             self.delta_grid = tuple(default_delta_grid(self.kind, self.n, self.d))
-        for name in ("n", "d", "mc_reps", "B", "truth_reps", "cv_folds", "cv_grid_size"):
+        for name in ("n", "d", "mc_reps", "B", "truth_reps", "cv_folds", "cv_grid_size",
+                     "threads"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
         if self.B > MAX_DRAWS:
@@ -177,19 +175,20 @@ def paper_scale_preset(kind: str) -> ExperimentConfig:
 
 def _engine_draws(name: str, X: np.ndarray, Sigma_true: CovMatrix,
                   cfg: ExperimentConfig, rep_seed: RngSeed) -> dict:
-    """Bootstrap distributions for all p under one engine, drawn on the
-    engine's own sub-stream of rep_seed (ENGINE_STREAMS) so streams stay
-    independent across engines; corr_cv's folds use sub-stream 4."""
-    if name not in ENGINE_STREAMS:
-        raise ValueError(f"unknown engine {name!r}")
+    """Bootstrap distributions for all p under one engine, a row source (proxy,
+    gmb) or an EstimatorSpec label, drawn on a sub-stream of rep_seed that the
+    parsed engine alone picks: proxy 1, gmb 2, naive 3, corr_cv 5 (its folds
+    use 4), hard(lam) (6, *lam.as_integer_ratio()) and band(ell) (7, ell)."""
     if name == "proxy":
-        rows = _mvn_rows(Sigma_true)
+        rows, stream = _mvn_rows(Sigma_true), (1,)
     elif name == "gmb":
-        rows = _multiplier_rows(X)
+        rows, stream = _multiplier_rows(X), (2,)
     else:
-        spec = EstimatorSpec(name, cv_folds=cfg.cv_folds, cv_grid=tuple(cfg.cv_grid))
+        spec = replace(EstimatorSpec.parse(name), cv_folds=cfg.cv_folds, cv_grid=tuple(cfg.cv_grid))
         rows = _mvn_rows(estimate_covariance(X, spec, rep_seed.child(4)))
-    draws = _norm_draws(rows, cfg.p_list, cfg.B, rep_seed.child(ENGINE_STREAMS[name]), cfg.d)
+        stream = {"naive": (3,), "corr_cv": (5,), "hard": (6, *spec.lam.as_integer_ratio()),
+                  "band": (7, spec.ell)}[spec.kind]
+    draws = _norm_draws(rows, cfg.p_list, cfg.B, rep_seed.child(*stream), cfg.d)
     return {p: EmpiricalDistribution(v, {"engine": name, "p": p.label}) for p, v in draws.items()}
 
 

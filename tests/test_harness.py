@@ -1,5 +1,6 @@
 """Experiment configuration, CSV emission, determinism, and the CLI."""
 
+import json
 import math
 import os
 import subprocess
@@ -13,7 +14,7 @@ import lpboot
 from lpboot import cli, harness, sampling
 from lpboot.bootstrap import MAX_DRAWS, gmb_draws, gpb_draws, proxy_draws
 from lpboot.cli import main
-from lpboot.covariance import sample_covariance
+from lpboot.covariance import cv_select_lambda, sample_covariance
 from lpboot.harness import (ENGINES, ExperimentConfig, config_from_dict,
                             default_delta_grid, default_p_list, parse_config,
                             paper_scale_preset, run_experiment,
@@ -47,6 +48,17 @@ def assert_threads_do_not_change_output(tmp_path, kind, **over):
     return set(runs[0][1])
 
 
+def run_with_one_blas_thread(*args: str) -> str:
+    """stdout of `python args` in a child process whose BLAS runs one thread."""
+    src = os.path.dirname(os.path.dirname(lpboot.__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 class TestExperimentConfig:
     def test_defaults(self):
         cfg = ExperimentConfig(kind="ks")
@@ -72,7 +84,7 @@ class TestExperimentConfig:
             ExperimentConfig(kind="ks", mc_reps=0)
         with pytest.raises(ValueError, match="B must be at most"):
             ExperimentConfig(kind="ks", B=MAX_DRAWS + 1)
-        for name in ("cv_grid_size", "cv_folds"):
+        for name in ("cv_grid_size", "cv_folds", "threads"):
             with pytest.raises(ValueError, match=name):
                 ExperimentConfig(kind="power-dense", **{name: 0})
 
@@ -93,6 +105,9 @@ class TestExperimentConfig:
             ExperimentConfig(kind="ks", estimators=("proxy", "gmbb"))
         with pytest.raises(ValueError, match="'corrcv'"):
             config_from_dict({"kind": "coverage", "estimators": "naive,corrcv"})
+        # two spellings of one spec
+        with pytest.raises(ValueError, match="twice"):
+            config_from_dict({"kind": "ks", "estimators": "cv, corr_cv"})
 
     def test_paper_scale_preset(self):
         cfg = paper_scale_preset("coverage")
@@ -125,7 +140,7 @@ class TestConfigParsing:
             "block = 2\n"
             "marginal = heavy\n"
             "p_list = 1, 2, logd, inf\n"
-            "estimators = naive, corr_cv\n"
+            "estimators = naive, corr_cv, hard(0.2), band(1)\n"
             "standardize = false\n"
             "seed = 7\n")
         cfg = parse_config(str(path))
@@ -133,7 +148,7 @@ class TestConfigParsing:
         assert cfg.marginal is MarginalKind.STUDENT_T4
         assert cfg.p_list == (LpExponent.finite(1), LpExponent.finite(2),
                               LpExponent.log_dim(), LpExponent.infinity())
-        assert cfg.estimators == ("naive", "corr_cv")
+        assert cfg.estimators == ("naive", "corr_cv", "hard(0.2)", "band(1)")
         assert cfg.standardize is False and cfg.seed == 7
 
     def test_unknown_key_rejected(self):
@@ -174,6 +189,23 @@ class TestKsExperiment:
     def test_threads_do_not_change_output(self, tmp_path):
         assert assert_threads_do_not_change_output(tmp_path, "ks", estimators=ENGINES) \
             == {"o.csv"}
+        (tmp_path / "specs").mkdir()
+        assert assert_threads_do_not_change_output(
+            tmp_path / "specs", "ks", estimators=("hard(0.2)", "band(1)")) == {"o.csv"}
+
+    def test_rows_depend_only_on_the_spec(self):
+        def rows_by_engine(*estimators):
+            out = {}
+            for row in run_experiment(small_cfg("ks", estimators=estimators, seed=11)):
+                rep, p, est, ks = row.split(",")
+                out.setdefault(est, []).append((rep, p, ks))
+            return out
+
+        alone = rows_by_engine("hard(0.2)")
+        mixed = rows_by_engine("naive", "band(1)", "hard(0.2)", "cv")
+        assert mixed["hard(0.2)"] == alone["hard(0.2)"]
+        # the estimator column keeps the label as written
+        assert mixed["cv"] == rows_by_engine("corr_cv")["corr_cv"]
 
     def test_blas_threads_do_not_change_output(self, tmp_path):
         # sizes large enough that OpenBLAS would split the products over threads
@@ -181,14 +213,8 @@ class TestKsExperiment:
         cfgfile.write_text("kind=ks\nn=60\nd=40\nblock=2\nmc_reps=2\nB=600\n"
                            "truth_reps=100\ncv_folds=3\ncv_grid_size=4\nseed=13\n")
         single = tmp_path / "single.csv"
-        src = os.path.dirname(os.path.dirname(lpboot.__file__))
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-                   PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-        proc = subprocess.run(
-            [sys.executable, "-m", "lpboot.cli", "ks", "--config", str(cfgfile),
-             "--out", str(single), "--threads", "1"],
-            env=env, capture_output=True, text=True, timeout=300)
-        assert proc.returncode == 0, proc.stderr
+        run_with_one_blas_thread("-m", "lpboot.cli", "ks", "--config", str(cfgfile),
+                                 "--out", str(single), "--threads", "1")
         here = tmp_path / "here.csv"
         cfg = parse_config(str(cfgfile))
         cfg.output_path = str(here)
@@ -204,6 +230,28 @@ class TestKsExperiment:
         assert np.median(ks_vals) <= 0.25
 
 
+CV_RISKS = """
+import json, sys
+import numpy as np
+from lpboot.covariance import cv_select_lambda
+from lpboot.sampling import RngSeed
+print(json.dumps([cv_select_lambda(np.load(path), list(np.linspace(0.0, 1.0, 10)), 3,
+                                   RngSeed(k))[1] for k, path in enumerate(sys.argv[1:])]))
+"""
+
+
+def test_cv_risks_do_not_depend_on_blas_threads(tmp_path):
+    # d * d > 10000 entries, so OpenBLAS would split a dot product over threads
+    S = build_block_covariance(120, 2, 0.8, RngSeed(0))
+    paths = []
+    for k in range(3):
+        paths.append(str(tmp_path / f"x{k}.npy"))
+        np.save(paths[-1], copula_sample(S, MarginalKind.UNIFORM_SYM, 60, RngSeed(1).child(k)))
+    here = [cv_select_lambda(np.load(path), list(np.linspace(0.0, 1.0, 10)), 3, RngSeed(k))[1]
+            for k, path in enumerate(paths)]
+    assert json.loads(run_with_one_blas_thread("-c", CV_RISKS, *paths)) == here
+
+
 class TestEngineDraws:
     def test_replicate_draws_equal_public_engines(self):
         # B crosses the 4096-row chunk boundary; each engine keeps its sub-stream
@@ -214,14 +262,19 @@ class TestEngineDraws:
         rep = RngSeed(3).child(2, 7)
         cv = EstimatorSpec("corr_cv", cv_folds=cfg.cv_folds, cv_grid=tuple(cfg.cv_grid))
         Sigma_cv = estimate_covariance(X, cv, rep.child(4))
+        Sigma_hard = estimate_covariance(X, EstimatorSpec("hard", lam=0.2), rep.child(4))
+        Sigma_band = estimate_covariance(X, EstimatorSpec("band", ell=2), rep.child(4))
         expected = {
             "proxy": lambda p: proxy_draws(Sigma_X, p, cfg.B, rep.child(1)),
             "gmb": lambda p: gmb_draws(X, p, cfg.B, rep.child(2)),
             "naive": lambda p: gpb_draws(sample_covariance(X), p, cfg.B, rep.child(3)),
             "corr_cv": lambda p: gpb_draws(Sigma_cv, p, cfg.B, rep.child(5)),
+            "hard(0.2)": lambda p: gpb_draws(Sigma_hard, p, cfg.B,
+                                             rep.child(6, *(0.2).as_integer_ratio())),
+            "band(2)": lambda p: gpb_draws(Sigma_band, p, cfg.B, rep.child(7, 2)),
         }
         assert cfg.p_list == default_p_list()
-        for engine in ENGINES:
+        for engine in expected:
             draws = harness._engine_draws(engine, X, Sigma_X, cfg, rep)
             for p in cfg.p_list:
                 assert np.array_equal(draws[p].samples, expected[engine](p).samples), (engine, p)
@@ -422,6 +475,7 @@ EARLY_FAILURES = [
     ["test", "x.csv", "--estimator", "band(-1)"],
     ["test", "x.csv", "--out", "nodir/o.csv"],
     ["ks", "--out", "nodir/o.csv"],
+    ["ks", "--threads", "0", "--out", "o.csv"],
 ]
 
 
@@ -473,3 +527,5 @@ def test_cli_bad_input_exits_cleanly(tmp_path, monkeypatch, capsys, argv):
         assert code == 2 and f"error: {argv[2]} {argv[3]!r}" in err
     if "nodir/o.csv" in argv:
         assert code == 2 and "nodir/o.csv" in err
+    if "--threads" in argv:
+        assert code == 2 and "threads" in err

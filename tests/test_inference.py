@@ -168,6 +168,22 @@ class TestRunTest:
         assert main(["test", str(data), "--B", str(MAX_DRAWS + 1)]) == 2
         assert "B must lie in" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kept_rows", [[5, 40], []])
+    def test_zero_variance_coordinate(self, tmp_path, capsys, kept_rows):
+        # column 3 is constant in some CV splits, or in the whole data set;
+        # corr_cv takes it as uncorrelated with every other coordinate
+        X = np.random.default_rng(0).normal(size=(60, 20))
+        kept = X[kept_rows, 3]
+        X[:, 3] = 0.0
+        X[kept_rows, 3] = kept
+        spec = make_spec(20, LpExponent.finite(2), estimator=EstimatorSpec("corr_cv"), B=200)
+        res = run_test(X, spec)
+        assert math.isfinite(res.critical_value) and 0.0 <= res.p_value <= 1.0
+        data = tmp_path / "x.csv"
+        np.savetxt(data, X, delimiter=",")
+        assert main(["test", str(data), "--B", "200"]) == 0
+        assert capsys.readouterr().out.splitlines()[1] == res.csv_row(spec)
+
     def test_restriction_map_conjugates_covariance(self):
         # with M selecting one coordinate, the critical value matches a
         # one-dimensional bootstrap of that coordinate alone
