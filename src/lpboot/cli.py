@@ -65,7 +65,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", help="output CSV path (overrides config)")
         sp.add_argument("--threads", type=int, default=None,
                         help="worker threads (default: HDBOOT_THREADS, else the "
-                             "config's threads, else 1)")
+                             "config's threads, else the cores this process may use)")
         sp.add_argument("--paper-scale", action="store_true",
                         help="full-size preset (hours of compute)")
         return sp

@@ -5,6 +5,7 @@ simultaneous confidence sets, and lp-ball volumes.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,16 +46,23 @@ class EstimatorSpec:
 
     @classmethod
     def parse(cls, text: str) -> "EstimatorSpec":
+        """naive, corr_cv (or cv, corr-cv, thresholded), hard, hard(<level>),
+        band or band(<width>); the whole label must match."""
         t = text.strip().lower()
         if t == "naive":
             return cls("naive")
         if t in ("corr_cv", "cv", "corr-cv", "thresholded"):
             return cls("corr_cv")
-        if t.startswith("hard"):
-            return cls("hard", lam=float(t.split("(")[1].rstrip(")")) if "(" in t else 0.1)
-        if t.startswith("band"):
-            return cls("band", ell=int(t.split("(")[1].rstrip(")")) if "(" in t else 1)
-        raise ValueError(f"unknown estimator {text!r}")
+        match = re.fullmatch(r"(hard|band)(?:\(([^()]*)\))?", t)
+        if match is None:
+            raise ValueError(f"unknown estimator {text!r}")
+        kind, arg = match.groups()
+        try:
+            if kind == "hard":
+                return cls("hard", lam=0.1 if arg is None else float(arg))
+            return cls("band", ell=1 if arg is None else int(arg))
+        except ValueError as exc:
+            raise ValueError(f"bad estimator {text!r}: {exc}") from exc
 
     @property
     def label(self) -> str:

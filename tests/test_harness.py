@@ -1,10 +1,13 @@
 """Experiment configuration, CSV emission, determinism, and the CLI."""
 
+import ctypes
+import glob
 import json
 import math
 import os
 import subprocess
 import sys
+import threading
 import time
 
 import numpy as np
@@ -66,6 +69,7 @@ class TestExperimentConfig:
         assert cfg.marginal is MarginalKind.UNIFORM_SYM
         assert len(cfg.p_list) == 4
         assert cfg.estimators == ("proxy", "gmb", "naive", "corr_cv")
+        assert cfg.threads == len(os.sched_getaffinity(0)) >= 1
 
     def test_power_fills_delta_grid(self):
         cfg = ExperimentConfig(kind="power-dense", n=100, d=100)
@@ -105,6 +109,8 @@ class TestExperimentConfig:
             ExperimentConfig(kind="ks", estimators=("proxy", "gmbb"))
         with pytest.raises(ValueError, match="'corrcv'"):
             config_from_dict({"kind": "coverage", "estimators": "naive,corrcv"})
+        with pytest.raises(ValueError, match="'hardly'"):
+            ExperimentConfig(kind="ks", estimators=("hardly", "bandit"))
         # two spellings of one spec
         with pytest.raises(ValueError, match="twice"):
             config_from_dict({"kind": "ks", "estimators": "cv, corr_cv"})
@@ -211,7 +217,9 @@ class TestKsExperiment:
         # sizes large enough that OpenBLAS would split the products over threads
         cfgfile = tmp_path / "c.txt"
         cfgfile.write_text("kind=ks\nn=60\nd=40\nblock=2\nmc_reps=2\nB=600\n"
-                           "truth_reps=100\ncv_folds=3\ncv_grid_size=4\nseed=13\n")
+                           "truth_reps=100\ncv_folds=3\ncv_grid_size=4\nseed=13\n"
+                           # serial here, where BLAS keeps its default threads
+                           "threads=1\n")
         single = tmp_path / "single.csv"
         run_with_one_blas_thread("-m", "lpboot.cli", "ks", "--config", str(cfgfile),
                                  "--out", str(single), "--threads", "1")
@@ -362,6 +370,88 @@ def test_shared_covariances_factored_once(monkeypatch):
     monkeypatch.setattr(sampling, "factorize_psd", slow_counting)
     run_experiment(small_cfg("coverage", estimators=("proxy",), threads=3))
     assert len(calls) == 2
+
+
+def openblas_threads():
+    """(get, set) of the thread count of numpy's bundled OpenBLAS, looked up
+    apart from lpboot's own handle; None where numpy ships no such library."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "libscipy_openblas64_*.so")):
+        lib = ctypes.CDLL(path)
+        get = lib.scipy_openblas_get_num_threads64_
+        set_ = lib.scipy_openblas_set_num_threads64_
+        get.restype, set_.argtypes = ctypes.c_int, [ctypes.c_int]
+        return get, set_
+    return None
+
+
+@pytest.fixture
+def blas_at_two():
+    """The BLAS thread getter, with the count set to 2 for the test and put
+    back afterwards."""
+    calls = openblas_threads()
+    if calls is None:
+        pytest.skip("numpy ships no OpenBLAS whose thread count can be set")
+    get, set_ = calls
+    before = get()
+    set_(2)
+    yield get
+    set_(before)
+
+
+class TestPoolBlasThreads:
+    def test_workers_run_one_blas_thread(self, blas_at_two):
+        assert harness._run_indexed(lambda i: blas_at_two(), 6, 2) == [1] * 6
+        assert blas_at_two() == 2
+
+    def test_count_restored_when_a_worker_raises(self, blas_at_two):
+        seen = []
+
+        def worker(i):
+            seen.append(blas_at_two())
+            if i == 3:
+                raise RuntimeError("replicate failed")
+
+        with pytest.raises(RuntimeError, match="replicate failed"):
+            harness._run_indexed(worker, 6, 2)
+        assert seen and set(seen) == {1}
+        assert blas_at_two() == 2
+
+    def test_serial_run_leaves_blas_alone(self, blas_at_two):
+        assert harness._run_indexed(lambda i: blas_at_two(), 3, 1) == [2] * 3
+        assert blas_at_two() == 2
+
+    def test_overlapping_pools_restore_the_first_count(self, blas_at_two):
+        # pool b starts after pool a has pinned, and runs on after a has ended
+        a_started, b_started, a_done = (threading.Event() for _ in range(3))
+        seen = {"a": [], "b": []}
+
+        def worker_a(i):
+            a_started.set()
+            assert b_started.wait(10)
+            seen["a"].append(blas_at_two())
+
+        def worker_b(i):
+            b_started.set()
+            assert a_done.wait(10)
+            seen["b"].append(blas_at_two())
+
+        def run_a():
+            harness._run_indexed(worker_a, 2, 2)
+            a_done.set()
+
+        def run_b():
+            assert a_started.wait(10)
+            harness._run_indexed(worker_b, 2, 2)
+
+        users = [threading.Thread(target=run_a), threading.Thread(target=run_b)]
+        for t in users:
+            t.start()
+        for t in users:
+            t.join(30)
+        assert not any(t.is_alive() for t in users)
+        assert seen == {"a": [1, 1], "b": [1, 1]}
+        assert blas_at_two() == 2
 
 
 class TestCli:

@@ -1,6 +1,7 @@
 """Mean tests, confidence sets, estimator specs, and ball volumes."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -28,8 +29,13 @@ class TestEstimatorSpec:
         assert hard.kind == "hard" and hard.lam == 0.25
         bandspec = EstimatorSpec.parse("band(3)")
         assert bandspec.kind == "band" and bandspec.ell == 3
-        with pytest.raises(ValueError):
-            EstimatorSpec.parse("mystery")
+        assert EstimatorSpec.parse("hard") == EstimatorSpec("hard", lam=0.1)
+        assert EstimatorSpec.parse("band") == EstimatorSpec("band", ell=1)
+        # the whole label must match: no prefixes, no unbalanced parentheses
+        for bad in ("mystery", "hardly", "bandit", "hard(0.1", "hard)", "band(2",
+                    "naive(1)", "cvx", "hard(0.1)(2)", "band(1.5)", "hard(x)"):
+            with pytest.raises(ValueError, match=re.escape(repr(bad))):
+                EstimatorSpec.parse(bad)
 
     def test_labels_roundtrip(self):
         for text in ("naive", "corr_cv", "hard(0.25)", "band(3)"):
