@@ -15,6 +15,7 @@ from typing import Iterable
 import numpy as np
 
 from .lp import LpExponent, lp_norm
+from .parallel import _available_cores, run_indexed
 
 # relative tolerance for the smallest eigenvalue of a matrix accepted as PSD
 PSD_CERT_TOL = 1e-8
@@ -164,6 +165,15 @@ def psd_project(M: CovMatrix) -> CovMatrix:
     return CovMatrix(_psd_clip(M.values), provenance=f"psd<-{M.provenance}")
 
 
+def _cv_split(n: int) -> int:
+    """Rows in the small half of a CV split of n rows, ceil(n/3); both halves
+    need two rows for a sample covariance."""
+    n1 = math.ceil(n / 3)
+    if n1 < 2 or n - n1 < 2:
+        raise ValueError(f"n={n} too small to split into {n1} / {n - n1}")
+    return n1
+
+
 def cv_select_lambda(X: np.ndarray, grid, folds: int, seed) -> tuple[float, list[float]]:
     """Cross-validated correlation-threshold level.
 
@@ -178,6 +188,8 @@ def cv_select_lambda(X: np.ndarray, grid, folds: int, seed) -> tuple[float, list
     grid values; the risks equal those of scoring every grid point apart.
     Ties break toward the earliest grid point, which is the smallest lambda
     for an ascending grid.
+
+    The folds run on the cores this process may use (lpboot.parallel).
     """
     X = np.asarray(X, dtype=float)
     n = X.shape[0]
@@ -188,11 +200,9 @@ def cv_select_lambda(X: np.ndarray, grid, folds: int, seed) -> tuple[float, list
         _check_correlation_level(lam)
     if folds < 1:
         raise ValueError("folds must be >= 1")
-    n1 = math.ceil(n / 3)
-    if n1 < 2 or n - n1 < 2:
-        raise ValueError(f"n={n} too small to split into {n1} / {n - n1}")
-    risks = np.zeros(len(grid))
-    for nu in range(folds):
+    n1 = _cv_split(n)
+
+    def fold_risks(nu: int) -> np.ndarray:
         rng = seed.child(nu).generator()
         perm = rng.permutation(n)
         S1 = sample_covariance(X[perm[:n1]]).values
@@ -201,13 +211,20 @@ def cv_select_lambda(X: np.ndarray, grid, folds: int, seed) -> tuple[float, list
         off = np.sort(corr[np.triu_indices_from(corr, 1)])
         kept = off.size - np.searchsorted(off, grid, side="left")
         mask_risk = {}
+        risks = np.empty(len(grid))
         for i, (lam, key) in enumerate(zip(grid, kept.tolist())):
             if key not in mask_risk:
                 D = _psd_clip(_keep_correlated(S1, corr, lam)) - S2
                 # einsum, unlike the BLAS dot inside np.linalg.norm, sums in
                 # the same order for any BLAS thread count
                 mask_risk[key] = math.sqrt(float(np.einsum("ij,ij->", D, D)))
-            risks[i] += mask_risk[key]
+            risks[i] = mask_risk[key]
+        return risks
+
+    # summed in fold order, as a serial loop would, whichever thread ran a fold
+    risks = np.zeros(len(grid))
+    for fold in run_indexed(fold_risks, folds, _available_cores()):
+        risks += fold
     risks /= folds
     best = int(np.argmin(risks))  # argmin returns the first minimizer
     return grid[best], risks.tolist()

@@ -8,23 +8,19 @@ index, so output files are byte-identical for any worker count.
 
 from __future__ import annotations
 
-import ctypes
-import functools
-import glob
 import math
 import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .bootstrap import (MAX_DRAWS, EmpiricalDistribution, _multiplier_rows,
                         _mvn_rows, _norm_draws, critical_value, ks_distance)
-from .covariance import CovMatrix
+from .covariance import CovMatrix, _cv_split
 from .diagnostics import ProbeReport, comparison_ks, levy_concentration
 from .inference import EstimatorSpec, estimate_covariance
 from .lp import LpExponent, lp_norm
+from .parallel import _available_cores, run_indexed
 from .sampling import (MarginalKind, RngSeed, build_block_covariance,
                        copula_covariance, copula_sample)
 
@@ -34,14 +30,6 @@ ENGINES = ("proxy", "gmb", "naive", "corr_cv")
 def default_p_list() -> tuple:
     return (LpExponent.finite(1), LpExponent.finite(2),
             LpExponent.log_dim(), LpExponent.infinity())
-
-
-def _available_cores() -> int:
-    """Cores this process may run on: its CPU affinity where the platform
-    reports one, else the machine's count."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def _default_block(d: int) -> int:
@@ -88,6 +76,15 @@ class ExperimentConfig:
                      "threads"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
+        for name in ("p_list", "estimators"):
+            if not getattr(self, name):
+                raise ValueError(f"{name} must not be empty")
+        for p in self.p_list:
+            p.resolve(self.d)
+        # power runs always use CV; ks and coverage when an estimator does
+        if self.kind.startswith("power") or self.kind != "probe" and any(
+                isinstance(s, EstimatorSpec) and s.kind == "corr_cv" for s in specs):
+            _cv_split(self.n)
         if self.B > MAX_DRAWS:
             raise ValueError(f"B must be at most {MAX_DRAWS}")
         if not 0.0 < self.alpha < 1.0:
@@ -222,64 +219,9 @@ def _truth_distributions(cfg: ExperimentConfig, Sigma: CovMatrix) -> dict:
             for p, v in stats.items()}
 
 
-@functools.cache
-def _openblas_thread_calls():
-    """(get, set) of the thread count of the OpenBLAS bundled with numpy, or
-    None where numpy ships no such library or it lacks either symbol."""
-    pattern = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs",
-                           "libscipy_openblas64_*.so")
-    for path in sorted(glob.glob(pattern)):
-        try:
-            lib = ctypes.CDLL(path)
-            get = lib.scipy_openblas_get_num_threads64_
-            set_ = lib.scipy_openblas_set_num_threads64_
-        except (OSError, AttributeError):
-            continue
-        get.argtypes, get.restype = [], ctypes.c_int
-        set_.argtypes, set_.restype = [ctypes.c_int], None
-        return get, set_
-    return None
-
-
-class _OneBlasThread:
-    """Context that holds numpy's OpenBLAS at one thread.
-
-    The worker pool already spreads replicates over the cores; OpenBLAS
-    splitting every product over the same cores oversubscribes them. The
-    count is process-wide, so overlapping pools share one entry count: the
-    first to enter pins it, and the last to leave restores what the first
-    found. The library is looked up on first entry, not at import.
-    """
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._depth = 0
-        self._saved = 0
-
-    def __enter__(self):
-        with self._lock:
-            calls = _openblas_thread_calls()
-            if calls and self._depth == 0:
-                self._saved = calls[0]()
-                calls[1](1)
-            self._depth += 1
-
-    def __exit__(self, *exc):
-        with self._lock:
-            self._depth -= 1
-            calls = _openblas_thread_calls()
-            if calls and self._depth == 0:
-                calls[1](self._saved)
-
-
-_ONE_BLAS_THREAD = _OneBlasThread()
-
-
 def _run_indexed(worker, count: int, threads: int) -> list:
-    if threads <= 1:
-        return [worker(i) for i in range(count)]
-    with _ONE_BLAS_THREAD, ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(worker, range(count)))
+    """The replicate pool, under a name that CV's fold pool does not share."""
+    return run_indexed(worker, count, threads)
 
 
 def _write_csv(path: str, header: str, rows) -> None:

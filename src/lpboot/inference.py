@@ -211,8 +211,8 @@ class BallVolume:
 
 def lp_ball_volume(d: int, p: float, r: float) -> BallVolume:
     """Volume (2r)^d Gamma(1+1/p)^d / Gamma(1+d/p) of the lp-ball of radius r."""
-    if d < 1 or not p >= 1.0 or not r > 0.0:
-        raise ValueError("need d >= 1, p >= 1, r > 0")
+    if d < 1 or not p >= 1.0 or not 0.0 < r < math.inf:
+        raise ValueError("need d >= 1, p >= 1, 0 < r < inf")
     if math.isinf(p):
         logv = d * math.log(2.0 * r)
     else:

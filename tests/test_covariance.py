@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lpboot import sampling
+from lpboot import covariance, sampling
 from lpboot.covariance import (CovMatrix, band, correlation_threshold,
                                cov_diagnostics, cov_error, cv_select_lambda,
                                psd_project, sample_covariance, threshold)
@@ -255,6 +255,16 @@ class TestCvSelectLambda:
         lam, risks = cv_select_lambda(X, [0.0, 0.5], 2, RngSeed(0))
         lam3, risks3 = cv_select_lambda(np.delete(X, 2, axis=1), [0.0, 0.5], 2, RngSeed(0))
         assert lam == lam3 and risks == pytest.approx(risks3, rel=1e-12, abs=0.0)
+
+    def test_pooled_folds_match_reference(self, monkeypatch):
+        # three threads whatever the machine, the caller among them
+        monkeypatch.setattr(covariance, "_available_cores", lambda: 3)
+        grid = list(np.linspace(0.0, 1.0, 12))
+        for k, folds in enumerate((2, 3, 5, 10)):
+            rng = np.random.default_rng(16 + k)
+            X = rng.normal(size=(45, 15)) + rng.normal(size=(45, 1)) * rng.uniform(0, 2, 15)
+            assert (cv_select_lambda(X, grid, folds, RngSeed(k))
+                    == _cv_select_lambda_reference(X, grid, folds, RngSeed(k)))
 
     @given(n=st.integers(6, 30), d=st.integers(2, 12),
            structure=st.sampled_from(["diagonal", "correlated", "mixed"]),

@@ -1,7 +1,5 @@
 """Experiment configuration, CSV emission, determinism, and the CLI."""
 
-import ctypes
-import glob
 import json
 import math
 import os
@@ -14,7 +12,7 @@ import numpy as np
 import pytest
 
 import lpboot
-from lpboot import cli, harness, sampling
+from lpboot import cli, covariance, harness, sampling
 from lpboot.bootstrap import MAX_DRAWS, gmb_draws, gpb_draws, proxy_draws
 from lpboot.cli import main
 from lpboot.covariance import cv_select_lambda, sample_covariance
@@ -91,6 +89,17 @@ class TestExperimentConfig:
         for name in ("cv_grid_size", "cv_folds", "threads"):
             with pytest.raises(ValueError, match=name):
                 ExperimentConfig(kind="power-dense", **{name: 0})
+        for name in ("p_list", "estimators"):
+            with pytest.raises(ValueError, match=name):
+                ExperimentConfig(kind="ks", **{name: ()})
+        for kind in ("ks", "coverage", "power-sparse"):
+            with pytest.raises(ValueError, match="n=3 too small"):
+                ExperimentConfig(kind=kind, n=3, d=10, block=2, estimators=("gmb", "cv"))
+        with pytest.raises(ValueError, match="d >= 3"):
+            ExperimentConfig(kind="probe", d=2, block=2)
+        # no CV runs here, so three rows are enough
+        ExperimentConfig(kind="ks", n=3, d=10, block=2, estimators=("naive", "proxy"))
+        ExperimentConfig(kind="probe", n=3)
 
     @pytest.mark.parametrize("bad", [dict(cv_grid_size=0), dict(B=MAX_DRAWS + 1)])
     def test_bad_config_fails_before_any_compute(self, tmp_path, monkeypatch, bad):
@@ -223,12 +232,18 @@ class TestKsExperiment:
         single = tmp_path / "single.csv"
         run_with_one_blas_thread("-m", "lpboot.cli", "ks", "--config", str(cfgfile),
                                  "--out", str(single), "--threads", "1")
-        here = tmp_path / "here.csv"
         cfg = parse_config(str(cfgfile))
-        cfg.output_path = str(here)
         assert cfg.estimators == ENGINES
-        run_experiment(cfg)
-        assert single.read_bytes() == here.read_bytes()
+        outputs = []
+        # CV's fold pool would pin BLAS to one thread: first fully serial,
+        # then with the folds pooled
+        for cores in (1, 3):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(covariance, "_available_cores", lambda: cores)
+                cfg.output_path = str(tmp_path / f"cores{cores}.csv")
+                run_experiment(cfg)
+            outputs.append(open(cfg.output_path, "rb").read())
+        assert outputs == [single.read_bytes()] * 2
 
     def test_proxy_tracks_truth(self):
         # the oracle engine should sit close to the simulated truth
@@ -255,9 +270,16 @@ def test_cv_risks_do_not_depend_on_blas_threads(tmp_path):
     for k in range(3):
         paths.append(str(tmp_path / f"x{k}.npy"))
         np.save(paths[-1], copula_sample(S, MarginalKind.UNIFORM_SYM, 60, RngSeed(1).child(k)))
-    here = [cv_select_lambda(np.load(path), list(np.linspace(0.0, 1.0, 10)), 3, RngSeed(k))[1]
-            for k, path in enumerate(paths)]
-    assert json.loads(run_with_one_blas_thread("-c", CV_RISKS, *paths)) == here
+    here = []
+    # fully serial at the default BLAS thread count, then with the folds
+    # pooled and BLAS pinned to one thread
+    for cores in (1, 3):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(covariance, "_available_cores", lambda: cores)
+            here.append([cv_select_lambda(np.load(path), list(np.linspace(0.0, 1.0, 10)), 3,
+                                          RngSeed(k))[1] for k, path in enumerate(paths)])
+    assert here[0] == here[1]
+    assert json.loads(run_with_one_blas_thread("-c", CV_RISKS, *paths)) == here[0]
 
 
 class TestEngineDraws:
@@ -370,33 +392,6 @@ def test_shared_covariances_factored_once(monkeypatch):
     monkeypatch.setattr(sampling, "factorize_psd", slow_counting)
     run_experiment(small_cfg("coverage", estimators=("proxy",), threads=3))
     assert len(calls) == 2
-
-
-def openblas_threads():
-    """(get, set) of the thread count of numpy's bundled OpenBLAS, looked up
-    apart from lpboot's own handle; None where numpy ships no such library."""
-    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
-    for path in glob.glob(os.path.join(libs, "libscipy_openblas64_*.so")):
-        lib = ctypes.CDLL(path)
-        get = lib.scipy_openblas_get_num_threads64_
-        set_ = lib.scipy_openblas_set_num_threads64_
-        get.restype, set_.argtypes = ctypes.c_int, [ctypes.c_int]
-        return get, set_
-    return None
-
-
-@pytest.fixture
-def blas_at_two():
-    """The BLAS thread getter, with the count set to 2 for the test and put
-    back afterwards."""
-    calls = openblas_threads()
-    if calls is None:
-        pytest.skip("numpy ships no OpenBLAS whose thread count can be set")
-    get, set_ = calls
-    before = get()
-    set_(2)
-    yield get
-    set_(before)
 
 
 class TestPoolBlasThreads:
@@ -554,6 +549,11 @@ FUZZ_FILES = {
     "onerow.csv": "1,2,3\n",
     "M_cols.csv": "1,0\n0,1\n",
     "m0_long.csv": "0\n0\n0\n0\n",
+    "empty_p.txt": "kind=ks\nn=30\nd=10\nblock=2\np_list=\n",
+    "empty_estimators.txt": "kind=coverage\nn=30\nd=10\nblock=2\nestimators= ,\n",
+    "tiny_cv.txt": "kind=ks\nn=3\nd=10\nblock=2\nestimators=naive,cv\n",
+    "tiny_power.txt": "kind=power-dense\nn=3\nd=10\nblock=2\n",
+    "logd_d2.txt": "kind=ks\nd=2\nblock=2\np_list=2,logd\n",
 }
 
 
@@ -566,6 +566,11 @@ EARLY_FAILURES = [
     ["test", "x.csv", "--out", "nodir/o.csv"],
     ["ks", "--out", "nodir/o.csv"],
     ["ks", "--threads", "0", "--out", "o.csv"],
+    ["ks", "--config", "empty_p.txt", "--out", "o.csv"],
+    ["coverage", "--config", "empty_estimators.txt", "--out", "o.csv"],
+    ["ks", "--config", "tiny_cv.txt", "--out", "o.csv"],
+    ["power", "--config", "tiny_power.txt", "--out", "o.csv"],
+    ["ks", "--config", "logd_d2.txt", "--out", "o.csv"],
 ]
 
 
@@ -592,6 +597,8 @@ EARLY_FAILURES = [
     ["probe", "--config", "missing.txt", "--out", "o.csv"],
     ["test", "inf.csv", "--B", "50"],
     *EARLY_FAILURES,
+    ["volume", "--d", "2", "--p", "2", "--r", "inf"],
+    ["volume", "--d", "2", "--p", "2", "--r", "nan"],
 ])
 def test_cli_bad_input_exits_cleanly(tmp_path, monkeypatch, capsys, argv):
     for name, text in FUZZ_FILES.items():
@@ -619,3 +626,10 @@ def test_cli_bad_input_exits_cleanly(tmp_path, monkeypatch, capsys, argv):
         assert code == 2 and "nodir/o.csv" in err
     if "--threads" in argv:
         assert code == 2 and "threads" in err
+    if argv[0] == "volume":
+        assert code == 2 and "r < inf" in err
+    expected = {"empty_p.txt": "p_list", "empty_estimators.txt": "estimators",
+                "tiny_cv.txt": "n=3 too small", "tiny_power.txt": "n=3 too small",
+                "logd_d2.txt": "d=2"}.get(argv[2] if len(argv) > 2 else "")
+    if expected:
+        assert code == 2 and expected in err

@@ -281,7 +281,8 @@ class TestBallVolume:
             2000 * math.log(2.0) - sum(math.log(k) for k in range(1, 2001)), rel=1e-12)
 
     def test_rejects_bad_args(self):
-        for args in ((0, 2.0, 1.0), (2, 0.5, 1.0), (2, 2.0, 0.0)):
+        for args in ((0, 2.0, 1.0), (2, 0.5, 1.0), (2, 2.0, 0.0),
+                     (2, 2.0, math.inf), (2, 2.0, math.nan)):
             with pytest.raises(ValueError):
                 lp_ball_volume(*args)
 
