@@ -14,7 +14,8 @@ from dataclasses import replace
 
 import numpy as np
 
-from .harness import (ExperimentConfig, _write_csv, config_from_dict,
+from .bootstrap import _seed_label
+from .harness import (ExperimentConfig, _format, _write_csv, config_from_dict,
                       parse_config, paper_scale_preset, run_experiment)
 from .inference import EstimatorSpec, TestSpec, run_test
 from .inference import lp_ball_volume
@@ -23,19 +24,11 @@ from .sampling import RngSeed
 
 CONFIG_ERROR = 2
 RUNTIME_ERROR = 1
+TEST_HEADER = "statistic,critical_value,p_value,reject,p,alpha,estimator,B,seed"
 
 
 class ConfigError(ValueError):
     """Bad input from the command line or from a file it names."""
-
-
-def _threads_default(fallback: int = 1) -> int:
-    """HDBOOT_THREADS (at least 1) when it holds an integer, else fallback."""
-    env = os.environ.get("HDBOOT_THREADS", "")
-    try:
-        return max(int(env), 1) if env else fallback
-    except ValueError:
-        return fallback
 
 
 def _parse_option(option: str, parse, text: str):
@@ -64,8 +57,8 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--seed", type=int, help="master seed (overrides config)")
         sp.add_argument("--out", help="output CSV path (overrides config)")
         sp.add_argument("--threads", type=int, default=None,
-                        help="worker threads (default: HDBOOT_THREADS, else the "
-                             "config's threads, else the cores this process may use)")
+                        help="worker threads (default: the config's threads, else "
+                             "the cores this process may use)")
         sp.add_argument("--paper-scale", action="store_true",
                         help="full-size preset (hours of compute)")
         return sp
@@ -116,8 +109,8 @@ def _experiment_config(args) -> ExperimentConfig:
     else:
         cfg = config_from_dict({"kind": kind})
     # through replace, so that the config's own checks see these values too
-    threads = args.threads if args.threads is not None else _threads_default(cfg.threads)
-    return replace(cfg, threads=threads, seed=cfg.seed if args.seed is None else args.seed,
+    return replace(cfg, threads=cfg.threads if args.threads is None else args.threads,
+                   seed=cfg.seed if args.seed is None else args.seed,
                    output_path=args.out or cfg.output_path)
 
 
@@ -142,6 +135,7 @@ def _load_csv(path: str, skip_header: bool = False, ndmin: int = 2) -> np.ndarra
 def _cmd_test(args) -> int:
     p = _parse_option("--p", LpExponent.parse, args.p)
     estimator = _parse_option("--estimator", EstimatorSpec.parse, args.estimator)
+    seed = _parse_option("--seed", RngSeed, args.seed)
     if args.out:
         _check_out_dir(args.out)
     X = _load_csv(args.data, skip_header=args.header)
@@ -149,13 +143,14 @@ def _cmd_test(args) -> int:
     M = _load_csv(args.M_file) if args.M_file else np.eye(d)
     m0 = _load_csv(args.m0_file, ndmin=1).ravel() if args.m0_file else np.zeros(M.shape[0])
     spec = TestSpec(M=M, m0=m0, p=p, alpha=args.alpha, estimator=estimator, B=args.B,
-                    seed=RngSeed(args.seed))
-    result = run_test(X, spec)
-    row = result.csv_row(spec)
-    print(result.csv_header)
+                    seed=seed)
+    res = run_test(X, spec)
+    row = _format((res.statistic, res.critical_value, res.p_value, int(res.reject), p.label,
+                   f"{args.alpha:g}", estimator.label, args.B, _seed_label(seed)))
+    print(TEST_HEADER)
     print(row)
     if args.out:
-        _write_csv(args.out, result.csv_header, [row])
+        _write_csv(args.out, TEST_HEADER, [row])
     return 0
 
 

@@ -30,8 +30,6 @@ class ProbeReport:
     n_mc: int
     passed: bool
 
-    csv_header = "probe,instance,estimate,bound,C,n_mc,passed"
-
 
 def _omega(p: LpExponent, d: int, r: int) -> float:
     """Concentration scale: sqrt(p r^(1/p)) for finite p, sqrt(log d) at the

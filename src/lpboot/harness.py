@@ -54,8 +54,6 @@ class ExperimentConfig:
     seed: int = 0
     output_path: str = ""
     block: int = 0          # 0 -> d/100 when divisible, else smallest even choice
-    decay: float = 0.8
-    standardize: bool = True
     cv_folds: int = 10
     cv_grid_size: int = 40
     threads: int = field(default_factory=_available_cores)
@@ -63,22 +61,29 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
+        for name in ("n", "d", "mc_reps", "B", "truth_reps", "cv_folds", "cv_grid_size",
+                     "threads"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
+        for name in ("p_list", "estimators"):
+            if not getattr(self, name):
+                raise ValueError(f"{name} must not be empty")
         specs = [e if e in ("proxy", "gmb") else EstimatorSpec.parse(e) for e in self.estimators]
         if len(set(specs)) < len(specs):
             raise ValueError(f"estimators {', '.join(self.estimators)} name one estimator twice")
+        if len(set(self.p_list)) < len(self.p_list):
+            raise ValueError(f"p_list {', '.join(p.label for p in self.p_list)} "
+                             "names one exponent twice")
         if self.block == 0:
             self.block = _default_block(self.d)
         if self.d % self.block != 0:
             raise ValueError("block size must divide d")
         if self.kind.startswith("power") and not self.delta_grid:
             self.delta_grid = tuple(default_delta_grid(self.kind, self.n, self.d))
-        for name in ("n", "d", "mc_reps", "B", "truth_reps", "cv_folds", "cv_grid_size",
-                     "threads"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive")
-        for name in ("p_list", "estimators"):
-            if not getattr(self, name):
-                raise ValueError(f"{name} must not be empty")
+        if not all(math.isfinite(delta) for delta in self.delta_grid):
+            raise ValueError("delta_grid values must be finite")
         for p in self.p_list:
             p.resolve(self.d)
         # power runs always use CV; ks and coverage when an estimator does
@@ -137,39 +142,32 @@ def parse_config(path: str) -> ExperimentConfig:
     return config_from_dict(values)
 
 
+def _comma_list(parse):
+    """Parser of a comma-separated list; empty items are skipped."""
+    return lambda text: tuple(parse(t.strip()) for t in text.split(",") if t.strip())
+
+
+# config key -> parser of its text; with "kind", one key per ExperimentConfig field
+_PARSERS = {
+    "n": int, "d": int, "mc_reps": int, "B": int, "truth_reps": int, "seed": int,
+    "block": int, "cv_folds": int, "cv_grid_size": int, "threads": int, "alpha": float,
+    "output_path": str, "marginal": MarginalKind.parse,
+    "p_list": _comma_list(LpExponent.parse), "estimators": _comma_list(str),
+    "delta_grid": _comma_list(float),
+}
+
+
 def config_from_dict(values: dict) -> ExperimentConfig:
-    values = dict(values)
     if "kind" not in values:
         raise ValueError("config is missing the required key 'kind'")
-    kw = {"kind": values.pop("kind")}
-    converters = {
-        "n": int, "d": int, "mc_reps": int, "B": int, "truth_reps": int,
-        "seed": int, "block": int, "cv_folds": int, "cv_grid_size": int,
-        "threads": int, "alpha": float, "decay": float,
-        "output_path": str,
-    }
+    unknown = sorted(set(values) - set(_PARSERS) - {"kind"})
+    if unknown:
+        raise ValueError(f"unknown config keys: {', '.join(unknown)}")
     try:
-        for key, conv in converters.items():
-            if key in values:
-                kw[key] = conv(values.pop(key))
-        if "marginal" in values:
-            kw["marginal"] = MarginalKind.parse(values.pop("marginal"))
-        if "p_list" in values:
-            kw["p_list"] = tuple(LpExponent.parse(t)
-                                 for t in values.pop("p_list").split(",") if t.strip())
-        if "estimators" in values:
-            kw["estimators"] = tuple(t.strip() for t in values.pop("estimators").split(",")
-                                     if t.strip())
-        if "delta_grid" in values:
-            kw["delta_grid"] = tuple(float(t)
-                                     for t in values.pop("delta_grid").split(",") if t.strip())
-        if "standardize" in values:
-            kw["standardize"] = values.pop("standardize").strip().lower() in ("1", "true", "yes")
+        kw = {key: _PARSERS[key](text) for key, text in values.items() if key != "kind"}
     except ValueError as exc:
         raise ValueError(f"bad config value: {exc}") from exc
-    if values:
-        raise ValueError(f"unknown config keys: {', '.join(sorted(values))}")
-    return ExperimentConfig(**kw)
+    return ExperimentConfig(kind=values["kind"], **kw)
 
 
 def paper_scale_preset(kind: str) -> ExperimentConfig:
@@ -211,8 +209,7 @@ def _truth_distributions(cfg: ExperimentConfig, Sigma: CovMatrix) -> dict:
     independent dataset."""
     stats = {p: np.empty(cfg.truth_reps) for p in cfg.p_list}
     for r in range(cfg.truth_reps):
-        X = copula_sample(Sigma, cfg.marginal, cfg.n, cfg.rng.child(1, r),
-                          standardize=cfg.standardize)
+        X = copula_sample(Sigma, cfg.marginal, cfg.n, cfg.rng.child(1, r))
         for p, v in _statistics(X, cfg.p_list).items():
             stats[p][r] = v
     return {p: EmpiricalDistribution(v, {"engine": "truth", "p": p.label})
@@ -241,8 +238,7 @@ def _replicates(cfg: ExperimentConfig, Sigma: CovMatrix, body) -> list:
     order; replicate rep draws its data X on sub-stream 0 of rep_seed."""
     def worker(rep: int):
         rep_seed = cfg.rng.child(2, rep)
-        X = copula_sample(Sigma, cfg.marginal, cfg.n, rep_seed.child(0),
-                          standardize=cfg.standardize)
+        X = copula_sample(Sigma, cfg.marginal, cfg.n, rep_seed.child(0))
         return body(rep, X, rep_seed)
 
     Sigma.factor()  # fill the shared cache once, before the workers race for it
@@ -255,7 +251,7 @@ def _engine_records(cfg: ExperimentConfig, Sigma: CovMatrix, scorer) -> list:
     p-norm on the replicate's data X."""
     # the oracle engine needs the covariance of the transformed data, not
     # the latent Gaussian one
-    Sigma_X = copula_covariance(Sigma, cfg.marginal, cfg.standardize)
+    Sigma_X = copula_covariance(Sigma, cfg.marginal)
     if "proxy" in cfg.estimators:
         Sigma_X.factor()  # as for Sigma in _replicates
 
@@ -363,7 +359,7 @@ _EXPERIMENTS = {
     "coverage": ("rep,p,estimator,covered", _coverage_records),
     "power-dense": ("delta,p,power,mc_se", _power_records),
     "power-sparse": ("delta,p,power,mc_se", _power_records),
-    "probe": (ProbeReport.csv_header, _probe_records),
+    "probe": ("probe,instance,estimate,bound,C,n_mc,passed", _probe_records),
 }
 KINDS = tuple(_EXPERIMENTS)
 
@@ -374,7 +370,7 @@ def run_experiment(cfg: ExperimentConfig) -> list:
     estimator) summary next to it)."""
     header, experiment = _EXPERIMENTS[cfg.kind]
     Sigma = None if cfg.kind == "probe" else build_block_covariance(
-        cfg.d, cfg.block, cfg.decay, cfg.rng.child(0))
+        cfg.d, cfg.block, perm_seed=cfg.rng.child(0))
     records = experiment(cfg, Sigma)
     rows = [_format(r) for r in records]
     if cfg.output_path:

@@ -123,18 +123,6 @@ class TestResult:
     p_value: float
     distribution: EmpiricalDistribution
 
-    def csv_row(self, spec: TestSpec) -> str:
-        from .bootstrap import _seed_label
-
-        return ",".join([
-            f"{self.statistic:.17g}", f"{self.critical_value:.17g}",
-            f"{self.p_value:.17g}", str(int(self.reject)),
-            spec.p.label, f"{spec.alpha:g}", spec.estimator.label,
-            str(spec.B), _seed_label(spec.seed),
-        ])
-
-    csv_header = "statistic,critical_value,p_value,reject,p,alpha,estimator,B,seed"
-
 
 def test_statistic(X: np.ndarray, M: np.ndarray, m0: np.ndarray, p: LpExponent) -> float:
     """||n^{-1/2} sum_i (M X_i - m0)||_p."""

@@ -26,6 +26,10 @@ class RngSeed:
     master: int
     stream_path: tuple = ()
 
+    def __post_init__(self):
+        if self.master < 0:
+            raise ValueError("seed must be nonnegative")
+
     def child(self, *indices: int) -> "RngSeed":
         for i in indices:
             if i < 0:
@@ -146,16 +150,13 @@ def build_block_covariance(d: int, block: int, decay: float = 0.8,
     return CovMatrix(S, provenance=f"block({block},{decay:g})")
 
 
-def copula_covariance(S: CovMatrix, kind: MarginalKind,
-                      standardize: bool = True) -> CovMatrix:
-    """Covariance of the copula-transformed vector X = F^{-1}(Phi(Y)).
+def copula_covariance(S: CovMatrix, kind: MarginalKind) -> CovMatrix:
+    """Covariance of the copula-transformed vector X = F^{-1}(Phi(Y / sd(Y))).
 
     Expands the scalar transform in the orthonormal Hermite basis; by
     Mehler's formula E[h(Z_1)h(Z_2)] = sum_m a_m^2 rho^m for standard
     bivariate normal (Z_1, Z_2) with correlation rho, so the covariance is a
     polynomial in the Hadamard powers of the latent correlation matrix.
-    Without standardization the transform differs per coordinate and the
-    coefficients become coordinate-dependent.
     """
     sd = np.sqrt(np.diag(S.values))
     if np.any(sd <= 0.0):
@@ -171,39 +172,28 @@ def copula_covariance(S: CovMatrix, kind: MarginalKind,
     phi[1] = nodes
     for m in range(2, terms):
         phi[m] = (nodes * phi[m - 1] - math.sqrt(m - 1) * phi[m - 2]) / math.sqrt(m)
-    u = np.clip(normal_cdf(nodes if standardize else np.outer(sd, nodes)),
-                1e-16, 1.0 - 1e-16)
-    h = np.asarray(marginal_quantile(kind, u))
-    if standardize:
-        a = phi @ (weights * h)  # coefficients shared by every coordinate
-        coef_outer = [a[m] ** 2 for m in range(terms)]
-    else:
-        A = h * weights @ phi.T  # d x terms coordinate-wise coefficients
-        coef_outer = [np.outer(A[:, m], A[:, m]) for m in range(terms)]
+    h = marginal_quantile(kind, np.clip(normal_cdf(nodes), 1e-16, 1.0 - 1e-16))
+    coef = (phi @ (weights * h)) ** 2  # a_m^2, shared by every coordinate
     C = np.zeros_like(R)
     Rm = np.ones_like(R)
     for m in range(1, terms):
         Rm = Rm * R
-        C += coef_outer[m] * Rm
+        C += coef[m] * Rm
     # the mean term a_0 cancels in the covariance; enforce exact symmetry
     return CovMatrix(C, provenance=f"copula({kind.value})<-{S.provenance}")
 
 
-def copula_sample(S: CovMatrix, kind: MarginalKind, n: int, rng: RngSeed,
-                  standardize: bool = True) -> np.ndarray:
-    """Gaussian-copula draws: X_ij = F^{-1}(Phi(Y_ij)) with Y rows ~ N(0, S).
+def copula_sample(S: CovMatrix, kind: MarginalKind, n: int, rng: RngSeed) -> np.ndarray:
+    """Gaussian-copula draws: X_ij = F^{-1}(Phi(Y_ij / sd_j)) with Y rows ~ N(0, S).
 
-    With standardize, each Y coordinate is divided by its standard deviation
-    first so the marginals of X are exactly F; all three marginals have mean
-    zero, so no further centering is applied.
+    Each Y coordinate is divided by its standard deviation first so the
+    marginals of X are exactly F; all three marginals have mean zero, so no
+    further centering is applied.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    Y = mvn_sample(S.factor(), n, rng)
-    if standardize:
-        sd = np.sqrt(np.diag(S.values))
-        if np.any(sd <= 0.0):
-            raise ValueError("standardize requires strictly positive diagonal")
-        Y = Y / sd
-    U = np.clip(normal_cdf(Y), 1e-16, 1.0 - 1e-16)
+    sd = np.sqrt(np.diag(S.values))
+    if np.any(sd <= 0.0):
+        raise ValueError("latent covariance needs a strictly positive diagonal")
+    U = np.clip(normal_cdf(mvn_sample(S.factor(), n, rng) / sd), 1e-16, 1.0 - 1e-16)
     return np.asarray(marginal_quantile(kind, U))

@@ -1,5 +1,6 @@
 """Experiment configuration, CSV emission, determinism, and the CLI."""
 
+import dataclasses
 import json
 import math
 import os
@@ -97,6 +98,21 @@ class TestExperimentConfig:
                 ExperimentConfig(kind=kind, n=3, d=10, block=2, estimators=("gmb", "cv"))
         with pytest.raises(ValueError, match="d >= 3"):
             ExperimentConfig(kind="probe", d=2, block=2)
+        # sizes are checked before the power delta grid is derived from them
+        for kind, bad in (("power-dense", dict(n=0)), ("power-sparse", dict(n=-5)),
+                          ("power-sparse", dict(d=0))):
+            with pytest.raises(ValueError, match=f"{next(iter(bad))} must be positive"):
+                ExperimentConfig(kind=kind, **bad)
+        with pytest.raises(ValueError, match="p_list 2, 2 names one exponent twice"):
+            config_from_dict({"kind": "coverage", "p_list": "2,2"})
+        with pytest.raises(ValueError, match="p_list inf, 1, inf"):
+            ExperimentConfig(kind="ks", p_list=(LpExponent.infinity(), LpExponent.finite(1),
+                                                LpExponent.infinity()))
+        for grid in ((0.0, math.nan), (math.inf,), (0.0, -math.inf)):
+            with pytest.raises(ValueError, match="delta_grid values must be finite"):
+                ExperimentConfig(kind="power-dense", delta_grid=grid)
+        with pytest.raises(ValueError, match="seed must be nonnegative"):
+            ExperimentConfig(kind="ks", seed=-1)
         # no CV runs here, so three rows are enough
         ExperimentConfig(kind="ks", n=3, d=10, block=2, estimators=("naive", "proxy"))
         ExperimentConfig(kind="probe", n=3)
@@ -156,7 +172,6 @@ class TestConfigParsing:
             "marginal = heavy\n"
             "p_list = 1, 2, logd, inf\n"
             "estimators = naive, corr_cv, hard(0.2), band(1)\n"
-            "standardize = false\n"
             "seed = 7\n")
         cfg = parse_config(str(path))
         assert cfg.kind == "ks" and cfg.n == 50 and cfg.d == 20
@@ -164,11 +179,26 @@ class TestConfigParsing:
         assert cfg.p_list == (LpExponent.finite(1), LpExponent.finite(2),
                               LpExponent.log_dim(), LpExponent.infinity())
         assert cfg.estimators == ("naive", "corr_cv", "hard(0.2)", "band(1)")
-        assert cfg.standardize is False and cfg.seed == 7
+        assert cfg.seed == 7
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown config keys"):
             config_from_dict({"kind": "ks", "bogus": "1"})
+        # the copula is always standardized and the block decay fixed at 0.8
+        for key, value in (("standardize", "false"), ("decay", "0.5")):
+            with pytest.raises(ValueError, match=f"unknown config keys: {key}$"):
+                config_from_dict({"kind": "ks", key: value})
+
+    def test_keys_are_the_config_fields(self):
+        # every field is a key: a junk value is a bad value, not an unknown key
+        for f in dataclasses.fields(ExperimentConfig):
+            try:
+                config_from_dict({"kind": "ks", f.name: "junk"})
+            except ValueError as exc:
+                assert "unknown config keys" not in str(exc), f.name
+        # and nothing else is
+        with pytest.raises(ValueError, match="unknown config keys: KIND, rng, seeds$"):
+            config_from_dict({"kind": "ks", "seeds": "1", "rng": "1", "KIND": "ks"})
 
     def test_missing_kind_rejected(self):
         with pytest.raises(ValueError, match="kind"):
@@ -286,7 +316,7 @@ class TestEngineDraws:
     def test_replicate_draws_equal_public_engines(self):
         # B crosses the 4096-row chunk boundary; each engine keeps its sub-stream
         cfg = small_cfg("ks", n=30, d=10, B=4097)
-        S = build_block_covariance(cfg.d, cfg.block, cfg.decay, RngSeed(1))
+        S = build_block_covariance(cfg.d, cfg.block, perm_seed=RngSeed(1))
         Sigma_X = copula_covariance(S, cfg.marginal)
         X = copula_sample(S, cfg.marginal, cfg.n, RngSeed(2))
         rep = RngSeed(3).child(2, 7)
@@ -488,26 +518,26 @@ class TestCli:
         assert "cannot read config" in capsys.readouterr().err
 
     def test_threads_precedence(self, tmp_path, monkeypatch):
-        # --threads, then a valid HDBOOT_THREADS, then the config's threads
+        # --threads, then the config's threads
         cfgfile = tmp_path / "c.txt"
         cfgfile.write_text("kind=ks\nthreads=3\n")
         seen = []
         monkeypatch.setattr(cli, "run_experiment", seen.append)
         argv = ["ks", "--config", str(cfgfile), "--out", str(tmp_path / "o.csv")]
-        for env, extra in ((None, []), ("2", []), ("junk", []), ("2", ["--threads", "4"])):
-            if env is None:
-                monkeypatch.delenv("HDBOOT_THREADS", raising=False)
-            else:
-                monkeypatch.setenv("HDBOOT_THREADS", env)
+        for extra in ([], ["--threads", "4"]):
             assert main(argv + extra) == 0
-        assert [cfg.threads for cfg in seen] == [3, 2, 3, 4]
+        assert [cfg.threads for cfg in seen] == [3, 4]
 
-    def test_threads_env_fallback(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("HDBOOT_THREADS", "3")
-        from lpboot.cli import _threads_default
-        assert _threads_default() == 3
-        monkeypatch.setenv("HDBOOT_THREADS", "junk")
-        assert _threads_default() == 1
+    def test_threads_ignore_the_environment(self, tmp_path, monkeypatch):
+        cfgfile = tmp_path / "c.txt"
+        cfgfile.write_text("kind=ks\nthreads=3\n")
+        seen = []
+        monkeypatch.setattr(cli, "run_experiment", seen.append)
+        for env in ("2", "junk", "-7"):
+            monkeypatch.setenv("HDBOOT_THREADS", env)
+            assert main(["ks", "--config", str(cfgfile), "--out", str(tmp_path / "o.csv")]) == 0
+            assert main(["ks", "--out", str(tmp_path / "o.csv")]) == 0
+        assert [cfg.threads for cfg in seen] == [3, len(os.sched_getaffinity(0))] * 3
 
     def test_test_subcommand(self, tmp_path, capsys):
         rng = np.random.default_rng(0)
@@ -554,6 +584,11 @@ FUZZ_FILES = {
     "tiny_cv.txt": "kind=ks\nn=3\nd=10\nblock=2\nestimators=naive,cv\n",
     "tiny_power.txt": "kind=power-dense\nn=3\nd=10\nblock=2\n",
     "logd_d2.txt": "kind=ks\nd=2\nblock=2\np_list=2,logd\n",
+    "power_n0.txt": "kind=power-dense\nn=0\n",
+    "sparse_d0.txt": "kind=power-sparse\nd=0\n",
+    "repeated_p.txt": "kind=coverage\nn=30\nd=10\nblock=2\nmc_reps=3\np_list=2,2\n",
+    "nan_delta.txt": "kind=power-dense\nn=30\nd=10\nblock=2\ndelta_grid=0,nan\n",
+    "negative_seed.txt": "kind=ks\nn=30\nd=10\nblock=2\nseed=-1\n",
 }
 
 
@@ -571,6 +606,14 @@ EARLY_FAILURES = [
     ["ks", "--config", "tiny_cv.txt", "--out", "o.csv"],
     ["power", "--config", "tiny_power.txt", "--out", "o.csv"],
     ["ks", "--config", "logd_d2.txt", "--out", "o.csv"],
+    ["power", "--config", "power_n0.txt", "--out", "o.csv"],
+    ["power", "--config", "sparse_d0.txt", "--out", "o.csv"],
+    ["coverage", "--config", "repeated_p.txt", "--out", "o.csv"],
+    ["power", "--config", "nan_delta.txt", "--out", "o.csv"],
+    ["ks", "--config", "negative_seed.txt", "--out", "o.csv"],
+    ["ks", "--seed", "-1", "--out", "o.csv"],
+    ["test", "x.csv", "--seed", "-1"],
+    ["test", "missing.csv", "--seed", "-1"],
 ]
 
 
@@ -628,8 +671,16 @@ def test_cli_bad_input_exits_cleanly(tmp_path, monkeypatch, capsys, argv):
         assert code == 2 and "threads" in err
     if argv[0] == "volume":
         assert code == 2 and "r < inf" in err
+    if "--seed" in argv:
+        assert code == 2 and "seed must be nonnegative" in err
+    if argv[0] == "test" and "--seed" in argv:
+        assert "error: --seed -1:" in err
     expected = {"empty_p.txt": "p_list", "empty_estimators.txt": "estimators",
                 "tiny_cv.txt": "n=3 too small", "tiny_power.txt": "n=3 too small",
-                "logd_d2.txt": "d=2"}.get(argv[2] if len(argv) > 2 else "")
+                "logd_d2.txt": "d=2", "power_n0.txt": "error: n must be positive",
+                "sparse_d0.txt": "error: d must be positive",
+                "repeated_p.txt": "p_list 2, 2 names one exponent twice",
+                "nan_delta.txt": "delta_grid values must be finite",
+                "negative_seed.txt": "seed must be nonnegative"}.get(argv[2] if len(argv) > 2 else "")
     if expected:
         assert code == 2 and expected in err

@@ -116,6 +116,15 @@ class TestTestStatistic:
             restriction_stat(np.ones((5, 3)), np.eye(2), np.zeros(2), LpExponent.finite(2))
 
 
+# `lpboot test` rows for test_csv_row_shape's data, recorded before the row
+# formatting moved to harness._format
+GOLDEN_TEST_ROWS = {
+    "naive": "3.6263887976860012,4.1773621857304724,0.10000000000000001,0,logd,0.05,naive,200,3",
+    "corr_cv": "3.6263887976860012,3.7678935389158896,0.074999999999999997,0,logd,0.05,corr_cv,"
+               "200,3",
+}
+
+
 def make_spec(d, p, alpha=0.05, estimator=None, B=400, seed=0, M=None, m0=None):
     return inference.TestSpec(M=np.eye(d) if M is None else M,
                     m0=np.zeros(d) if m0 is None else m0,
@@ -188,7 +197,9 @@ class TestRunTest:
         data = tmp_path / "x.csv"
         np.savetxt(data, X, delimiter=",")
         assert main(["test", str(data), "--B", "200"]) == 0
-        assert capsys.readouterr().out.splitlines()[1] == res.csv_row(spec)
+        row = capsys.readouterr().out.splitlines()[1].split(",")
+        assert [float(v) for v in row[:3]] == [res.statistic, res.critical_value, res.p_value]
+        assert row[3:] == [str(int(res.reject)), "2", "0.05", "corr_cv", "200", "0"]
 
     def test_restriction_map_conjugates_covariance(self):
         # with M selecting one coordinate, the critical value matches a
@@ -204,14 +215,17 @@ class TestRunTest:
         assert res.critical_value == pytest.approx(
             np.quantile(onedim.samples, 0.95), rel=0.1)
 
-    def test_csv_row_shape(self):
-        rng = np.random.default_rng(9)
-        X = rng.normal(size=(30, 4))
-        spec = make_spec(4, LpExponent.log_dim(), seed=3)
-        res = run_test(X, spec)
-        row = res.csv_row(spec)
-        assert len(row.split(",")) == len(res.csv_header.split(","))
-        assert row.split(",")[4] == "logd"
+    def test_csv_row_shape(self, tmp_path, capsys):
+        # the stdout row and the --out file, byte for byte
+        data = tmp_path / "x.csv"
+        np.savetxt(data, np.random.default_rng(9).normal(size=(30, 4)), delimiter=",")
+        out = tmp_path / "o.csv"
+        for estimator, row in GOLDEN_TEST_ROWS.items():
+            assert main(["test", str(data), "--estimator", estimator, "--p", "logd",
+                         "--B", "200", "--seed", "3", "--out", str(out)]) == 0
+            expected = f"statistic,critical_value,p_value,reject,p,alpha,estimator,B,seed\n{row}\n"
+            assert capsys.readouterr().out == expected
+            assert out.read_text() == expected
 
 
 class TestConfidenceSet:

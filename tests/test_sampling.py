@@ -33,6 +33,10 @@ class TestRngSeed:
         with pytest.raises(ValueError):
             RngSeed(0).child(-1)
 
+    def test_rejects_negative_master(self):
+        with pytest.raises(ValueError, match="seed must be nonnegative"):
+            RngSeed(-1)
+
 
 class TestNormalCdf:
     def test_center_and_tail(self):
