@@ -53,14 +53,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_experiment(name: str, help_text: str):
         sp = sub.add_parser(name, help=help_text)
-        sp.add_argument("--config", help="flat key=value configuration file")
+        source = sp.add_mutually_exclusive_group()
+        source.add_argument("--config", help="flat key=value configuration file")
         sp.add_argument("--seed", type=int, help="master seed (overrides config)")
         sp.add_argument("--out", help="output CSV path (overrides config)")
         sp.add_argument("--threads", type=int, default=None,
                         help="worker threads (default: the config's threads, else "
                              "the cores this process may use)")
-        sp.add_argument("--paper-scale", action="store_true",
-                        help="full-size preset (hours of compute)")
+        source.add_argument("--paper-scale", action="store_true",
+                            help="full-size preset (hours of compute)")
         return sp
 
     add_experiment("ks", "distribution-estimation accuracy experiment")

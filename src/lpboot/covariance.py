@@ -1,6 +1,6 @@
 """Covariance estimation with structure exploitation and diagnostics.
 
-Sample covariance (divisor n), hard/soft entry thresholding, correlation
+Sample covariance (divisor n), hard entry thresholding, correlation
 thresholding with cross-validated tuning, banding, projection onto the PSD
 cone, and the rank/variance/error quantities the bootstrap accuracy is
 phrased in.
@@ -82,18 +82,13 @@ def sample_covariance(X: np.ndarray) -> CovMatrix:
     return CovMatrix(S, provenance="naive")
 
 
-def threshold(M: CovMatrix, lam: float, kind: str = "hard") -> CovMatrix:
-    """Entrywise hard or soft thresholding at level lam >= 0."""
+def threshold(M: CovMatrix, lam: float) -> CovMatrix:
+    """Entrywise hard thresholding at level lam >= 0."""
     if lam < 0.0:
         raise ValueError("threshold level must be nonnegative")
     a = M.values
-    if kind == "hard":
-        out = np.where(np.abs(a) > lam, a, 0.0)
-    elif kind == "soft":
-        out = np.sign(a) * np.maximum(np.abs(a) - lam, 0.0)
-    else:
-        raise ValueError(f"unknown thresholding kind {kind!r}")
-    return CovMatrix(out, provenance=f"{kind}-threshold({lam:g})<-{M.provenance}")
+    out = np.where(np.abs(a) > lam, a, 0.0)
+    return CovMatrix(out, provenance=f"hard-threshold({lam:g})<-{M.provenance}")
 
 
 def _check_correlation_level(lam: float) -> None:
@@ -144,7 +139,7 @@ def _psd_clip(a: np.ndarray) -> np.ndarray:
     otherwise the eigenvalue clip, symmetrized so that wrapping it in a
     CovMatrix leaves its bytes unchanged.
     """
-    scale = max(float(np.abs(np.diag(a)).max(initial=0.0)), 1.0)
+    scale = float(np.abs(np.diag(a)).max(initial=0.0))
     try:
         np.linalg.cholesky(a + (PSD_CERT_TOL * 0.01 * scale) * np.eye(a.shape[0]))
         return a

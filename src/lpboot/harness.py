@@ -76,6 +76,8 @@ class ExperimentConfig:
         if len(set(self.p_list)) < len(self.p_list):
             raise ValueError(f"p_list {', '.join(p.label for p in self.p_list)} "
                              "names one exponent twice")
+        if self.block < 0:
+            raise ValueError("block must be nonnegative")
         if self.block == 0:
             self.block = _default_block(self.d)
         if self.d % self.block != 0:

@@ -83,7 +83,7 @@ def estimate_covariance(X: np.ndarray, spec: EstimatorSpec, cv_seed: RngSeed) ->
     if spec.kind == "naive":
         return S
     if spec.kind == "hard":
-        return psd_project(threshold(S, spec.lam, "hard"))
+        return psd_project(threshold(S, spec.lam))
     if spec.kind == "band":
         return psd_project(band(S, spec.ell))
     if spec.kind == "corr_cv":

@@ -72,36 +72,21 @@ class _OneBlasThread:
 
 
 _ONE_BLAS_THREAD = _OneBlasThread()
-_pool_worker = threading.local()  # .active: this thread runs a pool's share
+_pool_worker = threading.local()  # .active: this thread is a pool worker
 
 
 def run_indexed(worker, count: int, threads: int) -> list:
-    """[worker(i) for i in range(count)] on at most min(threads, count) threads:
-    the caller and threads - 1 helpers pull indices from one iterator. An
-    exception from any share is raised once all have ended. A call from
-    inside a pool's worker runs serially, so pools never nest."""
+    """[worker(i) for i in range(count)] on a pool of at most min(threads, count)
+    threads, results in index order; the caller waits. When an index raises,
+    the indices not yet started are cancelled and the exception propagates. A
+    call from inside a pool's worker runs serially, so pools never nest."""
     threads = min(threads, count)
     if threads <= 1 or getattr(_pool_worker, "active", False):
         return [worker(i) for i in range(count)]
-    results = [None] * count
-    indices = iter(range(count))
-    lock = threading.Lock()
 
-    def share():
+    def task(i):
         _pool_worker.active = True
-        try:
-            while True:
-                with lock:
-                    i = next(indices, None)
-                if i is None:
-                    return
-                results[i] = worker(i)
-        finally:
-            _pool_worker.active = False
+        return worker(i)
 
-    with _ONE_BLAS_THREAD, ThreadPoolExecutor(max_workers=threads - 1) as pool:
-        helpers = [pool.submit(share) for _ in range(threads - 1)]
-        share()
-        for helper in helpers:
-            helper.result()
-    return results
+    with _ONE_BLAS_THREAD, ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(task, range(count)))

@@ -106,7 +106,7 @@ def factorize_psd(S: CovMatrix) -> PsdFactor:
     """Eigen-based factor L (d x r) with L @ L.T = S; small eigenvalues dropped."""
     a = S.values
     w, V = np.linalg.eigh(a)
-    scale = max(float(np.abs(w).max(initial=0.0)), 1.0)
+    scale = float(np.abs(w).max(initial=0.0))
     if w.min(initial=0.0) < -PSD_CERT_TOL * scale:
         raise ValueError(f"matrix is not positive semi-definite (min eig {w.min():g})")
     keep = w > RANK_TOL * scale

@@ -101,17 +101,12 @@ class TestThreshold:
     def test_zero_level_hard_is_identity(self):
         rng = np.random.default_rng(2)
         m = random_symmetric(rng, 4)
-        assert np.array_equal(threshold(m, 0.0, "hard").values, m.values)
+        assert np.array_equal(threshold(m, 0.0).values, m.values)
 
     def test_hard_definition(self):
         m = CovMatrix(np.array([[1.0, 0.05], [0.05, 0.5]]))
-        out = threshold(m, 0.1, "hard").values
+        out = threshold(m, 0.1).values
         assert out[0, 1] == 0.0 and out[1, 1] == 0.5
-
-    def test_soft_definition(self):
-        m = CovMatrix(np.array([[1.0, 0.5], [0.5, 1.0]]))
-        out = threshold(m, 0.1, "soft").values
-        assert out[0, 1] == pytest.approx(0.4)
 
     @given(st.floats(0.0, 2.0), st.integers(0, 10))
     @settings(max_examples=100)
@@ -119,12 +114,11 @@ class TestThreshold:
         # |T(u)| <= |u|, T(u) = 0 for |u| <= lam, |T(u) - u| <= lam
         rng = np.random.default_rng(seed)
         m = random_symmetric(rng, 5)
-        for kind in ("hard", "soft"):
-            out = threshold(m, lam, kind).values
-            assert np.all(np.abs(out) <= np.abs(m.values) + 1e-12)
-            assert np.all(out[np.abs(m.values) <= lam] == 0.0)
-            assert np.all(np.abs(out - m.values) <= lam + 1e-12)
-            assert np.allclose(out, out.T)
+        out = threshold(m, lam).values
+        assert np.all(np.abs(out) <= np.abs(m.values) + 1e-12)
+        assert np.all(out[np.abs(m.values) <= lam] == 0.0)
+        assert np.all(np.abs(out - m.values) <= lam + 1e-12)
+        assert np.allclose(out, out.T)
 
 
 class TestCorrelationThreshold:

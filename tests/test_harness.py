@@ -81,6 +81,8 @@ class TestExperimentConfig:
             ExperimentConfig(kind="mystery")
         with pytest.raises(ValueError):
             ExperimentConfig(kind="ks", d=10, block=3)
+        with pytest.raises(ValueError, match="block must be nonnegative"):
+            ExperimentConfig(kind="ks", d=10, block=-2)
         with pytest.raises(ValueError):
             ExperimentConfig(kind="ks", alpha=1.5)
         with pytest.raises(ValueError):
@@ -589,6 +591,8 @@ FUZZ_FILES = {
     "repeated_p.txt": "kind=coverage\nn=30\nd=10\nblock=2\nmc_reps=3\np_list=2,2\n",
     "nan_delta.txt": "kind=power-dense\nn=30\nd=10\nblock=2\ndelta_grid=0,nan\n",
     "negative_seed.txt": "kind=ks\nn=30\nd=10\nblock=2\nseed=-1\n",
+    "negative_block.txt": "kind=ks\nn=30\nd=10\nblock=-2\n",
+    "small_ks.txt": "kind=ks\nn=30\nd=10\nblock=2\n",
 }
 
 
@@ -611,6 +615,8 @@ EARLY_FAILURES = [
     ["coverage", "--config", "repeated_p.txt", "--out", "o.csv"],
     ["power", "--config", "nan_delta.txt", "--out", "o.csv"],
     ["ks", "--config", "negative_seed.txt", "--out", "o.csv"],
+    ["ks", "--config", "negative_block.txt", "--out", "o.csv"],
+    ["ks", "--paper-scale", "--config", "small_ks.txt", "--out", "o.csv"],
     ["ks", "--seed", "-1", "--out", "o.csv"],
     ["test", "x.csv", "--seed", "-1"],
     ["test", "missing.csv", "--seed", "-1"],
@@ -671,6 +677,8 @@ def test_cli_bad_input_exits_cleanly(tmp_path, monkeypatch, capsys, argv):
         assert code == 2 and "threads" in err
     if argv[0] == "volume":
         assert code == 2 and "r < inf" in err
+    if "--paper-scale" in argv:
+        assert code == 2 and "not allowed with argument --paper-scale" in err
     if "--seed" in argv:
         assert code == 2 and "seed must be nonnegative" in err
     if argv[0] == "test" and "--seed" in argv:
@@ -681,6 +689,7 @@ def test_cli_bad_input_exits_cleanly(tmp_path, monkeypatch, capsys, argv):
                 "sparse_d0.txt": "error: d must be positive",
                 "repeated_p.txt": "p_list 2, 2 names one exponent twice",
                 "nan_delta.txt": "delta_grid values must be finite",
-                "negative_seed.txt": "seed must be nonnegative"}.get(argv[2] if len(argv) > 2 else "")
+                "negative_seed.txt": "seed must be nonnegative",
+                "negative_block.txt": "error: block must be nonnegative"}.get(argv[2] if len(argv) > 2 else "")
     if expected:
         assert code == 2 and expected in err

@@ -201,6 +201,20 @@ class TestRunTest:
         assert [float(v) for v in row[:3]] == [res.statistic, res.critical_value, res.p_value]
         assert row[3:] == [str(int(res.reject)), "2", "0.05", "corr_cv", "200", "0"]
 
+    @pytest.mark.parametrize("estimator", ["naive", "corr_cv"])
+    def test_scale_equivariant(self, estimator):
+        # the factor's rank cut and the PSD probe's jitter are relative to
+        # the data's scale, so the units of X change no decision
+        X = np.random.default_rng(0).normal(size=(60, 10))
+        spec = make_spec(10, LpExponent.finite(2), estimator=EstimatorSpec(estimator), B=200)
+        base = run_test(X, spec)
+        for c in (1e-9, 1e-6, 1.0, 1e6):
+            res = run_test(c * X, spec)
+            for got, want in ((res.statistic, base.statistic),
+                              (res.critical_value, base.critical_value)):
+                assert got == pytest.approx(c * want, rel=1e-9, abs=0.0)
+            assert (res.p_value, res.reject) == (base.p_value, base.reject)
+
     def test_restriction_map_conjugates_covariance(self):
         # with M selecting one coordinate, the critical value matches a
         # one-dimensional bootstrap of that coordinate alone

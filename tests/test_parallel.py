@@ -1,8 +1,7 @@
-"""The shared pool: index order, the caller's share, no nested pools,
-exceptions, and the BLAS thread count around CV's fold pool."""
+"""The shared pool: index order, no nested pools, exceptions and the
+cancellation they cause, and the BLAS thread count around CV's fold pool."""
 
 import sys
-import threading
 import time
 
 import numpy as np
@@ -18,7 +17,7 @@ from lpboot.sampling import RngSeed
 
 @pytest.fixture
 def pools(monkeypatch):
-    """The helper-thread count of each pool run_indexed starts, in order."""
+    """The worker count of each pool run_indexed starts, in order."""
     started = []
     executor = parallel.ThreadPoolExecutor
 
@@ -36,26 +35,14 @@ def test_results_come_back_in_index_order(pools):
         return i * i
 
     assert run_indexed(worker, 12, 3) == [i * i for i in range(12)]
-    assert pools == [2]
+    assert pools == [3]
 
 
 def test_uses_at_most_count_threads(pools):
     assert run_indexed(lambda i: i, 2, 8) == [0, 1]
     assert run_indexed(lambda i: i, 1, 8) == [0]
     assert run_indexed(lambda i: i, 0, 8) == []
-    assert pools == [1]
-
-
-def test_caller_runs_a_share():
-    seen = []
-
-    def worker(i):
-        seen.append(threading.get_ident())
-        time.sleep(0.01)
-
-    run_indexed(worker, 8, 2)
-    assert threading.get_ident() in seen
-    assert len(set(seen)) == 2
+    assert pools == [2]
 
 
 def test_call_inside_a_worker_runs_serially(pools):
@@ -63,10 +50,10 @@ def test_call_inside_a_worker_runs_serially(pools):
         return run_indexed(lambda j: (i, j), 3, 4)
 
     assert run_indexed(outer, 4, 2) == [[(i, j) for j in range(3)] for i in range(4)]
-    assert pools == [1]
+    assert pools == [2]
     # the caller is no pool worker once its pool has ended
     run_indexed(lambda i: i, 2, 2)
-    assert pools == [1, 1]
+    assert pools == [2, 2]
 
 
 def test_cv_inside_harness_workers_starts_no_pool(pools, monkeypatch):
@@ -74,30 +61,38 @@ def test_cv_inside_harness_workers_starts_no_pool(pools, monkeypatch):
     kw = dict(kind="ks", n=40, d=20, mc_reps=3, B=100, truth_reps=50, block=2,
               cv_folds=3, cv_grid_size=5, estimators=("corr_cv",))
     pooled = run_experiment(ExperimentConfig(threads=2, **kw))
-    assert pools == [1]
+    assert pools == [2]
     # a serial harness leaves CV free to spread its folds
     assert run_experiment(ExperimentConfig(threads=1, **kw)) == pooled
-    assert pools == [1] + [2] * 3
+    assert pools == [2] + [3] * 3
 
 
-@pytest.mark.parametrize("raiser", ["caller", "helper"])
-def test_exception_propagates_and_blas_count_returns(blas_at_two, pools, raiser):
-    caller = threading.get_ident()
-    # indices 0 and 1 meet here, so they run on different threads
-    both_started = threading.Barrier(2, timeout=10)
-
+def test_exception_propagates_and_blas_count_returns(blas_at_two, pools):
     def worker(i):
-        if i < 2:
-            both_started.wait()
         assert blas_at_two() == 1
-        if (threading.get_ident() == caller) == (raiser == "caller"):
-            raise RuntimeError(f"{raiser} failed")
+        if i == 3:
+            raise RuntimeError("index 3 failed")
 
-    with pytest.raises(RuntimeError, match=f"{raiser} failed"):
+    with pytest.raises(RuntimeError, match="index 3 failed"):
         run_indexed(worker, 6, 2)
     assert blas_at_two() == 2
     run_indexed(lambda i: i, 2, 2)
-    assert pools == [1, 1]
+    assert pools == [2, 2]
+
+
+def test_exception_cancels_indices_not_started():
+    count = 50
+    ran = []
+
+    def worker(i):
+        ran.append(i)
+        if i == 0:
+            raise RuntimeError("index 0 failed")
+        time.sleep(0.01)
+
+    with pytest.raises(RuntimeError, match="index 0 failed"):
+        run_indexed(worker, count, 2)
+    assert len(ran) < count
 
 
 def test_run_test_with_corr_cv_restores_blas(blas_at_two, monkeypatch):
