@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from .covariance import CovMatrix
-from .lp import LpExponent, lp_norm_rows
+from .lp import LpExponent, _row_norms
 from .sampling import RngSeed, mvn_sample
 
 # hard cap on retained draws; full sorted samples are kept for quantiles/KS
@@ -50,14 +50,15 @@ def _norm_draws(rows, p_list, B: int, rng: RngSeed, d: int) -> dict:
     """B draws of ||V||_p for every p in p_list, all read from one stream of
     Gaussian rows V: chunk k has at most _CHUNK rows, made by rows(m,
     rng.child(k)), so memory stays bounded and single-p output equals
-    multi-p output draw-for-draw."""
+    multi-p output draw-for-draw. One norm pass per chunk serves every p."""
     if not 1 <= B <= MAX_DRAWS:
         raise ValueError(f"B must lie in [1, {MAX_DRAWS}]")
+    qs = [p.resolve(d) for p in p_list]
     out = {p: np.empty(B) for p in p_list}
     for k, pos in enumerate(range(0, B, _CHUNK)):
         V = rows(min(_CHUNK, B - pos), rng.child(k))
-        for p in p_list:
-            out[p][pos:pos + V.shape[0]] = lp_norm_rows(V, p, d_context=d)
+        for p, norms in zip(p_list, _row_norms(V, qs)):
+            out[p][pos:pos + V.shape[0]] = norms
     return out
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bootstrap import ks_distance, proxy_draws
-from .covariance import CovMatrix, cov_diagnostics, cov_error
+from .covariance import CovMatrix, cov_error
 from .lp import LpExponent, lp_norm, lp_norm_rows
 from .sampling import RngSeed, mvn_sample
 
@@ -53,9 +53,9 @@ def levy_concentration(S: CovMatrix, p: LpExponent, eps: float, n_mc: int,
     if not sigma.any():
         # degenerate covariance: every draw is 0, any window captures all mass
         return ProbeReport("levy", 1.0, eps, C, n_mc, 1.0 <= C * eps)
-    diag = cov_diagnostics(S)
-    width = eps * lp_norm(sigma, p, d_context=d) / _omega(p, d, max(diag.rank, 1))
-    draws = np.sort(lp_norm_rows(mvn_sample(S.factor(), n_mc, rng), p, d_context=d))
+    F = S.factor()
+    width = eps * lp_norm(sigma, p, d_context=d) / _omega(p, d, max(F.rank, 1))
+    draws = np.sort(lp_norm_rows(mvn_sample(F, n_mc, rng), p, d_context=d))
     # exact sup over windows anchored at sample points, O(n_mc) two-pointer
     hi = np.searchsorted(draws, draws + width, side="right")
     estimate = float((hi - np.arange(n_mc)).max()) / n_mc
@@ -80,7 +80,7 @@ def comparison_ks(Sx: CovMatrix, Sy: CovMatrix, p: LpExponent, n_mc: int,
         delta_p = next(iter(err.delta_p.values()))
         sides = []
         for S in (Sx, Sy):
-            r = max(cov_diagnostics(S).rank, 1)
+            r = max(S.factor().rank, 1)
             snorm = lp_norm(np.sqrt(np.diag(S.values)), p, d_context=d)
             if snorm > 0.0:
                 sides.append(math.sqrt(q * q * d ** (1.0 / q) * r ** (1.0 / q) * delta_p) / snorm)

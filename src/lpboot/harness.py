@@ -92,8 +92,9 @@ class ExperimentConfig:
         if self.kind.startswith("power") or self.kind != "probe" and any(
                 isinstance(s, EstimatorSpec) and s.kind == "corr_cv" for s in specs):
             _cv_split(self.n)
-        if self.B > MAX_DRAWS:
-            raise ValueError(f"B must be at most {MAX_DRAWS}")
+        for name in ("B", "truth_reps"):
+            if getattr(self, name) > MAX_DRAWS:
+                raise ValueError(f"{name} must be at most {MAX_DRAWS}")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
 
@@ -169,7 +170,10 @@ def config_from_dict(values: dict) -> ExperimentConfig:
         kw = {key: _PARSERS[key](text) for key, text in values.items() if key != "kind"}
     except ValueError as exc:
         raise ValueError(f"bad config value: {exc}") from exc
-    return ExperimentConfig(kind=values["kind"], **kw)
+    try:
+        return ExperimentConfig(kind=values["kind"], **kw)
+    except OverflowError as exc:  # a size with hundreds of digits meets float arithmetic
+        raise ValueError(f"bad config value: {exc}") from exc
 
 
 def paper_scale_preset(kind: str) -> ExperimentConfig:
@@ -208,12 +212,18 @@ def _statistics(X: np.ndarray, p_list) -> dict:
 
 def _truth_distributions(cfg: ExperimentConfig, Sigma: CovMatrix) -> dict:
     """Law of the scaled-sum norm under the copula model, one statistic per
-    independent dataset."""
+    independent dataset; dataset r is drawn on sub-stream (1, r), on the
+    pool."""
     stats = {p: np.empty(cfg.truth_reps) for p in cfg.p_list}
-    for r in range(cfg.truth_reps):
+
+    def dataset(r: int) -> None:
         X = copula_sample(Sigma, cfg.marginal, cfg.n, cfg.rng.child(1, r))
         for p, v in _statistics(X, cfg.p_list).items():
             stats[p][r] = v
+
+    Sigma.factor()  # as in _replicates
+    # the datasets are not replicates, so they bypass the replicate pool's name
+    run_indexed(dataset, cfg.truth_reps, cfg.threads)
     return {p: EmpiricalDistribution(v, {"engine": "truth", "p": p.label})
             for p, v in stats.items()}
 
@@ -322,7 +332,7 @@ def _power_records(cfg: ExperimentConfig, Sigma: CovMatrix) -> list:
         for i, delta in enumerate(deltas):
             s = s0 + sqrt_n * delta * v
             for j, p in enumerate(cfg.p_list):
-                reject[i, j] = lp_norm(s, p, d_context=cfg.d) >= crit[p]
+                reject[i, j] = lp_norm(s, p, d_context=cfg.d) > crit[p]
         return reject
 
     power = np.stack(_replicates(cfg, Sigma, body)).mean(axis=0)  # deltas x p

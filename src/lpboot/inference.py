@@ -154,7 +154,7 @@ def run_test(X: np.ndarray, spec: TestSpec) -> TestResult:
     crit = critical_value(dist, spec.alpha)
     p_value = float((dist.samples >= stat).mean())
     return TestResult(statistic=stat, critical_value=crit,
-                      reject=bool(stat >= crit), p_value=p_value,
+                      reject=bool(stat > crit), p_value=p_value,
                       distribution=dist)
 
 

@@ -79,26 +79,35 @@ def _check_vector(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _pnorm(absx: np.ndarray, q: float, axis=None) -> np.ndarray | float:
-    """Norm of nonnegative entries at numeric exponent q, max-factored."""
+def _pnorm(absx: np.ndarray, q: float) -> float:
+    """Norm of a nonnegative vector at numeric exponent q, max-factored."""
     if math.isinf(q):
-        return absx.max(axis=axis)
-    if axis is None:
-        m = float(absx.max())
-        if m == 0.0:
-            return 0.0
-        return m * float(((absx / m) ** q).sum() ** (1.0 / q))
-    m = absx.max(axis=axis, keepdims=True)
+        return float(absx.max())
+    m = float(absx.max())
+    if m == 0.0:
+        return 0.0
+    return m * float(((absx / m) ** q).sum() ** (1.0 / q))
+
+
+def _row_norms(X: np.ndarray, qs) -> list:
+    """Row-wise norms of X at each numeric exponent in qs, max-factored; the
+    absolute values, row maxima and max-scaled ratios are computed once and
+    shared by every finite exponent."""
+    absx = np.abs(X)
+    m = absx.max(axis=1)
+    if all(math.isinf(q) for q in qs):
+        return [m] * len(qs)
     safe = np.where(m > 0.0, m, 1.0)
-    res = np.squeeze(safe, axis=axis) * ((absx / safe) ** q).sum(axis=axis) ** (1.0 / q)
-    return np.where(np.squeeze(m, axis=axis) == 0.0, 0.0, res)
+    ratio = absx / safe[:, None]
+    # a zero row has ratio 0, so its norm comes out 1.0 * 0.0 = 0.0
+    return [m if math.isinf(q) else safe * (ratio ** q).sum(axis=1) ** (1.0 / q) for q in qs]
 
 
 def lp_norm(x: np.ndarray, p: LpExponent, d_context: int | None = None) -> float:
     """lp-norm of x; for log-dimension exponents d_context defaults to len(x)."""
     x = _check_vector(x)
     d = len(x) if d_context is None else int(d_context)
-    return float(_pnorm(np.abs(x), p.resolve(d)))
+    return _pnorm(np.abs(x), p.resolve(d))
 
 
 def lp_norm_rows(X: np.ndarray, p: LpExponent, d_context: int | None = None) -> np.ndarray:
@@ -107,7 +116,7 @@ def lp_norm_rows(X: np.ndarray, p: LpExponent, d_context: int | None = None) -> 
     if X.ndim != 2 or X.shape[1] == 0:
         raise ValueError("expected a 2-d array with nonempty rows")
     d = X.shape[1] if d_context is None else int(d_context)
-    return np.asarray(_pnorm(np.abs(X), p.resolve(d), axis=1))
+    return _row_norms(X, [p.resolve(d)])[0]
 
 
 def smooth_norm(x: np.ndarray, p: int, eta: float) -> float:

@@ -9,11 +9,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from lpboot.bootstrap import (EmpiricalDistribution, critical_value,
-                              empirical_quantile, gmb_draws, gpb_draws,
-                              ks_distance, proxy_draws)
+from lpboot.bootstrap import (_CHUNK, EmpiricalDistribution, _norm_draws,
+                              critical_value, empirical_quantile, gmb_draws,
+                              gpb_draws, ks_distance, proxy_draws)
 from lpboot.covariance import CovMatrix, sample_covariance
-from lpboot.lp import LpExponent
+from lpboot.lp import LpExponent, lp_norm_rows
 from lpboot.sampling import RngSeed
 
 
@@ -176,3 +176,40 @@ class TestGmbDraws:
     def test_rejects_single_row(self):
         with pytest.raises(ValueError):
             gmb_draws(np.ones((1, 3)), LpExponent.finite(2), 10, RngSeed(0))
+
+
+def _reference_row_norms(V, q):
+    """Row norms at numeric exponent q, one exponent at a time, as each p
+    was computed before the norm pass was shared."""
+    absv = np.abs(V)
+    if math.isinf(q):
+        return absv.max(axis=1)
+    m = absv.max(axis=1, keepdims=True)
+    safe = np.where(m > 0.0, m, 1.0)
+    res = np.squeeze(safe, axis=1) * ((absv / safe) ** q).sum(axis=1) ** (1.0 / q)
+    return np.where(np.squeeze(m, axis=1) == 0.0, 0.0, res)
+
+
+def test_one_norm_pass_equals_each_p_alone():
+    d = 7
+    p_list = (LpExponent.finite(1), LpExponent.finite(2), LpExponent.log_dim(),
+              LpExponent.infinity(), LpExponent.finite(3.5))
+    chunks = []
+
+    def rows(m, seed):
+        V = seed.generator().standard_normal((m, d)) * 10.0 ** np.arange(-3, 4)
+        V[::5] = 0.0  # all-zero rows
+        chunks.append(V)
+        return V
+
+    B = _CHUNK + 300  # two chunks
+    draws = _norm_draws(rows, p_list, B, RngSeed(21), d)
+    assert len(chunks) == 2
+    first = list(chunks)
+    for p in p_list:
+        q = p.resolve(d)
+        want = np.concatenate([_reference_row_norms(V, q) for V in first])
+        assert want.tobytes() == draws[p].tobytes()
+        assert want.tobytes() == np.concatenate([lp_norm_rows(V, p) for V in first]).tobytes()
+        assert draws[p].tobytes() == _norm_draws(rows, (p,), B, RngSeed(21), d)[p].tobytes()
+    assert not draws[LpExponent.finite(2)][::5][:3].any()

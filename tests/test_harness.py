@@ -11,13 +11,15 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import lpboot
-from lpboot import cli, covariance, harness, sampling
+from lpboot import cli, covariance, harness, parallel, sampling
 from lpboot.bootstrap import MAX_DRAWS, gmb_draws, gpb_draws, proxy_draws
 from lpboot.cli import main
 from lpboot.covariance import cv_select_lambda, sample_covariance
-from lpboot.harness import (ENGINES, ExperimentConfig, config_from_dict,
+from lpboot.harness import (ENGINES, KINDS, ExperimentConfig, config_from_dict,
                             default_delta_grid, default_p_list, parse_config,
                             paper_scale_preset, run_experiment,
                             sparse_direction, summarize_coverage)
@@ -89,6 +91,8 @@ class TestExperimentConfig:
             ExperimentConfig(kind="ks", mc_reps=0)
         with pytest.raises(ValueError, match="B must be at most"):
             ExperimentConfig(kind="ks", B=MAX_DRAWS + 1)
+        with pytest.raises(ValueError, match=f"truth_reps must be at most {MAX_DRAWS}"):
+            ExperimentConfig(kind="ks", truth_reps=MAX_DRAWS + 1)
         for name in ("cv_grid_size", "cv_folds", "threads"):
             with pytest.raises(ValueError, match=name):
                 ExperimentConfig(kind="power-dense", **{name: 0})
@@ -119,7 +123,8 @@ class TestExperimentConfig:
         ExperimentConfig(kind="ks", n=3, d=10, block=2, estimators=("naive", "proxy"))
         ExperimentConfig(kind="probe", n=3)
 
-    @pytest.mark.parametrize("bad", [dict(cv_grid_size=0), dict(B=MAX_DRAWS + 1)])
+    @pytest.mark.parametrize("bad", [dict(cv_grid_size=0), dict(B=MAX_DRAWS + 1),
+                                     dict(truth_reps=MAX_DRAWS + 1)])
     def test_bad_config_fails_before_any_compute(self, tmp_path, monkeypatch, bad):
         def no_compute(*args, **kwargs):
             raise AssertionError("copula_sample ran before the config was checked")
@@ -215,6 +220,33 @@ class TestConfigParsing:
     def test_bad_value_rejected(self):
         with pytest.raises(ValueError, match="bad config value"):
             config_from_dict({"kind": "ks", "n": "many"})
+
+    @given(st.dictionaries(
+        st.sampled_from(sorted(harness._PARSERS)) | st.text(max_size=6),
+        st.text(max_size=12) | st.integers(-10**400, 10**400).map(str)
+        | st.sampled_from(["0", "1", "3", "1e400", "nan", "-inf", "2,logd,inf", "cv,naive",
+                           "hard(0.1),band(2)", "hard(1e400)", "gmb,gmb", "uniform"]),
+        max_size=6), st.sampled_from(KINDS) | st.text(max_size=8))
+    @example({"n": "9" * 400}, "ks")
+    @example({"n": "9" * 400}, "power-dense")
+    @settings(max_examples=300, deadline=None)
+    def test_parsers_raise_only_value_errors(self, values, kind):
+        with pytest.MonkeyPatch.context() as mp:
+            def no_compute(*args, **kwargs):
+                raise AssertionError("a config check ran compute")
+
+            mp.setattr(harness, "run_experiment", no_compute)
+            mp.setattr(harness, "estimate_covariance", no_compute)
+            mp.setattr(harness, "copula_sample", no_compute)
+            try:
+                config_from_dict({**values, "kind": kind})
+            except ValueError:
+                pass
+            for text in values.values():
+                try:
+                    EstimatorSpec.parse(text)
+                except ValueError:
+                    pass
 
 
 class TestKsExperiment:
@@ -427,6 +459,11 @@ def test_shared_covariances_factored_once(monkeypatch):
 
 
 class TestPoolBlasThreads:
+    @pytest.fixture(autouse=True)
+    def two_cores(self, monkeypatch):
+        # the pool is capped at the usable cores; these tests need two workers
+        monkeypatch.setattr(parallel, "_available_cores", lambda: 2)
+
     def test_workers_run_one_blas_thread(self, blas_at_two):
         assert harness._run_indexed(lambda i: blas_at_two(), 6, 2) == [1] * 6
         assert blas_at_two() == 2
@@ -593,6 +630,7 @@ FUZZ_FILES = {
     "negative_seed.txt": "kind=ks\nn=30\nd=10\nblock=2\nseed=-1\n",
     "negative_block.txt": "kind=ks\nn=30\nd=10\nblock=-2\n",
     "small_ks.txt": "kind=ks\nn=30\nd=10\nblock=2\n",
+    "many_truth.txt": f"kind=ks\nn=30\nd=10\nblock=2\ntruth_reps={MAX_DRAWS + 1}\n",
 }
 
 
@@ -621,6 +659,10 @@ EARLY_FAILURES = [
     ["test", "x.csv", "--seed", "-1"],
     ["test", "missing.csv", "--seed", "-1"],
 ]
+# more such cases, listed last below so that earlier cases keep their ids
+LATER_EARLY_FAILURES = [
+    ["ks", "--config", "many_truth.txt", "--out", "o.csv"],
+]
 
 
 @pytest.mark.filterwarnings("error")
@@ -648,12 +690,13 @@ EARLY_FAILURES = [
     *EARLY_FAILURES,
     ["volume", "--d", "2", "--p", "2", "--r", "inf"],
     ["volume", "--d", "2", "--p", "2", "--r", "nan"],
+    *LATER_EARLY_FAILURES,
 ])
 def test_cli_bad_input_exits_cleanly(tmp_path, monkeypatch, capsys, argv):
     for name, text in FUZZ_FILES.items():
         (tmp_path / name).write_text(text)
     monkeypatch.chdir(tmp_path)
-    if argv in EARLY_FAILURES:
+    if argv in EARLY_FAILURES + LATER_EARLY_FAILURES:
         def no_compute(*args, **kwargs):
             raise AssertionError("compute ran before the options were checked")
 
@@ -690,6 +733,7 @@ def test_cli_bad_input_exits_cleanly(tmp_path, monkeypatch, capsys, argv):
                 "repeated_p.txt": "p_list 2, 2 names one exponent twice",
                 "nan_delta.txt": "delta_grid values must be finite",
                 "negative_seed.txt": "seed must be nonnegative",
-                "negative_block.txt": "error: block must be nonnegative"}.get(argv[2] if len(argv) > 2 else "")
+                "negative_block.txt": "error: block must be nonnegative",
+                "many_truth.txt": f"error: truth_reps must be at most {MAX_DRAWS}"}.get(argv[2] if len(argv) > 2 else "")
     if expected:
         assert code == 2 and expected in err

@@ -1,8 +1,12 @@
-"""The shared pool: index order, no nested pools, exceptions and the
-cancellation they cause, and the BLAS thread count around CV's fold pool."""
+"""The shared pool: index order, no nested pools, pools kept across calls and
+capped at the usable cores, exceptions and the cancellation they cause, and
+the BLAS thread count around CV's fold pool."""
 
+import os
 import sys
+import threading
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -17,16 +21,23 @@ from lpboot.sampling import RngSeed
 
 @pytest.fixture
 def pools(monkeypatch):
-    """The worker count of each pool run_indexed starts, in order."""
-    started = []
+    """The worker count of each executor run_indexed makes, in order, on 8
+    usable cores; the test starts with no kept executor and its own are shut
+    down after it."""
+    sizes, made = [], []
     executor = parallel.ThreadPoolExecutor
 
     def counting(max_workers):
-        started.append(max_workers)
-        return executor(max_workers=max_workers)
+        sizes.append(max_workers)
+        made.append(executor(max_workers=max_workers))
+        return made[-1]
 
     monkeypatch.setattr(parallel, "ThreadPoolExecutor", counting)
-    return started
+    monkeypatch.setattr(parallel, "_EXECUTORS", parallel._Executors())
+    monkeypatch.setattr(parallel, "_available_cores", lambda: 8)
+    yield sizes
+    for pool in made:
+        pool.shutdown()
 
 
 def test_results_come_back_in_index_order(pools):
@@ -45,6 +56,31 @@ def test_uses_at_most_count_threads(pools):
     assert pools == [2]
 
 
+def test_uses_at_most_the_usable_cores(pools, monkeypatch):
+    monkeypatch.setattr(parallel, "_available_cores", lambda: 3)
+    names = set()
+
+    def worker(i):
+        names.add(threading.current_thread().name)
+        time.sleep(0.005)
+        return i
+
+    assert run_indexed(worker, 6, 1000) == list(range(6))
+    assert pools == [3]
+    assert len(names) <= 3
+    monkeypatch.setattr(parallel, "_available_cores", lambda: 1)
+    assert run_indexed(lambda i: threading.current_thread(), 4, 1000) == [
+        threading.current_thread()] * 4
+    assert pools == [3]
+
+
+def test_calls_reuse_one_executor(pools):
+    first = run_indexed(lambda i: threading.current_thread(), 8, 2)
+    second = run_indexed(lambda i: threading.current_thread(), 8, 2)
+    assert pools == [2]
+    assert set(second) <= set(first) and threading.current_thread() not in first
+
+
 def test_call_inside_a_worker_runs_serially(pools):
     def outer(i):
         return run_indexed(lambda j: (i, j), 3, 4)
@@ -52,8 +88,9 @@ def test_call_inside_a_worker_runs_serially(pools):
     assert run_indexed(outer, 4, 2) == [[(i, j) for j in range(3)] for i in range(4)]
     assert pools == [2]
     # the caller is no pool worker once its pool has ended
-    run_indexed(lambda i: i, 2, 2)
-    assert pools == [2, 2]
+    assert run_indexed(lambda i: threading.current_thread(), 2, 2)[0] is not (
+        threading.current_thread())
+    assert pools == [2]
 
 
 def test_cv_inside_harness_workers_starts_no_pool(pools, monkeypatch):
@@ -61,10 +98,12 @@ def test_cv_inside_harness_workers_starts_no_pool(pools, monkeypatch):
     kw = dict(kind="ks", n=40, d=20, mc_reps=3, B=100, truth_reps=50, block=2,
               cv_folds=3, cv_grid_size=5, estimators=("corr_cv",))
     pooled = run_experiment(ExperimentConfig(threads=2, **kw))
+    # the truth datasets and the replicates share one executor
     assert pools == [2]
-    # a serial harness leaves CV free to spread its folds
+    # a serial harness leaves CV free to spread its folds, on one more
+    # executor that every CV call reuses
     assert run_experiment(ExperimentConfig(threads=1, **kw)) == pooled
-    assert pools == [2] + [3] * 3
+    assert pools == [2, 3]
 
 
 def test_exception_propagates_and_blas_count_returns(blas_at_two, pools):
@@ -77,7 +116,49 @@ def test_exception_propagates_and_blas_count_returns(blas_at_two, pools):
         run_indexed(worker, 6, 2)
     assert blas_at_two() == 2
     run_indexed(lambda i: i, 2, 2)
-    assert pools == [2, 2]
+    assert pools == [2]
+
+
+def test_exception_waits_for_started_indices(blas_at_two, pools):
+    started, ended = threading.Event(), []
+
+    def worker(i):
+        if i == 0:
+            assert started.wait(10)
+            raise RuntimeError("index 0 failed")
+        if i == 1:
+            started.set()
+            time.sleep(0.2)
+            ended.append(blas_at_two())
+
+    with pytest.raises(RuntimeError, match="index 0 failed"):
+        run_indexed(worker, 20, 2)
+    # index 1 ended, under the pin, before the call returned and the pin went
+    assert ended == [1]
+    assert blas_at_two() == 2
+
+
+def test_forked_child_runs_a_pool(monkeypatch):
+    monkeypatch.setattr(parallel, "_available_cores", lambda: 2)
+    assert run_indexed(lambda i: i, 4, 2) == list(range(4))  # keeps an executor
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)  # fork with threads alive
+        pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            # the kept executor's threads did not survive the fork
+            code = 0 if run_indexed(lambda i: i * i, 6, 2) == [i * i for i in range(6)] else 3
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 30
+    while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+        time.sleep(0.01)
+    if done[0] == 0:
+        os.kill(pid, 9)
+        os.waitpid(pid, 0)
+        pytest.fail("the forked child's pool did not finish")
+    assert os.waitstatus_to_exitcode(done[1]) == 0
 
 
 def test_exception_cancels_indices_not_started():
@@ -115,7 +196,8 @@ def test_run_test_with_corr_cv_restores_blas(blas_at_two, monkeypatch):
     assert blas_at_two() == 2
 
 
-def test_stress_each_index_runs_once():
+def test_stress_each_index_runs_once(monkeypatch):
+    monkeypatch.setattr(parallel, "_available_cores", lambda: 8)  # more workers than cores
     count = 3000
     runs = [0] * count
 
