@@ -163,7 +163,7 @@ def psd_project(M: CovMatrix) -> CovMatrix:
 def _cv_split(n: int) -> int:
     """Rows in the small half of a CV split of n rows, ceil(n/3); both halves
     need two rows for a sample covariance."""
-    n1 = math.ceil(n / 3)
+    n1 = -(-n // 3)
     if n1 < 2 or n - n1 < 2:
         raise ValueError(f"n={n} too small to split into {n1} / {n - n1}")
     return n1

@@ -110,12 +110,15 @@ class ExperimentConfig:
 def default_delta_grid(kind: str, n: int, d: int) -> list:
     """Signal grids of 13 points: dense alternatives scale as 1/sqrt(nd),
     sparse ones as sqrt(log d / n)."""
-    if kind == "power-dense":
-        top = 6.0 / math.sqrt(n * d)
-    elif kind == "power-sparse":
-        top = 6.0 * math.sqrt(math.log(d) / n)
-    else:
+    if kind not in ("power-dense", "power-sparse"):
         raise ValueError(f"no delta grid for kind {kind!r}")
+    try:
+        if kind == "power-dense":
+            top = 6.0 / math.sqrt(n * d)
+        else:
+            top = 6.0 * math.sqrt(math.log(d) / n)
+    except OverflowError:
+        raise ValueError("n and d too large for a float delta grid") from None
     return list(np.linspace(0.0, top, 13))
 
 
@@ -170,10 +173,7 @@ def config_from_dict(values: dict) -> ExperimentConfig:
         kw = {key: _PARSERS[key](text) for key, text in values.items() if key != "kind"}
     except ValueError as exc:
         raise ValueError(f"bad config value: {exc}") from exc
-    try:
-        return ExperimentConfig(kind=values["kind"], **kw)
-    except OverflowError as exc:  # a size with hundreds of digits meets float arithmetic
-        raise ValueError(f"bad config value: {exc}") from exc
+    return ExperimentConfig(kind=values["kind"], **kw)
 
 
 def paper_scale_preset(kind: str) -> ExperimentConfig:

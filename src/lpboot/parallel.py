@@ -4,13 +4,12 @@ runs."""
 
 from __future__ import annotations
 
-import contextlib
 import ctypes
 import functools
 import glob
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -73,51 +72,16 @@ class _OneBlasThread:
                 calls[1](self._saved)
 
 
-class _Executors:
-    """Thread pools kept from one run_indexed call to the next, so that a
-    call starts no threads a finished call left idle. A call takes an idle
-    pool of its size, or makes one, and gives it back when it ends; calls
-    that overlap never share workers. Sizes are capped at the usable cores,
-    so few pools are ever kept."""
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._idle = {}  # worker count -> pools no call is using
-
-    @contextlib.contextmanager
-    def take(self, workers: int):
-        with self._lock:
-            idle = self._idle.get(workers)
-            pool = idle.pop() if idle else None
-        if pool is None:
-            pool = ThreadPoolExecutor(max_workers=workers)
-        try:
-            yield pool
-        finally:
-            with self._lock:
-                self._idle.setdefault(workers, []).append(pool)
-
-    def forget(self) -> None:
-        """Drop every kept pool: a forked child has none of their threads."""
-        self._lock = threading.Lock()
-        self._idle = {}
-
-
-_EXECUTORS = _Executors()
-if hasattr(os, "register_at_fork"):
-    # looks _EXECUTORS up when the fork happens, not at import
-    os.register_at_fork(after_in_child=lambda: _EXECUTORS.forget())
 _ONE_BLAS_THREAD = _OneBlasThread()
 _pool_worker = threading.local()  # .active: this thread is a pool worker
 
 
 def run_indexed(worker, count: int, threads: int) -> list:
-    """[worker(i) for i in range(count)] on min(threads, count, usable cores)
-    threads of a kept pool, results in index order. The call returns once
-    every index it started has ended: when an index raises, the indices not
-    yet started are cancelled and the exception propagates after the others
-    end. A call from inside a pool's worker runs serially, so pools never
-    nest."""
+    """[worker(i) for i in range(count)] on a pool of min(threads, count,
+    usable cores) threads, results in index order; the caller waits. When an
+    index raises, the indices not yet started are cancelled and the exception
+    propagates. A call from inside a pool's worker runs serially, so pools
+    never nest."""
     workers = min(threads, count, _available_cores())
     if workers <= 1 or getattr(_pool_worker, "active", False):
         return [worker(i) for i in range(count)]
@@ -126,12 +90,5 @@ def run_indexed(worker, count: int, threads: int) -> list:
         _pool_worker.active = True
         return worker(i)
 
-    with _ONE_BLAS_THREAD, _EXECUTORS.take(workers) as pool:
-        futures = [pool.submit(task, i) for i in range(count)]
-        try:
-            return [f.result() for f in futures]
-        except BaseException:
-            for f in futures:
-                f.cancel()
-            wait(futures)
-            raise
+    with _ONE_BLAS_THREAD, ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(task, range(count)))

@@ -119,6 +119,12 @@ class TestExperimentConfig:
                 ExperimentConfig(kind="power-dense", delta_grid=grid)
         with pytest.raises(ValueError, match="seed must be nonnegative"):
             ExperimentConfig(kind="ks", seed=-1)
+        # sizes too large for a float are bad values, not overflows
+        for kind, big in (("power-dense", dict(n=10**400)), ("power-sparse", dict(n=10**400)),
+                          ("power-dense", dict(d=10**400, block=1))):
+            with pytest.raises(ValueError, match="too large for a float"):
+                ExperimentConfig(kind=kind, **big)
+        assert ExperimentConfig(kind="ks", n=10**400).n == 10**400
         # no CV runs here, so three rows are enough
         ExperimentConfig(kind="ks", n=3, d=10, block=2, estimators=("naive", "proxy"))
         ExperimentConfig(kind="probe", n=3)

@@ -1,12 +1,10 @@
-"""The shared pool: index order, no nested pools, pools kept across calls and
-capped at the usable cores, exceptions and the cancellation they cause, and
-the BLAS thread count around CV's fold pool."""
+"""The shared pool: index order, no nested pools, the cap at the usable
+cores, exceptions and the cancellation they cause, and the BLAS thread count
+around CV's fold pool."""
 
-import os
 import sys
 import threading
 import time
-import warnings
 
 import numpy as np
 import pytest
@@ -21,23 +19,18 @@ from lpboot.sampling import RngSeed
 
 @pytest.fixture
 def pools(monkeypatch):
-    """The worker count of each executor run_indexed makes, in order, on 8
-    usable cores; the test starts with no kept executor and its own are shut
-    down after it."""
-    sizes, made = [], []
+    """The worker count of each pool run_indexed starts, in order, on 8
+    usable cores."""
+    started = []
     executor = parallel.ThreadPoolExecutor
 
     def counting(max_workers):
-        sizes.append(max_workers)
-        made.append(executor(max_workers=max_workers))
-        return made[-1]
+        started.append(max_workers)
+        return executor(max_workers=max_workers)
 
     monkeypatch.setattr(parallel, "ThreadPoolExecutor", counting)
-    monkeypatch.setattr(parallel, "_EXECUTORS", parallel._Executors())
     monkeypatch.setattr(parallel, "_available_cores", lambda: 8)
-    yield sizes
-    for pool in made:
-        pool.shutdown()
+    return started
 
 
 def test_results_come_back_in_index_order(pools):
@@ -74,13 +67,6 @@ def test_uses_at_most_the_usable_cores(pools, monkeypatch):
     assert pools == [3]
 
 
-def test_calls_reuse_one_executor(pools):
-    first = run_indexed(lambda i: threading.current_thread(), 8, 2)
-    second = run_indexed(lambda i: threading.current_thread(), 8, 2)
-    assert pools == [2]
-    assert set(second) <= set(first) and threading.current_thread() not in first
-
-
 def test_call_inside_a_worker_runs_serially(pools):
     def outer(i):
         return run_indexed(lambda j: (i, j), 3, 4)
@@ -88,9 +74,8 @@ def test_call_inside_a_worker_runs_serially(pools):
     assert run_indexed(outer, 4, 2) == [[(i, j) for j in range(3)] for i in range(4)]
     assert pools == [2]
     # the caller is no pool worker once its pool has ended
-    assert run_indexed(lambda i: threading.current_thread(), 2, 2)[0] is not (
-        threading.current_thread())
-    assert pools == [2]
+    run_indexed(lambda i: i, 2, 2)
+    assert pools == [2, 2]
 
 
 def test_cv_inside_harness_workers_starts_no_pool(pools, monkeypatch):
@@ -98,12 +83,11 @@ def test_cv_inside_harness_workers_starts_no_pool(pools, monkeypatch):
     kw = dict(kind="ks", n=40, d=20, mc_reps=3, B=100, truth_reps=50, block=2,
               cv_folds=3, cv_grid_size=5, estimators=("corr_cv",))
     pooled = run_experiment(ExperimentConfig(threads=2, **kw))
-    # the truth datasets and the replicates share one executor
-    assert pools == [2]
-    # a serial harness leaves CV free to spread its folds, on one more
-    # executor that every CV call reuses
+    # one pool for the truth datasets, one for the replicates
+    assert pools == [2, 2]
+    # a serial harness leaves CV free to spread its folds
     assert run_experiment(ExperimentConfig(threads=1, **kw)) == pooled
-    assert pools == [2, 3]
+    assert pools == [2, 2] + [3] * 3
 
 
 def test_exception_propagates_and_blas_count_returns(blas_at_two, pools):
@@ -116,7 +100,7 @@ def test_exception_propagates_and_blas_count_returns(blas_at_two, pools):
         run_indexed(worker, 6, 2)
     assert blas_at_two() == 2
     run_indexed(lambda i: i, 2, 2)
-    assert pools == [2]
+    assert pools == [2, 2]
 
 
 def test_exception_waits_for_started_indices(blas_at_two, pools):
@@ -136,29 +120,6 @@ def test_exception_waits_for_started_indices(blas_at_two, pools):
     # index 1 ended, under the pin, before the call returned and the pin went
     assert ended == [1]
     assert blas_at_two() == 2
-
-
-def test_forked_child_runs_a_pool(monkeypatch):
-    monkeypatch.setattr(parallel, "_available_cores", lambda: 2)
-    assert run_indexed(lambda i: i, 4, 2) == list(range(4))  # keeps an executor
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)  # fork with threads alive
-        pid = os.fork()
-    if pid == 0:
-        code = 1
-        try:
-            # the kept executor's threads did not survive the fork
-            code = 0 if run_indexed(lambda i: i * i, 6, 2) == [i * i for i in range(6)] else 3
-        finally:
-            os._exit(code)
-    deadline = time.monotonic() + 30
-    while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
-        time.sleep(0.01)
-    if done[0] == 0:
-        os.kill(pid, 9)
-        os.waitpid(pid, 0)
-        pytest.fail("the forked child's pool did not finish")
-    assert os.waitstatus_to_exitcode(done[1]) == 0
 
 
 def test_exception_cancels_indices_not_started():
