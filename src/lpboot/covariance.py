@@ -82,13 +82,23 @@ def sample_covariance(X: np.ndarray) -> CovMatrix:
     return CovMatrix(S, provenance="naive")
 
 
+def _keep_off_diagonal(a: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """a with the off-diagonal entries where keep is False zeroed; the
+    diagonal is always kept."""
+    out = np.where(keep, a, 0.0)
+    np.fill_diagonal(out, np.diag(a))
+    return out
+
+
 def threshold(M: CovMatrix, lam: float) -> CovMatrix:
-    """Entrywise hard thresholding at level lam >= 0."""
+    """Hard thresholding at level lam >= 0: zero the off-diagonal entries with
+    |m_jk| <= lam and keep the diagonal (Rothman, Levina & Zhu 2009), so no
+    variance is thresholded to zero."""
     if lam < 0.0:
         raise ValueError("threshold level must be nonnegative")
     a = M.values
-    out = np.where(np.abs(a) > lam, a, 0.0)
-    return CovMatrix(out, provenance=f"hard-threshold({lam:g})<-{M.provenance}")
+    return CovMatrix(_keep_off_diagonal(a, np.abs(a) > lam),
+                     provenance=f"hard-threshold({lam:g})<-{M.provenance}")
 
 
 def _check_correlation_level(lam: float) -> None:
@@ -106,19 +116,12 @@ def _abs_correlation(a: np.ndarray) -> np.ndarray:
     return np.abs(a) / np.outer(sd, sd)
 
 
-def _keep_correlated(a: np.ndarray, corr: np.ndarray, lam: float) -> np.ndarray:
-    """a with the off-diagonal entries whose corr is below lam zeroed."""
-    out = np.where(corr >= lam, a, 0.0)
-    np.fill_diagonal(out, np.diag(a))
-    return out
-
-
 def correlation_threshold(M: CovMatrix, lam: float) -> CovMatrix:
     """Keep entry (j,k) iff |m_jk| / sqrt(m_jj m_kk) >= lam, taking a zero-variance
     coordinate as uncorrelated with the rest; diagonal always kept."""
     _check_correlation_level(lam)
-    corr = _abs_correlation(M.values)
-    return CovMatrix(_keep_correlated(M.values, corr, lam),
+    keep = _abs_correlation(M.values) >= lam
+    return CovMatrix(_keep_off_diagonal(M.values, keep),
                      provenance=f"corr-threshold({lam:g})<-{M.provenance}")
 
 
@@ -126,10 +129,9 @@ def band(M: CovMatrix, ell: int) -> CovMatrix:
     """Zero all entries with |j - k| > ell."""
     if ell < 0:
         raise ValueError("band width must be nonnegative")
-    d = M.dim
-    j, k = np.indices((d, d))
-    out = np.where(np.abs(j - k) <= ell, M.values, 0.0)
-    return CovMatrix(out, provenance=f"band({ell})<-{M.provenance}")
+    j, k = np.indices(M.values.shape)
+    return CovMatrix(_keep_off_diagonal(M.values, np.abs(j - k) <= ell),
+                     provenance=f"band({ell})<-{M.provenance}")
 
 
 def _psd_clip(a: np.ndarray) -> np.ndarray:
@@ -209,7 +211,7 @@ def cv_select_lambda(X: np.ndarray, grid, folds: int, seed) -> tuple[float, list
         risks = np.empty(len(grid))
         for i, (lam, key) in enumerate(zip(grid, kept.tolist())):
             if key not in mask_risk:
-                D = _psd_clip(_keep_correlated(S1, corr, lam)) - S2
+                D = _psd_clip(_keep_off_diagonal(S1, corr >= lam)) - S2
                 # einsum, unlike the BLAS dot inside np.linalg.norm, sums in
                 # the same order for any BLAS thread count
                 mask_risk[key] = math.sqrt(float(np.einsum("ij,ij->", D, D)))

@@ -13,10 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bootstrap import ks_distance, proxy_draws
+from .bootstrap import MAX_DRAWS, ks_distance, proxy_draws
 from .covariance import CovMatrix, cov_error
-from .lp import LpExponent, lp_norm, lp_norm_rows
-from .sampling import RngSeed, mvn_sample
+from .lp import LpExponent, lp_norm
+from .sampling import RngSeed
 
 C = 10.0
 
@@ -46,16 +46,14 @@ def levy_concentration(S: CovMatrix, p: LpExponent, eps: float, n_mc: int,
     width eps * ||sigma||_p / omega_p(d, r); passes when <= C * eps."""
     if not eps > 0.0:
         raise ValueError("eps must be positive")
-    if n_mc < 1000:
-        raise ValueError("n_mc must be >= 1000")
+    if not 1000 <= n_mc <= MAX_DRAWS:
+        raise ValueError(f"n_mc must lie in [1000, {MAX_DRAWS}]")
     d = S.dim
     sigma = np.sqrt(np.diag(S.values))
-    if not sigma.any():
-        # degenerate covariance: every draw is 0, any window captures all mass
-        return ProbeReport("levy", 1.0, eps, C, n_mc, 1.0 <= C * eps)
-    F = S.factor()
-    width = eps * lp_norm(sigma, p, d_context=d) / _omega(p, d, max(F.rank, 1))
-    draws = np.sort(lp_norm_rows(mvn_sample(F, n_mc, rng), p, d_context=d))
+    width = eps * lp_norm(sigma, p, d_context=d) / _omega(p, d, max(S.factor().rank, 1))
+    # sorted draws from the bootstrap kernel; a zero covariance gives all-zero
+    # draws and width 0, so one window holds all the mass
+    draws = proxy_draws(S, p, n_mc, rng).samples
     # exact sup over windows anchored at sample points, O(n_mc) two-pointer
     hi = np.searchsorted(draws, draws + width, side="right")
     estimate = float((hi - np.arange(n_mc)).max()) / n_mc
@@ -68,8 +66,8 @@ def comparison_ks(Sx: CovMatrix, Sy: CovMatrix, p: LpExponent, n_mc: int,
     the covariance-difference bound (plus KS sampling noise)."""
     if Sx.dim != Sy.dim:
         raise ValueError("dimension mismatch")
-    if n_mc < 1000:
-        raise ValueError("n_mc must be >= 1000")
+    if not 1000 <= n_mc <= MAX_DRAWS:
+        raise ValueError(f"n_mc must lie in [1000, {MAX_DRAWS}]")
     d = Sx.dim
     Dx = proxy_draws(Sx, p, n_mc, rng.child(0))
     Dy = proxy_draws(Sy, p, n_mc, rng.child(1))

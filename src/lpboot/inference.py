@@ -86,10 +86,9 @@ def estimate_covariance(X: np.ndarray, spec: EstimatorSpec, cv_seed: RngSeed) ->
         return psd_project(threshold(S, spec.lam))
     if spec.kind == "band":
         return psd_project(band(S, spec.ell))
-    if spec.kind == "corr_cv":
-        lam_hat, _ = cv_select_lambda(X, list(spec.cv_grid), spec.cv_folds, cv_seed)
-        return psd_project(correlation_threshold(S, lam_hat))
-    raise ValueError(f"unknown estimator kind {spec.kind!r}")
+    # corr_cv, the one kind left that EstimatorSpec admits
+    lam_hat, _ = cv_select_lambda(X, list(spec.cv_grid), spec.cv_folds, cv_seed)
+    return psd_project(correlation_threshold(S, lam_hat))
 
 
 @dataclass
@@ -130,7 +129,8 @@ def test_statistic(X: np.ndarray, M: np.ndarray, m0: np.ndarray, p: LpExponent) 
     M = np.asarray(M, dtype=float)
     m0 = np.asarray(m0, dtype=float)
     if X.ndim != 2 or M.shape[1] != X.shape[1] or M.shape[0] != m0.size:
-        raise ValueError("dimension mismatch")
+        raise ValueError(f"dimension mismatch: data of shape {X.shape}, restriction "
+                         f"map of shape {M.shape}, target of size {m0.size}")
     n = X.shape[0]
     s = X.sum(axis=0) @ M.T / math.sqrt(n) - math.sqrt(n) * m0
     return lp_norm(s, p, d_context=m0.size)
@@ -143,9 +143,6 @@ def run_test(X: np.ndarray, spec: TestSpec) -> TestResult:
     M Sigma_hat M' of the PSD structured estimate, so sparsity assumptions
     on Sigma keep paying off after the restriction map.
     """
-    X = np.asarray(X, dtype=float)
-    if X.shape[1] != spec.M.shape[1]:
-        raise ValueError("data dimension does not match the restriction map")
     stat = test_statistic(X, spec.M, spec.m0, spec.p)
     Sigma = estimate_covariance(X, spec.estimator, spec.seed.child(1, 0))
     Omega = CovMatrix(spec.M @ Sigma.values @ spec.M.T,
@@ -178,13 +175,14 @@ class ConfidenceSet:
 
 def confidence_set(X: np.ndarray, p: LpExponent, alpha: float,
                    estimator: EstimatorSpec, B: int, seed: RngSeed) -> ConfidenceSet:
-    """lp-ball around the sample mean with radius c*(1-alpha)/sqrt(n)."""
+    """lp-ball around the sample mean with radius c*(1-alpha)/sqrt(n): the dual
+    of run_test with M = I and m0 = 0 on the same seed, so mu lies in the set
+    iff that test of mu accepts, and its inputs are checked before compute."""
     X = np.asarray(X, dtype=float)
-    n = X.shape[0]
-    Sigma = estimate_covariance(X, estimator, seed.child(1, 0))
-    dist = gpb_draws(Sigma, p, B, seed.child(2))
-    crit = critical_value(dist, alpha)
-    return ConfidenceSet(center=X.mean(axis=0), radius=crit / math.sqrt(n), p=p)
+    d = X.shape[1] if X.ndim == 2 else 0
+    res = run_test(X, TestSpec(np.eye(d), np.zeros(d), p, alpha, estimator, B, seed))
+    return ConfidenceSet(center=X.mean(axis=0),
+                         radius=res.critical_value / math.sqrt(X.shape[0]), p=p)
 
 
 @dataclass

@@ -60,15 +60,6 @@ class MarginalKind(enum.Enum):
             raise ValueError(f"unknown marginal kind {text!r}")
         return aliases[t]
 
-    @property
-    def sd(self) -> float:
-        """Standard deviation of the marginal (t4 has variance 4/(4-2) = 2)."""
-        if self is MarginalKind.UNIFORM_SYM:
-            return 1.0 / math.sqrt(3.0)
-        if self is MarginalKind.STUDENT_T4:
-            return math.sqrt(2.0)
-        return 1.0
-
 
 @dataclass
 class PsdFactor:

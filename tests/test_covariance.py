@@ -111,13 +111,17 @@ class TestThreshold:
     @given(st.floats(0.0, 2.0), st.integers(0, 10))
     @settings(max_examples=100)
     def test_operator_properties(self, lam, seed):
-        # |T(u)| <= |u|, T(u) = 0 for |u| <= lam, |T(u) - u| <= lam
+        # off the diagonal |T(u)| <= |u|, T(u) = 0 for |u| <= lam and
+        # |T(u) - u| <= lam; the diagonal is left alone
         rng = np.random.default_rng(seed)
         m = random_symmetric(rng, 5)
         out = threshold(m, lam).values
-        assert np.all(np.abs(out) <= np.abs(m.values) + 1e-12)
-        assert np.all(out[np.abs(m.values) <= lam] == 0.0)
-        assert np.all(np.abs(out - m.values) <= lam + 1e-12)
+        off = ~np.eye(5, dtype=bool)
+        u, t = m.values[off], out[off]
+        assert np.all(np.abs(t) <= np.abs(u) + 1e-12)
+        assert np.all(t[np.abs(u) <= lam] == 0.0)
+        assert np.all(np.abs(t - u) <= lam + 1e-12)
+        assert np.array_equal(np.diag(out), np.diag(m.values))
         assert np.allclose(out, out.T)
 
 

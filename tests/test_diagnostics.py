@@ -1,11 +1,14 @@
 """Concentration and distribution-comparison probes."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from lpboot import sampling
+from lpboot.bootstrap import _CHUNK, MAX_DRAWS, proxy_draws
 from lpboot.covariance import CovMatrix
 from lpboot.diagnostics import comparison_ks, levy_concentration
 from lpboot.lp import LpExponent
@@ -20,17 +23,33 @@ class TestLevyConcentration:
         assert rep.passed
 
     def test_estimate_matches_direct_scan(self):
-        # brute-force window scan over the same draws gives the same value
-        from lpboot.lp import lp_norm_rows
-        from lpboot.sampling import mvn_sample
-
+        # brute-force window scan over the same draws gives the same value;
+        # n_mc spans two kernel chunks
         S = CovMatrix(np.eye(4))
-        p, eps, n_mc = LpExponent.finite(2), 0.3, 2000
+        p, eps, n_mc = LpExponent.finite(2), 0.3, _CHUNK + 1000
         rep = levy_concentration(S, p, eps, n_mc, RngSeed(1))
-        draws = np.sort(lp_norm_rows(mvn_sample(S.factor(), n_mc, RngSeed(1)), p))
+        draws = proxy_draws(S, p, n_mc, RngSeed(1)).samples
         width = eps * math.sqrt(4.0) / math.sqrt(2.0 * 4 ** 0.5)  # ||sigma||_2 / omega
         brute = max(((draws >= t) & (draws <= t + width)).sum() for t in draws) / n_mc
         assert rep.estimate == pytest.approx(brute, abs=1e-12)
+
+    def test_draws_in_chunks(self, monkeypatch):
+        # the probe draws through the bootstrap kernel, one bounded chunk at a
+        # time, whichever module the sampler is called through
+        original = sampling.mvn_sample
+        asked = []
+
+        def counting(F, count, rng):
+            asked.append(count)
+            return original(F, count, rng)
+
+        for module in list(sys.modules.values()):
+            if module.__name__.startswith("lpboot") and \
+                    getattr(module, "mvn_sample", None) is original:
+                monkeypatch.setattr(module, "mvn_sample", counting)
+        levy_concentration(CovMatrix(np.eye(3)), LpExponent.finite(2), 0.1,
+                           3 * _CHUNK, RngSeed(0))
+        assert sum(asked) == 3 * _CHUNK and max(asked) <= _CHUNK
 
     def test_scalar_case_against_exact_density(self):
         # d=1, p=1: |Z| has max window mass 2 Phi(w/1) - 1 for windows at 0
@@ -102,3 +121,12 @@ class TestComparisonKs:
         with pytest.raises(ValueError):
             comparison_ks(CovMatrix(np.eye(2)), CovMatrix(np.eye(3)),
                           LpExponent.finite(2), 1000, RngSeed(0))
+
+
+@pytest.mark.parametrize("probe", [
+    lambda S, n_mc: levy_concentration(S, LpExponent.finite(2), 0.1, n_mc, RngSeed(0)),
+    lambda S, n_mc: comparison_ks(S, S, LpExponent.finite(2), n_mc, RngSeed(0)),
+], ids=["levy", "comparison_ks"])
+def test_n_mc_above_draw_cap_is_named(probe):
+    with pytest.raises(ValueError, match=r"n_mc must lie in \[1000, 1000000\]"):
+        probe(CovMatrix(np.eye(2)), MAX_DRAWS + 1)

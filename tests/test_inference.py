@@ -176,6 +176,25 @@ class TestRunTest:
         assert res.statistic == res.critical_value == 0.0 and res.p_value == 1.0
         assert not res.reject
 
+    def test_hard_threshold_keeps_small_variances(self):
+        # every variance (0.05^2) is below the level: zeroing the diagonal
+        # would give critical value 0 and reject this true null
+        X = np.random.default_rng(0).normal(scale=0.05, size=(10, 5))
+        spec = make_spec(5, LpExponent.finite(2), estimator=EstimatorSpec.parse("hard(0.1)"))
+        Sigma = estimate_covariance(X, spec.estimator, RngSeed(0))
+        assert np.array_equal(np.diag(Sigma.values), X.var(axis=0))
+        res = run_test(X, spec)
+        assert res.critical_value > 0.0 and res.p_value > 0.05 and not res.reject
+
+    def test_one_dimensional_data_raises_value_error(self):
+        spec = make_spec(5, LpExponent.finite(2))
+        with pytest.raises(ValueError, match=r"data of shape \(5,\), restriction map "
+                                             r"of shape \(5, 5\)"):
+            run_test(np.ones(5), spec)
+        with pytest.raises(ValueError):
+            confidence_set(np.ones(5), LpExponent.finite(2), 0.05,
+                           EstimatorSpec("naive"), 100, RngSeed(0))
+
     def test_B_checked_before_covariance(self, tmp_path, monkeypatch, capsys):
         with pytest.raises(ValueError, match="B must lie in"):
             make_spec(3, LpExponent.finite(2), B=MAX_DRAWS + 1)
@@ -267,6 +286,29 @@ class TestConfidenceSet:
             res = run_test(X, spec)
             cs = confidence_set(X, p, 0.05, EstimatorSpec("naive"), 400, RngSeed(11))
             assert cs.contains(np.zeros(4)) == (not res.reject)
+
+    @pytest.mark.parametrize("estimator", ["naive", "hard(0.2)", "band(1)", "corr_cv"])
+    def test_radius_is_test_critical_value(self, estimator):
+        X = np.random.default_rng(14).normal(size=(40, 6))
+        spec = make_spec(6, LpExponent.log_dim(), estimator=EstimatorSpec.parse(estimator),
+                         B=300, seed=15)
+        cs = confidence_set(X, spec.p, spec.alpha, spec.estimator, spec.B, spec.seed)
+        assert cs.radius == run_test(X, spec).critical_value / math.sqrt(40)
+        assert np.array_equal(cs.center, X.mean(axis=0))
+
+    @pytest.mark.parametrize("kw, message", [
+        (dict(B=MAX_DRAWS + 1), "B must lie in"),
+        (dict(alpha=1.5), "alpha must lie in"),
+    ])
+    def test_inputs_checked_before_compute(self, monkeypatch, kw, message):
+        def no_covariance(*args, **kwargs):
+            raise AssertionError("estimate_covariance ran before the inputs were checked")
+
+        monkeypatch.setattr(inference, "estimate_covariance", no_covariance)
+        args = dict(p=LpExponent.finite(2), alpha=0.05, estimator=EstimatorSpec("corr_cv"),
+                    B=100, seed=RngSeed(0)) | kw
+        with pytest.raises(ValueError, match=message):
+            confidence_set(np.random.default_rng(0).normal(size=(20, 3)), **args)
 
     def test_coverage_rate(self):
         covered = []
