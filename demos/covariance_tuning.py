@@ -5,6 +5,8 @@ threshold by cross-validation, projects back to the PSD cone, and compares
 the entrywise errors of the naive and regularized estimates.
 """
 
+import math
+
 import numpy as np
 
 from lpboot import (LpExponent, MarginalKind, RngSeed, build_block_covariance,
@@ -23,8 +25,12 @@ lam, risks = cv_select_lambda(X, grid, 5, RngSeed(3).child(2))
 regularized = psd_project(correlation_threshold(naive, lam))
 
 print(f"n={n}, d={d}, pairwise-correlated blocks of size 2")
+# CV scores a grid point exactly only where it could still win; the rest
+# of the risk list is NaN
+scored = [r for r in risks if not math.isnan(r)]
 print(f"CV-selected correlation threshold: {lam:.3f} "
-      f"(risk at 0: {risks[0]:.3f}, at chosen: {risks[grid.index(lam)]:.3f})\n")
+      f"(risk {risks[grid.index(lam)]:.3f}; {len(scored)} of {len(grid)} grid points "
+      f"scored exactly, risks {min(scored):.3f} to {max(scored):.3f})\n")
 
 for p in (LpExponent.finite(1), LpExponent.finite(2), LpExponent.infinity()):
     e_naive = cov_error(naive, truth, p).delta_p[p]

@@ -6,10 +6,12 @@ the first five coordinates, then tests H0: mu = 0 under the sup-norm and
 the l1-norm and prints the resulting lp-ball confidence sets.
 """
 
+import math
+
 import numpy as np
 
 from lpboot import (ConfidenceSet, EstimatorSpec, LpExponent, RngSeed,
-                    TestSpec, confidence_set, run_test)
+                    TestSpec, run_test)
 
 n, d = 150, 60
 rng = RngSeed(2024).generator()
@@ -27,7 +29,9 @@ for p in (LpExponent.infinity(), LpExponent.finite(1)):
     print(f"p={p}: statistic {res.statistic:.3f} vs critical value "
           f"{res.critical_value:.3f} -> {'REJECT' if res.reject else 'accept'} "
           f"(p-value {res.p_value:.4f})")
-    cs = confidence_set(X, p, 0.05, spec.estimator, 1000, RngSeed(7))
+    # the dual set of the same test: what confidence_set(X, p, 0.05,
+    # spec.estimator, 1000, RngSeed(7)) returns, without fitting and drawing again
+    cs = ConfidenceSet(X.mean(axis=0), res.critical_value / math.sqrt(n), p)
     print(f"      95% l{p}-ball: radius {cs.radius:.4f}; "
           f"contains 0: {cs.contains(np.zeros(d))}, "
           f"contains truth: {cs.contains(mu)}\n")

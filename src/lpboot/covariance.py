@@ -8,6 +8,7 @@ phrased in.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from typing import Iterable
@@ -134,23 +135,31 @@ def band(M: CovMatrix, ell: int) -> CovMatrix:
                      provenance=f"band({ell})<-{M.provenance}")
 
 
-def _psd_clip(a: np.ndarray) -> np.ndarray:
-    """Array body of psd_project for a symmetric a.
-
-    Returns a itself when a Cholesky factorization accepts it as PSD;
-    otherwise the eigenvalue clip, symmetrized so that wrapping it in a
-    CovMatrix leaves its bytes unchanged.
-    """
+def _psd_accepts(a: np.ndarray) -> bool:
+    """Whether a Cholesky factorization of a, shifted by a tiny multiple of its
+    largest diagonal entry, succeeds: the probe that accepts a as PSD."""
     scale = float(np.abs(np.diag(a)).max(initial=0.0))
     try:
         np.linalg.cholesky(a + (PSD_CERT_TOL * 0.01 * scale) * np.eye(a.shape[0]))
-        return a
+        return True
     except np.linalg.LinAlgError:
-        pass
+        return False
+
+
+def _eigen_clip(a: np.ndarray) -> np.ndarray:
+    """Frobenius-nearest PSD matrix to a symmetric a (Higham 1988): its negative
+    eigenvalues clipped to zero, symmetrized so that wrapping it in a CovMatrix
+    leaves its bytes unchanged."""
     w, V = np.linalg.eigh(a)
     w = np.where(w > 0.0, w, 0.0)
     out = (V * w) @ V.T
     return (out + out.T) / 2.0
+
+
+def _psd_clip(a: np.ndarray) -> np.ndarray:
+    """Array body of psd_project for a symmetric a: a itself when the Cholesky
+    probe accepts it, otherwise its eigenvalue clip."""
+    return a if _psd_accepts(a) else _eigen_clip(a)
 
 
 def psd_project(M: CovMatrix) -> CovMatrix:
@@ -171,22 +180,46 @@ def _cv_split(n: int) -> int:
     return n1
 
 
+def _cv_fold(X: np.ndarray, n1: int, seed, nu: int):
+    """Fold nu's halves, S1 on the first n1 rows of its permutation and S2 on
+    the rest, and |corr(S1)|; built from the fold's own seed, so every call
+    returns the same bytes."""
+    perm = seed.child(nu).generator().permutation(X.shape[0])
+    S1 = sample_covariance(X[perm[:n1]]).values
+    S2 = sample_covariance(X[perm[n1:]]).values
+    return S1, S2, _abs_correlation(S1)
+
+
+def _frobenius(D: np.ndarray) -> float:
+    # einsum, unlike the BLAS dot inside np.linalg.norm, sums in the same
+    # order for any BLAS thread count
+    return math.sqrt(float(np.einsum("ij,ij->", D, D)))
+
+
 def cv_select_lambda(X: np.ndarray, grid, folds: int, seed) -> tuple[float, list[float]]:
-    """Cross-validated correlation-threshold level.
+    """Cross-validated correlation-threshold level (Bickel & Levina 2008).
 
     Each fold splits the rows into ceil(n/3) vs the rest; the risk at lambda
     is the Frobenius distance between the projected thresholded estimate on
     the small split and the plain sample covariance on the large split.
+    Returns the first grid point with the least fold-averaged risk (the
+    smallest lambda for an ascending grid) and the risk list.
 
     The keep-masks {|corr| >= lambda} are nested in lambda, so within a fold
-    the number of kept off-diagonal entries identifies the mask.  Each fold
-    therefore projects and scores each distinct mask once and adds that risk
-    to every grid point producing it, for any grid order and with repeated
-    grid values; the risks equal those of scoring every grid point apart.
-    Ties break toward the earliest grid point, which is the smallest lambda
-    for an ascending grid.
+    the number of kept off-diagonal entries identifies the mask, and each
+    distinct mask is scored once, for any grid order and with repeated grid
+    values.  A mask the Cholesky probe accepts is its own projection, so its
+    risk is exact at once.  A failing mask A first gets bounds: its risk is at
+    most ||A - S2|| (the projection is non-expansive and S2 is PSD) and at
+    least ||A - S2|| - ||A - C|| for the nearest PSD witness C among S1 and
+    the fold's accepted masks.  Only grid points whose summed lower bound
+    does not exceed the least summed upper bound could still win, so only
+    their failing masks are projected by the eigenvalue clip.
 
-    The folds run on the cores this process may use (lpboot.parallel).
+    Risk entries are exact, equal to scoring every grid point apart, where
+    every fold's mask for that grid point was scored; the other entries are
+    NaN, and their risk is above the minimum.  Both passes over the folds run
+    on the cores this process may use (lpboot.parallel).
     """
     X = np.asarray(X, dtype=float)
     n = X.shape[0]
@@ -198,32 +231,72 @@ def cv_select_lambda(X: np.ndarray, grid, folds: int, seed) -> tuple[float, list
     if folds < 1:
         raise ValueError("folds must be >= 1")
     n1 = _cv_split(n)
+    cores = _available_cores()
 
-    def fold_risks(nu: int) -> np.ndarray:
-        rng = seed.child(nu).generator()
-        perm = rng.permutation(n)
-        S1 = sample_covariance(X[perm[:n1]]).values
-        S2 = sample_covariance(X[perm[n1:]]).values
-        corr = _abs_correlation(S1)
-        off = np.sort(corr[np.triu_indices_from(corr, 1)])
-        kept = off.size - np.searchsorted(off, grid, side="left")
-        mask_risk = {}
-        risks = np.empty(len(grid))
-        for i, (lam, key) in enumerate(zip(grid, kept.tolist())):
-            if key not in mask_risk:
-                D = _psd_clip(_keep_off_diagonal(S1, corr >= lam)) - S2
-                # einsum, unlike the BLAS dot inside np.linalg.norm, sums in
-                # the same order for any BLAS thread count
-                mask_risk[key] = math.sqrt(float(np.einsum("ij,ij->", D, D)))
-            risks[i] = mask_risk[key]
-        return risks
+    def bound(nu: int):
+        """Fold nu's mask key per grid point, its risk (NaN where the mask fails
+        the probe) and lower and upper bounds on that risk."""
+        S1, S2, corr = _cv_fold(X, n1, seed, nu)
+        iu = np.triu_indices_from(corr, 1)
+        order = np.argsort(corr[iu])
+        off = corr[iu][order]
+        with np.errstate(over="ignore"):  # an inf gap keeps the grid point live
+            sq = S1[iu][order] ** 2
+        keys = (off.size - np.searchsorted(off, grid, side="left")).tolist()
+        exact, upper = {}, {}
+        for lam, key in zip(grid, keys):
+            if key not in exact and key not in upper:
+                A = _keep_off_diagonal(S1, corr >= lam)
+                (exact if _psd_accepts(A) else upper)[key] = _frobenius(A - S2)
+        # mask `key` keeps the entries sq[off.size - key:], so the squared
+        # distance between two masks is twice a slice sum of sq; a sum of
+        # nonnegative terms, not a difference of prefix sums, cannot cancel
+        # into a witness that looks nearer than it is
+        witnesses = sorted(exact) + [off.size]  # accepted masks, then S1
+        lower = {}
+        for key, u in upper.items():
+            j = bisect.bisect_left(witnesses, key)
+            gap = sq[off.size - witnesses[j]:off.size - key].sum()
+            if j:
+                gap = min(gap, sq[off.size - key:off.size - witnesses[j - 1]].sum())
+            lower[key] = u - math.sqrt(2.0 * gap)
+        lower.update(exact)
+        upper.update(exact)
+        return (keys, np.array([exact.get(k, math.nan) for k in keys]),
+                np.array([lower[k] for k in keys]), np.array([upper[k] for k in keys]))
 
+    bounded = run_indexed(bound, folds, cores)
+    fold_risks = [risk for _, risk, _, _ in bounded]
+    lower = np.sum([lo for _, _, lo, _ in bounded], axis=0)
+    upper = np.sum([up for _, _, _, up in bounded], axis=0)
+    # the slack keeps near-ties exact whatever the rounding in the bounds; a
+    # NaN bound (inf risks) compares False, so its grid point stays live
+    live = ~(lower > upper.min() * (1.0 + 1e-9))
+    todo = [nu for nu in range(folds) if np.isnan(fold_risks[nu][live]).any()]
+
+    def refine(j: int) -> np.ndarray:
+        """Fold todo[j]'s risks with its failing masks in live grid points
+        projected, masks shared with other grid points included."""
+        nu = todo[j]
+        keys, risk = bounded[nu][0], fold_risks[nu]
+        S1, S2, corr = _cv_fold(X, n1, seed, nu)
+        clipped = {}
+        for i in np.flatnonzero(live & np.isnan(risk)):
+            if keys[i] not in clipped:
+                A = _keep_off_diagonal(S1, corr >= grid[i])
+                clipped[keys[i]] = _frobenius(_eigen_clip(A) - S2)
+        return np.array([clipped.get(k, r) for k, r in zip(keys, risk.tolist())])
+
+    for nu, risk in zip(todo, run_indexed(refine, len(todo), cores)):
+        fold_risks[nu] = risk
     # summed in fold order, as a serial loop would, whichever thread ran a fold
     risks = np.zeros(len(grid))
-    for fold in run_indexed(fold_risks, folds, _available_cores()):
-        risks += fold
+    for risk in fold_risks:
+        risks += risk
     risks /= folds
-    best = int(np.argmin(risks))  # argmin returns the first minimizer
+    # every live grid point is exact, and every other has a larger risk
+    at = np.flatnonzero(live)
+    best = int(at[np.argmin(risks[at])])  # argmin returns the first minimizer
     return grid[best], risks.tolist()
 
 

@@ -46,6 +46,16 @@ def _cv_select_lambda_reference(X, grid, folds, seed):
     return grid[best], risks.tolist()
 
 
+def assert_matches_reference(got, ref):
+    """Equal lambda-hat, risk entries exact where scored, and every NaN entry a
+    grid point whose reference risk is strictly above the minimum."""
+    assert got[0] == ref[0]
+    risks, ref_risks = np.array(got[1]), np.array(ref[1])
+    scored = ~np.isnan(risks)
+    assert np.array_equal(risks[scored], ref_risks[scored])
+    assert np.all(ref_risks[~scored] > ref_risks.min())
+
+
 class TestCovMatrix:
     def test_symmetrized_on_construction(self):
         m = CovMatrix(np.array([[1.0, 0.4], [0.0, 1.0]]))
@@ -221,7 +231,7 @@ class TestCvSelectLambda:
         grid = [0.0, 0.25, 0.5, 0.75]
         a = cv_select_lambda(X, grid, 3, RngSeed(5))
         b = cv_select_lambda(X, grid, 3, RngSeed(5))
-        assert a == b
+        assert a[0] == b[0] and np.array_equal(a[1], b[1], equal_nan=True)
 
     def test_prefers_thresholding_for_diagonal_truth(self):
         # strong-signal diagonal covariance: high threshold should win
@@ -252,7 +262,8 @@ class TestCvSelectLambda:
         # the constant column adds only zeros to each fold's risk
         lam, risks = cv_select_lambda(X, [0.0, 0.5], 2, RngSeed(0))
         lam3, risks3 = cv_select_lambda(np.delete(X, 2, axis=1), [0.0, 0.5], 2, RngSeed(0))
-        assert lam == lam3 and risks == pytest.approx(risks3, rel=1e-12, abs=0.0)
+        assert lam == lam3
+        assert risks == pytest.approx(risks3, rel=1e-12, abs=0.0, nan_ok=True)
 
     def test_pooled_folds_match_reference(self, monkeypatch):
         # three threads whatever the machine, the caller among them
@@ -261,10 +272,10 @@ class TestCvSelectLambda:
         for k, folds in enumerate((2, 3, 5, 10)):
             rng = np.random.default_rng(16 + k)
             X = rng.normal(size=(45, 15)) + rng.normal(size=(45, 1)) * rng.uniform(0, 2, 15)
-            assert (cv_select_lambda(X, grid, folds, RngSeed(k))
-                    == _cv_select_lambda_reference(X, grid, folds, RngSeed(k)))
+            assert_matches_reference(cv_select_lambda(X, grid, folds, RngSeed(k)),
+                                     _cv_select_lambda_reference(X, grid, folds, RngSeed(k)))
 
-    @given(n=st.integers(6, 30), d=st.integers(2, 12),
+    @given(n=st.integers(6, 30), d=st.integers(2, 24),
            structure=st.sampled_from(["diagonal", "correlated", "mixed"]),
            grid=st.lists(st.one_of(st.sampled_from([0.0, 0.05, 0.5, 0.999, 1.0]),
                                    st.floats(0.0, 1.0)), min_size=1, max_size=12),
@@ -274,7 +285,8 @@ class TestCvSelectLambda:
     def test_matches_per_lambda_reference(self, n, d, structure, grid, folds,
                                           data_seed, cv_seed):
         # grids come unsorted, with repeats, and with levels above every
-        # off-diagonal |corr|; equality is exact, not approximate
+        # off-diagonal |corr|; d > ceil(n/3) leaves S1 rank-deficient, so
+        # thresholded masks fail the Cholesky probe; equality is exact
         rng = np.random.default_rng(data_seed)
         X = rng.normal(size=(n, d)) * rng.uniform(0.5, 3.0, size=d)
         if structure != "diagonal":
@@ -284,7 +296,38 @@ class TestCvSelectLambda:
                 w[: d // 2] = 0.0
             X = X + common * w
         got = cv_select_lambda(X, grid, folds, RngSeed(cv_seed))
-        assert got == _cv_select_lambda_reference(X, grid, folds, RngSeed(cv_seed))
+        assert_matches_reference(got, _cv_select_lambda_reference(X, grid, folds,
+                                                                  RngSeed(cv_seed)))
+
+    def test_projects_fewer_masks_than_reference(self, monkeypatch):
+        # copula data with d > n/3: many masks fail the Cholesky probe, and
+        # only those that can still win are projected
+        S = sampling.build_block_covariance(60, 2, 0.8, RngSeed(0))
+        X = sampling.copula_sample(S, sampling.MarginalKind.UNIFORM_SYM, 60, RngSeed(1))
+        grid = list(np.linspace(0.0, 1.0, 12))
+        eigh, calls = np.linalg.eigh, []
+
+        def counting(a, *args, **kwargs):
+            calls.append(1)
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        got = cv_select_lambda(X, grid, 4, RngSeed(2))
+        ours = len(calls)
+        ref = _cv_select_lambda_reference(X, grid, 4, RngSeed(2))
+        assert 0 < ours < len(calls) - ours
+        assert_matches_reference(got, ref)
+
+    def test_overflowing_risks_pick_reference_lambda(self):
+        # entries of X X^T near 1e156 square past the largest double, so every
+        # risk and bound is inf or NaN; no grid point may be pruned
+        rng = np.random.default_rng(17)
+        X = (rng.normal(size=(30, 12)) + rng.normal(size=(30, 1)) * 3.0) * 1e78
+        grid = [0.0, 0.3, 0.6, 0.9]
+        lam, risks = cv_select_lambda(X, grid, 3, RngSeed(3))
+        ref = _cv_select_lambda_reference(X, grid, 3, RngSeed(3))
+        assert np.all(np.isinf(ref[1]))
+        assert lam == ref[0] and np.array_equal(risks, ref[1])
 
 
 class TestDiagnostics:

@@ -11,7 +11,7 @@ from scipy.special import gamma
 
 from lpboot.bootstrap import MAX_DRAWS, gpb_draws
 from lpboot.cli import main
-from lpboot.covariance import CovMatrix
+from lpboot.covariance import CovMatrix, sample_covariance
 from lpboot import inference
 from lpboot.inference import (ConfidenceSet, EstimatorSpec, confidence_set,
                               estimate_covariance, lp_ball_volume, run_test)
@@ -69,8 +69,16 @@ class TestEstimateCovariance:
         assert np.allclose(S.values, Xc.T @ Xc / len(self.X))
 
     def test_hard_zeroes_small_entries(self):
-        S = estimate_covariance(self.X, EstimatorSpec("hard", lam=10.0), RngSeed(0))
-        assert np.all(S.values.diagonal() == 0.0) or np.all(np.abs(S.values) <= 10.0)
+        S = sample_covariance(self.X).values
+        off = np.sort(np.abs(S[np.triu_indices(8, 1)]))
+        lam = (off[13] + off[14]) / 2.0  # 14 of the 28 pairs lie at or below it
+        est = estimate_covariance(self.X, EstimatorSpec("hard", lam=lam), RngSeed(0)).values
+        small = np.abs(S) <= lam
+        np.fill_diagonal(small, False)
+        assert small.sum() == 28
+        assert np.all(est[small] == 0.0)
+        assert np.array_equal(est[~small], S[~small])
+        assert np.allclose(np.diag(est), self.X.var(axis=0), rtol=1e-12, atol=0.0)
 
     def test_band_support(self):
         S = estimate_covariance(self.X, EstimatorSpec("band", ell=1), RngSeed(0))
