@@ -16,7 +16,7 @@ from typing import Iterable
 import numpy as np
 
 from .lp import LpExponent, lp_norm
-from .parallel import _available_cores, run_indexed
+from .parallel import run_indexed
 
 # relative tolerance for the smallest eigenvalue of a matrix accepted as PSD
 PSD_CERT_TOL = 1e-8
@@ -156,19 +156,14 @@ def _eigen_clip(a: np.ndarray) -> np.ndarray:
     return (out + out.T) / 2.0
 
 
-def _psd_clip(a: np.ndarray) -> np.ndarray:
-    """Array body of psd_project for a symmetric a: a itself when the Cholesky
-    probe accepts it, otherwise its eigenvalue clip."""
-    return a if _psd_accepts(a) else _eigen_clip(a)
-
-
 def psd_project(M: CovMatrix) -> CovMatrix:
     """Frobenius-nearest PSD matrix: clip negative eigenvalues to zero.
 
     A Cholesky fast path accepts already-PSD inputs without a full
     eigendecomposition (the dominant cost inside cross-validation loops).
     """
-    return CovMatrix(_psd_clip(M.values), provenance=f"psd<-{M.provenance}")
+    a = M.values
+    return CovMatrix(a if _psd_accepts(a) else _eigen_clip(a), provenance=f"psd<-{M.provenance}")
 
 
 def _cv_split(n: int) -> int:
@@ -218,8 +213,8 @@ def cv_select_lambda(X: np.ndarray, grid, folds: int, seed) -> tuple[float, list
 
     Risk entries are exact, equal to scoring every grid point apart, where
     every fold's mask for that grid point was scored; the other entries are
-    NaN, and their risk is above the minimum.  Both passes over the folds run
-    on the cores this process may use (lpboot.parallel).
+    NaN, and their risk is above the minimum.  Both passes spread their folds
+    over lpboot's one pool (lpboot.parallel), capped at the usable cores.
     """
     X = np.asarray(X, dtype=float)
     n = X.shape[0]
@@ -231,7 +226,6 @@ def cv_select_lambda(X: np.ndarray, grid, folds: int, seed) -> tuple[float, list
     if folds < 1:
         raise ValueError("folds must be >= 1")
     n1 = _cv_split(n)
-    cores = _available_cores()
 
     def bound(nu: int):
         """Fold nu's mask key per grid point, its risk (NaN where the mask fails
@@ -265,7 +259,7 @@ def cv_select_lambda(X: np.ndarray, grid, folds: int, seed) -> tuple[float, list
         return (keys, np.array([exact.get(k, math.nan) for k in keys]),
                 np.array([lower[k] for k in keys]), np.array([upper[k] for k in keys]))
 
-    bounded = run_indexed(bound, folds, cores)
+    bounded = run_indexed(bound, folds, folds)
     fold_risks = [risk for _, risk, _, _ in bounded]
     lower = np.sum([lo for _, _, lo, _ in bounded], axis=0)
     upper = np.sum([up for _, _, _, up in bounded], axis=0)
@@ -287,7 +281,7 @@ def cv_select_lambda(X: np.ndarray, grid, folds: int, seed) -> tuple[float, list
                 clipped[keys[i]] = _frobenius(_eigen_clip(A) - S2)
         return np.array([clipped.get(k, r) for k, r in zip(keys, risk.tolist())])
 
-    for nu, risk in zip(todo, run_indexed(refine, len(todo), cores)):
+    for nu, risk in zip(todo, run_indexed(refine, len(todo), len(todo))):
         fold_risks[nu] = risk
     # summed in fold order, as a serial loop would, whichever thread ran a fold
     risks = np.zeros(len(grid))

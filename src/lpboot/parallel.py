@@ -1,6 +1,16 @@
 """The one thread pool of lpboot, for the harness's truth datasets and
 replicates and for CV folds, and the OpenBLAS thread pin it holds while it
-runs."""
+runs.
+
+At most one pool runs in the process. One lock decides it: the call that
+takes the lock starts the pool and pins numpy's OpenBLAS to one thread, since
+the pool already spreads its work over the cores and OpenBLAS splitting every
+product over the same cores would oversubscribe them; it restores the count
+it found and releases the lock when the pool ends. A call that finds the lock
+held, from a pool's worker or from any other thread, runs its indices
+serially, so pools never nest. A child process forked while a pool runs
+inherits the held lock and runs serially too; its output is the same.
+"""
 
 from __future__ import annotations
 
@@ -12,6 +22,8 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
+
+_POOL = threading.Lock()  # held while the pool runs
 
 
 def _available_cores() -> int:
@@ -41,54 +53,24 @@ def _openblas_thread_calls():
     return None
 
 
-class _OneBlasThread:
-    """Context that holds numpy's OpenBLAS at one thread.
-
-    The pool already spreads its work over the cores; OpenBLAS splitting
-    every product over the same cores oversubscribes them. The count is
-    process-wide, so overlapping pools share one entry count: the first to
-    enter pins it, and the last to leave restores what the first found. The
-    library is looked up on first entry, not at import.
-    """
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._depth = 0
-        self._saved = 0
-
-    def __enter__(self):
-        with self._lock:
-            calls = _openblas_thread_calls()
-            if calls and self._depth == 0:
-                self._saved = calls[0]()
-                calls[1](1)
-            self._depth += 1
-
-    def __exit__(self, *exc):
-        with self._lock:
-            self._depth -= 1
-            calls = _openblas_thread_calls()
-            if calls and self._depth == 0:
-                calls[1](self._saved)
-
-
-_ONE_BLAS_THREAD = _OneBlasThread()
-_pool_worker = threading.local()  # .active: this thread is a pool worker
-
-
 def run_indexed(worker, count: int, threads: int) -> list:
     """[worker(i) for i in range(count)] on a pool of min(threads, count,
     usable cores) threads, results in index order; the caller waits. When an
     index raises, the indices not yet started are cancelled and the exception
-    propagates. A call from inside a pool's worker runs serially, so pools
-    never nest."""
+    propagates once the started ones have ended. While another pool runs, the
+    call runs serially."""
     workers = min(threads, count, _available_cores())
-    if workers <= 1 or getattr(_pool_worker, "active", False):
+    if workers <= 1 or not _POOL.acquire(blocking=False):
         return [worker(i) for i in range(count)]
-
-    def task(i):
-        _pool_worker.active = True
-        return worker(i)
-
-    with _ONE_BLAS_THREAD, ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(task, range(count)))
+    saved = None
+    try:
+        calls = _openblas_thread_calls()
+        if calls:
+            saved = calls[0]()
+            calls[1](1)
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(worker, range(count)))
+    finally:
+        if saved is not None:
+            calls[1](saved)
+        _POOL.release()

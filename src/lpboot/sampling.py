@@ -101,21 +101,14 @@ def factorize_psd(S: CovMatrix) -> PsdFactor:
     if w.min(initial=0.0) < -PSD_CERT_TOL * scale:
         raise ValueError(f"matrix is not positive semi-definite (min eig {w.min():g})")
     keep = w > RANK_TOL * scale
-    r = int(keep.sum())
-    if r == 0:
-        return PsdFactor(np.zeros((S.dim, 0)), 0)
-    L = V[:, keep] * np.sqrt(w[keep])
-    return PsdFactor(L, r)
+    return PsdFactor(V[:, keep] * np.sqrt(w[keep]), int(keep.sum()))
 
 
 def mvn_sample(F: PsdFactor, count: int, rng: RngSeed) -> np.ndarray:
     """count i.i.d. rows from N(0, L L'); generated as g @ L.T with g standard normal."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    g = rng.generator().standard_normal((count, F.rank))
-    if F.rank == 0:
-        return np.zeros((count, F.factor.shape[0]))
-    return g @ F.factor.T
+    return rng.generator().standard_normal((count, F.rank)) @ F.factor.T
 
 
 def build_block_covariance(d: int, block: int, decay: float = 0.8,

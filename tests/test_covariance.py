@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lpboot import covariance, sampling
+from lpboot import parallel, sampling
 from lpboot.covariance import (CovMatrix, band, correlation_threshold,
                                cov_diagnostics, cov_error, cv_select_lambda,
                                psd_project, sample_covariance, threshold)
@@ -266,8 +266,8 @@ class TestCvSelectLambda:
         assert risks == pytest.approx(risks3, rel=1e-12, abs=0.0, nan_ok=True)
 
     def test_pooled_folds_match_reference(self, monkeypatch):
-        # three threads whatever the machine, the caller among them
-        monkeypatch.setattr(covariance, "_available_cores", lambda: 3)
+        # a real pool of up to three workers whatever the machine
+        monkeypatch.setattr(parallel, "_available_cores", lambda: 3)
         grid = list(np.linspace(0.0, 1.0, 12))
         for k, folds in enumerate((2, 3, 5, 10)):
             rng = np.random.default_rng(16 + k)

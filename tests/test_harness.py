@@ -6,7 +6,6 @@ import math
 import os
 import subprocess
 import sys
-import threading
 import time
 
 import numpy as np
@@ -15,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lpboot
-from lpboot import cli, covariance, harness, parallel, sampling
+from lpboot import cli, harness, parallel, sampling
 from lpboot.bootstrap import MAX_DRAWS, gmb_draws, gpb_draws, proxy_draws
 from lpboot.cli import main
 from lpboot.covariance import cv_select_lambda, sample_covariance
@@ -309,7 +308,7 @@ class TestKsExperiment:
         # then with the folds pooled
         for cores in (1, 3):
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(covariance, "_available_cores", lambda: cores)
+                mp.setattr(parallel, "_available_cores", lambda: cores)
                 cfg.output_path = str(tmp_path / f"cores{cores}.csv")
                 run_experiment(cfg)
             outputs.append(open(cfg.output_path, "rb").read())
@@ -345,7 +344,7 @@ def test_cv_risks_do_not_depend_on_blas_threads(tmp_path):
     # pooled and BLAS pinned to one thread
     for cores in (1, 3):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(covariance, "_available_cores", lambda: cores)
+            mp.setattr(parallel, "_available_cores", lambda: cores)
             here.append([cv_select_lambda(np.load(path), list(np.linspace(0.0, 1.0, 10)), 3,
                                           RngSeed(k)) for k, path in enumerate(paths)])
     # risk lists hold NaN where a grid point was pruned; NaN must match NaN
@@ -491,38 +490,6 @@ class TestPoolBlasThreads:
 
     def test_serial_run_leaves_blas_alone(self, blas_at_two):
         assert harness._run_indexed(lambda i: blas_at_two(), 3, 1) == [2] * 3
-        assert blas_at_two() == 2
-
-    def test_overlapping_pools_restore_the_first_count(self, blas_at_two):
-        # pool b starts after pool a has pinned, and runs on after a has ended
-        a_started, b_started, a_done = (threading.Event() for _ in range(3))
-        seen = {"a": [], "b": []}
-
-        def worker_a(i):
-            a_started.set()
-            assert b_started.wait(10)
-            seen["a"].append(blas_at_two())
-
-        def worker_b(i):
-            b_started.set()
-            assert a_done.wait(10)
-            seen["b"].append(blas_at_two())
-
-        def run_a():
-            harness._run_indexed(worker_a, 2, 2)
-            a_done.set()
-
-        def run_b():
-            assert a_started.wait(10)
-            harness._run_indexed(worker_b, 2, 2)
-
-        users = [threading.Thread(target=run_a), threading.Thread(target=run_b)]
-        for t in users:
-            t.start()
-        for t in users:
-            t.join(30)
-        assert not any(t.is_alive() for t in users)
-        assert seen == {"a": [1, 1], "b": [1, 1]}
         assert blas_at_two() == 2
 
 

@@ -237,11 +237,13 @@ class TestRunTest:
     @pytest.mark.parametrize("estimator", ["naive", "corr_cv"])
     def test_scale_equivariant(self, estimator):
         # the factor's rank cut and the PSD probe's jitter are relative to
-        # the data's scale, so the units of X change no decision
+        # the data's scale, so the units of X change no decision; far from 1,
+        # where CV risks (c^4) or Sigma_hat (c^2) would overflow or underflow,
+        # the data is rescaled by a power of two first
         X = np.random.default_rng(0).normal(size=(60, 10))
         spec = make_spec(10, LpExponent.finite(2), estimator=EstimatorSpec(estimator), B=200)
         base = run_test(X, spec)
-        for c in (1e-9, 1e-6, 1.0, 1e6):
+        for c in (1e-9, 1e-6, 1.0, 1e6, 2.0**300, 2.0**-300, 1e-200, 1e-100, 1e80, 1e160):
             res = run_test(c * X, spec)
             for got, want in ((res.statistic, base.statistic),
                               (res.critical_value, base.critical_value)):

@@ -1,6 +1,6 @@
-"""The shared pool: index order, no nested pools, the cap at the usable
-cores, exceptions and the cancellation they cause, and the BLAS thread count
-around CV's fold pool."""
+"""The shared pool: index order, at most one pool at a time, the cap at the
+usable cores, exceptions and the cancellation they cause, and the BLAS thread
+count around CV's fold pool."""
 
 import sys
 import threading
@@ -78,8 +78,33 @@ def test_call_inside_a_worker_runs_serially(pools):
     assert pools == [2, 2]
 
 
-def test_cv_inside_harness_workers_starts_no_pool(pools, monkeypatch):
-    monkeypatch.setattr(covariance, "_available_cores", lambda: 3)
+def test_call_from_another_thread_while_a_pool_runs_is_serial(blas_at_two, pools):
+    # at most one pool per process: b calls while a's pool holds its workers
+    a_started, b_done = threading.Event(), threading.Event()
+    seen_a, got_b = [], []
+
+    def worker_a(i):
+        a_started.set()
+        assert b_done.wait(10)
+        seen_a.append(blas_at_two())
+
+    def run_b():
+        assert a_started.wait(10)
+        got_b.extend(run_indexed(lambda i: (i, threading.current_thread()), 4, 2))
+        b_done.set()
+
+    b = threading.Thread(target=run_b)
+    b.start()
+    run_indexed(worker_a, 2, 2)
+    b.join(30)
+    assert not b.is_alive()
+    assert got_b == [(i, b) for i in range(4)]  # in order, on b itself
+    assert pools == [2]
+    assert seen_a == [1, 1]
+    assert blas_at_two() == 2
+
+
+def test_cv_inside_harness_workers_starts_no_pool(pools):
     kw = dict(kind="ks", n=40, d=20, mc_reps=3, B=100, truth_reps=50, block=2,
               cv_folds=3, cv_grid_size=5, estimators=("corr_cv",))
     pooled = run_experiment(ExperimentConfig(threads=2, **kw))
@@ -138,7 +163,7 @@ def test_exception_cancels_indices_not_started():
 
 
 def test_run_test_with_corr_cv_restores_blas(blas_at_two, monkeypatch):
-    monkeypatch.setattr(covariance, "_available_cores", lambda: 2)
+    monkeypatch.setattr(parallel, "_available_cores", lambda: 2)
     seen = []
     sample_covariance = covariance.sample_covariance
 
