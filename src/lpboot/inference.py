@@ -6,7 +6,8 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import gammaln
@@ -147,15 +148,20 @@ def run_test(X: np.ndarray, spec: TestSpec) -> TestResult:
     estimated on its rescaling by the power of two that brings it into
     [1/2, 1), and the draws scaled back: an exact rescaling, so covariance
     entries and CV risks (fourth powers of the data) neither overflow nor
-    underflow, and in-range data keeps every byte.
+    underflow, and in-range data keeps every byte. The hard-threshold level
+    is a covariance level, so it is rescaled with Sigma_hat (by 2^-2k).
     """
     X = np.asarray(X, dtype=float)
     stat = test_statistic(X, spec.M, spec.m0, spec.p)
     # max|X| with no temporary array, and X itself, not a copy, when in range
     top = max(X.max(initial=0.0), -X.min(initial=0.0))
     k = 0 if 2.0**-64 <= top <= 2.0**64 else math.frexp(top)[1]  # k = 0 for 0, inf, NaN
-    Sigma = estimate_covariance(np.ldexp(X, -k) if k else X, spec.estimator,
-                                spec.seed.child(1, 0))
+    est = spec.estimator
+    if k and est.kind == "hard":
+        # a level past the largest float lies above every rescaled entry
+        with np.errstate(over="ignore"):
+            est = replace(est, lam=min(float(np.ldexp(est.lam, -2 * k)), sys.float_info.max))
+    Sigma = estimate_covariance(np.ldexp(X, -k) if k else X, est, spec.seed.child(1, 0))
     Omega = CovMatrix(spec.M @ Sigma.values @ spec.M.T,
                       provenance=f"conjugate<-{Sigma.provenance}")
     dist = gpb_draws(Omega, spec.p, spec.B, spec.seed.child(2))

@@ -234,17 +234,28 @@ class TestRunTest:
         assert [float(v) for v in row[:3]] == [res.statistic, res.critical_value, res.p_value]
         assert row[3:] == [str(int(res.reject)), "2", "0.05", "corr_cv", "200", "0"]
 
-    @pytest.mark.parametrize("estimator", ["naive", "corr_cv"])
+    @pytest.mark.parametrize("estimator", ["naive", "corr_cv", "hard"])
     def test_scale_equivariant(self, estimator):
         # the factor's rank cut and the PSD probe's jitter are relative to
         # the data's scale, so the units of X change no decision; far from 1,
         # where CV risks (c^4) or Sigma_hat (c^2) would overflow or underflow,
-        # the data is rescaled by a power of two first
+        # the data is rescaled by a power of two first. The hard level is a
+        # covariance level, so it goes with c^2, and is set between two
+        # off-diagonal entries so that it both zeroes and keeps some
         X = np.random.default_rng(0).normal(size=(60, 10))
-        spec = make_spec(10, LpExponent.finite(2), estimator=EstimatorSpec(estimator), B=200)
-        base = run_test(X, spec)
-        for c in (1e-9, 1e-6, 1.0, 1e6, 2.0**300, 2.0**-300, 1e-200, 1e-100, 1e80, 1e160):
-            res = run_test(c * X, spec)
+        off = np.sort(np.abs(sample_covariance(X).values[np.triu_indices(10, 1)]))
+        lam = float(off[20] + off[21]) / 2
+
+        def spec_at(c):
+            est = EstimatorSpec("hard", lam=lam * c * c) if estimator == "hard" else EstimatorSpec(estimator)
+            return make_spec(10, LpExponent.finite(2), estimator=est, B=200)
+
+        base = run_test(X, spec_at(1.0))
+        for c in (1e-9, 1e-6, 1.0, 1e6, 2.0**300, 2.0**-300, 1e-200, 1e-100, 1e-30,
+                  1e30, 1e80, 1e160):
+            if estimator == "hard" and not 0.0 < lam * c * c < math.inf:
+                continue  # c^2 lam is not a float
+            res = run_test(c * X, spec_at(c))
             for got, want in ((res.statistic, base.statistic),
                               (res.critical_value, base.critical_value)):
                 assert got == pytest.approx(c * want, rel=1e-9, abs=0.0)
