@@ -8,7 +8,7 @@ phrased in.
 
 from __future__ import annotations
 
-import bisect
+import ctypes
 import math
 from dataclasses import dataclass, field
 from typing import Iterable
@@ -16,7 +16,7 @@ from typing import Iterable
 import numpy as np
 
 from .lp import LpExponent, lp_norm
-from .parallel import run_indexed
+from .parallel import _openblas_function, run_indexed
 
 # relative tolerance for the smallest eigenvalue of a matrix accepted as PSD
 PSD_CERT_TOL = 1e-8
@@ -135,6 +135,36 @@ def band(M: CovMatrix, ell: int) -> CovMatrix:
                      provenance=f"band({ell})<-{M.provenance}")
 
 
+_LAPACK_COL_MAJOR = 102
+
+
+def _lapacke_dsyevd():
+    """LAPACKE_dsyevd of numpy's bundled OpenBLAS, or None where it is missing."""
+    i64, ptr = ctypes.c_int64, ctypes.c_void_p
+    return _openblas_function("scipy_LAPACKE_dsyevd64_", i64, ctypes.c_int, ctypes.c_char,
+                              ctypes.c_char, i64, ptr, i64, ptr)
+
+
+def _eigvalsh(a: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a symmetric a, ascending, bit-equal to np.linalg.eigvalsh(a):
+    the same LAPACK routine (dsyevd, values only, lower triangle) of the same
+    library, called through ctypes, which releases the GIL, so pool workers
+    compute them concurrently. np.linalg.eigvalsh, which holds the GIL, is the
+    fallback where the library lacks the routine. Raises LinAlgError where
+    LAPACK fails."""
+    dsyevd = _lapacke_dsyevd()
+    if dsyevd is None:
+        return np.linalg.eigvalsh(a)
+    work = np.array(a, dtype=float, order="F")  # dsyevd overwrites it
+    if work.ndim != 2 or work.shape[0] != work.shape[1]:
+        raise ValueError("eigenvalues need a square matrix")
+    n = work.shape[0]
+    w = np.empty(n)
+    if dsyevd(_LAPACK_COL_MAJOR, b"N", b"L", n, work.ctypes.data, max(n, 1), w.ctypes.data):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    return w
+
+
 def _psd_accepts(a: np.ndarray) -> bool:
     """Whether a Cholesky factorization of a, shifted by a tiny multiple of its
     largest diagonal entry, succeeds: the probe that accepts a as PSD."""
@@ -164,6 +194,16 @@ def psd_project(M: CovMatrix) -> CovMatrix:
     """
     a = M.values
     return CovMatrix(a if _psd_accepts(a) else _eigen_clip(a), provenance=f"psd<-{M.provenance}")
+
+
+def _rescale_exponent(X: np.ndarray) -> int:
+    """k such that X * 2^-k has its largest |entry| in [1/2, 1), or 0 where that
+    entry already lies in [2^-64, 2^64], so in-range data keeps every byte, and
+    for 0, inf and NaN. On the rescaled data covariance entries, and CV risks
+    summed from their squares, neither overflow nor underflow."""
+    # max|X| with no temporary array
+    top = max(X.max(initial=0.0), -X.min(initial=0.0))
+    return 0 if 2.0**-64 <= top <= 2.0**64 else math.frexp(top)[1]
 
 
 def _cv_split(n: int) -> int:
@@ -203,18 +243,26 @@ def cv_select_lambda(X: np.ndarray, grid, folds: int, seed) -> tuple[float, list
     The keep-masks {|corr| >= lambda} are nested in lambda, so within a fold
     the number of kept off-diagonal entries identifies the mask, and each
     distinct mask is scored once, for any grid order and with repeated grid
-    values.  A mask the Cholesky probe accepts is its own projection, so its
-    risk is exact at once.  A failing mask A first gets bounds: its risk is at
-    most ||A - S2|| (the projection is non-expansive and S2 is PSD) and at
-    least ||A - S2|| - ||A - C|| for the nearest PSD witness C among S1 and
-    the fold's accepted masks.  Only grid points whose summed lower bound
-    does not exceed the least summed upper bound could still win, so only
-    their failing masks are projected by the eigenvalue clip.
+    values.  A mask A the Cholesky probe accepts is its own projection, so
+    its risk U = ||A - S2|| is exact at once.  A failing mask first gets
+    bounds from its eigenvalues alone: with g = ||lambda_-(A)||, its distance
+    to the PSD cone, the risk is at least U - g (triangle inequality) and at
+    most sqrt(U^2 - g^2) (the projection is firmly non-expansive and S2 is
+    PSD).  Only grid points whose summed lower bound does not exceed the
+    least summed upper bound could still win, so only their failing masks are
+    projected by the eigenvalue clip.
 
     Risk entries are exact, equal to scoring every grid point apart, where
     every fold's mask for that grid point was scored; the other entries are
-    NaN, and their risk is above the minimum.  Both passes spread their folds
-    over lpboot's one pool (lpboot.parallel), capped at the usable cores.
+    NaN, and their risk is above the minimum (730 of the 2560 entries on the
+    64 perfbench seed-0 datasets at 10 folds x 40 points).  Both passes spread their
+    folds over lpboot's one pool (lpboot.parallel), capped at the usable
+    cores; the eigenvalues run with the GIL released.
+
+    Data whose largest |entry| lies outside [2^-64, 2^64] is rescaled by the
+    power of two that brings it into [1/2, 1) first, so lambda-hat does not
+    depend on the data's units, and the risks are returned in those units
+    (inf past the largest float).
     """
     X = np.asarray(X, dtype=float)
     n = X.shape[0]
@@ -226,36 +274,33 @@ def cv_select_lambda(X: np.ndarray, grid, folds: int, seed) -> tuple[float, list
     if folds < 1:
         raise ValueError("folds must be >= 1")
     n1 = _cv_split(n)
+    k = _rescale_exponent(X)
+    if k:
+        X = np.ldexp(X, -k)
 
     def bound(nu: int):
         """Fold nu's mask key per grid point, its risk (NaN where the mask fails
         the probe) and lower and upper bounds on that risk."""
         S1, S2, corr = _cv_fold(X, n1, seed, nu)
-        iu = np.triu_indices_from(corr, 1)
-        order = np.argsort(corr[iu])
-        off = corr[iu][order]
-        with np.errstate(over="ignore"):  # an inf gap keeps the grid point live
-            sq = S1[iu][order] ** 2
+        off = np.sort(corr[np.triu_indices_from(corr, 1)])
         keys = (off.size - np.searchsorted(off, grid, side="left")).tolist()
-        exact, upper = {}, {}
+        exact, lower, upper = {}, {}, {}
         for lam, key in zip(grid, keys):
-            if key not in exact and key not in upper:
-                A = _keep_off_diagonal(S1, corr >= lam)
-                (exact if _psd_accepts(A) else upper)[key] = _frobenius(A - S2)
-        # mask `key` keeps the entries sq[off.size - key:], so the squared
-        # distance between two masks is twice a slice sum of sq; a sum of
-        # nonnegative terms, not a difference of prefix sums, cannot cancel
-        # into a witness that looks nearer than it is
-        witnesses = sorted(exact) + [off.size]  # accepted masks, then S1
-        lower = {}
-        for key, u in upper.items():
-            j = bisect.bisect_left(witnesses, key)
-            gap = sq[off.size - witnesses[j]:off.size - key].sum()
-            if j:
-                gap = min(gap, sq[off.size - key:off.size - witnesses[j - 1]].sum())
-            lower[key] = u - math.sqrt(2.0 * gap)
-        lower.update(exact)
-        upper.update(exact)
+            if key in upper:
+                continue
+            A = _keep_off_diagonal(S1, corr >= lam)
+            u = _frobenius(A - S2)
+            if _psd_accepts(A):
+                exact[key] = lower[key] = upper[key] = u
+                continue
+            try:
+                w = _eigvalsh(A)
+            except np.linalg.LinAlgError:  # no eigenvalues, no tighter bounds
+                lower[key], upper[key] = 0.0, u
+                continue
+            neg = w[w < 0.0]
+            gap = float(np.einsum("i,i->", neg, neg))  # g^2
+            lower[key], upper[key] = u - math.sqrt(gap), math.sqrt(max(u * u - gap, 0.0))
         return (keys, np.array([exact.get(k, math.nan) for k in keys]),
                 np.array([lower[k] for k in keys]), np.array([upper[k] for k in keys]))
 
@@ -264,7 +309,7 @@ def cv_select_lambda(X: np.ndarray, grid, folds: int, seed) -> tuple[float, list
     lower = np.sum([lo for _, _, lo, _ in bounded], axis=0)
     upper = np.sum([up for _, _, _, up in bounded], axis=0)
     # the slack keeps near-ties exact whatever the rounding in the bounds; a
-    # NaN bound (inf risks) compares False, so its grid point stays live
+    # NaN bound compares False, so its grid point stays live
     live = ~(lower > upper.min() * (1.0 + 1e-9))
     todo = [nu for nu in range(folds) if np.isnan(fold_risks[nu][live]).any()]
 
@@ -291,12 +336,15 @@ def cv_select_lambda(X: np.ndarray, grid, folds: int, seed) -> tuple[float, list
     # every live grid point is exact, and every other has a larger risk
     at = np.flatnonzero(live)
     best = int(at[np.argmin(risks[at])])  # argmin returns the first minimizer
+    if k:  # risks are covariance distances, so in the data's units by 2^2k
+        with np.errstate(over="ignore"):
+            risks = np.ldexp(risks, 2 * k)
     return grid[best], risks.tolist()
 
 
 def cov_diagnostics(S: CovMatrix) -> CovDiagnostics:
     """Numerical rank, diagonal extremes, and effective rank (trace / op-norm)."""
-    w = np.linalg.eigvalsh(S.values)
+    w = _eigvalsh(S.values)
     wmax = float(np.abs(w).max(initial=0.0))
     rank = int((w > RANK_TOL * max(wmax, 1e-300)).sum())
     d = np.diag(S.values)

@@ -14,9 +14,9 @@ from scipy.special import gammaln
 
 from .bootstrap import (MAX_DRAWS, EmpiricalDistribution, critical_value,
                         gpb_draws)
-from .covariance import (CovMatrix, band, correlation_threshold,
-                         cv_select_lambda, psd_project, sample_covariance,
-                         threshold)
+from .covariance import (CovMatrix, _rescale_exponent, band,
+                         correlation_threshold, cv_select_lambda, psd_project,
+                         sample_covariance, threshold)
 from .lp import LpExponent, lp_norm
 from .sampling import RngSeed
 
@@ -153,9 +153,7 @@ def run_test(X: np.ndarray, spec: TestSpec) -> TestResult:
     """
     X = np.asarray(X, dtype=float)
     stat = test_statistic(X, spec.M, spec.m0, spec.p)
-    # max|X| with no temporary array, and X itself, not a copy, when in range
-    top = max(X.max(initial=0.0), -X.min(initial=0.0))
-    k = 0 if 2.0**-64 <= top <= 2.0**64 else math.frexp(top)[1]  # k = 0 for 0, inf, NaN
+    k = _rescale_exponent(X)
     est = spec.estimator
     if k and est.kind == "hard":
         # a level past the largest float lies above every rescaled entry

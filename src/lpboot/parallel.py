@@ -10,6 +10,10 @@ it found and releases the lock when the pool ends. A call that finds the lock
 held, from a pool's worker or from any other thread, runs its indices
 serially, so pools never nest. A child process forked while a pool runs
 inherits the held lock and runs serially too; its output is the same.
+
+The module also loads numpy's bundled OpenBLAS once for ctypes calls: the
+thread-count pin here, and LAPACK eigenvalues for lpboot.covariance, which
+ctypes computes with the GIL released, so pool workers run them at once.
 """
 
 from __future__ import annotations
@@ -35,22 +39,36 @@ def _available_cores() -> int:
 
 
 @functools.cache
-def _openblas_thread_calls():
-    """(get, set) of the thread count of the OpenBLAS bundled with numpy, or
-    None where numpy ships no such library or it lacks either symbol."""
+def _openblas():
+    """The OpenBLAS bundled with numpy (scipy-openblas, 64-bit integers),
+    loaded once, or None where numpy ships no such library."""
     pattern = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs",
                            "libscipy_openblas64_*.so")
     for path in sorted(glob.glob(pattern)):
         try:
-            lib = ctypes.CDLL(path)
-            get = lib.scipy_openblas_get_num_threads64_
-            set_ = lib.scipy_openblas_set_num_threads64_
-        except (OSError, AttributeError):
+            return ctypes.CDLL(path)
+        except OSError:
             continue
-        get.argtypes, get.restype = [], ctypes.c_int
-        set_.argtypes, set_.restype = [ctypes.c_int], None
-        return get, set_
     return None
+
+
+@functools.cache
+def _openblas_function(name: str, restype, *argtypes):
+    """The named function of that library with its C signature set, or None
+    where there is no library or it lacks the symbol. ctypes releases the GIL
+    while the function runs."""
+    fn = getattr(_openblas(), name, None)
+    if fn is not None:
+        fn.restype, fn.argtypes = restype, argtypes
+    return fn
+
+
+def _openblas_thread_calls():
+    """(get, set) of the bundled OpenBLAS's thread count, or None where either
+    is missing."""
+    get = _openblas_function("scipy_openblas_get_num_threads64_", ctypes.c_int)
+    set_ = _openblas_function("scipy_openblas_set_num_threads64_", None, ctypes.c_int)
+    return None if get is None or set_ is None else (get, set_)
 
 
 def run_indexed(worker, count: int, threads: int) -> list:

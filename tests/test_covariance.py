@@ -1,13 +1,14 @@
 """Covariance estimators, regularizers, projection, CV tuning, diagnostics."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lpboot import parallel, sampling
+from lpboot import covariance, parallel, sampling
 from lpboot.covariance import (CovMatrix, band, correlation_threshold,
                                cov_diagnostics, cov_error, cv_select_lambda,
                                psd_project, sample_covariance, threshold)
@@ -299,12 +300,10 @@ class TestCvSelectLambda:
         assert_matches_reference(got, _cv_select_lambda_reference(X, grid, folds,
                                                                   RngSeed(cv_seed)))
 
-    def test_projects_fewer_masks_than_reference(self, monkeypatch):
-        # copula data with d > n/3: many masks fail the Cholesky probe, and
-        # only those that can still win are projected
-        S = sampling.build_block_covariance(60, 2, 0.8, RngSeed(0))
-        X = sampling.copula_sample(S, sampling.MarginalKind.UNIFORM_SYM, 60, RngSeed(1))
-        grid = list(np.linspace(0.0, 1.0, 12))
+    @staticmethod
+    def _eigh_calls(monkeypatch, X, grid, folds, seed):
+        """cv_select_lambda's result and the np.linalg.eigh calls it and the
+        per-lambda reference make."""
         eigh, calls = np.linalg.eigh, []
 
         def counting(a, *args, **kwargs):
@@ -312,25 +311,118 @@ class TestCvSelectLambda:
             return eigh(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigh", counting)
-        got = cv_select_lambda(X, grid, 4, RngSeed(2))
+        got = cv_select_lambda(X, grid, folds, RngSeed(seed))
         ours = len(calls)
-        ref = _cv_select_lambda_reference(X, grid, 4, RngSeed(2))
-        assert 0 < ours < len(calls) - ours
-        assert_matches_reference(got, ref)
+        assert_matches_reference(got, _cv_select_lambda_reference(X, grid, folds,
+                                                                  RngSeed(seed)))
+        return ours, len(calls) - ours
+
+    def test_projects_fewer_masks_than_reference(self, monkeypatch):
+        # copula data with d > n/3: many masks fail the Cholesky probe, and
+        # the eigenvalue bounds prune every grid point they belong to
+        S = sampling.build_block_covariance(60, 2, 0.8, RngSeed(0))
+        X = sampling.copula_sample(S, sampling.MarginalKind.UNIFORM_SYM, 60, RngSeed(1))
+        ours, ref = self._eigh_calls(monkeypatch, X, list(np.linspace(0.0, 1.0, 12)), 4, 2)
+        assert ours < ref
+
+    def test_second_pass_projects_masks_that_can_still_win(self, monkeypatch):
+        # n = 12 rows, d = 8 strongly correlated coordinates: failing masks
+        # whose bounds straddle the best upper bound are projected
+        rng = np.random.default_rng(1)
+        X = (rng.normal(size=(12, 8)) * rng.uniform(0.5, 3.0, size=8)
+             + rng.normal(size=(12, 1)) * rng.uniform(5.0, 20.0, size=8))
+        ours, ref = self._eigh_calls(monkeypatch, X, list(np.linspace(0.0, 1.0, 12)), 3, 1)
+        assert 0 < ours < ref
+
+    def test_same_result_without_the_lapacke_entry_point(self, monkeypatch):
+        # np.linalg.eigvalsh, the fallback, gives the same eigenvalues
+        S = sampling.build_block_covariance(60, 2, 0.8, RngSeed(0))
+        X = sampling.copula_sample(S, sampling.MarginalKind.UNIFORM_SYM, 60, RngSeed(1))
+        grid = list(np.linspace(0.0, 1.0, 12))
+        fast = cv_select_lambda(X, grid, 4, RngSeed(2))
+        eigvalsh, calls = np.linalg.eigvalsh, []
+
+        def counting(a):
+            calls.append(1)
+            return eigvalsh(a)
+
+        monkeypatch.setattr(covariance, "_lapacke_dsyevd", lambda: None)
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        lam, risks = cv_select_lambda(X, grid, 4, RngSeed(2))
+        assert calls and lam == fast[0] and np.array_equal(risks, fast[1], equal_nan=True)
+
+    def test_failed_eigenvalues_leave_the_plain_bounds(self, monkeypatch):
+        # with [0, U] in place of the eigenvalue bounds every failing mask's
+        # grid point stays live and is projected; lambda-hat and the exact
+        # risks do not change
+        def failing(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(covariance, "_eigvalsh", failing)
+        S = sampling.build_block_covariance(60, 2, 0.8, RngSeed(0))
+        X = sampling.copula_sample(S, sampling.MarginalKind.UNIFORM_SYM, 60, RngSeed(1))
+        ours, ref = self._eigh_calls(monkeypatch, X, list(np.linspace(0.0, 1.0, 12)), 4, 2)
+        assert 0 < ours <= ref
 
     def test_overflowing_risks_pick_reference_lambda(self):
         # entries of X X^T near 1e156 square past the largest double, so every
-        # risk and bound is inf or NaN; no grid point may be pruned
+        # risk of the reference is inf; CV rescales X by a power of two, picks
+        # the reference's level on X / 1e78 and returns finite risks, with no
+        # overflow warning
         rng = np.random.default_rng(17)
-        X = (rng.normal(size=(30, 12)) + rng.normal(size=(30, 1)) * 3.0) * 1e78
+        Y = rng.normal(size=(30, 12)) + rng.normal(size=(30, 1)) * 3.0
+        X = Y * 1e78
         grid = [0.0, 0.3, 0.6, 0.9]
-        lam, risks = cv_select_lambda(X, grid, 3, RngSeed(3))
-        ref = _cv_select_lambda_reference(X, grid, 3, RngSeed(3))
-        assert np.all(np.isinf(ref[1]))
-        assert lam == ref[0] and np.array_equal(risks, ref[1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lam, risks = cv_select_lambda(X, grid, 3, RngSeed(3))
+        assert np.all(np.isinf(_cv_select_lambda_reference(X, grid, 3, RngSeed(3))[1]))
+        ref = _cv_select_lambda_reference(Y, grid, 3, RngSeed(3))
+        assert lam == ref[0]
+        scored = ~np.isnan(risks)
+        assert np.all(np.isfinite(np.array(risks)[scored]))
+        assert np.array(risks)[scored] == pytest.approx(np.array(ref[1])[scored] * 1e156,
+                                                        rel=1e-12)
+
+    @pytest.mark.parametrize("c", [1e-100, 1e80, 2.0**-300, 2.0**300])
+    def test_scale_equivariant(self, c):
+        # out of [2^-64, 2^64] the data is rescaled by a power of two: the
+        # same level as on the data itself, risks in the data's units
+        X = np.random.default_rng(18).normal(size=(60, 10))
+        grid = list(np.linspace(0.0, 1.0, 40))
+        lam, risks = cv_select_lambda(X, grid, 10, RngSeed(1))
+        lam_c, risks_c = cv_select_lambda(c * X, grid, 10, RngSeed(1))
+        assert lam_c == lam > 0.0
+        assert np.array_equal(np.isnan(risks_c), np.isnan(risks))
+        assert risks_c == pytest.approx(np.array(risks) * c * c, rel=1e-12, nan_ok=True)
+
+
+class TestEigenvalues:
+    @given(d=st.integers(1, 40), shift=st.floats(-3.0, 3.0), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_bit_equal_to_numpy(self, d, shift, seed):
+        # symmetric, indefinite for most shifts, d = 1 included
+        a = np.random.default_rng(seed).normal(size=(d, d))
+        a = (a + a.T) / 2.0 + shift * np.eye(d)
+        assert np.array_equal(covariance._eigvalsh(a), np.linalg.eigvalsh(a))
+
+    def test_bundled_openblas_has_lapacke(self):
+        # without the entry point every eigenvalue call falls back to numpy's
+        # wrapper, which holds the GIL, so CV's pool workers run them in turn
+        if parallel._openblas() is None:
+            pytest.skip("numpy ships no bundled scipy-openblas")
+        assert covariance._lapacke_dsyevd() is not None
 
 
 class TestDiagnostics:
+    def test_same_with_numpy_eigenvalues(self, monkeypatch):
+        rng = np.random.default_rng(19)
+        a = rng.normal(size=(30, 12))
+        mats = [CovMatrix(a.T @ a), CovMatrix(a @ a.T), random_symmetric(rng, 9)]
+        fast = [cov_diagnostics(m) for m in mats]
+        monkeypatch.setattr(covariance, "_lapacke_dsyevd", lambda: None)
+        assert [cov_diagnostics(m) for m in mats] == fast
+
     def test_identity(self):
         d = cov_diagnostics(CovMatrix(np.eye(5)))
         assert d.rank == 5
