@@ -168,9 +168,12 @@ def _eigvalsh(a: np.ndarray) -> np.ndarray:
 def _psd_accepts(a: np.ndarray) -> bool:
     """Whether a Cholesky factorization of a, shifted by a tiny multiple of its
     largest diagonal entry, succeeds: the probe that accepts a as PSD."""
-    scale = float(np.abs(np.diag(a)).max(initial=0.0))
+    diag = np.diag(a)
+    shifted = np.array(a, dtype=float)
+    # the shift on the diagonal of one copy: the same bytes as a + shift * I
+    np.fill_diagonal(shifted, diag + PSD_CERT_TOL * 0.01 * float(np.abs(diag).max(initial=0.0)))
     try:
-        np.linalg.cholesky(a + (PSD_CERT_TOL * 0.01 * scale) * np.eye(a.shape[0]))
+        np.linalg.cholesky(shifted)
         return True
     except np.linalg.LinAlgError:
         return False

@@ -8,6 +8,7 @@ index, so output files are byte-identical for any worker count.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 from dataclasses import dataclass, field, replace
@@ -20,7 +21,7 @@ from .covariance import CovMatrix, _cv_split
 from .diagnostics import ProbeReport, comparison_ks, levy_concentration
 from .inference import EstimatorSpec, estimate_covariance
 from .lp import LpExponent, lp_norm
-from .parallel import _available_cores, run_indexed
+from .parallel import _available_cores, hold, run_indexed
 from .sampling import (MarginalKind, RngSeed, build_block_covariance,
                        copula_covariance, copula_sample)
 
@@ -88,15 +89,21 @@ class ExperimentConfig:
             raise ValueError("delta_grid values must be finite")
         for p in self.p_list:
             p.resolve(self.d)
-        # power runs always use CV; ks and coverage when an estimator does
-        if self.kind.startswith("power") or self.kind != "probe" and any(
-                isinstance(s, EstimatorSpec) and s.kind == "corr_cv" for s in specs):
+        if self.uses_cv:
             _cv_split(self.n)
         for name in ("B", "truth_reps"):
             if getattr(self, name) > MAX_DRAWS:
                 raise ValueError(f"{name} must be at most {MAX_DRAWS}")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
+
+    @property
+    def uses_cv(self) -> bool:
+        """Power runs always cross-validate; ks and coverage runs when an
+        estimator is corr_cv."""
+        return self.kind.startswith("power") or self.kind != "probe" and any(
+            e not in ("proxy", "gmb") and EstimatorSpec.parse(e).kind == "corr_cv"
+            for e in self.estimators)
 
     @property
     def rng(self) -> RngSeed:
@@ -379,11 +386,18 @@ KINDS = tuple(_EXPERIMENTS)
 def run_experiment(cfg: ExperimentConfig) -> list:
     """Run the experiment cfg.kind names and return its CSV rows; with an
     output_path, also write them there (and, for coverage, the per-(p,
-    estimator) summary next to it)."""
+    estimator) summary next to it).
+
+    A run that may start a pool, on its harness threads or in CV, holds
+    lpboot's one pool (lpboot.parallel.hold) throughout, so its serial phases
+    run on one BLAS thread as its pools do. A serial run without CV starts no
+    pool and keeps the BLAS threads it finds."""
     header, experiment = _EXPERIMENTS[cfg.kind]
-    Sigma = None if cfg.kind == "probe" else build_block_covariance(
-        cfg.d, cfg.block, perm_seed=cfg.rng.child(0))
-    records = experiment(cfg, Sigma)
+    may_pool = cfg.kind != "probe" and (cfg.threads > 1 or cfg.uses_cv)
+    with hold() if may_pool else contextlib.nullcontext():
+        Sigma = None if cfg.kind == "probe" else build_block_covariance(
+            cfg.d, cfg.block, perm_seed=cfg.rng.child(0))
+        records = experiment(cfg, Sigma)
     rows = [_format(r) for r in records]
     if cfg.output_path:
         _write_csv(cfg.output_path, header, rows)

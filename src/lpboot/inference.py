@@ -4,6 +4,7 @@ simultaneous confidence sets, and lp-ball volumes.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import re
 import sys
@@ -18,6 +19,7 @@ from .covariance import (CovMatrix, _rescale_exponent, band,
                          correlation_threshold, cv_select_lambda, psd_project,
                          sample_covariance, threshold)
 from .lp import LpExponent, lp_norm
+from .parallel import hold
 from .sampling import RngSeed
 
 
@@ -79,7 +81,16 @@ def estimate_covariance(X: np.ndarray, spec: EstimatorSpec, cv_seed: RngSeed) ->
 
     cv_seed is the stream corr_cv draws its folds from: fold k permutes the
     rows with cv_seed.child(k). The other kinds use no randomness.
+
+    Sigma_hat is returned in the data's units, so the largest |entry| of X
+    must lie in [2^-64, 2^64] (or X be all zero): outside it covariance
+    entries can underflow to 0 or overflow. run_test rescales such data.
     """
+    X = np.asarray(X, dtype=float)
+    if _rescale_exponent(X):
+        raise ValueError("the largest |entry| of the data lies outside [2^-64, 2^64], where "
+                         "covariance entries can underflow or overflow; rescale it by a "
+                         "power of two, as run_test does")
     S = sample_covariance(X)
     if spec.kind == "naive":
         return S
@@ -151,25 +162,29 @@ def run_test(X: np.ndarray, spec: TestSpec) -> TestResult:
     underflow, and in-range data keeps every byte. The hard-threshold level
     is a covariance level, so it is rescaled with Sigma_hat (by 2^-2k).
     """
-    X = np.asarray(X, dtype=float)
-    stat = test_statistic(X, spec.M, spec.m0, spec.p)
-    k = _rescale_exponent(X)
-    est = spec.estimator
-    if k and est.kind == "hard":
-        # a level past the largest float lies above every rescaled entry
-        with np.errstate(over="ignore"):
-            est = replace(est, lam=min(float(np.ldexp(est.lam, -2 * k)), sys.float_info.max))
-    Sigma = estimate_covariance(np.ldexp(X, -k) if k else X, est, spec.seed.child(1, 0))
-    Omega = CovMatrix(spec.M @ Sigma.values @ spec.M.T,
-                      provenance=f"conjugate<-{Sigma.provenance}")
-    dist = gpb_draws(Omega, spec.p, spec.B, spec.seed.child(2))
-    if k:
-        dist = EmpiricalDistribution(np.ldexp(dist.samples, k), dist.meta)
-    crit = critical_value(dist, spec.alpha)
-    p_value = float((dist.samples >= stat).mean())
-    return TestResult(statistic=stat, critical_value=crit,
-                      reject=bool(stat > crit), p_value=p_value,
-                      distribution=dist)
+    # corr_cv starts CV's fold pool; the pool's hold (lpboot.parallel) covers
+    # the whole call, so the products before and after the pool run on the one
+    # BLAS thread too and leave no spinning OpenBLAS helper to slow the pool
+    with hold() if spec.estimator.kind == "corr_cv" else contextlib.nullcontext():
+        X = np.asarray(X, dtype=float)
+        stat = test_statistic(X, spec.M, spec.m0, spec.p)
+        k = _rescale_exponent(X)
+        est = spec.estimator
+        if k and est.kind == "hard":
+            # a level past the largest float lies above every rescaled entry
+            with np.errstate(over="ignore"):
+                est = replace(est, lam=min(float(np.ldexp(est.lam, -2 * k)), sys.float_info.max))
+        Sigma = estimate_covariance(np.ldexp(X, -k) if k else X, est, spec.seed.child(1, 0))
+        Omega = CovMatrix(spec.M @ Sigma.values @ spec.M.T,
+                          provenance=f"conjugate<-{Sigma.provenance}")
+        dist = gpb_draws(Omega, spec.p, spec.B, spec.seed.child(2))
+        if k:
+            dist = EmpiricalDistribution(np.ldexp(dist.samples, k), dist.meta)
+        crit = critical_value(dist, spec.alpha)
+        p_value = float((dist.samples >= stat).mean())
+        return TestResult(statistic=stat, critical_value=crit,
+                          reject=bool(stat > crit), p_value=p_value,
+                          distribution=dist)
 
 
 @dataclass

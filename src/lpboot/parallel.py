@@ -1,15 +1,24 @@
 """The one thread pool of lpboot, for the harness's truth datasets and
-replicates and for CV folds, and the OpenBLAS thread pin it holds while it
-runs.
+replicates and for CV folds, and the hold on it: one lock plus an OpenBLAS
+thread pin.
 
-At most one pool runs in the process. One lock decides it: the call that
-takes the lock starts the pool and pins numpy's OpenBLAS to one thread, since
-the pool already spreads its work over the cores and OpenBLAS splitting every
-product over the same cores would oversubscribe them; it restores the count
-it found and releases the lock when the pool ends. A call that finds the lock
-held, from a pool's worker or from any other thread, runs its indices
-serially, so pools never nest. A child process forked while a pool runs
-inherits the held lock and runs serially too; its output is the same.
+At most one pool runs in the process. One reentrant lock decides it, and
+hold() takes it without blocking. The outermost hold of a thread pins numpy's
+OpenBLAS to one thread and, on exit, also when the body raises, restores the
+count it found and releases the lock: a pool already spreads its work over
+the cores, and OpenBLAS splitting every product over the same cores would
+oversubscribe them. run_indexed starts a pool only in a thread that holds
+the lock, re-entering the caller's hold where there is one. A call that finds
+the lock held by another thread, a pool's worker or any other, runs its
+indices serially, so pools never nest. A child process forked while the lock
+is held inherits it and runs serially too; its output is the same.
+
+The calls that may start a pool hold it for their whole body, not just for
+the pool: run_test with corr_cv, and run_experiment with harness threads or
+CV. An OpenBLAS call on two threads leaves its helper thread spinning for
+about 80 ms afterwards, whatever the count is set to then, and that helper
+would take a core from the pool's workers if the products before the pool
+ran on two threads.
 
 The module also loads numpy's bundled OpenBLAS once for ctypes calls: the
 thread-count pin here, and LAPACK eigenvalues for lpboot.covariance, which
@@ -18,6 +27,7 @@ ctypes computes with the GIL released, so pool workers run them at once.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import glob
@@ -27,7 +37,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-_POOL = threading.Lock()  # held while the pool runs
+_POOL = threading.RLock()  # held by the one thread that may start a pool
+_depth = 0  # hold()s the holder is inside; changed only while holding _POOL
 
 
 def _available_cores() -> int:
@@ -71,24 +82,42 @@ def _openblas_thread_calls():
     return None if get is None or set_ is None else (get, set_)
 
 
+@contextlib.contextmanager
+def hold():
+    """Take the pool's lock without blocking and yield whether this thread
+    holds it. The outermost hold of the holding thread pins the bundled
+    OpenBLAS to one thread and, on exit, restores the count it found and
+    releases the lock, also when the body raises; an inner hold of the same
+    thread changes nothing."""
+    global _depth
+    if not _POOL.acquire(blocking=False):
+        yield False
+        return
+    _depth += 1
+    calls = saved = None
+    try:
+        if _depth == 1 and (calls := _openblas_thread_calls()):
+            saved = calls[0]()
+            calls[1](1)
+        yield True
+    finally:
+        if saved is not None:
+            calls[1](saved)
+        _depth -= 1
+        _POOL.release()
+
+
 def run_indexed(worker, count: int, threads: int) -> list:
     """[worker(i) for i in range(count)] on a pool of min(threads, count,
     usable cores) threads, results in index order; the caller waits. When an
     index raises, the indices not yet started are cancelled and the exception
-    propagates once the started ones have ended. While another pool runs, the
-    call runs serially."""
+    propagates once the started ones have ended. While another thread holds
+    the pool, the call runs serially."""
     workers = min(threads, count, _available_cores())
-    if workers <= 1 or not _POOL.acquire(blocking=False):
+    if workers <= 1:
         return [worker(i) for i in range(count)]
-    saved = None
-    try:
-        calls = _openblas_thread_calls()
-        if calls:
-            saved = calls[0]()
-            calls[1](1)
+    with hold() as held:
+        if not held:
+            return [worker(i) for i in range(count)]
         with ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(worker, range(count)))
-    finally:
-        if saved is not None:
-            calls[1](saved)
-        _POOL.release()

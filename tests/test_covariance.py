@@ -218,6 +218,30 @@ class TestPsdProject:
                 e_raw = cov_error(noisy, truth, p).delta_p[p]
                 assert e_proj <= 2 * e_raw + 1e-9
 
+    def test_probe_decides_as_the_identity_shift(self):
+        # the shift on one copy's diagonal decides as a + shift * I did, on
+        # CV's masks: PSD, singular (S1 has rank n1 - 1) and indefinite
+        def accepts_shifted_by_identity(a):
+            shift = covariance.PSD_CERT_TOL * 0.01 * float(np.abs(np.diag(a)).max(initial=0.0))
+            try:
+                np.linalg.cholesky(a + shift * np.eye(a.shape[0]))
+                return True
+            except np.linalg.LinAlgError:
+                return False
+
+        decisions = []
+        for seed in range(6):
+            X = np.random.default_rng(seed).normal(size=(30, 20))  # n1 = 10 rows
+            S1, _, corr = covariance._cv_fold(X, covariance._cv_split(30), RngSeed(seed), 0)
+            assert np.linalg.matrix_rank(S1) == 9
+            for lam in np.linspace(0.0, 1.0, 21):
+                A = covariance._keep_off_diagonal(S1, corr >= lam)
+                decisions.append(covariance._psd_accepts(A))
+                assert decisions[-1] == accepts_shifted_by_identity(A)
+        assert any(decisions) and not all(decisions)
+        for a in (np.zeros((0, 0)), np.zeros((3, 3)), np.diag([1.0, -1e-300])):
+            assert covariance._psd_accepts(a) == accepts_shifted_by_identity(a)
+
 
 class TestCvSelectLambda:
     def test_singleton_grid(self):

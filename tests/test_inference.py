@@ -99,6 +99,22 @@ class TestEstimateCovariance:
         b = estimate_covariance(self.X, spec, RngSeed(2))
         assert np.array_equal(a.values, b.values)
 
+    @pytest.mark.parametrize("c", [1e-200, 2.0**-65, 2.0**65, 1e154])
+    @pytest.mark.parametrize("kind", ["naive", "corr_cv"])
+    def test_rejects_data_outside_the_scale_window(self, c, kind):
+        # in the data's units Sigma_hat would underflow to 0 or overflow
+        X = c * self.X / np.abs(self.X).max()
+        with pytest.raises(ValueError, match=r"\[2\^-64, 2\^64\].*run_test"):
+            estimate_covariance(X, EstimatorSpec(kind), RngSeed(0))
+
+    def test_window_ends_and_zero_data_are_accepted(self):
+        for c in (2.0**-64, 2.0**64):
+            X = c * self.X / np.abs(self.X).max()
+            assert np.all(np.isfinite(estimate_covariance(X, EstimatorSpec("naive"),
+                                                          RngSeed(0)).values))
+        zero = estimate_covariance(np.zeros((10, 3)), EstimatorSpec("naive"), RngSeed(0))
+        assert not zero.values.any()
+
 
 class TestTestStatistic:
     def test_identity_map_formula(self):

@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from lpboot import covariance, inference, parallel
+from lpboot import covariance, inference, parallel, sampling
 from lpboot.harness import ExperimentConfig, run_experiment
 from lpboot.inference import EstimatorSpec, run_test
 from lpboot.lp import LpExponent
@@ -179,6 +179,97 @@ def test_run_test_with_corr_cv_restores_blas(blas_at_two, monkeypatch):
                               B=100, seed=RngSeed(4))
     run_test(X, spec)
     assert seen == [1] * 8  # two splits per fold
+    assert blas_at_two() == 2
+
+
+def _spec(kind, d=5, **kw):
+    return inference.TestSpec(M=np.eye(d), m0=np.zeros(d), p=LpExponent.finite(2), alpha=0.05,
+                              estimator=EstimatorSpec(kind, **kw), B=100, seed=RngSeed(4))
+
+
+@pytest.fixture
+def factorizations(blas_at_two, monkeypatch):
+    """The BLAS thread count each factorize_psd call reads, in order, with
+    raising set to make the next call raise after reading it."""
+    seen = []
+    factorize_psd = sampling.factorize_psd
+
+    def recording(S):
+        seen.append(blas_at_two())
+        if recording.raising:
+            raise RuntimeError("factorization failed")
+        return factorize_psd(S)
+
+    recording.raising = False
+    monkeypatch.setattr(sampling, "factorize_psd", recording)
+    return seen, recording
+
+
+@pytest.mark.parametrize("kind, inside", [("corr_cv", 1), ("naive", 2), ("hard", 2),
+                                          ("band", 2)])
+def test_run_test_holds_the_pin_only_with_corr_cv(blas_at_two, factorizations, kind, inside):
+    seen, recording = factorizations
+    X = RngSeed(3).generator().standard_normal((30, 5))
+    run_test(X, _spec(kind, cv_folds=4))
+    assert seen == [inside]
+    assert blas_at_two() == 2
+    recording.raising = True
+    with pytest.raises(RuntimeError, match="factorization failed"):
+        run_test(X, _spec(kind, cv_folds=4))
+    assert seen == [inside] * 2
+    assert blas_at_two() == 2
+    # the lock went with the pin: another thread can take the hold again
+    got = []
+
+    def take():
+        with parallel.hold() as held:
+            got.append((held, blas_at_two()))
+
+    other = threading.Thread(target=take)
+    other.start()
+    other.join(10)
+    assert got == [(True, 1)]
+    assert blas_at_two() == 2
+
+
+def test_cv_from_another_thread_runs_serially_while_run_test_holds(pools, monkeypatch):
+    X = RngSeed(5).generator().standard_normal((30, 5))
+    grid = [0.0, 0.5, 1.0]
+    alone = covariance.cv_select_lambda(X, grid, 2, RngSeed(6))
+    assert pools == [2]
+    pools.clear()
+    other = []
+    cv_select_lambda = inference.cv_select_lambda
+
+    def with_cv_beside(*args):
+        # the holder is inside its run_test here, before its own CV
+        t = threading.Thread(target=lambda: other.append(
+            covariance.cv_select_lambda(X, grid, 2, RngSeed(6))))
+        t.start()
+        t.join(30)
+        assert pools == []
+        return cv_select_lambda(*args)
+
+    monkeypatch.setattr(inference, "cv_select_lambda", with_cv_beside)
+    run_test(X, _spec("corr_cv", cv_folds=2))
+    assert other == [alone]
+    assert pools == [2]  # the holder's own CV re-enters its hold
+
+
+@pytest.mark.parametrize("threads, estimators, inside", [
+    (2, ("naive",), 1),
+    (1, ("corr_cv",), 1),
+    (1, ("proxy", "naive"), 2),  # starts no pool, so holds nothing
+])
+def test_run_experiment_holds_the_pin_when_it_may_pool(blas_at_two, factorizations, monkeypatch,
+                                                       threads, estimators, inside):
+    monkeypatch.setattr(parallel, "_available_cores", lambda: 2)
+    seen, _ = factorizations
+    run_experiment(ExperimentConfig(kind="ks", n=40, d=20, mc_reps=2, B=100, truth_reps=20,
+                                    block=2, cv_folds=2, cv_grid_size=3, estimators=estimators,
+                                    threads=threads))
+    # every call, the serial Sigma.factor() before the truth pool included
+    assert seen and set(seen) == {inside}
     assert blas_at_two() == 2
 
 
