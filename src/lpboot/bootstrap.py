@@ -50,14 +50,22 @@ def _norm_draws(rows, p_list, B: int, rng: RngSeed, d: int) -> dict:
     """B draws of ||V||_p for every p in p_list, all read from one stream of
     Gaussian rows V: chunk k has at most _CHUNK rows, made by rows(m,
     rng.child(k)), so memory stays bounded and single-p output equals
-    multi-p output draw-for-draw. One norm pass per chunk serves every p."""
+    multi-p output draw-for-draw. One norm pass per chunk serves every p.
+
+    The array a row source returns belongs to the kernel, which overwrites
+    it with its absolute values and then the norm pass's ratios, so a source
+    must return a fresh float array each call. A chunk then holds at most two
+    arrays of its size at once (a source's standard normals and their
+    product, or the ratios and one scratch array): every further array would
+    be fresh memory, which the system maps and zeroes page by page on first
+    touch."""
     if not 1 <= B <= MAX_DRAWS:
         raise ValueError(f"B must lie in [1, {MAX_DRAWS}]")
     qs = [p.resolve(d) for p in p_list]
     out = {p: np.empty(B) for p in p_list}
     for k, pos in enumerate(range(0, B, _CHUNK)):
         V = rows(min(_CHUNK, B - pos), rng.child(k))
-        for p, norms in zip(p_list, _row_norms(V, qs)):
+        for p, norms in zip(p_list, _row_norms(np.abs(V, out=V), qs)):
             out[p][pos:pos + V.shape[0]] = norms
     return out
 
@@ -72,7 +80,8 @@ def _multiplier_rows(X: np.ndarray):
     """Row source for the kernel: m rows n^{-1/2} sum_i g_i (X_i - Xbar) with
     i.i.d. standard normal multipliers g_i."""
     n = X.shape[0]
-    Xc = (X - X.mean(axis=0)) / math.sqrt(n)
+    Xc = X - X.mean(axis=0)
+    Xc /= math.sqrt(n)
     return lambda m, seed: seed.generator().standard_normal((m, n)) @ Xc
 
 

@@ -16,7 +16,7 @@ from typing import Iterable
 import numpy as np
 
 from .lp import LpExponent, lp_norm
-from .parallel import _openblas_function, run_indexed
+from .parallel import _openblas_function, hold, run_indexed
 
 # relative tolerance for the smallest eigenvalue of a matrix accepted as PSD
 PSD_CERT_TOL = 1e-8
@@ -42,7 +42,9 @@ class CovMatrix:
             raise ValueError("covariance matrix must be square")
         if not np.all(np.isfinite(a)):
             raise ValueError("covariance matrix entries must be finite")
-        self.values = (a + a.T) / 2.0
+        s = a + a.T  # a may be the caller's, so only the sum is halved in place
+        s /= 2.0
+        self.values = s
 
     @property
     def dim(self) -> int:
@@ -79,7 +81,8 @@ def sample_covariance(X: np.ndarray) -> CovMatrix:
     if not np.all(np.isfinite(X)):
         raise ValueError("data entries must be finite")
     Xc = X - X.mean(axis=0)
-    S = Xc.T @ Xc / X.shape[0]
+    S = Xc.T @ Xc
+    S /= X.shape[0]
     return CovMatrix(S, provenance="naive")
 
 
@@ -234,6 +237,7 @@ def _frobenius(D: np.ndarray) -> float:
     return math.sqrt(float(np.einsum("ij,ij->", D, D)))
 
 
+@hold()
 def cv_select_lambda(X: np.ndarray, grid, folds: int, seed) -> tuple[float, list[float]]:
     """Cross-validated correlation-threshold level (Bickel & Levina 2008).
 
@@ -260,7 +264,9 @@ def cv_select_lambda(X: np.ndarray, grid, folds: int, seed) -> tuple[float, list
     NaN, and their risk is above the minimum (730 of the 2560 entries on the
     64 perfbench seed-0 datasets at 10 folds x 40 points).  Both passes spread their
     folds over lpboot's one pool (lpboot.parallel), capped at the usable
-    cores; the eigenvalues run with the GIL released.
+    cores; the eigenvalues run with the GIL released.  The call holds the
+    pool for its whole body, so work between and outside the passes runs on
+    one BLAS thread too.
 
     Data whose largest |entry| lies outside [2^-64, 2^64] is rescaled by the
     power of two that brings it into [1/2, 1) first, so lambda-hat does not
@@ -283,8 +289,14 @@ def cv_select_lambda(X: np.ndarray, grid, folds: int, seed) -> tuple[float, list
 
     def bound(nu: int):
         """Fold nu's mask key per grid point, its risk (NaN where the mask fails
-        the probe) and lower and upper bounds on that risk."""
+        the probe), lower and upper bounds on that risk, and the rounding
+        slack of those bounds."""
         S1, S2, corr = _cv_fold(X, n1, seed, nu)
+        # U and g are rounded relative to ||A|| + ||S2||, and ||A|| <= ||S1||
+        # for every mask: d^2 eps covers the d^2 squares summed in U and, by
+        # Weyl's inequality, the backward error of dsyevd's eigenvalues in g
+        d = S1.shape[0]
+        slack = d * d * np.finfo(float).eps * (_frobenius(S1) + _frobenius(S2))
         off = np.sort(corr[np.triu_indices_from(corr, 1)])
         keys = (off.size - np.searchsorted(off, grid, side="left")).tolist()
         exact, lower, upper = {}, {}, {}
@@ -305,15 +317,17 @@ def cv_select_lambda(X: np.ndarray, grid, folds: int, seed) -> tuple[float, list
             gap = float(np.einsum("i,i->", neg, neg))  # g^2
             lower[key], upper[key] = u - math.sqrt(gap), math.sqrt(max(u * u - gap, 0.0))
         return (keys, np.array([exact.get(k, math.nan) for k in keys]),
-                np.array([lower[k] for k in keys]), np.array([upper[k] for k in keys]))
+                np.array([lower[k] for k in keys]), np.array([upper[k] for k in keys]), slack)
 
     bounded = run_indexed(bound, folds, folds)
-    fold_risks = [risk for _, risk, _, _ in bounded]
-    lower = np.sum([lo for _, _, lo, _ in bounded], axis=0)
-    upper = np.sum([up for _, _, _, up in bounded], axis=0)
-    # the slack keeps near-ties exact whatever the rounding in the bounds; a
-    # NaN bound compares False, so its grid point stays live
-    live = ~(lower > upper.min() * (1.0 + 1e-9))
+    fold_risks = [b[1] for b in bounded]
+    lower = np.sum([b[2] for b in bounded], axis=0)
+    upper = np.sum([b[3] for b in bounded], axis=0)
+    # the slack keeps near-ties exact whatever the rounding in the bounds: a
+    # relative part for the least upper bound and the folds' absolute parts,
+    # which matter where that bound is small next to the matrices; a NaN bound
+    # compares False, so its grid point stays live
+    live = ~(lower > upper.min() * (1.0 + 1e-9) + math.fsum(b[4] for b in bounded))
     todo = [nu for nu in range(folds) if np.isnan(fold_risks[nu][live]).any()]
 
     def refine(j: int) -> np.ndarray:

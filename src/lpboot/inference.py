@@ -76,11 +76,21 @@ class EstimatorSpec:
         return self.kind
 
 
+def _cv_hold(spec: EstimatorSpec):
+    """The pool's hold (lpboot.parallel) where spec is corr_cv, which starts
+    CV's fold pool, else a context that does nothing. Held for a whole call,
+    it runs the products before and after the pool on the one BLAS thread too,
+    so they leave no spinning OpenBLAS helper to slow the pool; the other
+    kinds keep the BLAS threads they find."""
+    return hold() if spec.kind == "corr_cv" else contextlib.nullcontext()
+
+
 def estimate_covariance(X: np.ndarray, spec: EstimatorSpec, cv_seed: RngSeed) -> CovMatrix:
     """Sample covariance regularized per spec; PSD-projected where needed.
 
     cv_seed is the stream corr_cv draws its folds from: fold k permutes the
-    rows with cv_seed.child(k). The other kinds use no randomness.
+    rows with cv_seed.child(k). The other kinds use no randomness. With
+    corr_cv the call holds the pool for its whole body, as run_test does.
 
     Sigma_hat is returned in the data's units, so the largest |entry| of X
     must lie in [2^-64, 2^64] (or X be all zero): outside it covariance
@@ -91,16 +101,17 @@ def estimate_covariance(X: np.ndarray, spec: EstimatorSpec, cv_seed: RngSeed) ->
         raise ValueError("the largest |entry| of the data lies outside [2^-64, 2^64], where "
                          "covariance entries can underflow or overflow; rescale it by a "
                          "power of two, as run_test does")
-    S = sample_covariance(X)
-    if spec.kind == "naive":
-        return S
-    if spec.kind == "hard":
-        return psd_project(threshold(S, spec.lam))
-    if spec.kind == "band":
-        return psd_project(band(S, spec.ell))
-    # corr_cv, the one kind left that EstimatorSpec admits
-    lam_hat, _ = cv_select_lambda(X, list(spec.cv_grid), spec.cv_folds, cv_seed)
-    return psd_project(correlation_threshold(S, lam_hat))
+    with _cv_hold(spec):
+        S = sample_covariance(X)
+        if spec.kind == "naive":
+            return S
+        if spec.kind == "hard":
+            return psd_project(threshold(S, spec.lam))
+        if spec.kind == "band":
+            return psd_project(band(S, spec.ell))
+        # corr_cv, the one kind left that EstimatorSpec admits
+        lam_hat, _ = cv_select_lambda(X, list(spec.cv_grid), spec.cv_folds, cv_seed)
+        return psd_project(correlation_threshold(S, lam_hat))
 
 
 @dataclass
@@ -162,10 +173,7 @@ def run_test(X: np.ndarray, spec: TestSpec) -> TestResult:
     underflow, and in-range data keeps every byte. The hard-threshold level
     is a covariance level, so it is rescaled with Sigma_hat (by 2^-2k).
     """
-    # corr_cv starts CV's fold pool; the pool's hold (lpboot.parallel) covers
-    # the whole call, so the products before and after the pool run on the one
-    # BLAS thread too and leave no spinning OpenBLAS helper to slow the pool
-    with hold() if spec.estimator.kind == "corr_cv" else contextlib.nullcontext():
+    with _cv_hold(spec.estimator):
         X = np.asarray(X, dtype=float)
         stat = test_statistic(X, spec.M, spec.m0, spec.p)
         k = _rescale_exponent(X)

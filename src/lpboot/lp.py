@@ -89,18 +89,34 @@ def _pnorm(absx: np.ndarray, q: float) -> float:
     return m * float(((absx / m) ** q).sum() ** (1.0 / q))
 
 
-def _row_norms(X: np.ndarray, qs) -> list:
-    """Row-wise norms of X at each numeric exponent in qs, max-factored; the
-    absolute values, row maxima and max-scaled ratios are computed once and
-    shared by every finite exponent."""
-    absx = np.abs(X)
+def _row_norms(absx: np.ndarray, qs) -> list:
+    """Row-wise norms at each numeric exponent in qs of the rows whose absolute
+    values absx holds, max-factored. absx is overwritten: it becomes the
+    max-scaled ratios, computed once and shared by every finite exponent, and
+    the last finite exponent raises them to its power in place. Each earlier
+    finite exponent uses one scratch array, so a call holds at most two arrays
+    of absx's size. The ufuncs and their order are those of
+    (absx / max) ** q, so the bytes are too."""
     m = absx.max(axis=1)
-    if all(math.isinf(q) for q in qs):
+    finite = [i for i, q in enumerate(qs) if not math.isinf(q)]
+    if not finite:
         return [m] * len(qs)
     safe = np.where(m > 0.0, m, 1.0)
-    ratio = absx / safe[:, None]
-    # a zero row has ratio 0, so its norm comes out 1.0 * 0.0 = 0.0
-    return [m if math.isinf(q) else safe * (ratio ** q).sum(axis=1) ** (1.0 / q) for q in qs]
+    ratio = np.divide(absx, safe[:, None], out=absx)
+    scratch = np.empty_like(ratio) if len(finite) > 1 else None
+    norms = [m] * len(qs)
+    for i in finite:
+        if i == finite[-1]:
+            power = ratio
+        else:
+            power = scratch
+            power[...] = ratio
+        # **= keeps numpy's scalar-power fast paths (q = 1 copies, q = 2
+        # squares), which np.power(..., out=) may not take
+        power **= qs[i]
+        # a zero row has ratio 0, so its norm comes out 1.0 * 0.0 = 0.0
+        norms[i] = safe * power.sum(axis=1) ** (1.0 / qs[i])
+    return norms
 
 
 def lp_norm(x: np.ndarray, p: LpExponent, d_context: int | None = None) -> float:
@@ -111,12 +127,15 @@ def lp_norm(x: np.ndarray, p: LpExponent, d_context: int | None = None) -> float
 
 
 def lp_norm_rows(X: np.ndarray, p: LpExponent, d_context: int | None = None) -> np.ndarray:
-    """Row-wise lp-norms of a 2-d array (vectorized form of :func:`lp_norm`)."""
+    """Row-wise lp-norms of a 2-d array (vectorized form of :func:`lp_norm`).
+
+    X is left unchanged: the norm pass overwrites a fresh array of its
+    absolute values."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] == 0:
         raise ValueError("expected a 2-d array with nonempty rows")
     d = X.shape[1] if d_context is None else int(d_context)
-    return _row_norms(X, [p.resolve(d)])[0]
+    return _row_norms(np.abs(X), [p.resolve(d)])[0]
 
 
 def smooth_norm(x: np.ndarray, p: int, eta: float) -> float:

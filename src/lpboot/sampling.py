@@ -101,7 +101,9 @@ def factorize_psd(S: CovMatrix) -> PsdFactor:
     if w.min(initial=0.0) < -PSD_CERT_TOL * scale:
         raise ValueError(f"matrix is not positive semi-definite (min eig {w.min():g})")
     keep = w > RANK_TOL * scale
-    return PsdFactor(V[:, keep] * np.sqrt(w[keep]), int(keep.sum()))
+    L = V[:, keep]  # a copy, scaled in place
+    L *= np.sqrt(w[keep])
+    return PsdFactor(L, int(keep.sum()))
 
 
 def mvn_sample(F: PsdFactor, count: int, rng: RngSeed) -> np.ndarray:
@@ -179,5 +181,8 @@ def copula_sample(S: CovMatrix, kind: MarginalKind, n: int, rng: RngSeed) -> np.
     sd = np.sqrt(np.diag(S.values))
     if np.any(sd <= 0.0):
         raise ValueError("latent covariance needs a strictly positive diagonal")
-    U = np.clip(normal_cdf(mvn_sample(S.factor(), n, rng) / sd), 1e-16, 1.0 - 1e-16)
+    U = mvn_sample(S.factor(), n, rng)
+    U /= sd
+    U = normal_cdf(U)  # frees the normals before the quantiles are computed
+    np.clip(U, 1e-16, 1.0 - 1e-16, out=U)
     return np.asarray(marginal_quantile(kind, U))

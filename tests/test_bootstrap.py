@@ -199,7 +199,7 @@ def test_one_norm_pass_equals_each_p_alone():
     def rows(m, seed):
         V = seed.generator().standard_normal((m, d)) * 10.0 ** np.arange(-3, 4)
         V[::5] = 0.0  # all-zero rows
-        chunks.append(V)
+        chunks.append(V.copy())  # the kernel owns, and overwrites, what a source returns
         return V
 
     B = _CHUNK + 300  # two chunks

@@ -256,6 +256,65 @@ def test_cv_from_another_thread_runs_serially_while_run_test_holds(pools, monkey
     assert pools == [2]  # the holder's own CV re-enters its hold
 
 
+@pytest.fixture
+def blas_reads(blas_at_two, monkeypatch):
+    """The BLAS thread count read at each call of the named functions, looked
+    up in the given module, with raising set to make the next call raise
+    after reading it."""
+    seen = []
+
+    def install(module, *names):
+        for name in names:
+            original = getattr(module, name)
+
+            def recording(*args, _name=name, _original=original):
+                seen.append((_name, blas_at_two()))
+                if install.raising:
+                    raise RuntimeError(f"{_name} failed")
+                return _original(*args)
+
+            monkeypatch.setattr(module, name, recording)
+        return seen
+
+    install.raising = False
+    return install
+
+
+@pytest.mark.parametrize("kind, inside", [("corr_cv", 1), ("naive", 2), ("hard", 2),
+                                          ("band", 2)])
+def test_estimate_covariance_holds_the_pin_only_with_corr_cv(blas_at_two, blas_reads, kind,
+                                                            inside):
+    # called directly, outside run_test, as demos/covariance_tuning.py calls CV
+    seen = blas_reads(inference, "sample_covariance", "psd_project")
+    X = RngSeed(3).generator().standard_normal((30, 5))
+    spec = EstimatorSpec(kind, cv_folds=2, cv_grid=(0.0, 0.5, 1.0))
+    inference.estimate_covariance(X, spec, RngSeed(4))
+    projected = [("psd_project", inside)] if kind != "naive" else []
+    assert seen == [("sample_covariance", inside)] + projected
+    assert blas_at_two() == 2
+    seen.clear()
+    blas_reads.raising = True
+    with pytest.raises(RuntimeError, match="sample_covariance failed"):
+        inference.estimate_covariance(X, spec, RngSeed(4))
+    assert seen == [("sample_covariance", inside)]
+    assert blas_at_two() == 2
+
+
+def test_cv_select_lambda_holds_the_pin(blas_at_two, blas_reads):
+    # one fold runs serially in the caller, so only the hold pins it
+    seen = blas_reads(covariance, "sample_covariance")
+    X = RngSeed(3).generator().standard_normal((30, 5))
+    covariance.cv_select_lambda(X, [0.0, 0.5, 1.0], 1, RngSeed(4))
+    assert seen == [("sample_covariance", 1)] * 2  # the fold's two splits
+    assert blas_at_two() == 2
+    seen.clear()
+    blas_reads.raising = True
+    with pytest.raises(RuntimeError, match="sample_covariance failed"):
+        covariance.cv_select_lambda(X, [0.0, 0.5, 1.0], 1, RngSeed(4))
+    assert seen == [("sample_covariance", 1)]
+    assert blas_at_two() == 2
+
+
 @pytest.mark.parametrize("threads, estimators, inside", [
     (2, ("naive",), 1),
     (1, ("corr_cv",), 1),
