@@ -265,8 +265,7 @@ def cv_select_lambda(X: np.ndarray, grid, folds: int, seed) -> tuple[float, list
     64 perfbench seed-0 datasets at 10 folds x 40 points).  Both passes spread their
     folds over lpboot's one pool (lpboot.parallel), capped at the usable
     cores; the eigenvalues run with the GIL released.  The call holds the
-    pool for its whole body, so work between and outside the passes runs on
-    one BLAS thread too.
+    pool for its whole body (lpboot.parallel says why).
 
     Data whose largest |entry| lies outside [2^-64, 2^64] is rescaled by the
     power of two that brings it into [1/2, 1) first, so lambda-hat does not

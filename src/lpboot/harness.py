@@ -8,7 +8,6 @@ index, so output files are byte-identical for any worker count.
 
 from __future__ import annotations
 
-import contextlib
 import math
 import os
 from dataclasses import dataclass, field, replace
@@ -389,12 +388,10 @@ def run_experiment(cfg: ExperimentConfig) -> list:
     estimator) summary next to it).
 
     A run that may start a pool, on its harness threads or in CV, holds
-    lpboot's one pool (lpboot.parallel.hold) throughout, so its serial phases
-    run on one BLAS thread as its pools do. A serial run without CV starts no
-    pool and keeps the BLAS threads it finds."""
+    lpboot's one pool throughout (lpboot.parallel says why). A serial run
+    without CV starts no pool and keeps the BLAS threads it finds."""
     header, experiment = _EXPERIMENTS[cfg.kind]
-    may_pool = cfg.kind != "probe" and (cfg.threads > 1 or cfg.uses_cv)
-    with hold() if may_pool else contextlib.nullcontext():
+    with hold(cfg.kind != "probe" and (cfg.threads > 1 or cfg.uses_cv)):
         Sigma = None if cfg.kind == "probe" else build_block_covariance(
             cfg.d, cfg.block, perm_seed=cfg.rng.child(0))
         records = experiment(cfg, Sigma)

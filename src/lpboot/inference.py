@@ -4,7 +4,6 @@ simultaneous confidence sets, and lp-ball volumes.
 
 from __future__ import annotations
 
-import contextlib
 import math
 import re
 import sys
@@ -76,21 +75,13 @@ class EstimatorSpec:
         return self.kind
 
 
-def _cv_hold(spec: EstimatorSpec):
-    """The pool's hold (lpboot.parallel) where spec is corr_cv, which starts
-    CV's fold pool, else a context that does nothing. Held for a whole call,
-    it runs the products before and after the pool on the one BLAS thread too,
-    so they leave no spinning OpenBLAS helper to slow the pool; the other
-    kinds keep the BLAS threads they find."""
-    return hold() if spec.kind == "corr_cv" else contextlib.nullcontext()
-
-
 def estimate_covariance(X: np.ndarray, spec: EstimatorSpec, cv_seed: RngSeed) -> CovMatrix:
     """Sample covariance regularized per spec; PSD-projected where needed.
 
     cv_seed is the stream corr_cv draws its folds from: fold k permutes the
     rows with cv_seed.child(k). The other kinds use no randomness. With
-    corr_cv the call holds the pool for its whole body, as run_test does.
+    corr_cv the call holds the pool for its whole body (lpboot.parallel says
+    why), as run_test does.
 
     Sigma_hat is returned in the data's units, so the largest |entry| of X
     must lie in [2^-64, 2^64] (or X be all zero): outside it covariance
@@ -101,7 +92,7 @@ def estimate_covariance(X: np.ndarray, spec: EstimatorSpec, cv_seed: RngSeed) ->
         raise ValueError("the largest |entry| of the data lies outside [2^-64, 2^64], where "
                          "covariance entries can underflow or overflow; rescale it by a "
                          "power of two, as run_test does")
-    with _cv_hold(spec):
+    with hold(spec.kind == "corr_cv"):
         S = sample_covariance(X)
         if spec.kind == "naive":
             return S
@@ -131,9 +122,7 @@ class TestSpec:
             raise ValueError("restriction map and target dimensions are inconsistent")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
-        if self.B < 1:
-            raise ValueError("B must be >= 1")
-        if self.B > MAX_DRAWS:
+        if not 1 <= self.B <= MAX_DRAWS:
             raise ValueError(f"B must lie in [1, {MAX_DRAWS}]")
 
 
@@ -164,7 +153,8 @@ def run_test(X: np.ndarray, spec: TestSpec) -> TestResult:
 
     The covariance of the transformed coordinates is the conjugation
     M Sigma_hat M' of the PSD structured estimate, so sparsity assumptions
-    on Sigma keep paying off after the restriction map.
+    on Sigma keep paying off after the restriction map. Where M is exactly
+    the identity it is Sigma_hat itself, with no products.
 
     Data whose largest |entry| lies outside [2^-64, 2^64] has Sigma_hat
     estimated on its rescaling by the power of two that brings it into
@@ -173,7 +163,7 @@ def run_test(X: np.ndarray, spec: TestSpec) -> TestResult:
     underflow, and in-range data keeps every byte. The hard-threshold level
     is a covariance level, so it is rescaled with Sigma_hat (by 2^-2k).
     """
-    with _cv_hold(spec.estimator):
+    with hold(spec.estimator.kind == "corr_cv"):
         X = np.asarray(X, dtype=float)
         stat = test_statistic(X, spec.M, spec.m0, spec.p)
         k = _rescale_exponent(X)
@@ -183,8 +173,11 @@ def run_test(X: np.ndarray, spec: TestSpec) -> TestResult:
             with np.errstate(over="ignore"):
                 est = replace(est, lam=min(float(np.ldexp(est.lam, -2 * k)), sys.float_info.max))
         Sigma = estimate_covariance(np.ldexp(X, -k) if k else X, est, spec.seed.child(1, 0))
-        Omega = CovMatrix(spec.M @ Sigma.values @ spec.M.T,
-                          provenance=f"conjugate<-{Sigma.provenance}")
+        if np.array_equal(spec.M, np.eye(Sigma.dim)):
+            Omega = Sigma  # M Sigma_hat M' = Sigma_hat, without two d^3 products
+        else:
+            Omega = CovMatrix(spec.M @ Sigma.values @ spec.M.T,
+                              provenance=f"conjugate<-{Sigma.provenance}")
         dist = gpb_draws(Omega, spec.p, spec.B, spec.seed.child(2))
         if k:
             dist = EmpiricalDistribution(np.ldexp(dist.samples, k), dist.meta)
@@ -239,10 +232,7 @@ def lp_ball_volume(d: int, p: float, r: float) -> BallVolume:
     """Volume (2r)^d Gamma(1+1/p)^d / Gamma(1+d/p) of the lp-ball of radius r."""
     if d < 1 or not p >= 1.0 or not 0.0 < r < math.inf:
         raise ValueError("need d >= 1, p >= 1, 0 < r < inf")
-    if math.isinf(p):
-        logv = d * math.log(2.0 * r)
-    else:
-        logv = d * math.log(2.0 * r) + d * gammaln(1.0 + 1.0 / p) - gammaln(1.0 + d / p)
+    logv = d * math.log(2.0 * r) + d * gammaln(1.0 + 1.0 / p) - gammaln(1.0 + d / p)
     try:
         vol = math.exp(logv)
     except OverflowError:

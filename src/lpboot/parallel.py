@@ -3,7 +3,8 @@ replicates and for CV folds, and the hold on it: one lock plus an OpenBLAS
 thread pin.
 
 At most one pool runs in the process. One reentrant lock decides it, and
-hold() takes it without blocking. The outermost hold of a thread pins numpy's
+hold(when) takes it without blocking where when is true; with when false it
+takes nothing and yields False. The outermost hold of a thread pins numpy's
 OpenBLAS to one thread and, on exit, also when the body raises, restores the
 count it found and releases the lock: a pool already spreads its work over
 the cores, and OpenBLAS splitting every product over the same cores would
@@ -14,11 +15,13 @@ indices serially, so pools never nest. A child process forked while the lock
 is held inherits it and runs serially too; its output is the same.
 
 The calls that may start a pool hold it for their whole body, not just for
-the pool: run_test with corr_cv, and run_experiment with harness threads or
-CV. An OpenBLAS call on two threads leaves its helper thread spinning for
-about 80 ms afterwards, whatever the count is set to then, and that helper
-would take a core from the pool's workers if the products before the pool
-ran on two threads.
+the pool, each stating when in one hold(<condition>): run_test and
+estimate_covariance with corr_cv, cv_select_lambda always, and run_experiment
+with harness threads or CV. The reason is OpenBLAS's helper thread: an
+OpenBLAS call on two threads leaves it spinning for about 80 ms afterwards,
+whatever the count is set to then, and it would take a core from the pool's
+workers if the products before the pool ran on two threads. The calls that
+start no pool keep the BLAS threads they find.
 
 The module also loads numpy's bundled OpenBLAS once for ctypes calls: the
 thread-count pin here, and LAPACK eigenvalues for lpboot.covariance, which
@@ -83,14 +86,15 @@ def _openblas_thread_calls():
 
 
 @contextlib.contextmanager
-def hold():
-    """Take the pool's lock without blocking and yield whether this thread
-    holds it. The outermost hold of the holding thread pins the bundled
-    OpenBLAS to one thread and, on exit, restores the count it found and
-    releases the lock, also when the body raises; an inner hold of the same
-    thread changes nothing."""
+def hold(when: bool = True):
+    """Where when is true, take the pool's lock without blocking and yield
+    whether this thread holds it. The outermost hold of the holding thread
+    pins the bundled OpenBLAS to one thread and, on exit, restores the count
+    it found and releases the lock, also when the body raises; an inner hold
+    of the same thread changes nothing. Where when is false, take no lock,
+    leave the BLAS count alone and yield False."""
     global _depth
-    if not _POOL.acquire(blocking=False):
+    if not (when and _POOL.acquire(blocking=False)):
         yield False
         return
     _depth += 1
@@ -111,12 +115,10 @@ def run_indexed(worker, count: int, threads: int) -> list:
     """[worker(i) for i in range(count)] on a pool of min(threads, count,
     usable cores) threads, results in index order; the caller waits. When an
     index raises, the indices not yet started are cancelled and the exception
-    propagates once the started ones have ended. While another thread holds
-    the pool, the call runs serially."""
+    propagates once the started ones have ended. With one worker, or while
+    another thread holds the pool, the call runs serially."""
     workers = min(threads, count, _available_cores())
-    if workers <= 1:
-        return [worker(i) for i in range(count)]
-    with hold() as held:
+    with hold(workers > 1) as held:
         if not held:
             return [worker(i) for i in range(count)]
         with ThreadPoolExecutor(max_workers=workers) as pool:

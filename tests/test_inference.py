@@ -291,6 +291,27 @@ class TestRunTest:
         assert res.critical_value == pytest.approx(
             np.quantile(onedim.samples, 0.95), rel=0.1)
 
+    def test_identity_map_skips_the_conjugation(self, monkeypatch):
+        # M = I, as confidence_set passes it, draws from Sigma_hat itself, the
+        # bytes that I Sigma_hat I' gives; a permuted identity still conjugates
+        built = []
+        cov_matrix = inference.CovMatrix
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return cov_matrix(*args, **kwargs)
+
+        monkeypatch.setattr(inference, "CovMatrix", counting)
+        X = np.random.default_rng(10).normal(size=(40, 5))
+        res = run_test(X, make_spec(5, LpExponent.finite(2), seed=11))
+        assert built == []
+        eye = np.eye(5)
+        conjugated = cov_matrix(eye @ sample_covariance(X).values @ eye.T)
+        want = gpb_draws(conjugated, LpExponent.finite(2), 400, RngSeed(11).child(2))
+        assert np.array_equal(res.distribution.samples, want.samples)
+        run_test(X, make_spec(5, LpExponent.finite(2), M=eye[[1, 0, 2, 3, 4]]))
+        assert len(built) == 1
+
     def test_csv_row_shape(self, tmp_path, capsys):
         # the stdout row and the --out file, byte for byte
         data = tmp_path / "x.csv"
@@ -336,6 +357,7 @@ class TestConfidenceSet:
     @pytest.mark.parametrize("kw, message", [
         (dict(B=MAX_DRAWS + 1), "B must lie in"),
         (dict(alpha=1.5), "alpha must lie in"),
+        (dict(B=0), "B must lie in"),
     ])
     def test_inputs_checked_before_compute(self, monkeypatch, kw, message):
         def no_covariance(*args, **kwargs):

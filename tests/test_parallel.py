@@ -2,6 +2,7 @@
 usable cores, exceptions and the cancellation they cause, and the BLAS thread
 count around CV's fold pool."""
 
+import contextlib
 import sys
 import threading
 import time
@@ -101,6 +102,65 @@ def test_call_from_another_thread_while_a_pool_runs_is_serial(blas_at_two, pools
     assert got_b == [(i, b) for i in range(4)]  # in order, on b itself
     assert pools == [2]
     assert seen_a == [1, 1]
+    assert blas_at_two() == 2
+
+
+@contextlib.contextmanager
+def held_by_another_thread():
+    """Another thread holds the pool until the block ends."""
+    taken, done = threading.Event(), threading.Event()
+
+    def holder():
+        with parallel.hold() as held:
+            assert held
+            taken.set()
+            assert done.wait(10)
+
+    t = threading.Thread(target=holder)
+    t.start()
+    assert taken.wait(10)
+    try:
+        yield
+    finally:
+        done.set()
+        t.join(10)
+    assert not t.is_alive()
+
+
+def test_hold_false_takes_nothing(blas_at_two):
+    got = []
+
+    def take():
+        with parallel.hold() as held:
+            got.append((held, blas_at_two()))
+
+    with parallel.hold(False) as held:
+        assert held is False
+        assert blas_at_two() == 2
+        # the lock is free: another thread takes the hold meanwhile
+        other = threading.Thread(target=take)
+        other.start()
+        other.join(10)
+    assert got == [(True, 1)]
+    assert blas_at_two() == 2
+    with held_by_another_thread():
+        assert blas_at_two() == 1  # the holder's pin
+        with parallel.hold(False) as held:
+            assert held is False
+            assert blas_at_two() == 1
+        assert blas_at_two() == 1
+    assert blas_at_two() == 2
+
+
+def test_one_worker_runs_serially_with_the_blas_count_it_found(blas_at_two, pools):
+    me = threading.current_thread()
+    assert run_indexed(lambda i: (i, threading.current_thread(), blas_at_two()), 3, 1) == [
+        (i, me, 2) for i in range(3)]
+    with held_by_another_thread():
+        # one worker takes no hold, so it runs beside the holder
+        assert run_indexed(lambda i: (i, threading.current_thread()), 3, 1) == [
+            (i, me) for i in range(3)]
+    assert pools == []
     assert blas_at_two() == 2
 
 
