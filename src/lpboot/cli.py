@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 configuration/usage error, 1 runtime failure.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import warnings
@@ -40,7 +41,10 @@ def _parse_option(option: str, parse, text: str):
 
 
 def _check_out_dir(path: str) -> None:
-    """Fail before any compute when the directory path names is missing."""
+    """Fail before any compute when path names a directory or a file in a
+    missing directory."""
+    if os.path.isdir(path):
+        raise ConfigError(f"cannot write {path}: it is a directory")
     directory = os.path.dirname(path) or "."
     if not os.path.isdir(directory):
         raise ConfigError(f"cannot write {path}: no directory {directory}")
@@ -93,7 +97,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _experiment_config(args) -> ExperimentConfig:
     """Config for an experiment subcommand; the power subcommand runs
-    whichever power kind a config file names (--sparse picks it otherwise)."""
+    whichever power kind a config file names (--sparse picks it otherwise,
+    and is an error beside a power-dense config)."""
     command = args.command
     kind = command
     if command == "power":
@@ -107,6 +112,8 @@ def _experiment_config(args) -> ExperimentConfig:
             raise ConfigError(f"cannot read config: {exc}") from exc
         if cfg.kind.partition("-")[0] != command:
             raise ConfigError(f"config kind {cfg.kind!r} does not match subcommand {command!r}")
+        if command == "power" and args.sparse and cfg.kind == "power-dense":
+            raise ConfigError("--sparse conflicts with config kind 'power-dense'")
     else:
         cfg = config_from_dict({"kind": kind})
     # through replace, so that the config's own checks see these values too
@@ -158,7 +165,8 @@ def _cmd_test(args) -> int:
 def _cmd_volume(args) -> int:
     p = _parse_option("--p", LpExponent.parse, args.p)
     vol = lp_ball_volume(args.d, p.resolve(args.d), args.r)
-    if vol.representable:
+    # a subnormal volume keeps too few bits for 12 digits; the log is exact
+    if sys.float_info.min <= vol.volume < math.inf:
         print(f"{vol.volume:.12g}")
     else:
         print(f"log_volume={vol.log_volume:.12g}")

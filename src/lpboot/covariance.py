@@ -16,7 +16,7 @@ from typing import Iterable
 import numpy as np
 
 from .lp import LpExponent, lp_norm
-from .parallel import _openblas_function, hold, run_indexed
+from .parallel import _openblas_function, run_indexed
 
 # relative tolerance for the smallest eigenvalue of a matrix accepted as PSD
 PSD_CERT_TOL = 1e-8
@@ -237,7 +237,6 @@ def _frobenius(D: np.ndarray) -> float:
     return math.sqrt(float(np.einsum("ij,ij->", D, D)))
 
 
-@hold()
 def cv_select_lambda(X: np.ndarray, grid, folds: int, seed) -> tuple[float, list[float]]:
     """Cross-validated correlation-threshold level (Bickel & Levina 2008).
 
@@ -262,10 +261,9 @@ def cv_select_lambda(X: np.ndarray, grid, folds: int, seed) -> tuple[float, list
     Risk entries are exact, equal to scoring every grid point apart, where
     every fold's mask for that grid point was scored; the other entries are
     NaN, and their risk is above the minimum (730 of the 2560 entries on the
-    64 perfbench seed-0 datasets at 10 folds x 40 points).  Both passes spread their
-    folds over lpboot's one pool (lpboot.parallel), capped at the usable
-    cores; the eigenvalues run with the GIL released.  The call holds the
-    pool for its whole body (lpboot.parallel says why).
+    64 perfbench seed-0 datasets at 10 folds x 40 points).  Both passes run
+    their folds on lpboot's one pool (lpboot.parallel), capped at the usable
+    cores; the eigenvalues run with the GIL released.
 
     Data whose largest |entry| lies outside [2^-64, 2^64] is rescaled by the
     power of two that brings it into [1/2, 1) first, so lambda-hat does not

@@ -4,20 +4,22 @@ thread pin.
 
 At most one pool runs in the process. One reentrant lock decides it, and
 hold(when) takes it without blocking where when is true; with when false it
-takes nothing and yields False. The outermost hold of a thread pins numpy's
+takes nothing and yields False. Every hold that takes the lock pins numpy's
 OpenBLAS to one thread and, on exit, also when the body raises, restores the
-count it found and releases the lock: a pool already spreads its work over
-the cores, and OpenBLAS splitting every product over the same cores would
-oversubscribe them. run_indexed starts a pool only in a thread that holds
-the lock, re-entering the caller's hold where there is one. A call that finds
-the lock held by another thread, a pool's worker or any other, runs its
-indices serially, so pools never nest. A child process forked while the lock
-is held inherits it and runs serially too; its output is the same.
+count it found and releases the lock; a hold nested in the same thread's
+hold finds 1 and restores 1. A pool already spreads its work over the cores,
+and OpenBLAS splitting every product over the same cores would oversubscribe
+them. run_indexed starts a pool only in a thread that holds the lock,
+re-entering the caller's hold where there is one. A call that finds the lock
+held by another thread, a pool's worker or any other, runs its indices
+serially, so pools never nest. A child process forked by the holding thread
+re-enters the hold and starts pools; one forked by another thread finds the
+lock held and runs serially. Its output is the same either way.
 
-The calls that may start a pool hold it for their whole body, not just for
-the pool, each stating when in one hold(<condition>): run_test and
-estimate_covariance with corr_cv, cv_select_lambda always, and run_experiment
-with harness threads or CV. The reason is OpenBLAS's helper thread: an
+The calls that run BLAS on their own thread before or after a pool hold for
+their whole body, each stating when in one hold(<condition>): run_test and
+estimate_covariance with corr_cv, run_experiment with harness threads or CV,
+and run_indexed for its own pool. The reason is OpenBLAS's helper thread: an
 OpenBLAS call on two threads leaves it spinning for about 80 ms afterwards,
 whatever the count is set to then, and it would take a core from the pool's
 workers if the products before the pool ran on two threads. The calls that
@@ -41,7 +43,6 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 _POOL = threading.RLock()  # held by the one thread that may start a pool
-_depth = 0  # hold()s the holder is inside; changed only while holding _POOL
 
 
 def _available_cores() -> int:
@@ -88,26 +89,22 @@ def _openblas_thread_calls():
 @contextlib.contextmanager
 def hold(when: bool = True):
     """Where when is true, take the pool's lock without blocking and yield
-    whether this thread holds it. The outermost hold of the holding thread
-    pins the bundled OpenBLAS to one thread and, on exit, restores the count
-    it found and releases the lock, also when the body raises; an inner hold
-    of the same thread changes nothing. Where when is false, take no lock,
-    leave the BLAS count alone and yield False."""
-    global _depth
+    whether this thread holds it. A hold that takes the lock pins the bundled
+    OpenBLAS to one thread and, on exit, restores the count it found and
+    releases the lock, also when the body raises. Where when is false, take
+    no lock, leave the BLAS count alone and yield False."""
     if not (when and _POOL.acquire(blocking=False)):
         yield False
         return
-    _depth += 1
     calls = saved = None
     try:
-        if _depth == 1 and (calls := _openblas_thread_calls()):
+        if calls := _openblas_thread_calls():
             saved = calls[0]()
             calls[1](1)
         yield True
     finally:
         if saved is not None:
             calls[1](saved)
-        _depth -= 1
         _POOL.release()
 
 

@@ -165,7 +165,7 @@ def copula_covariance(S: CovMatrix, kind: MarginalKind) -> CovMatrix:
     for m in range(1, terms):
         Rm = Rm * R
         C += coef[m] * Rm
-    # the mean term a_0 cancels in the covariance; enforce exact symmetry
+    # the mean term a_0 cancels in the covariance; CovMatrix symmetrizes C
     return CovMatrix(C, provenance=f"copula({kind.value})<-{S.provenance}")
 
 

@@ -526,6 +526,21 @@ class TestCli:
         assert main(["power", "--config", str(cfgfile), "--out", str(out)]) == 0
         assert out.read_text().splitlines()[0] == "delta,p,power,mc_se"
 
+    def test_sparse_flag_against_config_kind(self, tmp_path, monkeypatch, capsys):
+        seen = []
+        monkeypatch.setattr(cli, "run_experiment", seen.append)
+        out = str(tmp_path / "o.csv")
+        dense, sparse = tmp_path / "dense.txt", tmp_path / "sparse.txt"
+        dense.write_text("kind=power-dense\n")
+        sparse.write_text("kind=power-sparse\n")
+        assert main(["power", "--sparse", "--config", str(dense), "--out", out]) == 2
+        assert "error: --sparse conflicts with config kind 'power-dense'" in capsys.readouterr().err
+        assert seen == []
+        for argv in (["--config", str(sparse)], ["--sparse", "--config", str(sparse)],
+                     ["--sparse"], []):
+            assert main(["power", *argv, "--out", out]) == 0
+        assert [cfg.kind for cfg in seen] == ["power-sparse"] * 3 + ["power-dense"]
+
     def test_missing_power_config_is_config_error(self, tmp_path, capsys):
         missing = str(tmp_path / "missing.txt")
         assert main(["power", "--config", missing, "--out", str(tmp_path / "o.csv")]) == 2
@@ -579,6 +594,16 @@ class TestCli:
         outv = capsys.readouterr().out
         assert outv.startswith("log_volume=")
         assert float(outv.split("=")[1]) == pytest.approx(3000 * math.log(8.0), rel=1e-9)
+
+    @pytest.mark.parametrize("d, p, r", [("2000", "1", "1"), ("5", "2", "1e-320"),
+                                         ("5", "2", "1e-63")])  # subnormal, ~5e-315
+    def test_volume_log_fallback_on_underflow(self, capsys, d, p, r):
+        assert main(["volume", "--d", d, "--p", p, "--r", r]) == 0
+        outv = capsys.readouterr().out
+        assert outv.startswith("log_volume=")
+        d, p, r = int(d), float(p), float(r)
+        exact = d * math.log(2.0 * r) + d * math.lgamma(1.0 + 1.0 / p) - math.lgamma(1.0 + d / p)
+        assert float(outv.split("=")[1]) == pytest.approx(exact, rel=1e-11)
 
     def test_volume_bad_args(self, capsys):
         assert main(["volume", "--d", "0", "--p", "2", "--r", "1"]) == 2
@@ -637,6 +662,8 @@ EARLY_FAILURES = [
 # more such cases, listed last below so that earlier cases keep their ids
 LATER_EARLY_FAILURES = [
     ["ks", "--config", "many_truth.txt", "--out", "o.csv"],
+    ["ks", "--config", "small_ks.txt", "--out", "outdir"],
+    ["test", "x.csv", "--out", "outdir"],
 ]
 
 
@@ -670,6 +697,7 @@ LATER_EARLY_FAILURES = [
 def test_cli_bad_input_exits_cleanly(tmp_path, monkeypatch, capsys, argv):
     for name, text in FUZZ_FILES.items():
         (tmp_path / name).write_text(text)
+    (tmp_path / "outdir").mkdir()
     monkeypatch.chdir(tmp_path)
     if argv in EARLY_FAILURES + LATER_EARLY_FAILURES:
         def no_compute(*args, **kwargs):
@@ -691,6 +719,8 @@ def test_cli_bad_input_exits_cleanly(tmp_path, monkeypatch, capsys, argv):
         assert code == 2 and f"error: {argv[2]} {argv[3]!r}" in err
     if "nodir/o.csv" in argv:
         assert code == 2 and "nodir/o.csv" in err
+    if "outdir" in argv:
+        assert code == 2 and "error: cannot write outdir: it is a directory" in err
     if "--threads" in argv:
         assert code == 2 and "threads" in err
     if argv[0] == "volume":

@@ -152,6 +152,21 @@ def test_hold_false_takes_nothing(blas_at_two):
     assert blas_at_two() == 2
 
 
+def test_nested_hold_pins_and_restores_the_count_it_found(blas_at_two):
+    set_threads = parallel._openblas_thread_calls()[1]
+    with parallel.hold() as outer:
+        assert outer and blas_at_two() == 1
+        set_threads(3)
+        with parallel.hold() as inner:
+            assert inner and blas_at_two() == 1
+        assert blas_at_two() == 3
+        with pytest.raises(RuntimeError, match="body failed"):
+            with parallel.hold():
+                raise RuntimeError("body failed")
+        assert blas_at_two() == 3
+    assert blas_at_two() == 2
+
+
 def test_one_worker_runs_serially_with_the_blas_count_it_found(blas_at_two, pools):
     me = threading.current_thread()
     assert run_indexed(lambda i: (i, threading.current_thread(), blas_at_two()), 3, 1) == [
@@ -360,18 +375,24 @@ def test_estimate_covariance_holds_the_pin_only_with_corr_cv(blas_at_two, blas_r
     assert blas_at_two() == 2
 
 
-def test_cv_select_lambda_holds_the_pin(blas_at_two, blas_reads):
-    # one fold runs serially in the caller, so only the hold pins it
+def test_cv_select_lambda_keeps_the_count_it_found(blas_at_two, blas_reads, monkeypatch):
+    # one fold runs serially in the caller, which takes no hold
     seen = blas_reads(covariance, "sample_covariance")
     X = RngSeed(3).generator().standard_normal((30, 5))
     covariance.cv_select_lambda(X, [0.0, 0.5, 1.0], 1, RngSeed(4))
-    assert seen == [("sample_covariance", 1)] * 2  # the fold's two splits
+    assert seen == [("sample_covariance", 2)] * 2  # the fold's two splits
+    assert blas_at_two() == 2
+    # two folds run on the pool, whose hold pins them
+    monkeypatch.setattr(parallel, "_available_cores", lambda: 2)
+    seen.clear()
+    covariance.cv_select_lambda(X, [0.0, 0.5, 1.0], 2, RngSeed(4))
+    assert seen == [("sample_covariance", 1)] * 4
     assert blas_at_two() == 2
     seen.clear()
     blas_reads.raising = True
     with pytest.raises(RuntimeError, match="sample_covariance failed"):
-        covariance.cv_select_lambda(X, [0.0, 0.5, 1.0], 1, RngSeed(4))
-    assert seen == [("sample_covariance", 1)]
+        covariance.cv_select_lambda(X, [0.0, 0.5, 1.0], 2, RngSeed(4))
+    assert seen and set(seen) == {("sample_covariance", 1)}
     assert blas_at_two() == 2
 
 
