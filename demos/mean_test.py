@@ -29,8 +29,10 @@ for p in (LpExponent.infinity(), LpExponent.finite(1)):
     print(f"p={p}: statistic {res.statistic:.3f} vs critical value "
           f"{res.critical_value:.3f} -> {'REJECT' if res.reject else 'accept'} "
           f"(p-value {res.p_value:.4f})")
-    # the dual set of the same test: what confidence_set(X, p, 0.05,
-    # spec.estimator, 1000, RngSeed(7)) returns, without fitting and drawing again
+    # the dual set of the same test: the ball confidence_set(X, p, 0.05,
+    # spec.estimator, 1000, RngSeed(7)) returns, without fitting and drawing
+    # again (that set also decides points within rounding of its boundary by
+    # the test's own statistic)
     cs = ConfidenceSet(X.mean(axis=0), res.critical_value / math.sqrt(n), p)
     print(f"      95% l{p}-ball: radius {cs.radius:.4f}; "
           f"contains 0: {cs.contains(np.zeros(d))}, "

@@ -248,22 +248,24 @@ def cv_select_lambda(X: np.ndarray, grid, folds: int, seed) -> tuple[float, list
 
     The keep-masks {|corr| >= lambda} are nested in lambda, so within a fold
     the number of kept off-diagonal entries identifies the mask, and each
-    distinct mask is scored once, for any grid order and with repeated grid
-    values.  A mask A the Cholesky probe accepts is its own projection, so
-    its risk U = ||A - S2|| is exact at once.  A failing mask first gets
-    bounds from its eigenvalues alone: with g = ||lambda_-(A)||, its distance
-    to the PSD cone, the risk is at least U - g (triangle inequality) and at
-    most sqrt(U^2 - g^2) (the projection is firmly non-expansive and S2 is
-    PSD).  Only grid points whose summed lower bound does not exceed the
-    least summed upper bound could still win, so only their failing masks are
-    projected by the eigenvalue clip.
+    distinct mask is scored once per rung, for any grid order and with
+    repeated grid values.  Each rung is one pass of the fold worker over the
+    folds with an unscored mask at a live grid point.  Rung 0: a mask A the
+    Cholesky probe accepts is its own projection, so its risk U = ||A - S2||
+    is exact; a failing mask gets bounds from its eigenvalues alone: with
+    g = ||lambda_-(A)||, its distance to the PSD cone, the risk is at least
+    U - g (triangle inequality) and at most sqrt(U^2 - g^2) (the projection
+    is firmly non-expansive and S2 is PSD).  Rung 1 makes the failing masks
+    at live grid points exact by the eigenvalue clip.  A grid point is live
+    while its summed lower bound does not exceed the least summed upper
+    bound, so it could still win; liveness is recomputed after each rung.
 
-    Risk entries are exact, equal to scoring every grid point apart, where
-    every fold's mask for that grid point was scored; the other entries are
-    NaN, and their risk is above the minimum (730 of the 2560 entries on the
-    64 perfbench seed-0 datasets at 10 folds x 40 points).  Both passes run
-    their folds on lpboot's one pool (lpboot.parallel), capped at the usable
-    cores; the eigenvalues run with the GIL released.
+    A risk entry is exact, equal to scoring every grid point apart, where
+    some rung scored every fold's mask for that grid point exactly; the other
+    entries are NaN, and their risk is above the minimum (730 of the 2560
+    entries on the 64 perfbench seed-0 datasets at 10 folds x 40 points).
+    Each rung runs its folds on lpboot's one pool (lpboot.parallel), capped
+    at the usable cores; the eigenvalues run with the GIL released.
 
     Data whose largest |entry| lies outside [2^-64, 2^64] is rescaled by the
     power of two that brings it into [1/2, 1) first, so lambda-hat does not
@@ -284,67 +286,60 @@ def cv_select_lambda(X: np.ndarray, grid, folds: int, seed) -> tuple[float, list
     if k:
         X = np.ldexp(X, -k)
 
-    def bound(nu: int):
-        """Fold nu's mask key per grid point, its risk (NaN where the mask fails
-        the probe), lower and upper bounds on that risk, and the rounding
-        slack of those bounds."""
+    # each fold's (risk, lower bound, upper bound) per grid point; NaN unscored
+    est = np.full((3, folds, len(grid)), math.nan)
+    keys, slack = [None] * folds, [0.0] * folds  # each fold's, recorded by rung 0
+    live = np.ones(len(grid), dtype=bool)
+
+    def score(nu: int, rung: int, points) -> None:
+        """Score fold nu's masks at the grid points `points`, and at every grid
+        point that shares one of those masks: rung 0 by the probe, exact where
+        it accepts and eigenvalue bounds otherwise, rung 1 by the clip."""
         S1, S2, corr = _cv_fold(X, n1, seed, nu)
-        # U and g are rounded relative to ||A|| + ||S2||, and ||A|| <= ||S1||
-        # for every mask: d^2 eps covers the d^2 squares summed in U and, by
-        # Weyl's inequality, the backward error of dsyevd's eigenvalues in g
-        d = S1.shape[0]
-        slack = d * d * np.finfo(float).eps * (_frobenius(S1) + _frobenius(S2))
-        off = np.sort(corr[np.triu_indices_from(corr, 1)])
-        keys = (off.size - np.searchsorted(off, grid, side="left")).tolist()
-        exact, lower, upper = {}, {}, {}
-        for lam, key in zip(grid, keys):
-            if key in upper:
+        if rung == 0:
+            # U and g are rounded relative to ||A|| + ||S2||, and ||A|| <= ||S1||
+            # for every mask: d^2 eps covers the d^2 squares summed in U and, by
+            # Weyl's inequality, the backward error of dsyevd's eigenvalues in g
+            d = S1.shape[0]
+            slack[nu] = d * d * np.finfo(float).eps * (_frobenius(S1) + _frobenius(S2))
+            off = np.sort(corr[np.triu_indices_from(corr, 1)])
+            keys[nu] = (off.size - np.searchsorted(off, grid, side="left")).tolist()
+        scored = {}  # mask key -> (risk, lower, upper)
+        for i in points:
+            key = keys[nu][i]
+            if key in scored:
                 continue
-            A = _keep_off_diagonal(S1, corr >= lam)
-            u = _frobenius(A - S2)
-            if _psd_accepts(A):
-                exact[key] = lower[key] = upper[key] = u
+            A = _keep_off_diagonal(S1, corr >= grid[i])
+            u = _frobenius((_eigen_clip(A) if rung else A) - S2)
+            if rung or _psd_accepts(A):
+                scored[key] = u, u, u
                 continue
             try:
                 w = _eigvalsh(A)
             except np.linalg.LinAlgError:  # no eigenvalues, no tighter bounds
-                lower[key], upper[key] = 0.0, u
+                scored[key] = math.nan, 0.0, u
                 continue
             neg = w[w < 0.0]
             gap = float(np.einsum("i,i->", neg, neg))  # g^2
-            lower[key], upper[key] = u - math.sqrt(gap), math.sqrt(max(u * u - gap, 0.0))
-        return (keys, np.array([exact.get(k, math.nan) for k in keys]),
-                np.array([lower[k] for k in keys]), np.array([upper[k] for k in keys]), slack)
+            scored[key] = math.nan, u - math.sqrt(gap), math.sqrt(max(u * u - gap, 0.0))
+        at = [i for i, key in enumerate(keys[nu]) if key in scored]
+        est[:, nu, at] = np.array([scored[keys[nu][i]] for i in at]).T
 
-    bounded = run_indexed(bound, folds, folds)
-    fold_risks = [b[1] for b in bounded]
-    lower = np.sum([b[2] for b in bounded], axis=0)
-    upper = np.sum([b[3] for b in bounded], axis=0)
-    # the slack keeps near-ties exact whatever the rounding in the bounds: a
-    # relative part for the least upper bound and the folds' absolute parts,
-    # which matter where that bound is small next to the matrices; a NaN bound
-    # compares False, so its grid point stays live
-    live = ~(lower > upper.min() * (1.0 + 1e-9) + math.fsum(b[4] for b in bounded))
-    todo = [nu for nu in range(folds) if np.isnan(fold_risks[nu][live]).any()]
-
-    def refine(j: int) -> np.ndarray:
-        """Fold todo[j]'s risks with its failing masks in live grid points
-        projected, masks shared with other grid points included."""
-        nu = todo[j]
-        keys, risk = bounded[nu][0], fold_risks[nu]
-        S1, S2, corr = _cv_fold(X, n1, seed, nu)
-        clipped = {}
-        for i in np.flatnonzero(live & np.isnan(risk)):
-            if keys[i] not in clipped:
-                A = _keep_off_diagonal(S1, corr >= grid[i])
-                clipped[keys[i]] = _frobenius(_eigen_clip(A) - S2)
-        return np.array([clipped.get(k, r) for k, r in zip(keys, risk.tolist())])
-
-    for nu, risk in zip(todo, run_indexed(refine, len(todo), len(todo))):
-        fold_risks[nu] = risk
+    for rung in (0, 1):
+        todo = [(nu, np.flatnonzero(live & np.isnan(risk))) for nu, risk in enumerate(est[0])]
+        todo = [(nu, points) for nu, points in todo if points.size]
+        run_indexed(lambda j: score(todo[j][0], rung, todo[j][1]), len(todo), len(todo))
+        # the slack keeps near-ties exact whatever the rounding in the bounds: a
+        # relative part for the least upper bound and the folds' absolute parts,
+        # which matter where that bound is small next to the matrices; a NaN
+        # bound compares False, so its grid point stays live. After the last
+        # rung every grid point live before it is exact, so the least upper
+        # bound is the least exact risk, and its first minimizer stays live
+        live = ~(est[1].sum(axis=0) > est[2].sum(axis=0).min() * (1.0 + 1e-9)
+                 + math.fsum(slack))
     # summed in fold order, as a serial loop would, whichever thread ran a fold
     risks = np.zeros(len(grid))
-    for risk in fold_risks:
+    for risk in est[0]:
         risks += risk
     risks /= folds
     # every live grid point is exact, and every other has a larger risk

@@ -73,6 +73,9 @@ class ExperimentConfig:
         specs = [e if e in ("proxy", "gmb") else EstimatorSpec.parse(e) for e in self.estimators]
         if len(set(specs)) < len(specs):
             raise ValueError(f"estimators {', '.join(self.estimators)} name one estimator twice")
+        if self.kind in ("ks", "coverage") and self.n < 2 and set(self.estimators) != {"proxy"}:
+            raise ValueError(f"need at least two observations for an engine other than proxy, "
+                             f"got n={self.n}")
         if len(set(self.p_list)) < len(self.p_list):
             raise ValueError(f"p_list {', '.join(p.label for p in self.p_list)} "
                              "names one exponent twice")

@@ -7,7 +7,7 @@ from __future__ import annotations
 import math
 import re
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.special import gammaln
@@ -143,8 +143,21 @@ def test_statistic(X: np.ndarray, M: np.ndarray, m0: np.ndarray, p: LpExponent) 
     if X.ndim != 2 or M.shape[1] != X.shape[1] or M.shape[0] != m0.size:
         raise ValueError(f"dimension mismatch: data of shape {X.shape}, restriction "
                          f"map of shape {M.shape}, target of size {m0.size}")
-    n = X.shape[0]
-    s = X.sum(axis=0) @ M.T / math.sqrt(n) - math.sqrt(n) * m0
+    if not all(np.isfinite(a).all() for a in (X, M, m0)):
+        raise ValueError("data, restriction map and target must be finite")
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = X.sum(axis=0) @ M.T
+    return _statistic(total, X.shape[0], m0, p)
+
+
+def _statistic(total: np.ndarray, n: int, m0: np.ndarray, p: LpExponent) -> float:
+    """||total / sqrt(n) - sqrt(n) m0||_p for total = sum_i M X_i, the statistic
+    run_test rejects on; a ValueError where it overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = total / math.sqrt(n) - math.sqrt(n) * m0
+    if not np.isfinite(s).all():
+        raise ValueError("the test statistic overflows: sum_i (M X_i - m0) / sqrt(n) has "
+                         "an entry past the largest float")
     return lp_norm(s, p, d_context=m0.size)
 
 
@@ -176,8 +189,12 @@ def run_test(X: np.ndarray, spec: TestSpec) -> TestResult:
         if np.array_equal(spec.M, np.eye(Sigma.dim)):
             Omega = Sigma  # M Sigma_hat M' = Sigma_hat, without two d^3 products
         else:
-            Omega = CovMatrix(spec.M @ Sigma.values @ spec.M.T,
-                              provenance=f"conjugate<-{Sigma.provenance}")
+            with np.errstate(over="ignore", invalid="ignore"):
+                Omega = spec.M @ Sigma.values @ spec.M.T
+            if not np.isfinite(Omega).all():
+                raise ValueError("the conjugation M Sigma_hat M' overflows: the restriction "
+                                 "map's entries are too large for a float")
+            Omega = CovMatrix(Omega, provenance=f"conjugate<-{Sigma.provenance}")
         dist = gpb_draws(Omega, spec.p, spec.B, spec.seed.child(2))
         if k:
             dist = EmpiricalDistribution(np.ldexp(dist.samples, k), dist.meta)
@@ -190,16 +207,26 @@ def run_test(X: np.ndarray, spec: TestSpec) -> TestResult:
 
 @dataclass
 class ConfidenceSet:
-    """Simultaneous lp-ball confidence set for the mean vector."""
+    """Simultaneous lp-ball confidence set for the mean vector.
+
+    confidence_set also keeps the test it is the dual of, as the data's
+    column sum, n and the critical value, and contains(mu) evaluates that
+    test's statistic: mu lies in the set exactly when run_test of mu accepts.
+    A set built from center, radius and p alone is the ball
+    ||center - mu||_p <= radius."""
 
     center: np.ndarray
     radius: float
     p: LpExponent
+    dual: tuple | None = field(default=None, repr=False)  # (column sum, n, critical value)
 
     def contains(self, mu: np.ndarray) -> bool:
         mu = np.asarray(mu, dtype=float)
         if mu.shape != self.center.shape:
             raise ValueError("dimension mismatch")
+        if self.dual is not None:
+            total, n, crit = self.dual
+            return not _statistic(total, n, mu, self.p) > crit
         diff = self.center - mu
         if not diff.any():
             return True
@@ -210,12 +237,15 @@ def confidence_set(X: np.ndarray, p: LpExponent, alpha: float,
                    estimator: EstimatorSpec, B: int, seed: RngSeed) -> ConfidenceSet:
     """lp-ball around the sample mean with radius c*(1-alpha)/sqrt(n): the dual
     of run_test with M = I and m0 = 0 on the same seed, so mu lies in the set
-    iff that test of mu accepts, and its inputs are checked before compute."""
+    iff that test of mu accepts, and its inputs are checked before compute.
+    The column sum stands for the test's sum_i I X_i: multiplying by I is
+    exact."""
     X = np.asarray(X, dtype=float)
     d = X.shape[1] if X.ndim == 2 else 0
     res = run_test(X, TestSpec(np.eye(d), np.zeros(d), p, alpha, estimator, B, seed))
-    return ConfidenceSet(center=X.mean(axis=0),
-                         radius=res.critical_value / math.sqrt(X.shape[0]), p=p)
+    n, crit = X.shape[0], res.critical_value
+    return ConfidenceSet(center=X.mean(axis=0), radius=crit / math.sqrt(n), p=p,
+                         dual=(X.sum(axis=0), n, crit))
 
 
 @dataclass

@@ -358,6 +358,37 @@ class TestCvSelectLambda:
         ours, ref = self._eigh_calls(monkeypatch, X, list(np.linspace(0.0, 1.0, 12)), 3, 1)
         assert 0 < ours < ref
 
+    def test_masks_the_probe_accepts_in_every_fold_are_never_nan(self):
+        # rung 0 scores an accepted mask exactly, at live grid points and at
+        # those that cannot win alike
+        S = sampling.build_block_covariance(60, 2, 0.8, RngSeed(0))
+        X = sampling.copula_sample(S, sampling.MarginalKind.UNIFORM_SYM, 60, RngSeed(1))
+        grid, folds, seed = list(np.linspace(0.0, 1.0, 12)), 4, RngSeed(2)
+        accepted = np.ones(len(grid), dtype=bool)
+        for nu in range(folds):
+            S1, _, corr = covariance._cv_fold(X, covariance._cv_split(60), seed, nu)
+            accepted &= [covariance._psd_accepts(covariance._keep_off_diagonal(S1, corr >= lam))
+                         for lam in grid]
+        risks = np.array(cv_select_lambda(X, grid, folds, seed)[1])
+        assert accepted.any() and np.isnan(risks).any()
+        assert not np.isnan(risks[accepted]).any()
+        assert (risks[accepted] > np.nanmin(risks)).any()
+
+    def test_serial_and_pooled_runs_leave_nan_in_the_same_places(self, monkeypatch):
+        # the data of test_second_pass_projects_masks_that_can_still_win, where
+        # the clip rung runs
+        rng = np.random.default_rng(1)
+        X = (rng.normal(size=(12, 8)) * rng.uniform(0.5, 3.0, size=8)
+             + rng.normal(size=(12, 1)) * rng.uniform(5.0, 20.0, size=8))
+        clip, clips = covariance._eigen_clip, []
+        monkeypatch.setattr(covariance, "_eigen_clip", lambda a: clips.append(1) or clip(a))
+        runs = []
+        for cores in (1, 3):
+            monkeypatch.setattr(parallel, "_available_cores", lambda c=cores: c)
+            runs.append(cv_select_lambda(X, list(np.linspace(0.0, 1.0, 12)), 3, RngSeed(1))[1])
+        assert clips and np.isnan(runs[0]).any()
+        assert np.array_equal(runs[0], runs[1], equal_nan=True)
+
     def test_same_result_without_the_lapacke_entry_point(self, monkeypatch):
         # np.linalg.eigvalsh, the fallback, gives the same eigenvalues
         S = sampling.build_block_covariance(60, 2, 0.8, RngSeed(0))

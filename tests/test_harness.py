@@ -126,6 +126,8 @@ class TestExperimentConfig:
         assert ExperimentConfig(kind="ks", n=10**400).n == 10**400
         # no CV runs here, so three rows are enough
         ExperimentConfig(kind="ks", n=3, d=10, block=2, estimators=("naive", "proxy"))
+        # proxy draws from the true covariance; every other engine needs two rows
+        ExperimentConfig(kind="coverage", n=1, d=10, block=2, estimators=("proxy",))
         ExperimentConfig(kind="probe", n=3)
 
     @pytest.mark.parametrize("bad", [dict(cv_grid_size=0), dict(B=MAX_DRAWS + 1),
@@ -140,6 +142,23 @@ class TestExperimentConfig:
                            + "".join(f"{k}={v}\n" for k, v in bad.items()))
         with pytest.raises(ValueError):
             run_experiment(parse_config(str(cfgfile)))
+
+    @pytest.mark.parametrize("kind", ["ks", "coverage"])
+    @pytest.mark.parametrize("estimators", ["gmb", "naive", "hard(0.1)", "band(1)",
+                                            "proxy,gmb"])
+    def test_one_row_needs_proxy_alone(self, tmp_path, monkeypatch, capsys, kind, estimators):
+        values = {"kind": kind, "n": "1", "d": "10", "block": "2", "estimators": estimators}
+        with pytest.raises(ValueError, match="need at least two observations"):
+            config_from_dict(values)
+
+        def no_truth(*args, **kwargs):
+            raise AssertionError("the truth phase ran before the config was checked")
+
+        monkeypatch.setattr(harness, "_truth_distributions", no_truth)
+        cfgfile = tmp_path / "c.txt"
+        cfgfile.write_text("".join(f"{k}={v}\n" for k, v in values.items()))
+        assert main([kind, "--config", str(cfgfile), "--out", str(tmp_path / "o.csv")]) == 2
+        assert "error: need at least two observations" in capsys.readouterr().err
 
     def test_rejects_unknown_estimator(self):
         with pytest.raises(ValueError, match="'gmbb'"):
@@ -581,6 +600,24 @@ class TestCli:
         row = out.read_text().splitlines()[1].split(",")
         assert row[3] == "1"  # shift of 3 sigma rejects
         assert row[4] == "inf"
+
+    @pytest.mark.parametrize("data, extra, message", [
+        ("\n".join(f"{1e307 * k},1" for k in range(1, 11)), [], "the test statistic overflows"),
+        ("1,2,3\n4,5,6\n7,8,1\n2,2,2", ["--M-file", "M.csv"],
+         "the conjugation M Sigma_hat M' overflows"),
+    ], ids=["column-sum", "M-file"])
+    def test_test_subcommand_overflow_is_one_error_line(self, tmp_path, data, extra, message):
+        # in a child process, so warnings print as they would for a user
+        (tmp_path / "x.csv").write_text(data + "\n")
+        (tmp_path / "M.csv").write_text("1e300,1e300,1e300\n" * 3)
+        src = os.path.dirname(os.path.dirname(lpboot.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-m", "lpboot.cli", "test", "x.csv", "--estimator", "naive", *extra],
+            cwd=tmp_path, capture_output=True, text=True, timeout=300,
+            env=dict(os.environ, PYTHONPATH=src, PYTHONWARNINGS=""))
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [proc.stderr.strip()]
+        assert proc.stderr.startswith(f"error: {message}")
 
     def test_test_subcommand_missing_file(self, capsys):
         assert main(["test", "/nonexistent.csv"]) == 2

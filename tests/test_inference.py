@@ -345,6 +345,24 @@ class TestConfidenceSet:
             cs = confidence_set(X, p, 0.05, EstimatorSpec("naive"), 400, RngSeed(11))
             assert cs.contains(np.zeros(4)) == (not res.reject)
 
+    def test_contains_exactly_where_the_test_accepts(self):
+        # mu scanned across the boundary a few ulps at a time, for every kind
+        # of p and data scales far from 1: the set evaluates the test's own
+        # statistic, so no mu falls between the two
+        kinds = (LpExponent.finite(1), LpExponent.finite(2), LpExponent.finite(3),
+                 LpExponent.log_dim(), LpExponent.infinity())
+        for j in range(60):
+            rng = np.random.default_rng(j)
+            n, d, p = int(rng.integers(5, 40)), int(rng.integers(3, 12)), kinds[j % 5]
+            X = rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-3.0, 3.0)
+            cs = confidence_set(X, p, 0.05, EstimatorSpec("naive"), 200, RngSeed(j))
+            u = rng.normal(size=d)
+            u /= lp_norm(u, p)
+            for k in range(-40, 41):
+                mu = cs.center + cs.radius * u * (1.0 + k * 2.0**-52)
+                spec = make_spec(d, p, B=200, seed=j, m0=mu)
+                assert cs.contains(mu) == (not run_test(X, spec).reject)
+
     @pytest.mark.parametrize("estimator", ["naive", "hard(0.2)", "band(1)", "corr_cv"])
     def test_radius_is_test_critical_value(self, estimator):
         X = np.random.default_rng(14).normal(size=(40, 6))
