@@ -20,7 +20,7 @@ from .harness import (ExperimentConfig, _format, _write_csv, config_from_dict,
                       parse_config, paper_scale_preset, run_experiment)
 from .inference import EstimatorSpec, TestSpec, run_test
 from .inference import lp_ball_volume
-from .lp import LpExponent
+from .lp import LpExponent, _exact_text
 from .sampling import RngSeed
 
 CONFIG_ERROR = 2
@@ -154,7 +154,7 @@ def _cmd_test(args) -> int:
                     seed=seed)
     res = run_test(X, spec)
     row = _format((res.statistic, res.critical_value, res.p_value, int(res.reject), p.label,
-                   f"{args.alpha:g}", estimator.label, args.B, _seed_label(seed)))
+                   _exact_text(args.alpha), estimator.label, args.B, _seed_label(seed)))
     print(TEST_HEADER)
     print(row)
     if args.out:

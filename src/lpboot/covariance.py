@@ -141,31 +141,58 @@ def band(M: CovMatrix, ell: int) -> CovMatrix:
 _LAPACK_COL_MAJOR = 102
 
 
-def _lapacke_dsyevd():
-    """LAPACKE_dsyevd of numpy's bundled OpenBLAS, or None where it is missing."""
+def _lapacke_syevd(dtype):
+    """LAPACKE_dsyevd (float64) or LAPACKE_ssyevd (float32) of numpy's bundled
+    OpenBLAS, or None where it is missing."""
     i64, ptr = ctypes.c_int64, ctypes.c_void_p
-    return _openblas_function("scipy_LAPACKE_dsyevd64_", i64, ctypes.c_int, ctypes.c_char,
-                              ctypes.c_char, i64, ptr, i64, ptr)
+    name = "scipy_LAPACKE_ssyevd64_" if dtype == np.float32 else "scipy_LAPACKE_dsyevd64_"
+    return _openblas_function(name, i64, ctypes.c_int, ctypes.c_char, ctypes.c_char, i64,
+                              ptr, i64, ptr)
+
+
+def _syevd(work: np.ndarray) -> np.ndarray:
+    """Eigenvalues, ascending and in work's dtype, of the symmetric square
+    float64 or float32 array work in Fortran order, which this overwrites:
+    LAPACK ?syevd (values only, lower triangle) called through ctypes, which
+    releases the GIL, so pool workers compute them concurrently.
+    np.linalg.eigvalsh, which holds the GIL, is the fallback where the library
+    lacks the routine. Raises LinAlgError where LAPACK fails."""
+    if work.ndim != 2 or work.shape[0] != work.shape[1]:
+        raise ValueError("eigenvalues need a square matrix")
+    syevd = _lapacke_syevd(work.dtype)
+    if syevd is None:
+        return np.linalg.eigvalsh(work)
+    n = work.shape[0]
+    w = np.empty(n, dtype=work.dtype)
+    if syevd(_LAPACK_COL_MAJOR, b"N", b"L", n, work.ctypes.data, max(n, 1), w.ctypes.data):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    return w
 
 
 def _eigvalsh(a: np.ndarray) -> np.ndarray:
     """Eigenvalues of a symmetric a, ascending, bit-equal to np.linalg.eigvalsh(a):
-    the same LAPACK routine (dsyevd, values only, lower triangle) of the same
-    library, called through ctypes, which releases the GIL, so pool workers
-    compute them concurrently. np.linalg.eigvalsh, which holds the GIL, is the
-    fallback where the library lacks the routine. Raises LinAlgError where
-    LAPACK fails."""
-    dsyevd = _lapacke_dsyevd()
-    if dsyevd is None:
-        return np.linalg.eigvalsh(a)
-    work = np.array(a, dtype=float, order="F")  # dsyevd overwrites it
-    if work.ndim != 2 or work.shape[0] != work.shape[1]:
-        raise ValueError("eigenvalues need a square matrix")
-    n = work.shape[0]
-    w = np.empty(n)
-    if dsyevd(_LAPACK_COL_MAJOR, b"N", b"L", n, work.ctypes.data, max(n, 1), w.ctypes.data):
-        raise np.linalg.LinAlgError("Eigenvalues did not converge")
-    return w
+    the same LAPACK routine (dsyevd) of the same library, through _syevd."""
+    return _syevd(np.array(a, dtype=float, order="F"))
+
+
+def _eigvalsh_single(a: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a symmetric float64 a, ascending, as float64, computed
+    by ssyevd through _syevd in about 0.7 of dsyevd's time at d = 200 on one
+    BLAS thread. a is scaled by the power of two 2^-e (at most 2^1022) that
+    brings its largest |entry| into [1/2, 1) before the cast to float32, and
+    the eigenvalues are scaled back: covariance entries reach 2^+-128, past
+    float32's range. By Hoffman-Wielandt and the backward error of the
+    Householder reduction (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2002, s19.3), a function of the eigenvalues that is
+    1-Lipschitz in a in the Frobenius norm, such as the distance to the PSD
+    cone, lies within d^2 eps_32 ||a||_F of its exact value. Where the
+    library lacks ssyevd, np.linalg.eigvalsh of the float32 copy is the
+    fallback (numpy computes it in float64, inside that error)."""
+    top = max(float(a.max(initial=0.0)), -float(a.min(initial=0.0)))
+    e = max(math.frexp(top)[1], -1022)
+    work = np.empty(a.shape, dtype=np.float32, order="F")
+    np.multiply(a, 2.0**-e, out=work, casting="same_kind")  # exact before the rounding
+    return np.ldexp(_syevd(work).astype(float), e)
 
 
 def _psd_accepts(a: np.ndarray) -> bool:
@@ -255,10 +282,27 @@ def cv_select_lambda(X: np.ndarray, grid, folds: int, seed) -> tuple[float, list
     is exact; a failing mask gets bounds from its eigenvalues alone: with
     g = ||lambda_-(A)||, its distance to the PSD cone, the risk is at least
     U - g (triangle inequality) and at most sqrt(U^2 - g^2) (the projection
-    is firmly non-expansive and S2 is PSD).  Rung 1 makes the failing masks
-    at live grid points exact by the eigenvalue clip.  A grid point is live
-    while its summed lower bound does not exceed the least summed upper
-    bound, so it could still win; liveness is recomputed after each rung.
+    is firmly non-expansive and S2 is PSD).  Where d^2 eps_32 <= 2^-5, that
+    is d <= 512, rung 0 takes g from single-precision eigenvalues
+    (_eigvalsh_single) and widens it to [g - delta, g + delta] with
+    delta = d^2 (eps_32 + eps_64) ||A||_F, which covers both its own error
+    and that of dsyevd's g; rung 1 then bounds the failing masks at grid
+    points still live by dsyevd, and intersects those bounds with rung 0's,
+    so it never loosens one (where LAPACK fails, a rung's bounds are the
+    plain [0, U]).  Above d = 512 the slack would reach 2^-5 ||A||_F and
+    more, so rung 0 takes dsyevd's g and there is no rung 1.  The last rung
+    makes the failing masks at live grid points exact by the eigenvalue
+    clip.  A grid point is live while its summed lower bound does not
+    exceed the least summed upper bound, so it could still win; liveness is
+    recomputed after each rung.
+
+    Single precision changes no output.  Its intervals contain dsyevd's, so
+    every grid point live under dsyevd's bounds is live after rung 0 and
+    gets dsyevd's bounds in rung 1, which the intersection keeps, and a grid
+    point pruned by the wider bounds is pruned by dsyevd's.  So the least
+    upper bound, the live set after rung 1 and the clipped masks are those
+    of dsyevd's bounds alone, and lambda-hat, every risk entry and every NaN
+    position are bit-equal to theirs wherever LAPACK converges.
 
     A risk entry is exact, equal to scoring every grid point apart, where
     some rung scored every fold's mask for that grid point exactly; the other
@@ -290,17 +334,26 @@ def cv_select_lambda(X: np.ndarray, grid, folds: int, seed) -> tuple[float, list
     est = np.full((3, folds, len(grid)), math.nan)
     keys, slack = [None] * folds, [0.0] * folds  # each fold's, recorded by rung 0
     live = np.ones(len(grid), dtype=bool)
+    # the eigenvalue rungs, then the clip (None); single precision first where
+    # its error d^2 eps_32 ||A||_F is at most 2^-5 ||A||_F, that is d <= 512
+    ladder = [_eigvalsh, None]
+    if X.shape[1] ** 2 * np.finfo(np.float32).eps <= 2.0**-5:
+        ladder.insert(0, _eigvalsh_single)
 
     def score(nu: int, rung: int, points) -> None:
         """Score fold nu's masks at the grid points `points`, and at every grid
-        point that shares one of those masks: rung 0 by the probe, exact where
-        it accepts and eigenvalue bounds otherwise, rung 1 by the clip."""
+        point that shares one of those masks: rung 0 exactly where the probe
+        accepts, an eigenvalue rung by bounds that it intersects with those the
+        mask has, the clip exactly."""
         S1, S2, corr = _cv_fold(X, n1, seed, nu)
+        eigvalsh, d = ladder[rung], S1.shape[0]
+        # a single-precision g lies within err ||A||_F of the exact g and of dsyevd's
+        err = (d * d * (np.finfo(np.float32).eps + np.finfo(float).eps)
+               if eigvalsh is _eigvalsh_single else 0.0)
         if rung == 0:
             # U and g are rounded relative to ||A|| + ||S2||, and ||A|| <= ||S1||
             # for every mask: d^2 eps covers the d^2 squares summed in U and, by
             # Weyl's inequality, the backward error of dsyevd's eigenvalues in g
-            d = S1.shape[0]
             slack[nu] = d * d * np.finfo(float).eps * (_frobenius(S1) + _frobenius(S2))
             off = np.sort(corr[np.triu_indices_from(corr, 1)])
             keys[nu] = (off.size - np.searchsorted(off, grid, side="left")).tolist()
@@ -310,22 +363,31 @@ def cv_select_lambda(X: np.ndarray, grid, folds: int, seed) -> tuple[float, list
             if key in scored:
                 continue
             A = _keep_off_diagonal(S1, corr >= grid[i])
-            u = _frobenius((_eigen_clip(A) if rung else A) - S2)
-            if rung or _psd_accepts(A):
+            u = _frobenius((A if eigvalsh else _eigen_clip(A)) - S2)
+            if not eigvalsh or rung == 0 and _psd_accepts(A):
                 scored[key] = u, u, u
                 continue
             try:
-                w = _eigvalsh(A)
-            except np.linalg.LinAlgError:  # no eigenvalues, no tighter bounds
+                w = eigvalsh(A)
+            except np.linalg.LinAlgError:  # no eigenvalues: the plain bounds
                 scored[key] = math.nan, 0.0, u
                 continue
             neg = w[w < 0.0]
             gap = float(np.einsum("i,i->", neg, neg))  # g^2
-            scored[key] = math.nan, u - math.sqrt(gap), math.sqrt(max(u * u - gap, 0.0))
+            g = math.sqrt(gap)
+            if err:  # widen [g, g] to [g - delta, g + delta]
+                delta = err * _frobenius(A)
+                gap = max(g - delta, 0.0) ** 2
+                g += delta
+            scored[key] = math.nan, u - g, math.sqrt(max(u * u - gap, 0.0))
         at = [i for i, key in enumerate(keys[nu]) if key in scored]
-        est[:, nu, at] = np.array([scored[keys[nu][i]] for i in at]).T
+        new = np.array([scored[keys[nu][i]] for i in at]).T
+        if eigvalsh:  # never loosen a bound; fmax and fmin pass over NaN, none yet
+            new[1] = np.fmax(new[1], est[1, nu, at])
+            new[2] = np.fmin(new[2], est[2, nu, at])
+        est[:, nu, at] = new
 
-    for rung in (0, 1):
+    for rung in range(len(ladder)):
         todo = [(nu, np.flatnonzero(live & np.isnan(risk))) for nu, risk in enumerate(est[0])]
         todo = [(nu, points) for nu, points in todo if points.size]
         run_indexed(lambda j: score(todo[j][0], rung, todo[j][1]), len(todo), len(todo))

@@ -17,7 +17,7 @@ from .bootstrap import (MAX_DRAWS, EmpiricalDistribution, critical_value,
 from .covariance import (CovMatrix, _rescale_exponent, band,
                          correlation_threshold, cv_select_lambda, psd_project,
                          sample_covariance, threshold)
-from .lp import LpExponent, lp_norm
+from .lp import LpExponent, _exact_text, lp_norm
 from .parallel import hold
 from .sampling import RngSeed
 
@@ -69,7 +69,7 @@ class EstimatorSpec:
     @property
     def label(self) -> str:
         if self.kind == "hard":
-            return f"hard({self.lam:g})"
+            return f"hard({_exact_text(self.lam)})"
         if self.kind == "band":
             return f"band({self.ell})"
         return self.kind

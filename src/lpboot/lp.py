@@ -16,6 +16,13 @@ import numpy as np
 from scipy.special import logsumexp
 
 
+def _exact_text(value: float) -> str:
+    """value as short text that reads back as value: its %g text where that
+    is exact (so 2, 0.05, 1e-06), else its repr (2.0000001, 0.0123456789)."""
+    text = format(value, "g")
+    return text if float(text) == value else repr(value)
+
+
 @dataclass(frozen=True)
 class LpExponent:
     """Norm exponent: finite p >= 1, log(d) coupled to the dimension, or infinity."""
@@ -64,7 +71,7 @@ class LpExponent:
             return "logd"
         if self.kind == "inf":
             return "inf"
-        return format(self.p, "g")
+        return _exact_text(self.p)
 
     def __str__(self) -> str:
         return self.label

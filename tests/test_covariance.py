@@ -350,12 +350,9 @@ class TestCvSelectLambda:
         assert ours < ref
 
     def test_second_pass_projects_masks_that_can_still_win(self, monkeypatch):
-        # n = 12 rows, d = 8 strongly correlated coordinates: failing masks
-        # whose bounds straddle the best upper bound are projected
-        rng = np.random.default_rng(1)
-        X = (rng.normal(size=(12, 8)) * rng.uniform(0.5, 3.0, size=8)
-             + rng.normal(size=(12, 1)) * rng.uniform(5.0, 20.0, size=8))
-        ours, ref = self._eigh_calls(monkeypatch, X, list(np.linspace(0.0, 1.0, 12)), 3, 1)
+        # failing masks whose bounds straddle the best upper bound are projected
+        ours, ref = self._eigh_calls(monkeypatch, self._clip_rung_data(),
+                                     list(np.linspace(0.0, 1.0, 12)), 3, 1)
         assert 0 < ours < ref
 
     def test_masks_the_probe_accepts_in_every_fold_are_never_nan(self):
@@ -374,50 +371,101 @@ class TestCvSelectLambda:
         assert not np.isnan(risks[accepted]).any()
         assert (risks[accepted] > np.nanmin(risks)).any()
 
-    def test_serial_and_pooled_runs_leave_nan_in_the_same_places(self, monkeypatch):
-        # the data of test_second_pass_projects_masks_that_can_still_win, where
-        # the clip rung runs
+    @staticmethod
+    def _clip_rung_data():
+        """n = 12 rows, d = 8 strongly correlated coordinates, where the rung
+        of double-precision bounds and the clip rung run."""
         rng = np.random.default_rng(1)
-        X = (rng.normal(size=(12, 8)) * rng.uniform(0.5, 3.0, size=8)
-             + rng.normal(size=(12, 1)) * rng.uniform(5.0, 20.0, size=8))
-        clip, clips = covariance._eigen_clip, []
-        monkeypatch.setattr(covariance, "_eigen_clip", lambda a: clips.append(1) or clip(a))
-        runs = []
+        return (rng.normal(size=(12, 8)) * rng.uniform(0.5, 3.0, size=8)
+                + rng.normal(size=(12, 1)) * rng.uniform(5.0, 20.0, size=8))
+
+    @staticmethod
+    def _counted(monkeypatch, fail=()):
+        """Calls per eigenvalue routine and clip; the routines named in fail raise."""
+        calls = {"_eigvalsh_single": 0, "_eigvalsh": 0, "_eigen_clip": 0}
+        for name in calls:
+            def counting(a, name=name, f=getattr(covariance, name)):
+                calls[name] += 1
+                if name in fail:
+                    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+                return f(a)
+            monkeypatch.setattr(covariance, name, counting)
+        return calls
+
+    def test_serial_and_pooled_runs_leave_nan_in_the_same_places(self, monkeypatch):
+        X, grid = self._clip_rung_data(), list(np.linspace(0.0, 1.0, 12))
+        runs, counts = [], []
         for cores in (1, 3):
             monkeypatch.setattr(parallel, "_available_cores", lambda c=cores: c)
-            runs.append(cv_select_lambda(X, list(np.linspace(0.0, 1.0, 12)), 3, RngSeed(1))[1])
-        assert clips and np.isnan(runs[0]).any()
+            counts.append(self._counted(monkeypatch))
+            runs.append(cv_select_lambda(X, grid, 3, RngSeed(1))[1])
+            monkeypatch.undo()
+        assert counts[0] == counts[1] and counts[0]["_eigvalsh"] and counts[0]["_eigen_clip"]
+        assert np.isnan(runs[0]).any()
         assert np.array_equal(runs[0], runs[1], equal_nan=True)
 
     def test_same_result_without_the_lapacke_entry_point(self, monkeypatch):
-        # np.linalg.eigvalsh, the fallback, gives the same eigenvalues
+        # np.linalg.eigvalsh, the fallback for both precisions, gives the same
+        # lambda-hat and risks
         S = sampling.build_block_covariance(60, 2, 0.8, RngSeed(0))
-        X = sampling.copula_sample(S, sampling.MarginalKind.UNIFORM_SYM, 60, RngSeed(1))
+        cases = [(sampling.copula_sample(S, sampling.MarginalKind.UNIFORM_SYM, 60, RngSeed(1)),
+                  4, RngSeed(2)), (self._clip_rung_data(), 3, RngSeed(1))]
         grid = list(np.linspace(0.0, 1.0, 12))
-        fast = cv_select_lambda(X, grid, 4, RngSeed(2))
-        eigvalsh, calls = np.linalg.eigvalsh, []
+        fast = [cv_select_lambda(X, grid, folds, seed) for X, folds, seed in cases]
+        eigvalsh, dtypes = np.linalg.eigvalsh, []
 
         def counting(a):
-            calls.append(1)
+            dtypes.append(a.dtype)
             return eigvalsh(a)
 
-        monkeypatch.setattr(covariance, "_lapacke_dsyevd", lambda: None)
+        monkeypatch.setattr(covariance, "_lapacke_syevd", lambda dtype: None)
         monkeypatch.setattr(np.linalg, "eigvalsh", counting)
-        lam, risks = cv_select_lambda(X, grid, 4, RngSeed(2))
-        assert calls and lam == fast[0] and np.array_equal(risks, fast[1], equal_nan=True)
+        for (X, folds, seed), (lam, risks) in zip(cases, fast):
+            got = cv_select_lambda(X, grid, folds, seed)
+            assert got[0] == lam and np.array_equal(got[1], risks, equal_nan=True)
+        assert set(dtypes) == {np.dtype(np.float32), np.dtype(np.float64)}
 
     def test_failed_eigenvalues_leave_the_plain_bounds(self, monkeypatch):
-        # with [0, U] in place of the eigenvalue bounds every failing mask's
-        # grid point stays live and is projected; lambda-hat and the exact
-        # risks do not change
+        # with [0, U] in place of the eigenvalue bounds in both precisions every
+        # failing mask's grid point stays live and is projected; lambda-hat and
+        # the exact risks do not change
         def failing(a):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
         monkeypatch.setattr(covariance, "_eigvalsh", failing)
+        monkeypatch.setattr(covariance, "_eigvalsh_single", failing)
         S = sampling.build_block_covariance(60, 2, 0.8, RngSeed(0))
         X = sampling.copula_sample(S, sampling.MarginalKind.UNIFORM_SYM, 60, RngSeed(1))
         ours, ref = self._eigh_calls(monkeypatch, X, list(np.linspace(0.0, 1.0, 12)), 4, 2)
         assert 0 < ours <= ref
+
+    def test_failed_double_precision_keeps_the_single_precision_bounds(self, monkeypatch):
+        # rung 1 intersects its bounds with rung 0's, so where dsyevd fails the
+        # clip rung projects what it projects with dsyevd, and where both fail
+        # it projects every failing mask at a live grid point
+        X, grid = self._clip_rung_data(), list(np.linspace(0.0, 1.0, 12))
+        runs = []
+        for fail in ((), ("_eigvalsh",), ("_eigvalsh", "_eigvalsh_single")):
+            calls = self._counted(monkeypatch, fail)
+            runs.append((cv_select_lambda(X, grid, 3, RngSeed(1)), calls))
+            monkeypatch.undo()
+            assert_matches_reference(runs[-1][0],
+                                     _cv_select_lambda_reference(X, grid, 3, RngSeed(1)))
+        (plain, calls), (kept, kept_calls), (_, none_calls) = runs
+        assert calls["_eigvalsh"] and kept_calls["_eigvalsh"]
+        assert kept[0] == plain[0] and np.array_equal(kept[1], plain[1], equal_nan=True)
+        assert kept_calls["_eigen_clip"] == calls["_eigen_clip"] < none_calls["_eigen_clip"]
+
+    @pytest.mark.parametrize("d, single", [(512, True), (513, False)])
+    def test_single_precision_where_d_squared_eps32_is_at_most_2_to_minus_5(
+            self, monkeypatch, d, single):
+        # d <= 512; above it the ladder is dsyevd's bounds, then the clip
+        rng = np.random.default_rng(20)
+        X = rng.normal(size=(12, d)) + rng.normal(size=(12, 1))
+        calls = self._counted(monkeypatch)
+        cv_select_lambda(X, [0.0, 0.5, 1.0], 2, RngSeed(0))
+        assert bool(calls["_eigvalsh_single"]) == single
+        assert single or calls["_eigvalsh"]
 
     def test_overflowing_risks_pick_reference_lambda(self):
         # entries of X X^T near 1e156 square past the largest double, so every
@@ -466,7 +514,84 @@ class TestEigenvalues:
         # wrapper, which holds the GIL, so CV's pool workers run them in turn
         if parallel._openblas() is None:
             pytest.skip("numpy ships no bundled scipy-openblas")
-        assert covariance._lapacke_dsyevd() is not None
+        assert covariance._lapacke_syevd(np.float64) is not None
+        assert covariance._lapacke_syevd(np.float32) is not None
+
+
+def _factor_data(n=30, d=40, seed=22):
+    """d > n/3 coordinates with a strong common factor: S1 is rank-deficient,
+    so most thresholded masks fail the Cholesky probe."""
+    rng = np.random.default_rng(seed)
+    return (rng.normal(size=(n, d)) * rng.uniform(0.5, 3.0, size=d)
+            + rng.normal(size=(n, 1)) * rng.uniform(5.0, 20.0, size=d))
+
+
+class TestSinglePrecisionBound:
+    """The single-precision distance to the PSD cone, g, of a mask A lies
+    within delta = d^2 (eps_32 + eps_64) ||A||_F of dsyevd's, the slack CV's
+    rung 0 widens its bounds by."""
+
+    GRID = list(np.linspace(0.0, 1.0, 40))
+    DATA = {
+        "rank-deficient": lambda X: X,
+        "constant-column": lambda X: np.where(np.arange(X.shape[1]) == 2, 3.0, X),
+        "1e-30": lambda X: X * 1e-30,
+        "2^60": lambda X: X * 2.0**60,
+        "2^-60": lambda X: X * 2.0**-60,
+    }
+
+    @classmethod
+    def _masks(cls, X, accepted=False):
+        """The fold masks the probe accepts (or rejects) over three folds."""
+        n1, masks = covariance._cv_split(X.shape[0]), []
+        for nu in range(3):
+            S1, _, corr = covariance._cv_fold(X, n1, RngSeed(0), nu)
+            for lam in cls.GRID:
+                A = covariance._keep_off_diagonal(S1, corr >= lam)
+                if covariance._psd_accepts(A) == accepted:
+                    masks.append(A)
+        return masks
+
+    @staticmethod
+    def assert_within_delta(A):
+        def g(w):
+            neg = w[w < 0.0]
+            return math.sqrt(float(np.einsum("i,i->", neg, neg)))
+
+        d = A.shape[0]
+        w = covariance._eigvalsh_single(A)
+        assert w.dtype == np.float64 and np.all(np.isfinite(w))
+        delta = d * d * (np.finfo(np.float32).eps + np.finfo(float).eps) * math.sqrt(
+            float(np.einsum("ij,ij->", A, A)))
+        assert abs(g(w) - g(covariance._eigvalsh(A))) <= delta
+
+    @pytest.mark.parametrize("kind", DATA)
+    def test_failing_masks(self, kind):
+        X = self.DATA[kind](_factor_data())
+        masks = self._masks(X)
+        assert len(masks) >= 10
+        for A in masks:
+            self.assert_within_delta(A)
+        assert_matches_reference(cv_select_lambda(X, self.GRID, 3, RngSeed(0)),
+                                 _cv_select_lambda_reference(X, self.GRID, 3, RngSeed(0)))
+
+    def test_near_psd_masks(self):
+        # singular accepted masks moved just past the probe's shift of 1e-10 of
+        # the largest variance, where g is far below the rounding of the
+        # eigenvalues
+        masks = [A - 1e-8 * np.diag(A).max() * np.eye(A.shape[0])
+                 for A in self._masks(_factor_data(), accepted=True)]
+        masks = [B for B in masks if not covariance._psd_accepts(B)]
+        assert masks
+        for B in masks:
+            self.assert_within_delta(B)
+
+    def test_masks_past_the_float32_range(self):
+        # covariance entries near 2^140 overflow float32 unless scaled first
+        masks = self._masks(_factor_data() * 2.0**70)
+        assert min(np.abs(A).max() for A in masks) > np.finfo(np.float32).max
+        for A in masks:
+            self.assert_within_delta(A)
 
 
 class TestDiagnostics:
@@ -475,7 +600,7 @@ class TestDiagnostics:
         a = rng.normal(size=(30, 12))
         mats = [CovMatrix(a.T @ a), CovMatrix(a @ a.T), random_symmetric(rng, 9)]
         fast = [cov_diagnostics(m) for m in mats]
-        monkeypatch.setattr(covariance, "_lapacke_dsyevd", lambda: None)
+        monkeypatch.setattr(covariance, "_lapacke_syevd", lambda dtype: None)
         assert [cov_diagnostics(m) for m in mats] == fast
 
     def test_identity(self):

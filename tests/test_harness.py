@@ -415,6 +415,16 @@ class TestCoverageExperiment:
         assert float(cov) == np.mean([int(r.split(",")[3]) for r in rows])
         assert abs(float(cov) - 0.95) <= 0.08  # binomial noise at 100 reps
 
+    def test_close_exponents_get_a_summary_row_each(self, tmp_path):
+        # both exponents printed as 2 under %g, so their rows were merged
+        out = tmp_path / "cov.csv"
+        ps = (LpExponent.finite(2.0000001), LpExponent.finite(2.0000002))
+        run_experiment(small_cfg("coverage", estimators=("naive",), mc_reps=3, p_list=ps,
+                                 output_path=str(out)))
+        summary = (tmp_path / "cov.summary.csv").read_text().splitlines()[1:]
+        assert [(row.split(",")[:2], row.split(",")[-1]) for row in summary] == [
+            (["2.0000001", "naive"], "3"), (["2.0000002", "naive"], "3")]
+
     def test_summarize_coverage_direct(self):
         records = [(0, "2", "naive", 1), (1, "2", "naive", 0),
                    (0, "inf", "naive", 1), (1, "inf", "naive", 1)]
@@ -600,6 +610,18 @@ class TestCli:
         row = out.read_text().splitlines()[1].split(",")
         assert row[3] == "1"  # shift of 3 sigma rejects
         assert row[4] == "inf"
+        assert row[5:7] == ["0.05", "naive"]
+
+    def test_test_subcommand_writes_the_exact_alpha(self, tmp_path, capsys):
+        # %g would write 0.0123457, another level
+        data = tmp_path / "x.csv"
+        np.savetxt(data, np.random.default_rng(0).normal(size=(40, 3)), delimiter=",")
+        out = tmp_path / "res.csv"
+        assert main(["test", str(data), "--estimator", "hard(0.123456789)", "--B", "200",
+                     "--p", "2.0000001", "--alpha", "0.0123456789", "--out", str(out)]) == 0
+        row = out.read_text().splitlines()[1].split(",")
+        assert row[4:7] == ["2.0000001", "0.0123456789", "hard(0.123456789)"]
+        assert float(row[5]) == 0.0123456789
 
     @pytest.mark.parametrize("data, extra, message", [
         ("\n".join(f"{1e307 * k},1" for k in range(1, 11)), [], "the test statistic overflows"),

@@ -43,6 +43,14 @@ class TestLpExponent:
 
     def test_labels(self):
         assert P1.label == "1" and PINF.label == "inf" and PLOG.label == "logd"
+        assert P2.label == "2" and LpExponent.finite(1.5).label == "1.5"
+
+    def test_labels_name_the_exact_exponent(self):
+        # %g prints both as 2
+        for p in (2.0000001, 2.0000002, 1.0 + 2.0**-52, 123456789.0):
+            label = LpExponent.finite(p).label
+            assert LpExponent.parse(label) == LpExponent.finite(p)
+        assert LpExponent.finite(2.0000001).label != LpExponent.finite(2.0000002).label
 
 
 class TestLpNorm:
