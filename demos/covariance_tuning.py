@@ -26,8 +26,9 @@ regularized = psd_project(correlation_threshold(naive, lam))
 
 print(f"n={n}, d={d}, pairwise-correlated blocks of size 2")
 # CV scores a grid point exactly where the probe accepts its mask in every
-# fold, or where the bounds from the failing masks' eigenvalues say it could
-# still win (16 of the 20 here); the rest of the risk list is NaN
+# fold, or where it could still win after the failing masks are bounded,
+# first by the PSD masks around them and then by their eigenvalues (16 of
+# the 20 here); the rest of the risk list is NaN
 scored = [r for r in risks if not math.isnan(r)]
 print(f"CV-selected correlation threshold: {lam:.3f} "
       f"(risk {risks[grid.index(lam)]:.3f}; {len(scored)} of {len(grid)} grid points "

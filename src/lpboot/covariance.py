@@ -8,6 +8,7 @@ phrased in.
 
 from __future__ import annotations
 
+import bisect
 import ctypes
 import math
 from dataclasses import dataclass, field
@@ -15,7 +16,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .lp import LpExponent, lp_norm
+from .lp import LpExponent, _exact_text, lp_norm
 from .parallel import _openblas_function, run_indexed
 
 # relative tolerance for the smallest eigenvalue of a matrix accepted as PSD
@@ -102,7 +103,7 @@ def threshold(M: CovMatrix, lam: float) -> CovMatrix:
         raise ValueError("threshold level must be nonnegative")
     a = M.values
     return CovMatrix(_keep_off_diagonal(a, np.abs(a) > lam),
-                     provenance=f"hard-threshold({lam:g})<-{M.provenance}")
+                     provenance=f"hard-threshold({_exact_text(lam)})<-{M.provenance}")
 
 
 def _check_correlation_level(lam: float) -> None:
@@ -126,7 +127,7 @@ def correlation_threshold(M: CovMatrix, lam: float) -> CovMatrix:
     _check_correlation_level(lam)
     keep = _abs_correlation(M.values) >= lam
     return CovMatrix(_keep_off_diagonal(M.values, keep),
-                     provenance=f"corr-threshold({lam:g})<-{M.provenance}")
+                     provenance=f"corr-threshold({_exact_text(lam)})<-{M.provenance}")
 
 
 def band(M: CovMatrix, ell: int) -> CovMatrix:
@@ -195,13 +196,19 @@ def _eigvalsh_single(a: np.ndarray) -> np.ndarray:
     return np.ldexp(_syevd(work).astype(float), e)
 
 
+def _probe_shift(diag: np.ndarray) -> float:
+    """The shift the Cholesky probe adds to the diagonal diag: 1e-10 of its
+    largest |entry|."""
+    return PSD_CERT_TOL * 0.01 * float(np.abs(diag).max(initial=0.0))
+
+
 def _psd_accepts(a: np.ndarray) -> bool:
     """Whether a Cholesky factorization of a, shifted by a tiny multiple of its
     largest diagonal entry, succeeds: the probe that accepts a as PSD."""
     diag = np.diag(a)
     shifted = np.array(a, dtype=float)
     # the shift on the diagonal of one copy: the same bytes as a + shift * I
-    np.fill_diagonal(shifted, diag + PSD_CERT_TOL * 0.01 * float(np.abs(diag).max(initial=0.0)))
+    np.fill_diagonal(shifted, diag + _probe_shift(diag))
     try:
         np.linalg.cholesky(shifted)
         return True
@@ -248,13 +255,13 @@ def _cv_split(n: int) -> int:
     return n1
 
 
-def _cv_fold(X: np.ndarray, n1: int, seed, nu: int):
+def _cv_fold(X: np.ndarray, n1: int, seed, nu: int, second: bool = True):
     """Fold nu's halves, S1 on the first n1 rows of its permutation and S2 on
-    the rest, and |corr(S1)|; built from the fold's own seed, so every call
-    returns the same bytes."""
+    the rest (None unless `second`), and |corr(S1)|; built from the fold's own
+    seed, so every call returns the same bytes."""
     perm = seed.child(nu).generator().permutation(X.shape[0])
     S1 = sample_covariance(X[perm[:n1]]).values
-    S2 = sample_covariance(X[perm[n1:]]).values
+    S2 = sample_covariance(X[perm[n1:]]).values if second else None
     return S1, S2, _abs_correlation(S1)
 
 
@@ -262,6 +269,53 @@ def _frobenius(D: np.ndarray) -> float:
     # einsum, unlike the BLAS dot inside np.linalg.norm, sums in the same
     # order for any BLAS thread count
     return math.sqrt(float(np.einsum("ij,ij->", D, D)))
+
+
+def _witness_gaps(S1: np.ndarray, sq: dict, accepted) -> dict:
+    """Upper bounds on the distance to the PSD cone of a fold's thresholded
+    masks that fail the Cholesky probe, from PSD matrices the fold already
+    has: diag(S1) and the masks in `accepted`.  sq maps each scored mask's key,
+    its number of kept off-diagonal pairs, to its squared Frobenius norm;
+    returns key -> bound for the keys of sq not in `accepted`.
+
+    The masks are nested, and each keeps the entries of S1 it keeps, so a
+    failing mask A lies between the nearest witnesses A_lo and A_hi with
+    fewer and more kept pairs (A_lo is diag(S1) where no accepted mask has
+    fewer), A - A_lo and A_hi - A have disjoint supports, and with
+    x = ||A||^2 - ||A_lo||^2, y = ||A_hi||^2 - ||A||^2 the PSD matrix
+    W = (1 - t) A_lo + t A_hi has ||A - W||^2 = (1 - t)^2 x + t^2 y, least at
+    xy / (x + y); x itself where no witness lies above A.
+
+    Rounding: each squared norm is a sum of d^2 products, within d^2 eps
+    ||S1||^2 of its value, so x and y are inflated by 2 d^2 eps ||S1||^2,
+    which also covers the subtraction, and the bound increases in both.  A
+    witness the probe accepted is PSD only once shifted by the probe's tau
+    and Cholesky's backward error: RR^T = W + tau I + E with
+    ||E||_F <= gamma_{d+1} tr(W + tau I) (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2002, Thm 10.3), and tr W = tr S1, so every
+    bound adds tau sqrt(d) + gamma_{d+1} (tr S1 + d tau), the distance from W
+    to that PSD matrix, for a convex combination too."""
+    d = S1.shape[0]
+    eps = np.finfo(float).eps
+    diag = np.diag(S1)
+    tau = _probe_shift(diag)
+    gamma = (d + 1) * eps / (1.0 - (d + 1) * eps)
+    shift = tau * math.sqrt(d) + gamma * (float(diag.sum()) + d * tau)
+    rounding = 2.0 * d * d * eps * float(np.einsum("ij,ij->", S1, S1))
+    witness = {0: float(np.einsum("i,i->", diag, diag))}
+    witness.update((key, sq[key]) for key in accepted)
+    order = sorted(witness)
+    gaps = {}
+    for key, norm2 in sq.items():
+        if key in accepted:
+            continue
+        j = bisect.bisect_right(order, key)  # order[j - 1] <= key < order[j]
+        gap = norm2 - witness[order[j - 1]] + rounding
+        if j < len(order):
+            y = witness[order[j]] - norm2 + rounding
+            gap = gap * y / (gap + y) if gap + y > 0.0 else 0.0
+        gaps[key] = math.sqrt(max(gap, 0.0)) + shift
+    return gaps
 
 
 def cv_select_lambda(X: np.ndarray, grid, folds: int, seed) -> tuple[float, list[float]]:
@@ -277,32 +331,40 @@ def cv_select_lambda(X: np.ndarray, grid, folds: int, seed) -> tuple[float, list
     the number of kept off-diagonal entries identifies the mask, and each
     distinct mask is scored once per rung, for any grid order and with
     repeated grid values.  Each rung is one pass of the fold worker over the
-    folds with an unscored mask at a live grid point.  Rung 0: a mask A the
-    Cholesky probe accepts is its own projection, so its risk U = ||A - S2||
-    is exact; a failing mask gets bounds from its eigenvalues alone: with
-    g = ||lambda_-(A)||, its distance to the PSD cone, the risk is at least
-    U - g (triangle inequality) and at most sqrt(U^2 - g^2) (the projection
-    is firmly non-expansive and S2 is PSD).  Where d^2 eps_32 <= 2^-5, that
-    is d <= 512, rung 0 takes g from single-precision eigenvalues
-    (_eigvalsh_single) and widens it to [g - delta, g + delta] with
-    delta = d^2 (eps_32 + eps_64) ||A||_F, which covers both its own error
-    and that of dsyevd's g; rung 1 then bounds the failing masks at grid
-    points still live by dsyevd, and intersects those bounds with rung 0's,
-    so it never loosens one (where LAPACK fails, a rung's bounds are the
-    plain [0, U]).  Above d = 512 the slack would reach 2^-5 ||A||_F and
-    more, so rung 0 takes dsyevd's g and there is no rung 1.  The last rung
-    makes the failing masks at live grid points exact by the eigenvalue
-    clip.  A grid point is live while its summed lower bound does not
-    exceed the least summed upper bound, so it could still win; liveness is
-    recomputed after each rung.
+    folds with an unscored mask at a live grid point.  Rung 0, the witness
+    rung, scores every mask: a mask A the Cholesky probe accepts is its own
+    projection, so its risk U = ||A - S2|| is exact.  A failing mask's risk
+    lies in [U - g, sqrt(U^2 - g^2)], with g its distance to the PSD cone
+    (triangle inequality; the projection is firmly non-expansive and S2 is
+    PSD), and rung 0 bounds it by [U - g_w, U], where g_w >= g is its
+    distance to the nearest convex combination of two PSD matrices the fold
+    already has, diag(S1) and the accepted masks (_witness_gaps, which
+    states the rounding argument).  The eigenvalue rungs then bound the
+    failing masks at grid points still live by g itself and intersect those
+    bounds with the ones the mask has, so they never loosen one (where
+    LAPACK fails, a rung's bounds are the plain [0, U]).  Where
+    d^2 eps_32 <= 2^-5, that is d <= 512, rung 1 takes g from
+    single-precision eigenvalues (_eigvalsh_single) widened to
+    [g - delta, g + delta], delta = d^2 (eps_32 + eps_64) ||A||_F, which
+    covers both its own error and that of dsyevd's g, and rung 2 takes
+    dsyevd's g; above d = 512 that slack would reach 2^-5 ||A||_F and more,
+    so rung 1 is dsyevd's.  The last rung makes the failing masks at live
+    grid points exact by the eigenvalue clip.  A grid point is live while
+    its summed lower bound does not exceed the least summed upper bound, so
+    it could still win; liveness is recomputed after each rung.
 
-    Single precision changes no output.  Its intervals contain dsyevd's, so
-    every grid point live under dsyevd's bounds is live after rung 0 and
-    gets dsyevd's bounds in rung 1, which the intersection keeps, and a grid
-    point pruned by the wider bounds is pruned by dsyevd's.  So the least
-    upper bound, the live set after rung 1 and the clipped masks are those
-    of dsyevd's bounds alone, and lambda-hat, every risk entry and every NaN
-    position are bit-equal to theirs wherever LAPACK converges.
+    Neither the witness rung nor single precision changes an output.  The
+    witness bounds contain the eigenvalue bounds (g_w >= g, and U is at least
+    sqrt(U^2 - g^2)), so a grid point they leave live gets the eigenvalue
+    bounds in the next rung, and one they prune has a sound lower bound
+    above the least upper bound, which the eigenvalue bounds would give too:
+    those prune it as well, with the same least upper bound.  Likewise the
+    wider single-precision intervals contain dsyevd's, so a grid point live
+    under dsyevd's bounds gets them, and one pruned by the wider bounds is
+    pruned by dsyevd's.  So the least upper bound, the live set before the
+    clip and the clipped masks are those of dsyevd's bounds on every mask,
+    and lambda-hat, every risk entry and every NaN position are bit-equal
+    to theirs wherever LAPACK converges.
 
     A risk entry is exact, equal to scoring every grid point apart, where
     some rung scored every fold's mask for that grid point exactly; the other
@@ -330,26 +392,31 @@ def cv_select_lambda(X: np.ndarray, grid, folds: int, seed) -> tuple[float, list
     if k:
         X = np.ldexp(X, -k)
 
-    # each fold's (risk, lower bound, upper bound) per grid point; NaN unscored
-    est = np.full((3, folds, len(grid)), math.nan)
+    # each fold's (risk, lower bound, upper bound) per grid point, and the
+    # distance U of the unprojected mask to S2 that rung 0 computes; NaN unscored
+    est = np.full((4, folds, len(grid)), math.nan)
     keys, slack = [None] * folds, [0.0] * folds  # each fold's, recorded by rung 0
     live = np.ones(len(grid), dtype=bool)
-    # the eigenvalue rungs, then the clip (None); single precision first where
-    # its error d^2 eps_32 ||A||_F is at most 2^-5 ||A||_F, that is d <= 512
-    ladder = [_eigvalsh, None]
+    # the eigenvalue rungs between the witness rung and the clip: single
+    # precision first where its error d^2 eps_32 ||A||_F is at most
+    # 2^-5 ||A||_F, that is d <= 512
+    eigen = [_eigvalsh]
     if X.shape[1] ** 2 * np.finfo(np.float32).eps <= 2.0**-5:
-        ladder.insert(0, _eigvalsh_single)
+        eigen.insert(0, _eigvalsh_single)
+    ladder = [None, *eigen, _eigen_clip]
 
     def score(nu: int, rung: int, points) -> None:
         """Score fold nu's masks at the grid points `points`, and at every grid
         point that shares one of those masks: rung 0 exactly where the probe
-        accepts, an eigenvalue rung by bounds that it intersects with those the
-        mask has, the clip exactly."""
-        S1, S2, corr = _cv_fold(X, n1, seed, nu)
-        eigvalsh, d = ladder[rung], S1.shape[0]
+        accepts and by witness bounds elsewhere, an eigenvalue rung by bounds
+        that it intersects with those the mask has, the clip exactly."""
+        routine, clip = ladder[rung], rung == len(ladder) - 1
+        # an eigenvalue rung takes U from rung 0, so it needs no S2
+        S1, S2, corr = _cv_fold(X, n1, seed, nu, rung == 0 or clip)
+        d = S1.shape[0]
         # a single-precision g lies within err ||A||_F of the exact g and of dsyevd's
         err = (d * d * (np.finfo(np.float32).eps + np.finfo(float).eps)
-               if eigvalsh is _eigvalsh_single else 0.0)
+               if routine is _eigvalsh_single else 0.0)
         if rung == 0:
             # U and g are rounded relative to ||A|| + ||S2||, and ||A|| <= ||S1||
             # for every mask: d^2 eps covers the d^2 squares summed in U and, by
@@ -357,20 +424,25 @@ def cv_select_lambda(X: np.ndarray, grid, folds: int, seed) -> tuple[float, list
             slack[nu] = d * d * np.finfo(float).eps * (_frobenius(S1) + _frobenius(S2))
             off = np.sort(corr[np.triu_indices_from(corr, 1)])
             keys[nu] = (off.size - np.searchsorted(off, grid, side="left")).tolist()
-        scored = {}  # mask key -> (risk, lower, upper)
-        for i in points:
-            key = keys[nu][i]
-            if key in scored:
-                continue
+        scored, sq, accepted = {}, {}, set()  # mask key -> (risk, lower, upper, U)
+        for key, i in {keys[nu][i]: i for i in points}.items():
             A = _keep_off_diagonal(S1, corr >= grid[i])
-            u = _frobenius((A if eigvalsh else _eigen_clip(A)) - S2)
-            if not eigvalsh or rung == 0 and _psd_accepts(A):
-                scored[key] = u, u, u
+            if rung == 0:  # a failing mask's bounds come once every mask is probed
+                u = _frobenius(A - S2)
+                sq[key] = float(np.einsum("ij,ij->", A, A))
+                if _psd_accepts(A):
+                    accepted.add(key)
+                scored[key] = u, u, u, u
+                continue
+            u = float(est[3, nu, i])
+            if clip:
+                risk = _frobenius(routine(A) - S2)
+                scored[key] = risk, risk, risk, u
                 continue
             try:
-                w = eigvalsh(A)
+                w = routine(A)
             except np.linalg.LinAlgError:  # no eigenvalues: the plain bounds
-                scored[key] = math.nan, 0.0, u
+                scored[key] = math.nan, 0.0, u, u
                 continue
             neg = w[w < 0.0]
             gap = float(np.einsum("i,i->", neg, neg))  # g^2
@@ -379,10 +451,14 @@ def cv_select_lambda(X: np.ndarray, grid, folds: int, seed) -> tuple[float, list
                 delta = err * _frobenius(A)
                 gap = max(g - delta, 0.0) ** 2
                 g += delta
-            scored[key] = math.nan, u - g, math.sqrt(max(u * u - gap, 0.0))
+            scored[key] = math.nan, u - g, math.sqrt(max(u * u - gap, 0.0)), u
+        if rung == 0:
+            for key, g in _witness_gaps(S1, sq, accepted).items():
+                u = scored[key][3]
+                scored[key] = math.nan, u - g, u, u
         at = [i for i, key in enumerate(keys[nu]) if key in scored]
         new = np.array([scored[keys[nu][i]] for i in at]).T
-        if eigvalsh:  # never loosen a bound; fmax and fmin pass over NaN, none yet
+        if rung and not clip:  # never loosen a bound
             new[1] = np.fmax(new[1], est[1, nu, at])
             new[2] = np.fmin(new[2], est[2, nu, at])
         est[:, nu, at] = new

@@ -13,6 +13,7 @@ import numpy as np
 from scipy import special
 
 from .covariance import PSD_CERT_TOL, RANK_TOL, CovMatrix
+from .lp import _exact_text
 
 
 @dataclass(frozen=True)
@@ -133,7 +134,7 @@ def build_block_covariance(d: int, block: int, decay: float = 0.8,
     if perm_seed is not None:
         perm = perm_seed.generator().permutation(d)
         S = S[np.ix_(perm, perm)]
-    return CovMatrix(S, provenance=f"block({block},{decay:g})")
+    return CovMatrix(S, provenance=f"block({block},{_exact_text(decay)})")
 
 
 def copula_covariance(S: CovMatrix, kind: MarginalKind) -> CovMatrix:

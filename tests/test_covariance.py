@@ -1,6 +1,7 @@
 """Covariance estimators, regularizers, projection, CV tuning, diagnostics."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lpboot import covariance, parallel, sampling
+from lpboot import covariance, inference, parallel, sampling
 from lpboot.covariance import (CovMatrix, band, correlation_threshold,
                                cov_diagnostics, cov_error, cv_select_lambda,
                                psd_project, sample_covariance, threshold)
@@ -343,7 +344,7 @@ class TestCvSelectLambda:
 
     def test_projects_fewer_masks_than_reference(self, monkeypatch):
         # copula data with d > n/3: many masks fail the Cholesky probe, and
-        # the eigenvalue bounds prune every grid point they belong to
+        # the witness and eigenvalue bounds prune every grid point they belong to
         S = sampling.build_block_covariance(60, 2, 0.8, RngSeed(0))
         X = sampling.copula_sample(S, sampling.MarginalKind.UNIFORM_SYM, 60, RngSeed(1))
         ours, ref = self._eigh_calls(monkeypatch, X, list(np.linspace(0.0, 1.0, 12)), 4, 2)
@@ -426,9 +427,10 @@ class TestCvSelectLambda:
         assert set(dtypes) == {np.dtype(np.float32), np.dtype(np.float64)}
 
     def test_failed_eigenvalues_leave_the_plain_bounds(self, monkeypatch):
-        # with [0, U] in place of the eigenvalue bounds in both precisions every
-        # failing mask's grid point stays live and is projected; lambda-hat and
-        # the exact risks do not change
+        # with [0, U] in place of the eigenvalue bounds in both precisions only
+        # the witness bounds prune, and every failing mask at a grid point
+        # they leave live is projected; lambda-hat and the exact risks do not
+        # change
         def failing(a):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
@@ -440,9 +442,10 @@ class TestCvSelectLambda:
         assert 0 < ours <= ref
 
     def test_failed_double_precision_keeps_the_single_precision_bounds(self, monkeypatch):
-        # rung 1 intersects its bounds with rung 0's, so where dsyevd fails the
-        # clip rung projects what it projects with dsyevd, and where both fail
-        # it projects every failing mask at a live grid point
+        # the dsyevd rung intersects its bounds with those the mask has, so
+        # where dsyevd fails the clip rung projects what it projects with
+        # dsyevd, and where both precisions fail it projects every failing
+        # mask at a grid point the witness bounds leave live
         X, grid = self._clip_rung_data(), list(np.linspace(0.0, 1.0, 12))
         runs = []
         for fail in ((), ("_eigvalsh",), ("_eigvalsh", "_eigvalsh_single")):
@@ -459,13 +462,19 @@ class TestCvSelectLambda:
     @pytest.mark.parametrize("d, single", [(512, True), (513, False)])
     def test_single_precision_where_d_squared_eps32_is_at_most_2_to_minus_5(
             self, monkeypatch, d, single):
-        # d <= 512; above it the ladder is dsyevd's bounds, then the clip
+        # d <= 512; above it the rung after the witness rung is dsyevd's. The
+        # one grid point stays live after the witness rung, and its mask fails
+        # the probe in both folds, so an eigenvalue rung runs on it
         rng = np.random.default_rng(20)
         X = rng.normal(size=(12, d)) + rng.normal(size=(12, 1))
+        for nu in range(2):
+            S1, _, corr = covariance._cv_fold(X, covariance._cv_split(12), RngSeed(0), nu)
+            assert not covariance._psd_accepts(covariance._keep_off_diagonal(S1, corr >= 0.5))
         calls = self._counted(monkeypatch)
-        cv_select_lambda(X, [0.0, 0.5, 1.0], 2, RngSeed(0))
-        assert bool(calls["_eigvalsh_single"]) == single
-        assert single or calls["_eigvalsh"]
+        lam, risks = cv_select_lambda(X, [0.5], 2, RngSeed(0))
+        assert lam == 0.5 and not math.isnan(risks[0])
+        assert calls["_eigvalsh_single"] == (2 if single else 0)
+        assert calls["_eigvalsh"] == 2 and calls["_eigen_clip"] == 2
 
     def test_overflowing_risks_pick_reference_lambda(self):
         # entries of X X^T near 1e156 square past the largest double, so every
@@ -529,7 +538,7 @@ def _factor_data(n=30, d=40, seed=22):
 class TestSinglePrecisionBound:
     """The single-precision distance to the PSD cone, g, of a mask A lies
     within delta = d^2 (eps_32 + eps_64) ||A||_F of dsyevd's, the slack CV's
-    rung 0 widens its bounds by."""
+    single-precision rung widens its bounds by."""
 
     GRID = list(np.linspace(0.0, 1.0, 40))
     DATA = {
@@ -592,6 +601,103 @@ class TestSinglePrecisionBound:
         assert min(np.abs(A).max() for A in masks) > np.finfo(np.float32).max
         for A in masks:
             self.assert_within_delta(A)
+
+
+class TestWitnessBound:
+    """The witness rung's bound g_w on a failing mask's distance to the PSD
+    cone, from the nearest convex combination of diag(S1) and the masks the
+    probe accepts, is at least dsyevd's g."""
+
+    GRID = list(np.linspace(0.0, 1.0, 40))
+    DATA = dict(TestSinglePrecisionBound.DATA)
+    # CV rescales data past [2^-64, 2^64] before it builds a fold
+    DATA["1e-30"] = lambda X: np.ldexp(X * 1e-30, -covariance._rescale_exponent(X * 1e-30))
+
+    @staticmethod
+    def _gaps(S1, corr, grid):
+        """The failing masks of S1 over grid with their witness bounds, as the
+        witness rung computes them."""
+        masks, sq, accepted = {}, {}, set()
+        for lam in grid:
+            keep = corr >= lam
+            key = int(np.count_nonzero(np.triu(keep, 1)))
+            masks[key] = A = covariance._keep_off_diagonal(S1, keep)
+            sq[key] = float(np.einsum("ij,ij->", A, A))
+            if covariance._psd_accepts(A):
+                accepted.add(key)
+        return [(masks[key], g) for key, g in covariance._witness_gaps(S1, sq, accepted).items()]
+
+    @staticmethod
+    def assert_above_g(A, g_w):
+        w = covariance._eigvalsh(A)
+        neg = w[w < 0.0]
+        assert g_w >= math.sqrt(float(np.einsum("i,i->", neg, neg)))
+
+    @pytest.mark.parametrize("kind", DATA)
+    def test_failing_masks(self, kind):
+        X = self.DATA[kind](_factor_data())
+        n1, checked = covariance._cv_split(X.shape[0]), 0
+        for nu in range(3):
+            S1, _, corr = covariance._cv_fold(X, n1, RngSeed(0), nu)
+            for A, g_w in self._gaps(S1, corr, self.GRID):
+                self.assert_above_g(A, g_w)
+                checked += 1
+        assert checked >= 10
+        assert_matches_reference(cv_select_lambda(X, self.GRID, 3, RngSeed(0)),
+                                 _cv_select_lambda_reference(X, self.GRID, 3, RngSeed(0)))
+
+    @pytest.mark.parametrize("s", [0.5, 0.99, 1.01, 2.0, 100.0])
+    def test_near_psd_masks(self, s):
+        # S1 is singular; shifted by s times the probe's shift, the masks the
+        # probe accepts need not be PSD and the failing masks lie within a few
+        # shifts of the PSD cone, so the probe's own rounding decides
+        X = _factor_data()
+        S1, _, corr = covariance._cv_fold(X, covariance._cv_split(X.shape[0]), RngSeed(0), 0)
+        B = S1 - s * covariance._probe_shift(np.diag(S1)) * np.eye(S1.shape[0])
+        gaps = self._gaps(B, corr, self.GRID)
+        assert gaps
+        for A, g_w in gaps:
+            self.assert_above_g(A, g_w)
+
+    def test_fewer_eigenvalue_calls_than_failing_masks(self, monkeypatch):
+        # copula data with d > n/3: the witness bounds prune grid points, so
+        # the eigenvalue rungs see only some of the failing masks
+        S = sampling.build_block_covariance(60, 2, 0.8, RngSeed(0))
+        X = sampling.copula_sample(S, sampling.MarginalKind.UNIFORM_SYM, 60, RngSeed(1))
+        grid, folds, seed = list(np.linspace(0.0, 1.0, 12)), 4, RngSeed(2)
+        failing = 0  # distinct failing masks, summed over the folds
+        for nu in range(folds):
+            S1, _, corr = covariance._cv_fold(X, covariance._cv_split(60), seed, nu)
+            failing += len({int(np.count_nonzero(np.triu(corr >= lam, 1))) for lam in grid
+                            if not covariance._psd_accepts(
+                                covariance._keep_off_diagonal(S1, corr >= lam))})
+        calls = TestCvSelectLambda._counted(monkeypatch)
+        got = cv_select_lambda(X, grid, folds, seed)
+        assert 0 < calls["_eigvalsh_single"] + calls["_eigvalsh"] < failing
+        assert_matches_reference(got, _cv_select_lambda_reference(X, grid, folds, seed))
+
+
+class TestProvenance:
+    def test_names_the_cv_level_exactly(self):
+        # the default grid's levels, such as 0.8205128205128205, have %g text
+        # that does not read back
+        spec = inference.EstimatorSpec.parse("corr_cv")
+        S = sampling.build_block_covariance(60, 2, 0.8, RngSeed(0))
+        X = sampling.copula_sample(S, sampling.MarginalKind.UNIFORM_SYM, 60, RngSeed(1))
+        lam, _ = cv_select_lambda(X, list(spec.cv_grid), spec.cv_folds, RngSeed(4))
+        assert float(format(lam, "g")) != lam
+        provenance = inference.estimate_covariance(X, spec, RngSeed(4)).provenance
+        text = re.fullmatch(r"psd<-corr-threshold\((.*)\)<-naive", provenance).group(1)
+        assert float(text) == lam
+
+    def test_levels_read_back(self):
+        S = sample_covariance(np.random.default_rng(23).normal(size=(10, 3)))
+        assert threshold(S, 0.123456789).provenance == "hard-threshold(0.123456789)<-naive"
+        assert threshold(S, 0.1).provenance == "hard-threshold(0.1)<-naive"
+        assert correlation_threshold(S, 0.5).provenance == "corr-threshold(0.5)<-naive"
+        assert sampling.build_block_covariance(4, 2, 0.8).provenance == "block(2,0.8)"
+        decay = 1.0 / 3.0
+        assert sampling.build_block_covariance(4, 2, decay).provenance == f"block(2,{decay!r})"
 
 
 class TestDiagnostics:
