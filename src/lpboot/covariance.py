@@ -202,9 +202,37 @@ def _probe_shift(diag: np.ndarray) -> float:
     return PSD_CERT_TOL * 0.01 * float(np.abs(diag).max(initial=0.0))
 
 
+def _lapacke_potrf():
+    """LAPACKE_dpotrf_work of numpy's bundled OpenBLAS, dpotrf without
+    LAPACKE's scan for NaN, or None where it is missing."""
+    i64 = ctypes.c_int64
+    return _openblas_function("scipy_LAPACKE_dpotrf_work64_", i64, ctypes.c_int, ctypes.c_char,
+                              i64, ctypes.c_void_p, i64)
+
+
+def _cholesky_succeeds(work: np.ndarray) -> bool:
+    """Whether LAPACK dpotrf factors the square float64 array work, which it
+    may overwrite: lower triangle, column-major, so work is in Fortran order
+    or symmetric. It is the routine np.linalg.cholesky calls, on the same
+    bytes, but through ctypes it makes no copy in or out and raises no
+    exception; np.linalg.cholesky is the fallback where the library lacks it."""
+    potrf = _lapacke_potrf()
+    if potrf is None:
+        try:
+            np.linalg.cholesky(work)
+            return True
+        except np.linalg.LinAlgError:
+            return False
+    n = work.shape[0]
+    return potrf(_LAPACK_COL_MAJOR, b"L", n, work.ctypes.data, max(n, 1)) == 0
+
+
 def _psd_accepts(a: np.ndarray) -> bool:
     """Whether a Cholesky factorization of a, shifted by a tiny multiple of its
-    largest diagonal entry, succeeds: the probe that accepts a as PSD."""
+    largest diagonal entry, succeeds: the probe that accepts a as PSD. It
+    calls np.linalg.cholesky, which perfbench's trace counts to report
+    psd_project's path; CV's witness rung makes the same decision in place
+    with _cholesky_succeeds."""
     diag = np.diag(a)
     shifted = np.array(a, dtype=float)
     # the shift on the diagonal of one copy: the same bytes as a + shift * I
@@ -318,6 +346,52 @@ def _witness_gaps(S1: np.ndarray, sq: dict, accepted) -> dict:
     return gaps
 
 
+def _witness_rung(S1: np.ndarray, S2: np.ndarray, corr: np.ndarray, levels: dict) -> dict:
+    """CV's rung 0 on one fold: for each mask key -> level, the mask A of S1
+    that keeps the off-diagonal entries with corr >= level, scored as
+    (risk, lower, upper, U) with U = ||A - S2||_F: exact where the Cholesky
+    probe accepts A, [U - g_w, U] with g_w from _witness_gaps elsewhere.
+    Every mask is built in one d x d buffer, A - S2 in a second, and the
+    probe factors the shifted mask in place once U and ||A||^2 are taken:
+    the same bytes as _keep_off_diagonal and _psd_accepts, with no d x d
+    allocation per mask."""
+    A, D = np.empty_like(S1), np.empty_like(S1)
+    keep = np.empty(S1.shape, dtype=bool)
+    diag = np.diag(S1)
+    shifted = diag + _probe_shift(diag)
+    scored, sq, accepted = {}, {}, set()
+    for key, level in levels.items():
+        A.fill(0.0)
+        np.greater_equal(corr, level, out=keep)
+        np.copyto(A, S1, where=keep)
+        np.fill_diagonal(A, diag)
+        np.subtract(A, S2, out=D)
+        u = _frobenius(D)
+        sq[key] = float(np.einsum("ij,ij->", A, A))
+        np.fill_diagonal(A, shifted)
+        if _cholesky_succeeds(A):  # A is symmetric, as S1 and corr are
+            accepted.add(key)
+        scored[key] = u, u, u, u
+    for key, g in _witness_gaps(S1, sq, accepted).items():
+        u = scored[key][3]
+        scored[key] = math.nan, u - g, u, u
+    return scored
+
+
+def _bound_first(gap: np.ndarray, deficit: np.ndarray, todo: np.ndarray) -> np.ndarray:
+    """The entries of todo (folds x grid points) that the selective pass of
+    CV's first eigenvalue rung bounds: at each grid point, its entries in
+    decreasing order of gap up to the shortest prefix whose 3/4 * summed gap
+    exceeds the point's deficit, or all of them where none does."""
+    first = np.zeros_like(todo)
+    for i in np.flatnonzero(todo.any(axis=0)):
+        at = np.flatnonzero(todo[:, i])
+        at = at[np.argsort(-gap[at, i], kind="stable")]
+        k = np.searchsorted(np.cumsum(gap[at, i]) * 0.75, deficit[i], side="right")
+        first[at[:k + 1], i] = True
+    return first
+
+
 def cv_select_lambda(X: np.ndarray, grid, folds: int, seed) -> tuple[float, list[float]]:
     """Cross-validated correlation-threshold level (Bickel & Levina 2008).
 
@@ -329,49 +403,70 @@ def cv_select_lambda(X: np.ndarray, grid, folds: int, seed) -> tuple[float, list
 
     The keep-masks {|corr| >= lambda} are nested in lambda, so within a fold
     the number of kept off-diagonal entries identifies the mask, and each
-    distinct mask is scored once per rung, for any grid order and with
-    repeated grid values.  Each rung is one pass of the fold worker over the
-    folds with an unscored mask at a live grid point.  Rung 0, the witness
-    rung, scores every mask: a mask A the Cholesky probe accepts is its own
-    projection, so its risk U = ||A - S2|| is exact.  A failing mask's risk
-    lies in [U - g, sqrt(U^2 - g^2)], with g its distance to the PSD cone
-    (triangle inequality; the projection is firmly non-expansive and S2 is
-    PSD), and rung 0 bounds it by [U - g_w, U], where g_w >= g is its
-    distance to the nearest convex combination of two PSD matrices the fold
-    already has, diag(S1) and the accepted masks (_witness_gaps, which
-    states the rounding argument).  The eigenvalue rungs then bound the
-    failing masks at grid points still live by g itself and intersect those
-    bounds with the ones the mask has, so they never loosen one (where
-    LAPACK fails, a rung's bounds are the plain [0, U]).  Where
-    d^2 eps_32 <= 2^-5, that is d <= 512, rung 1 takes g from
-    single-precision eigenvalues (_eigvalsh_single) widened to
-    [g - delta, g + delta], delta = d^2 (eps_32 + eps_64) ||A||_F, which
-    covers both its own error and that of dsyevd's g, and rung 2 takes
-    dsyevd's g; above d = 512 that slack would reach 2^-5 ||A||_F and more,
-    so rung 1 is dsyevd's.  The last rung makes the failing masks at live
-    grid points exact by the eigenvalue clip.  A grid point is live while
-    its summed lower bound does not exceed the least summed upper bound, so
-    it could still win; liveness is recomputed after each rung.
+    distinct mask is scored at most once per rung, for any grid order and
+    with repeated grid values.  Each pass runs the fold worker over the folds
+    with a mask to score at a live grid point.  Rung 0, the witness rung,
+    scores every mask (_witness_rung): a mask A the Cholesky probe accepts
+    is its own projection, so its risk U = ||A - S2|| is exact.  A failing
+    mask's risk lies in [U - g, sqrt(U^2 - g^2)], with g its distance to the
+    PSD cone (triangle inequality; the projection is firmly non-expansive
+    and S2 is PSD), and rung 0 bounds it by [U - g_w, U], where g_w >= g is
+    its distance to the nearest convex combination of two PSD matrices the
+    fold already has, diag(S1) and the accepted masks (_witness_gaps, which
+    states the rounding argument).  The eigenvalue rungs then bound failing
+    masks at grid points still live by g itself and intersect those bounds
+    with the ones the mask has, so they never loosen one (where LAPACK
+    fails, a rung's bounds are the plain [0, U]).  Where d^2 eps_32 <= 2^-5,
+    that is d <= 512, rung 1 takes g from single-precision eigenvalues
+    (_eigvalsh_single) widened to [g - delta, g + delta],
+    delta = d^2 (eps_32 + eps_64) ||A||_F, which covers both its own error
+    and that of dsyevd's g, and rung 2 takes dsyevd's g; above d = 512 that
+    slack would reach 2^-5 ||A||_F and more, so rung 1 is dsyevd's.  The
+    last rung makes the failing masks at live grid points exact by the
+    eigenvalue clip.  A grid point is live while its summed lower bound does
+    not exceed the cut, the least summed upper bound times 1 + 1e-9 plus the
+    folds' rounding slack, so it could still win; liveness is recomputed
+    after each pass.
 
-    Neither the witness rung nor single precision changes an output.  The
-    witness bounds contain the eigenvalue bounds (g_w >= g, and U is at least
-    sqrt(U^2 - g^2)), so a grid point they leave live gets the eigenvalue
-    bounds in the next rung, and one they prune has a sound lower bound
-    above the least upper bound, which the eigenvalue bounds would give too:
-    those prune it as well, with the same least upper bound.  Likewise the
-    wider single-precision intervals contain dsyevd's, so a grid point live
-    under dsyevd's bounds gets them, and one pruned by the wider bounds is
-    pruned by dsyevd's.  So the least upper bound, the live set before the
-    clip and the clipped masks are those of dsyevd's bounds on every mask,
-    and lambda-hat, every risk entry and every NaN position are bit-equal
-    to theirs wherever LAPACK converges.
+    Rung 1 runs in two passes.  The selective pass (_bound_first) takes each
+    live grid point, its deficit, the cut minus its summed lower bound, and
+    its failing folds in decreasing order of the witness gap U - lower, and
+    bounds only the shortest prefix whose 3/4 * summed gap exceeds the
+    deficit, or every one where none does.  Bounded by g, a mask's lower
+    bound rises by g_w - g, at least 3/4 of its gap where g_w >= 4g: on the
+    3423 masks rung 1 would bound at the grid points the witness rung
+    leaves live on the 64 perfbench seed-0 datasets at 10 folds x 40
+    points, g_w / g has a 10th percentile of 4.9 and a median of 8.0.  The
+    mop-up pass then bounds every failing mask at a grid point still live
+    that the selective pass left.
+
+    None of this changes an output.  The witness bounds contain the
+    eigenvalue bounds (g_w >= g, and U is at least sqrt(U^2 - g^2)), so a
+    grid point they leave live gets the eigenvalue bounds in the next rung,
+    and one they prune has a sound lower bound above the least upper bound,
+    which the eigenvalue bounds would give too: those prune it as well, with
+    the same least upper bound.  The selective pass bounds some of the masks
+    that one pass of rung 1 over every grid point live after rung 0 would
+    bound, to the same values, and leaves the others at their wider witness
+    bounds, so a grid point it prunes that one pass prunes too, and the grid
+    point with that pass's least summed upper bound stays live.  The mop-up
+    pass then gives every grid point still live, that one included, that
+    pass's bounds, so the cut, the summed lower bound of every live grid
+    point and the live set after it are that pass's.  Likewise the wider
+    single-precision intervals contain dsyevd's, so a grid point live under
+    dsyevd's bounds gets them, and one pruned by the wider bounds is pruned
+    by dsyevd's.  So the least upper bound, the live set before the clip and
+    the clipped masks are those of dsyevd's bounds on every mask, and
+    lambda-hat, every risk entry and every NaN position are bit-equal to
+    theirs wherever LAPACK converges.
 
     A risk entry is exact, equal to scoring every grid point apart, where
     some rung scored every fold's mask for that grid point exactly; the other
     entries are NaN, and their risk is above the minimum (730 of the 2560
     entries on the 64 perfbench seed-0 datasets at 10 folds x 40 points).
-    Each rung runs its folds on lpboot's one pool (lpboot.parallel), capped
-    at the usable cores; the eigenvalues run with the GIL released.
+    Each pass runs its folds on lpboot's one pool (lpboot.parallel), capped
+    at the usable cores; the probe and the eigenvalues run with the GIL
+    released.
 
     Data whose largest |entry| lies outside [2^-64, 2^64] is rescaled by the
     power of two that brings it into [1/2, 1) first, so lambda-hat does not
@@ -396,6 +491,7 @@ def cv_select_lambda(X: np.ndarray, grid, folds: int, seed) -> tuple[float, list
     # distance U of the unprojected mask to S2 that rung 0 computes; NaN unscored
     est = np.full((4, folds, len(grid)), math.nan)
     keys, slack = [None] * folds, [0.0] * folds  # each fold's, recorded by rung 0
+    last_rung = np.full((folds, len(grid)), -1)  # the rung that last scored each entry
     live = np.ones(len(grid), dtype=bool)
     # the eigenvalue rungs between the witness rung and the clip: single
     # precision first where its error d^2 eps_32 ||A||_F is at most
@@ -424,48 +520,46 @@ def cv_select_lambda(X: np.ndarray, grid, folds: int, seed) -> tuple[float, list
             slack[nu] = d * d * np.finfo(float).eps * (_frobenius(S1) + _frobenius(S2))
             off = np.sort(corr[np.triu_indices_from(corr, 1)])
             keys[nu] = (off.size - np.searchsorted(off, grid, side="left")).tolist()
-        scored, sq, accepted = {}, {}, set()  # mask key -> (risk, lower, upper, U)
-        for key, i in {keys[nu][i]: i for i in points}.items():
-            A = _keep_off_diagonal(S1, corr >= grid[i])
-            if rung == 0:  # a failing mask's bounds come once every mask is probed
-                u = _frobenius(A - S2)
-                sq[key] = float(np.einsum("ij,ij->", A, A))
-                if _psd_accepts(A):
-                    accepted.add(key)
-                scored[key] = u, u, u, u
-                continue
-            u = float(est[3, nu, i])
-            if clip:
-                risk = _frobenius(routine(A) - S2)
-                scored[key] = risk, risk, risk, u
-                continue
-            try:
-                w = routine(A)
-            except np.linalg.LinAlgError:  # no eigenvalues: the plain bounds
-                scored[key] = math.nan, 0.0, u, u
-                continue
-            neg = w[w < 0.0]
-            gap = float(np.einsum("i,i->", neg, neg))  # g^2
-            g = math.sqrt(gap)
-            if err:  # widen [g, g] to [g - delta, g + delta]
-                delta = err * _frobenius(A)
-                gap = max(g - delta, 0.0) ** 2
-                g += delta
-            scored[key] = math.nan, u - g, math.sqrt(max(u * u - gap, 0.0)), u
+        masks = {keys[nu][i]: i for i in points}
+        # mask key -> (risk, lower, upper, U)
         if rung == 0:
-            for key, g in _witness_gaps(S1, sq, accepted).items():
-                u = scored[key][3]
-                scored[key] = math.nan, u - g, u, u
+            scored = _witness_rung(S1, S2, corr, {key: grid[i] for key, i in masks.items()})
+        else:
+            scored = {}
+            for key, i in masks.items():
+                A = _keep_off_diagonal(S1, corr >= grid[i])
+                u = float(est[3, nu, i])
+                if clip:
+                    risk = _frobenius(routine(A) - S2)
+                    scored[key] = risk, risk, risk, u
+                    continue
+                try:
+                    w = routine(A)
+                except np.linalg.LinAlgError:  # no eigenvalues: the plain bounds
+                    scored[key] = math.nan, 0.0, u, u
+                    continue
+                neg = w[w < 0.0]
+                gap = float(np.einsum("i,i->", neg, neg))  # g^2
+                g = math.sqrt(gap)
+                if err:  # widen [g, g] to [g - delta, g + delta]
+                    delta = err * _frobenius(A)
+                    gap = max(g - delta, 0.0) ** 2
+                    g += delta
+                scored[key] = math.nan, u - g, math.sqrt(max(u * u - gap, 0.0)), u
         at = [i for i, key in enumerate(keys[nu]) if key in scored]
         new = np.array([scored[keys[nu][i]] for i in at]).T
         if rung and not clip:  # never loosen a bound
             new[1] = np.fmax(new[1], est[1, nu, at])
             new[2] = np.fmin(new[2], est[2, nu, at])
         est[:, nu, at] = new
+        last_rung[nu, at] = rung
 
-    for rung in range(len(ladder)):
-        todo = [(nu, np.flatnonzero(live & np.isnan(risk))) for nu, risk in enumerate(est[0])]
-        todo = [(nu, points) for nu, points in todo if points.size]
+    # rung 1 runs twice: the selective pass, then the mop-up pass
+    for rung, selective in [(0, False), (1, True), *((r, False) for r in range(1, len(ladder)))]:
+        todo = live & np.isnan(est[0]) & (last_rung < rung)
+        if selective:
+            todo = _bound_first(est[3] - est[1], cut - lower, todo)
+        todo = [(nu, np.flatnonzero(row)) for nu, row in enumerate(todo) if row.any()]
         run_indexed(lambda j: score(todo[j][0], rung, todo[j][1]), len(todo), len(todo))
         # the slack keeps near-ties exact whatever the rounding in the bounds: a
         # relative part for the least upper bound and the folds' absolute parts,
@@ -473,8 +567,9 @@ def cv_select_lambda(X: np.ndarray, grid, folds: int, seed) -> tuple[float, list
         # bound compares False, so its grid point stays live. After the last
         # rung every grid point live before it is exact, so the least upper
         # bound is the least exact risk, and its first minimizer stays live
-        live = ~(est[1].sum(axis=0) > est[2].sum(axis=0).min() * (1.0 + 1e-9)
-                 + math.fsum(slack))
+        lower = est[1].sum(axis=0)
+        cut = est[2].sum(axis=0).min() * (1.0 + 1e-9) + math.fsum(slack)
+        live = ~(lower > cut)
     # summed in fold order, as a serial loop would, whichever thread ran a fold
     risks = np.zeros(len(grid))
     for risk in est[0]:

@@ -219,9 +219,10 @@ class TestPsdProject:
                 e_raw = cov_error(noisy, truth, p).delta_p[p]
                 assert e_proj <= 2 * e_raw + 1e-9
 
-    def test_probe_decides_as_the_identity_shift(self):
+    def test_probe_decides_as_the_identity_shift(self, monkeypatch):
         # the shift on one copy's diagonal decides as a + shift * I did, on
-        # CV's masks: PSD, singular (S1 has rank n1 - 1) and indefinite
+        # CV's masks: PSD, singular (S1 has rank n1 - 1) and indefinite; so
+        # does dpotrf through ctypes, and np.linalg.cholesky, its fallback
         def accepts_shifted_by_identity(a):
             shift = covariance.PSD_CERT_TOL * 0.01 * float(np.abs(np.diag(a)).max(initial=0.0))
             try:
@@ -230,18 +231,40 @@ class TestPsdProject:
             except np.linalg.LinAlgError:
                 return False
 
-        decisions = []
+        matrices = [np.zeros((0, 0)), np.zeros((3, 3)), np.diag([1.0, -1e-300])]
         for seed in range(6):
             X = np.random.default_rng(seed).normal(size=(30, 20))  # n1 = 10 rows
             S1, _, corr = covariance._cv_fold(X, covariance._cv_split(30), RngSeed(seed), 0)
             assert np.linalg.matrix_rank(S1) == 9
-            for lam in np.linspace(0.0, 1.0, 21):
-                A = covariance._keep_off_diagonal(S1, corr >= lam)
-                decisions.append(covariance._psd_accepts(A))
-                assert decisions[-1] == accepts_shifted_by_identity(A)
-        assert any(decisions) and not all(decisions)
-        for a in (np.zeros((0, 0)), np.zeros((3, 3)), np.diag([1.0, -1e-300])):
-            assert covariance._psd_accepts(a) == accepts_shifted_by_identity(a)
+            matrices += [covariance._keep_off_diagonal(S1, corr >= lam)
+                         for lam in np.linspace(0.0, 1.0, 21)]
+        expected = [accepts_shifted_by_identity(a) for a in matrices]
+        assert any(expected[3:]) and not all(expected[3:])
+        assert [covariance._psd_accepts(a) for a in matrices] == expected
+        # the witness rung's probe: dpotrf in place on the shifted mask
+        shifted = [a.copy() for a in matrices]
+        for a in shifted:
+            np.fill_diagonal(a, np.diag(a) + covariance._probe_shift(np.diag(a)))
+        for potrf in (covariance._lapacke_potrf, lambda: None):
+            monkeypatch.setattr(covariance, "_lapacke_potrf", potrf)
+            assert [covariance._cholesky_succeeds(a.copy()) for a in shifted] == expected
+
+    def test_same_bytes_without_the_dpotrf_entry_point(self, monkeypatch):
+        # np.linalg.cholesky calls the same dpotrf, so CV's witness rung makes
+        # the same decisions without it, and every estimate that psd_project
+        # returns, accepted or clipped, keeps its bytes
+        X = _factor_data()
+        S = sample_covariance(X)
+        specs = [inference.EstimatorSpec.parse(t)
+                 for t in ("corr_cv", "hard", "hard(50)", "band", "band(39)")]
+        accepted = [covariance._psd_accepts(M.values) for M in
+                    (threshold(S, 0.1), threshold(S, 50.0), band(S, 1), band(S, 39))]
+        assert accepted == [True, False, False, True]
+        fast = [inference.estimate_covariance(X, spec, RngSeed(0)).values for spec in specs]
+        monkeypatch.setattr(covariance, "_lapacke_potrf", lambda: None)
+        for spec, values in zip(specs, fast):
+            assert np.array_equal(inference.estimate_covariance(X, spec, RngSeed(0)).values,
+                                  values)
 
 
 class TestCvSelectLambda:
@@ -476,6 +499,61 @@ class TestCvSelectLambda:
         assert calls["_eigvalsh_single"] == (2 if single else 0)
         assert calls["_eigvalsh"] == 2 and calls["_eigen_clip"] == 2
 
+    @staticmethod
+    def _copula_case():
+        S = sampling.build_block_covariance(60, 2, 0.8, RngSeed(0))
+        X = sampling.copula_sample(S, sampling.MarginalKind.UNIFORM_SYM, 60, RngSeed(1))
+        return X, list(np.linspace(0.0, 1.0, 12)), 4, RngSeed(2)
+
+    def test_selective_pass_bounds_fewer_masks_than_the_witness_rung_leaves(self, monkeypatch):
+        # where ssyevd fails its bounds are the plain [0, U], which prune
+        # nothing, so its two passes call it once for every failing mask at a
+        # grid point live after the witness rung; where it works the selective
+        # pass prunes grid points, and their other failing masks are skipped
+        X, grid, folds, seed = self._copula_case()
+        calls = self._counted(monkeypatch, fail=("_eigvalsh_single",))
+        cv_select_lambda(X, grid, folds, seed)
+        monkeypatch.undo()
+        left = calls["_eigvalsh_single"]
+        calls = self._counted(monkeypatch)
+        got = cv_select_lambda(X, grid, folds, seed)
+        assert 0 < calls["_eigvalsh_single"] < left
+        assert_matches_reference(got, _cv_select_lambda_reference(X, grid, folds, seed))
+
+    @pytest.mark.parametrize("first", ["none", "largest gap", "all"])
+    def test_output_does_not_depend_on_what_the_selective_pass_bounds(self, monkeypatch,
+                                                                       first):
+        # the selective pass only loosens what the first eigenvalue rung
+        # would give until the mop-up pass bounds the failing masks at every
+        # grid point still live, so any choice of masks gives the same bytes
+        X, grid, folds, seed = self._copula_case()
+        plain = cv_select_lambda(X, grid, folds, seed)
+
+        def bound_first(gap, deficit, todo):
+            if first == "none":
+                return np.zeros_like(todo)
+            if first == "all":
+                return todo
+            top = np.where(todo, gap, -np.inf).argmax(axis=0)
+            return todo & (np.arange(todo.shape[0])[:, None] == top)
+
+        calls, per_pass = self._counted(monkeypatch), []
+
+        def run_indexed(worker, count, threads):
+            before = calls["_eigvalsh_single"]
+            out = parallel.run_indexed(worker, count, threads)
+            per_pass.append(calls["_eigvalsh_single"] - before)
+            return out
+
+        monkeypatch.setattr(covariance, "_bound_first", bound_first)
+        monkeypatch.setattr(covariance, "run_indexed", run_indexed)
+        got = cv_select_lambda(X, grid, folds, seed)
+        assert got[0] == plain[0] and np.array_equal(got[1], plain[1], equal_nan=True)
+        # witness, selective, mop-up, dsyevd and clip passes
+        assert len(per_pass) == 5 and (per_pass[1] > 0) == (first != "none")
+        assert (per_pass[2] > 0) == (first != "all")
+        assert_matches_reference(got, _cv_select_lambda_reference(X, grid, folds, seed))
+
     def test_overflowing_risks_pick_reference_lambda(self):
         # entries of X X^T near 1e156 square past the largest double, so every
         # risk of the reference is inf; CV rescales X by a power of two, picks
@@ -525,6 +603,7 @@ class TestEigenvalues:
             pytest.skip("numpy ships no bundled scipy-openblas")
         assert covariance._lapacke_syevd(np.float64) is not None
         assert covariance._lapacke_syevd(np.float32) is not None
+        assert covariance._lapacke_potrf() is not None
 
 
 def _factor_data(n=30, d=40, seed=22):
