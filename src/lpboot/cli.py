@@ -65,7 +65,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="worker threads (default: the config's threads, else "
                              "the cores this process may use)")
         source.add_argument("--paper-scale", action="store_true",
-                            help="full-size preset (hours of compute)")
+                            help="full-size preset (about 30 min on 2 cores)")
         return sp
 
     add_experiment("ks", "distribution-estimation accuracy experiment")

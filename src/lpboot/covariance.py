@@ -140,60 +140,56 @@ def band(M: CovMatrix, ell: int) -> CovMatrix:
 
 
 _LAPACK_COL_MAJOR = 102
+_SYEVD = (ctypes.c_int64, ctypes.c_int, ctypes.c_char, ctypes.c_char, ctypes.c_int64,
+          ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p)
+# routine -> (return type, argument types) of its LAPACKE entry point
+_LAPACKE = {"dsyevd": _SYEVD, "ssyevd": _SYEVD,
+            "dpotrf_work": (ctypes.c_int64, ctypes.c_int, ctypes.c_char, ctypes.c_int64,
+                            ctypes.c_void_p, ctypes.c_int64)}
 
 
-def _lapacke_syevd(dtype):
-    """LAPACKE_dsyevd (float64) or LAPACKE_ssyevd (float32) of numpy's bundled
-    OpenBLAS, or None where it is missing."""
-    i64, ptr = ctypes.c_int64, ctypes.c_void_p
-    name = "scipy_LAPACKE_ssyevd64_" if dtype == np.float32 else "scipy_LAPACKE_dsyevd64_"
-    return _openblas_function(name, i64, ctypes.c_int, ctypes.c_char, ctypes.c_char, i64,
-                              ptr, i64, ptr)
+def _lapacke(routine: str):
+    """LAPACKE_<routine> of numpy's bundled OpenBLAS, or None where it is
+    missing: dsyevd and ssyevd, and dpotrf_work, dpotrf without LAPACKE's
+    scan for NaN. ctypes releases the GIL while it runs, so pool workers
+    call it concurrently."""
+    return _openblas_function(f"scipy_LAPACKE_{routine}64_", *_LAPACKE[routine])
 
 
-def _syevd(work: np.ndarray) -> np.ndarray:
-    """Eigenvalues, ascending and in work's dtype, of the symmetric square
-    float64 or float32 array work in Fortran order, which this overwrites:
-    LAPACK ?syevd (values only, lower triangle) called through ctypes, which
-    releases the GIL, so pool workers compute them concurrently.
-    np.linalg.eigvalsh, which holds the GIL, is the fallback where the library
-    lacks the routine. Raises LinAlgError where LAPACK fails."""
+def _eigvalsh(a: np.ndarray, dtype=np.float64) -> np.ndarray:
+    """Eigenvalues of a symmetric a, ascending, as float64, by LAPACK ?syevd
+    (values only, lower triangle) on a Fortran-order copy of a in dtype. In
+    float64 it is dsyevd, which np.linalg.eigvalsh calls: bit-equal values.
+    In float32, ssyevd takes about 0.7 of dsyevd's time at d = 200 on one
+    BLAS thread; a is first scaled by the power of two 2^-e (at most 2^1022)
+    that brings its largest |entry| into [1/2, 1), since covariance entries
+    reach 2^+-128, past float32's range. By Hoffman-Wielandt and the backward
+    error of the Householder reduction (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2002, s19.3), a function of the eigenvalues that
+    is 1-Lipschitz in a in the Frobenius norm, such as the distance to the
+    PSD cone, then lies within d^2 eps_32 ||a||_F of its exact value.
+    np.linalg.eigvalsh of the same copy, which holds the GIL, is the fallback
+    where the library lacks the routine (it computes a float32 copy in
+    float64, inside that error). Raises LinAlgError where LAPACK fails."""
+    e, single = 0, dtype == np.float32
+    if single:
+        top = max(float(a.max(initial=0.0)), -float(a.min(initial=0.0)))
+        e = max(math.frexp(top)[1], -1022)
+        work = np.empty(a.shape, dtype=np.float32, order="F")
+        np.multiply(a, 2.0**-e, out=work, casting="same_kind")  # exact before the rounding
+    else:
+        work = np.array(a, dtype=float, order="F")
     if work.ndim != 2 or work.shape[0] != work.shape[1]:
         raise ValueError("eigenvalues need a square matrix")
-    syevd = _lapacke_syevd(work.dtype)
+    syevd = _lapacke("ssyevd" if single else "dsyevd")
     if syevd is None:
-        return np.linalg.eigvalsh(work)
-    n = work.shape[0]
-    w = np.empty(n, dtype=work.dtype)
-    if syevd(_LAPACK_COL_MAJOR, b"N", b"L", n, work.ctypes.data, max(n, 1), w.ctypes.data):
-        raise np.linalg.LinAlgError("Eigenvalues did not converge")
-    return w
-
-
-def _eigvalsh(a: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a symmetric a, ascending, bit-equal to np.linalg.eigvalsh(a):
-    the same LAPACK routine (dsyevd) of the same library, through _syevd."""
-    return _syevd(np.array(a, dtype=float, order="F"))
-
-
-def _eigvalsh_single(a: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a symmetric float64 a, ascending, as float64, computed
-    by ssyevd through _syevd in about 0.7 of dsyevd's time at d = 200 on one
-    BLAS thread. a is scaled by the power of two 2^-e (at most 2^1022) that
-    brings its largest |entry| into [1/2, 1) before the cast to float32, and
-    the eigenvalues are scaled back: covariance entries reach 2^+-128, past
-    float32's range. By Hoffman-Wielandt and the backward error of the
-    Householder reduction (Higham, Accuracy and Stability of Numerical
-    Algorithms, 2002, s19.3), a function of the eigenvalues that is
-    1-Lipschitz in a in the Frobenius norm, such as the distance to the PSD
-    cone, lies within d^2 eps_32 ||a||_F of its exact value. Where the
-    library lacks ssyevd, np.linalg.eigvalsh of the float32 copy is the
-    fallback (numpy computes it in float64, inside that error)."""
-    top = max(float(a.max(initial=0.0)), -float(a.min(initial=0.0)))
-    e = max(math.frexp(top)[1], -1022)
-    work = np.empty(a.shape, dtype=np.float32, order="F")
-    np.multiply(a, 2.0**-e, out=work, casting="same_kind")  # exact before the rounding
-    return np.ldexp(_syevd(work).astype(float), e)
+        w = np.linalg.eigvalsh(work)
+    else:
+        n = work.shape[0]
+        w = np.empty(n, dtype=work.dtype)
+        if syevd(_LAPACK_COL_MAJOR, b"N", b"L", n, work.ctypes.data, max(n, 1), w.ctypes.data):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    return np.ldexp(w.astype(float), e) if single else w
 
 
 def _probe_shift(diag: np.ndarray) -> float:
@@ -202,21 +198,13 @@ def _probe_shift(diag: np.ndarray) -> float:
     return PSD_CERT_TOL * 0.01 * float(np.abs(diag).max(initial=0.0))
 
 
-def _lapacke_potrf():
-    """LAPACKE_dpotrf_work of numpy's bundled OpenBLAS, dpotrf without
-    LAPACKE's scan for NaN, or None where it is missing."""
-    i64 = ctypes.c_int64
-    return _openblas_function("scipy_LAPACKE_dpotrf_work64_", i64, ctypes.c_int, ctypes.c_char,
-                              i64, ctypes.c_void_p, i64)
-
-
 def _cholesky_succeeds(work: np.ndarray) -> bool:
     """Whether LAPACK dpotrf factors the square float64 array work, which it
     may overwrite: lower triangle, column-major, so work is in Fortran order
     or symmetric. It is the routine np.linalg.cholesky calls, on the same
     bytes, but through ctypes it makes no copy in or out and raises no
     exception; np.linalg.cholesky is the fallback where the library lacks it."""
-    potrf = _lapacke_potrf()
+    potrf = _lapacke("dpotrf_work")
     if potrf is None:
         try:
             np.linalg.cholesky(work)
@@ -346,25 +334,35 @@ def _witness_gaps(S1: np.ndarray, sq: dict, accepted) -> dict:
     return gaps
 
 
-def _witness_rung(S1: np.ndarray, S2: np.ndarray, corr: np.ndarray, levels: dict) -> dict:
-    """CV's rung 0 on one fold: for each mask key -> level, the mask A of S1
-    that keeps the off-diagonal entries with corr >= level, scored as
-    (risk, lower, upper, U) with U = ||A - S2||_F: exact where the Cholesky
-    probe accepts A, [U - g_w, U] with g_w from _witness_gaps elsewhere.
-    Every mask is built in one d x d buffer, A - S2 in a second, and the
-    probe factors the shifted mask in place once U and ||A||^2 are taken:
-    the same bytes as _keep_off_diagonal and _psd_accepts, with no d x d
-    allocation per mask."""
-    A, D = np.empty_like(S1), np.empty_like(S1)
+def _masks(S1: np.ndarray, corr: np.ndarray, levels: dict):
+    """For each key -> level of levels, yield (key, A), with A the mask of S1
+    that keeps the off-diagonal entries with corr >= level and the diagonal:
+    the bytes of _keep_off_diagonal(S1, corr >= level), built in one d x d
+    buffer of the caller's fold, with no d x d allocation per mask. Every
+    yield rebuilds the whole buffer, so a caller may overwrite A."""
+    A = np.empty_like(S1)
     keep = np.empty(S1.shape, dtype=bool)
     diag = np.diag(S1)
-    shifted = diag + _probe_shift(diag)
-    scored, sq, accepted = {}, {}, set()
     for key, level in levels.items():
         A.fill(0.0)
         np.greater_equal(corr, level, out=keep)
         np.copyto(A, S1, where=keep)
         np.fill_diagonal(A, diag)
+        yield key, A
+
+
+def _witness_rung(S1: np.ndarray, S2: np.ndarray, corr: np.ndarray, levels: dict) -> dict:
+    """CV's rung 0 on one fold: each mask A of _masks(S1, corr, levels)
+    scored as (risk, lower, upper, U) with U = ||A - S2||_F: exact where the
+    Cholesky probe accepts A, [U - g_w, U] with g_w from _witness_gaps
+    elsewhere. A - S2 goes into a second d x d buffer, and the probe factors
+    the shifted mask in place once U and ||A||^2 are taken: the same
+    decision as _psd_accepts."""
+    D = np.empty_like(S1)
+    diag = np.diag(S1)
+    shifted = diag + _probe_shift(diag)
+    scored, sq, accepted = {}, {}, set()
+    for key, A in _masks(S1, corr, levels):
         np.subtract(A, S2, out=D)
         u = _frobenius(D)
         sq[key] = float(np.einsum("ij,ij->", A, A))
@@ -376,6 +374,31 @@ def _witness_rung(S1: np.ndarray, S2: np.ndarray, corr: np.ndarray, levels: dict
         u = scored[key][3]
         scored[key] = math.nan, u - g, u, u
     return scored
+
+
+def _eigen_bounds(A: np.ndarray, u: float, dtype) -> tuple[float, float]:
+    """(lower, upper) bounds on the risk of a mask A that fails the probe,
+    with U = u its distance to S2: [U - g, sqrt(U^2 - g^2)], with g the
+    distance of A to the PSD cone, from the eigenvalues of _eigvalsh in
+    dtype (triangle inequality; the projection is firmly non-expansive and
+    S2 is PSD). A float32 g lies within d^2 eps_32 ||A||_F of the exact g
+    and dsyevd's within d^2 eps_64 ||A||_F, so in float32 g is widened to
+    [g - delta, g + delta], delta = d^2 (eps_32 + eps_64) ||A||_F, and the
+    bounds contain those from dsyevd's g. Where LAPACK fails they are the
+    plain [0, U]."""
+    try:
+        w = _eigvalsh(A, dtype)
+    except np.linalg.LinAlgError:
+        return 0.0, u
+    neg = w[w < 0.0]
+    gap = float(np.einsum("i,i->", neg, neg))  # g^2
+    g = math.sqrt(gap)
+    if dtype == np.float32:  # widen [g, g] to [g - delta, g + delta]
+        d = A.shape[0]
+        delta = d * d * (np.finfo(np.float32).eps + np.finfo(float).eps) * _frobenius(A)
+        gap = max(g - delta, 0.0) ** 2
+        g += delta
+    return u - g, math.sqrt(max(u * u - gap, 0.0))
 
 
 def _bound_first(gap: np.ndarray, deficit: np.ndarray, todo: np.ndarray) -> np.ndarray:
@@ -404,61 +427,47 @@ def cv_select_lambda(X: np.ndarray, grid, folds: int, seed) -> tuple[float, list
     The keep-masks {|corr| >= lambda} are nested in lambda, so within a fold
     the number of kept off-diagonal entries identifies the mask, and each
     distinct mask is scored at most once per rung, for any grid order and
-    with repeated grid values.  Each pass runs the fold worker over the folds
-    with a mask to score at a live grid point.  Rung 0, the witness rung,
-    scores every mask (_witness_rung): a mask A the Cholesky probe accepts
-    is its own projection, so its risk U = ||A - S2|| is exact.  A failing
-    mask's risk lies in [U - g, sqrt(U^2 - g^2)], with g its distance to the
-    PSD cone (triangle inequality; the projection is firmly non-expansive
-    and S2 is PSD), and rung 0 bounds it by [U - g_w, U], where g_w >= g is
-    its distance to the nearest convex combination of two PSD matrices the
-    fold already has, diag(S1) and the accepted masks (_witness_gaps, which
-    states the rounding argument).  The eigenvalue rungs then bound failing
-    masks at grid points still live by g itself and intersect those bounds
-    with the ones the mask has, so they never loosen one (where LAPACK
-    fails, a rung's bounds are the plain [0, U]).  Where d^2 eps_32 <= 2^-5,
-    that is d <= 512, rung 1 takes g from single-precision eigenvalues
-    (_eigvalsh_single) widened to [g - delta, g + delta],
-    delta = d^2 (eps_32 + eps_64) ||A||_F, which covers both its own error
-    and that of dsyevd's g, and rung 2 takes dsyevd's g; above d = 512 that
-    slack would reach 2^-5 ||A||_F and more, so rung 1 is dsyevd's.  The
-    last rung makes the failing masks at live grid points exact by the
-    eigenvalue clip.  A grid point is live while its summed lower bound does
-    not exceed the cut, the least summed upper bound times 1 + 1e-9 plus the
-    folds' rounding slack, so it could still win; liveness is recomputed
-    after each pass.
+    with repeated grid values; every rung builds its masks with _masks.  Each
+    pass runs the fold worker over the folds with a mask to score at a live
+    grid point, one whose summed lower bound does not exceed the cut, the
+    least summed upper bound times 1 + 1e-9 plus the folds' rounding slack,
+    so it could still win; liveness is recomputed after each pass.  The
+    rungs, in order:
 
-    Rung 1 runs in two passes.  The selective pass (_bound_first) takes each
-    live grid point, its deficit, the cut minus its summed lower bound, and
-    its failing folds in decreasing order of the witness gap U - lower, and
-    bounds only the shortest prefix whose 3/4 * summed gap exceeds the
-    deficit, or every one where none does.  Bounded by g, a mask's lower
-    bound rises by g_w - g, at least 3/4 of its gap where g_w >= 4g: on the
-    3423 masks rung 1 would bound at the grid points the witness rung
-    leaves live on the 64 perfbench seed-0 datasets at 10 folds x 40
-    points, g_w / g has a 10th percentile of 4.9 and a median of 8.0.  The
-    mop-up pass then bounds every failing mask at a grid point still live
-    that the selective pass left.
+    - the witness rung (_witness_rung) scores every mask: one the Cholesky
+      probe accepts is its own projection, so its risk U = ||A - S2|| is
+      exact, and a failing one gets [U - g_w, U], where g_w is at least its
+      distance g to the PSD cone (_witness_gaps states why, with rounding);
+    - one eigenvalue rung per dtype of _eigvalsh, float32 first where
+      d^2 eps_32 <= 2^-5, that is d <= 512 (above it the widening would
+      reach 2^-5 ||A||_F and more), then float64, bounds the failing masks at
+      live grid points by g (_eigen_bounds) and intersects those bounds with
+      the ones the mask has, so it never loosens one;
+    - the clip makes the failing masks at live grid points exact.
+
+    The first eigenvalue rung runs in two passes.  The selective pass
+    (_bound_first) takes each live grid point, its deficit, the cut minus
+    its summed lower bound, and its failing folds in decreasing order of the
+    witness gap U - lower, and bounds only the shortest prefix whose
+    3/4 * summed gap exceeds the deficit, or every one where none does.
+    Bounded by g, a mask's lower bound rises by g_w - g, at least 3/4 of its
+    gap where g_w >= 4g: on the 3423 masks the first eigenvalue rung would
+    bound at the grid points the witness rung leaves live on the 64
+    perfbench seed-0 datasets at 10 folds x 40 points, g_w / g has a 10th
+    percentile of 4.9 and a median of 8.0.  The mop-up pass then bounds
+    every failing mask at a grid point still live that the selective pass
+    left.
 
     None of this changes an output.  The witness bounds contain the
-    eigenvalue bounds (g_w >= g, and U is at least sqrt(U^2 - g^2)), so a
-    grid point they leave live gets the eigenvalue bounds in the next rung,
-    and one they prune has a sound lower bound above the least upper bound,
-    which the eigenvalue bounds would give too: those prune it as well, with
-    the same least upper bound.  The selective pass bounds some of the masks
-    that one pass of rung 1 over every grid point live after rung 0 would
-    bound, to the same values, and leaves the others at their wider witness
-    bounds, so a grid point it prunes that one pass prunes too, and the grid
-    point with that pass's least summed upper bound stays live.  The mop-up
-    pass then gives every grid point still live, that one included, that
-    pass's bounds, so the cut, the summed lower bound of every live grid
-    point and the live set after it are that pass's.  Likewise the wider
-    single-precision intervals contain dsyevd's, so a grid point live under
-    dsyevd's bounds gets them, and one pruned by the wider bounds is pruned
-    by dsyevd's.  So the least upper bound, the live set before the clip and
-    the clipped masks are those of dsyevd's bounds on every mask, and
-    lambda-hat, every risk entry and every NaN position are bit-equal to
-    theirs wherever LAPACK converges.
+    eigenvalue bounds, and the float32 bounds the float64 ones, so a grid
+    point that the wider bounds prune the float64 bounds prune too.  Until
+    the mop-up pass every bound is at least as wide as one full pass of the
+    first eigenvalue rung would make it, so the grid point with that pass's
+    least summed upper bound stays live, and after it every live grid point
+    has that pass's bounds.  So the least upper bound, the live set before
+    the clip and the clipped masks are those of float64 bounds on every
+    mask, and lambda-hat, every risk entry and every NaN position are
+    bit-equal to theirs wherever LAPACK converges.
 
     A risk entry is exact, equal to scoring every grid point apart, where
     some rung scored every fold's mask for that grid point exactly; the other
@@ -493,69 +502,51 @@ def cv_select_lambda(X: np.ndarray, grid, folds: int, seed) -> tuple[float, list
     keys, slack = [None] * folds, [0.0] * folds  # each fold's, recorded by rung 0
     last_rung = np.full((folds, len(grid)), -1)  # the rung that last scored each entry
     live = np.ones(len(grid), dtype=bool)
-    # the eigenvalue rungs between the witness rung and the clip: single
-    # precision first where its error d^2 eps_32 ||A||_F is at most
-    # 2^-5 ||A||_F, that is d <= 512
-    eigen = [_eigvalsh]
+    # the eigenvalue rungs between the witness rung and the clip, one per dtype
+    dtypes = [np.float64]
     if X.shape[1] ** 2 * np.finfo(np.float32).eps <= 2.0**-5:
-        eigen.insert(0, _eigvalsh_single)
-    ladder = [None, *eigen, _eigen_clip]
+        dtypes.insert(0, np.float32)
+    last = len(dtypes) + 1  # the clip's rung
 
     def score(nu: int, rung: int, points) -> None:
         """Score fold nu's masks at the grid points `points`, and at every grid
         point that shares one of those masks: rung 0 exactly where the probe
         accepts and by witness bounds elsewhere, an eigenvalue rung by bounds
         that it intersects with those the mask has, the clip exactly."""
-        routine, clip = ladder[rung], rung == len(ladder) - 1
         # an eigenvalue rung takes U from rung 0, so it needs no S2
-        S1, S2, corr = _cv_fold(X, n1, seed, nu, rung == 0 or clip)
-        d = S1.shape[0]
-        # a single-precision g lies within err ||A||_F of the exact g and of dsyevd's
-        err = (d * d * (np.finfo(np.float32).eps + np.finfo(float).eps)
-               if routine is _eigvalsh_single else 0.0)
+        S1, S2, corr = _cv_fold(X, n1, seed, nu, rung in (0, last))
         if rung == 0:
             # U and g are rounded relative to ||A|| + ||S2||, and ||A|| <= ||S1||
             # for every mask: d^2 eps covers the d^2 squares summed in U and, by
             # Weyl's inequality, the backward error of dsyevd's eigenvalues in g
+            d = S1.shape[0]
             slack[nu] = d * d * np.finfo(float).eps * (_frobenius(S1) + _frobenius(S2))
             off = np.sort(corr[np.triu_indices_from(corr, 1)])
             keys[nu] = (off.size - np.searchsorted(off, grid, side="left")).tolist()
         masks = {keys[nu][i]: i for i in points}
+        levels = {key: grid[i] for key, i in masks.items()}
         # mask key -> (risk, lower, upper, U)
         if rung == 0:
-            scored = _witness_rung(S1, S2, corr, {key: grid[i] for key, i in masks.items()})
+            scored = _witness_rung(S1, S2, corr, levels)
         else:
             scored = {}
-            for key, i in masks.items():
-                A = _keep_off_diagonal(S1, corr >= grid[i])
-                u = float(est[3, nu, i])
-                if clip:
-                    risk = _frobenius(routine(A) - S2)
+            for key, A in _masks(S1, corr, levels):
+                u = float(est[3, nu, masks[key]])
+                if rung == last:
+                    risk = _frobenius(_eigen_clip(A) - S2)
                     scored[key] = risk, risk, risk, u
-                    continue
-                try:
-                    w = routine(A)
-                except np.linalg.LinAlgError:  # no eigenvalues: the plain bounds
-                    scored[key] = math.nan, 0.0, u, u
-                    continue
-                neg = w[w < 0.0]
-                gap = float(np.einsum("i,i->", neg, neg))  # g^2
-                g = math.sqrt(gap)
-                if err:  # widen [g, g] to [g - delta, g + delta]
-                    delta = err * _frobenius(A)
-                    gap = max(g - delta, 0.0) ** 2
-                    g += delta
-                scored[key] = math.nan, u - g, math.sqrt(max(u * u - gap, 0.0)), u
+                else:
+                    scored[key] = math.nan, *_eigen_bounds(A, u, dtypes[rung - 1]), u
         at = [i for i, key in enumerate(keys[nu]) if key in scored]
         new = np.array([scored[keys[nu][i]] for i in at]).T
-        if rung and not clip:  # never loosen a bound
+        if 0 < rung < last:  # never loosen a bound
             new[1] = np.fmax(new[1], est[1, nu, at])
             new[2] = np.fmin(new[2], est[2, nu, at])
         est[:, nu, at] = new
         last_rung[nu, at] = rung
 
     # rung 1 runs twice: the selective pass, then the mop-up pass
-    for rung, selective in [(0, False), (1, True), *((r, False) for r in range(1, len(ladder)))]:
+    for rung, selective in [(0, False), (1, True), *((r, False) for r in range(1, last + 1))]:
         todo = live & np.isnan(est[0]) & (last_rung < rung)
         if selective:
             todo = _bound_first(est[3] - est[1], cut - lower, todo)

@@ -186,7 +186,9 @@ def config_from_dict(values: dict) -> ExperimentConfig:
 
 
 def paper_scale_preset(kind: str) -> ExperimentConfig:
-    """Full-size configuration (hours of compute; not part of acceptance)."""
+    """Full-size configuration, not part of acceptance: about 30 min on 2
+    cores for each of ks, coverage and power-dense (28-29 min, extrapolated
+    from runs of 2 and 20 replicates on a 2-vCPU VM)."""
     return ExperimentConfig(kind=kind, n=200, d=1000, mc_reps=1000, B=1000,
                             truth_reps=5000)
 

@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lpboot import covariance, inference, parallel, sampling
@@ -15,6 +15,14 @@ from lpboot.covariance import (CovMatrix, band, correlation_threshold,
                                psd_project, sample_covariance, threshold)
 from lpboot.lp import LpExponent
 from lpboot.sampling import RngSeed, factorize_psd
+
+
+def without_lapacke(monkeypatch, *routines):
+    """Make covariance._lapacke report the named routines missing, so their
+    numpy fallbacks run."""
+    lapacke = covariance._lapacke
+    monkeypatch.setattr(covariance, "_lapacke",
+                        lambda routine: None if routine in routines else lapacke(routine))
 
 
 def random_symmetric(rng, d):
@@ -245,9 +253,9 @@ class TestPsdProject:
         shifted = [a.copy() for a in matrices]
         for a in shifted:
             np.fill_diagonal(a, np.diag(a) + covariance._probe_shift(np.diag(a)))
-        for potrf in (covariance._lapacke_potrf, lambda: None):
-            monkeypatch.setattr(covariance, "_lapacke_potrf", potrf)
-            assert [covariance._cholesky_succeeds(a.copy()) for a in shifted] == expected
+        assert [covariance._cholesky_succeeds(a.copy()) for a in shifted] == expected
+        without_lapacke(monkeypatch, "dpotrf_work")
+        assert [covariance._cholesky_succeeds(a.copy()) for a in shifted] == expected
 
     def test_same_bytes_without_the_dpotrf_entry_point(self, monkeypatch):
         # np.linalg.cholesky calls the same dpotrf, so CV's witness rung makes
@@ -261,7 +269,7 @@ class TestPsdProject:
                     (threshold(S, 0.1), threshold(S, 50.0), band(S, 1), band(S, 39))]
         assert accepted == [True, False, False, True]
         fast = [inference.estimate_covariance(X, spec, RngSeed(0)).values for spec in specs]
-        monkeypatch.setattr(covariance, "_lapacke_potrf", lambda: None)
+        without_lapacke(monkeypatch, "dpotrf_work")
         for spec, values in zip(specs, fast):
             assert np.array_equal(inference.estimate_covariance(X, spec, RngSeed(0)).values,
                                   values)
@@ -405,15 +413,24 @@ class TestCvSelectLambda:
 
     @staticmethod
     def _counted(monkeypatch, fail=()):
-        """Calls per eigenvalue routine and clip; the routines named in fail raise."""
-        calls = {"_eigvalsh_single": 0, "_eigvalsh": 0, "_eigen_clip": 0}
-        for name in calls:
-            def counting(a, name=name, f=getattr(covariance, name)):
-                calls[name] += 1
-                if name in fail:
-                    raise np.linalg.LinAlgError("Eigenvalues did not converge")
-                return f(a)
-            monkeypatch.setattr(covariance, name, counting)
+        """Calls of _eigvalsh per dtype ("float32", "float64") and of the clip
+        ("clip"); _eigvalsh raises in the dtypes named in fail."""
+        calls = {"float32": 0, "float64": 0, "clip": 0}
+        eigvalsh, clip = covariance._eigvalsh, covariance._eigen_clip
+
+        def counting(a, dtype=np.float64):
+            name = np.dtype(dtype).name
+            calls[name] += 1
+            if name in fail:
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return eigvalsh(a, dtype)
+
+        def clipping(a):
+            calls["clip"] += 1
+            return clip(a)
+
+        monkeypatch.setattr(covariance, "_eigvalsh", counting)
+        monkeypatch.setattr(covariance, "_eigen_clip", clipping)
         return calls
 
     def test_serial_and_pooled_runs_leave_nan_in_the_same_places(self, monkeypatch):
@@ -424,7 +441,7 @@ class TestCvSelectLambda:
             counts.append(self._counted(monkeypatch))
             runs.append(cv_select_lambda(X, grid, 3, RngSeed(1))[1])
             monkeypatch.undo()
-        assert counts[0] == counts[1] and counts[0]["_eigvalsh"] and counts[0]["_eigen_clip"]
+        assert counts[0] == counts[1] and counts[0]["float64"] and counts[0]["clip"]
         assert np.isnan(runs[0]).any()
         assert np.array_equal(runs[0], runs[1], equal_nan=True)
 
@@ -442,7 +459,7 @@ class TestCvSelectLambda:
             dtypes.append(a.dtype)
             return eigvalsh(a)
 
-        monkeypatch.setattr(covariance, "_lapacke_syevd", lambda dtype: None)
+        without_lapacke(monkeypatch, "dsyevd", "ssyevd")
         monkeypatch.setattr(np.linalg, "eigvalsh", counting)
         for (X, folds, seed), (lam, risks) in zip(cases, fast):
             got = cv_select_lambda(X, grid, folds, seed)
@@ -454,11 +471,10 @@ class TestCvSelectLambda:
         # the witness bounds prune, and every failing mask at a grid point
         # they leave live is projected; lambda-hat and the exact risks do not
         # change
-        def failing(a):
+        def failing(a, dtype=np.float64):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
         monkeypatch.setattr(covariance, "_eigvalsh", failing)
-        monkeypatch.setattr(covariance, "_eigvalsh_single", failing)
         S = sampling.build_block_covariance(60, 2, 0.8, RngSeed(0))
         X = sampling.copula_sample(S, sampling.MarginalKind.UNIFORM_SYM, 60, RngSeed(1))
         ours, ref = self._eigh_calls(monkeypatch, X, list(np.linspace(0.0, 1.0, 12)), 4, 2)
@@ -471,16 +487,16 @@ class TestCvSelectLambda:
         # mask at a grid point the witness bounds leave live
         X, grid = self._clip_rung_data(), list(np.linspace(0.0, 1.0, 12))
         runs = []
-        for fail in ((), ("_eigvalsh",), ("_eigvalsh", "_eigvalsh_single")):
+        for fail in ((), ("float64",), ("float64", "float32")):
             calls = self._counted(monkeypatch, fail)
             runs.append((cv_select_lambda(X, grid, 3, RngSeed(1)), calls))
             monkeypatch.undo()
             assert_matches_reference(runs[-1][0],
                                      _cv_select_lambda_reference(X, grid, 3, RngSeed(1)))
         (plain, calls), (kept, kept_calls), (_, none_calls) = runs
-        assert calls["_eigvalsh"] and kept_calls["_eigvalsh"]
+        assert calls["float64"] and kept_calls["float64"]
         assert kept[0] == plain[0] and np.array_equal(kept[1], plain[1], equal_nan=True)
-        assert kept_calls["_eigen_clip"] == calls["_eigen_clip"] < none_calls["_eigen_clip"]
+        assert kept_calls["clip"] == calls["clip"] < none_calls["clip"]
 
     @pytest.mark.parametrize("d, single", [(512, True), (513, False)])
     def test_single_precision_where_d_squared_eps32_is_at_most_2_to_minus_5(
@@ -496,8 +512,8 @@ class TestCvSelectLambda:
         calls = self._counted(monkeypatch)
         lam, risks = cv_select_lambda(X, [0.5], 2, RngSeed(0))
         assert lam == 0.5 and not math.isnan(risks[0])
-        assert calls["_eigvalsh_single"] == (2 if single else 0)
-        assert calls["_eigvalsh"] == 2 and calls["_eigen_clip"] == 2
+        assert calls["float32"] == (2 if single else 0)
+        assert calls["float64"] == 2 and calls["clip"] == 2
 
     @staticmethod
     def _copula_case():
@@ -511,13 +527,13 @@ class TestCvSelectLambda:
         # grid point live after the witness rung; where it works the selective
         # pass prunes grid points, and their other failing masks are skipped
         X, grid, folds, seed = self._copula_case()
-        calls = self._counted(monkeypatch, fail=("_eigvalsh_single",))
+        calls = self._counted(monkeypatch, fail=("float32",))
         cv_select_lambda(X, grid, folds, seed)
         monkeypatch.undo()
-        left = calls["_eigvalsh_single"]
+        left = calls["float32"]
         calls = self._counted(monkeypatch)
         got = cv_select_lambda(X, grid, folds, seed)
-        assert 0 < calls["_eigvalsh_single"] < left
+        assert 0 < calls["float32"] < left
         assert_matches_reference(got, _cv_select_lambda_reference(X, grid, folds, seed))
 
     @pytest.mark.parametrize("first", ["none", "largest gap", "all"])
@@ -540,9 +556,9 @@ class TestCvSelectLambda:
         calls, per_pass = self._counted(monkeypatch), []
 
         def run_indexed(worker, count, threads):
-            before = calls["_eigvalsh_single"]
+            before = calls["float32"]
             out = parallel.run_indexed(worker, count, threads)
-            per_pass.append(calls["_eigvalsh_single"] - before)
+            per_pass.append(calls["float32"] - before)
             return out
 
         monkeypatch.setattr(covariance, "_bound_first", bound_first)
@@ -595,15 +611,15 @@ class TestEigenvalues:
         a = np.random.default_rng(seed).normal(size=(d, d))
         a = (a + a.T) / 2.0 + shift * np.eye(d)
         assert np.array_equal(covariance._eigvalsh(a), np.linalg.eigvalsh(a))
+        assert np.array_equal(covariance._eigvalsh(a, np.float64), np.linalg.eigvalsh(a))
 
     def test_bundled_openblas_has_lapacke(self):
         # without the entry point every eigenvalue call falls back to numpy's
         # wrapper, which holds the GIL, so CV's pool workers run them in turn
         if parallel._openblas() is None:
             pytest.skip("numpy ships no bundled scipy-openblas")
-        assert covariance._lapacke_syevd(np.float64) is not None
-        assert covariance._lapacke_syevd(np.float32) is not None
-        assert covariance._lapacke_potrf() is not None
+        for routine in ("dsyevd", "ssyevd", "dpotrf_work"):
+            assert covariance._lapacke(routine) is not None
 
 
 def _factor_data(n=30, d=40, seed=22):
@@ -630,15 +646,25 @@ class TestSinglePrecisionBound:
 
     @classmethod
     def _masks(cls, X, accepted=False):
-        """The fold masks the probe accepts (or rejects) over three folds."""
+        """The fold masks the probe accepts (or rejects) over three folds, each
+        with its fold's S2."""
         n1, masks = covariance._cv_split(X.shape[0]), []
         for nu in range(3):
-            S1, _, corr = covariance._cv_fold(X, n1, RngSeed(0), nu)
+            S1, S2, corr = covariance._cv_fold(X, n1, RngSeed(0), nu)
             for lam in cls.GRID:
                 A = covariance._keep_off_diagonal(S1, corr >= lam)
                 if covariance._psd_accepts(A) == accepted:
-                    masks.append(A)
+                    masks.append((A, S2))
         return masks
+
+    @classmethod
+    def _near_psd_masks(cls):
+        """Singular accepted masks moved just past the probe's shift of 1e-10
+        of the largest variance, where g is far below the rounding of the
+        eigenvalues, with their fold's S2."""
+        masks = [(A - 1e-8 * np.diag(A).max() * np.eye(A.shape[0]), S2)
+                 for A, S2 in cls._masks(_factor_data(), accepted=True)]
+        return [(B, S2) for B, S2 in masks if not covariance._psd_accepts(B)]
 
     @staticmethod
     def assert_within_delta(A):
@@ -647,7 +673,7 @@ class TestSinglePrecisionBound:
             return math.sqrt(float(np.einsum("i,i->", neg, neg)))
 
         d = A.shape[0]
-        w = covariance._eigvalsh_single(A)
+        w = covariance._eigvalsh(A, np.float32)
         assert w.dtype == np.float64 and np.all(np.isfinite(w))
         delta = d * d * (np.finfo(np.float32).eps + np.finfo(float).eps) * math.sqrt(
             float(np.einsum("ij,ij->", A, A)))
@@ -658,28 +684,60 @@ class TestSinglePrecisionBound:
         X = self.DATA[kind](_factor_data())
         masks = self._masks(X)
         assert len(masks) >= 10
-        for A in masks:
+        for A, _ in masks:
             self.assert_within_delta(A)
         assert_matches_reference(cv_select_lambda(X, self.GRID, 3, RngSeed(0)),
                                  _cv_select_lambda_reference(X, self.GRID, 3, RngSeed(0)))
 
     def test_near_psd_masks(self):
-        # singular accepted masks moved just past the probe's shift of 1e-10 of
-        # the largest variance, where g is far below the rounding of the
-        # eigenvalues
-        masks = [A - 1e-8 * np.diag(A).max() * np.eye(A.shape[0])
-                 for A in self._masks(_factor_data(), accepted=True)]
-        masks = [B for B in masks if not covariance._psd_accepts(B)]
+        masks = self._near_psd_masks()
         assert masks
-        for B in masks:
+        for B, _ in masks:
             self.assert_within_delta(B)
 
     def test_masks_past_the_float32_range(self):
         # covariance entries near 2^140 overflow float32 unless scaled first
         masks = self._masks(_factor_data() * 2.0**70)
-        assert min(np.abs(A).max() for A in masks) > np.finfo(np.float32).max
-        for A in masks:
+        assert min(np.abs(A).max() for A, _ in masks) > np.finfo(np.float32).max
+        for A, _ in masks:
             self.assert_within_delta(A)
+
+    def test_float32_bounds_contain_the_float64_bounds(self):
+        # the widening by delta covers the error of both precisions' g, so the
+        # float32 rung prunes no grid point that float64 bounds would keep live,
+        # on every failing mask above: each data kind, near-PSD, past float32
+        masks = [m for kind in self.DATA.values() for m in self._masks(kind(_factor_data()))]
+        masks += self._near_psd_masks() + self._masks(_factor_data() * 2.0**70)
+        for A, S2 in masks:
+            u = covariance._frobenius(A - S2)
+            lower, upper = covariance._eigen_bounds(A, u, np.float32)
+            lower64, upper64 = covariance._eigen_bounds(A, u, np.float64)
+            assert lower <= lower64 <= upper64 <= upper
+
+
+class TestMasks:
+    @given(n=st.integers(2, 12), d=st.integers(1, 8), constant=st.booleans(),
+           levels=st.lists(st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0)),
+                           min_size=1, max_size=10),
+           seed=st.integers(0, 2**32 - 1))
+    @example(n=4, d=1, constant=True, levels=[0.0, 1.0, 0.0], seed=0)
+    @settings(max_examples=100, deadline=None)
+    def test_bytes_of_keep_off_diagonal(self, n, d, constant, levels, seed):
+        # repeated levels, 0 and 1, a zero-variance coordinate and d = 1; the
+        # caller overwrites each A before the next, as the witness rung's probe does
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(n, d)) + rng.normal(size=(n, 1))
+        if constant:
+            X[:, 0] = 3.0
+        S1 = sample_covariance(X).values
+        corr = covariance._abs_correlation(S1)
+        levels = dict(enumerate([0.0, 1.0, *levels, *levels]))
+        seen = []
+        for key, A in covariance._masks(S1, corr, levels):
+            seen.append(key)
+            assert A.tobytes() == covariance._keep_off_diagonal(S1, corr >= levels[key]).tobytes()
+            A.fill(np.nan)
+        assert seen == list(levels)
 
 
 class TestWitnessBound:
@@ -752,7 +810,7 @@ class TestWitnessBound:
                                 covariance._keep_off_diagonal(S1, corr >= lam))})
         calls = TestCvSelectLambda._counted(monkeypatch)
         got = cv_select_lambda(X, grid, folds, seed)
-        assert 0 < calls["_eigvalsh_single"] + calls["_eigvalsh"] < failing
+        assert 0 < calls["float32"] + calls["float64"] < failing
         assert_matches_reference(got, _cv_select_lambda_reference(X, grid, folds, seed))
 
 
@@ -785,7 +843,7 @@ class TestDiagnostics:
         a = rng.normal(size=(30, 12))
         mats = [CovMatrix(a.T @ a), CovMatrix(a @ a.T), random_symmetric(rng, 9)]
         fast = [cov_diagnostics(m) for m in mats]
-        monkeypatch.setattr(covariance, "_lapacke_syevd", lambda dtype: None)
+        without_lapacke(monkeypatch, "dsyevd", "ssyevd")
         assert [cov_diagnostics(m) for m in mats] == fast
 
     def test_identity(self):
