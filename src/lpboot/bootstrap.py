@@ -9,6 +9,7 @@ quantiles, and the Kolmogorov-Smirnov distance between draw sets.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -16,11 +17,14 @@ import numpy as np
 
 from .covariance import CovMatrix
 from .lp import LpExponent, _row_norms
+from .parallel import hold, run_indexed
 from .sampling import RngSeed, mvn_sample
 
 # hard cap on retained draws; full sorted samples are kept for quantiles/KS
 MAX_DRAWS = 10**6
 _CHUNK = 4096
+# standard normals drawn between two looks at whether the factorization is done
+_BLOCK = 8192
 
 
 @dataclass
@@ -71,9 +75,43 @@ def _norm_draws(rows, p_list, B: int, rng: RngSeed, d: int) -> dict:
 
 
 def _mvn_rows(S: CovMatrix):
-    """Row source for the kernel: m rows of N(0, S)."""
-    factor = S.factor()
-    return lambda m, seed: mvn_sample(factor, m, seed)
+    """Row source for the kernel: m rows of N(0, S), the bytes of
+    mvn_sample(S.factor(), m, seed).
+
+    Where S has no cached factor, the first call computes it together with
+    its own standard normals, on a two-index run_indexed: index 0 runs
+    S.factor(), index 1 fills an m x d buffer from seed's generator, block by
+    block, until index 0 is done. The call then draws what is still missing
+    of the m * rank normals from the same generator. Philox normals are
+    prefix-stable (the first N of a longer or blocked request are a request
+    of N), so the rows do not depend on how far index 1 got. Run serially
+    (inside a pool's worker, or while another thread holds the pool), index
+    0 runs first and index 1 draws nothing."""
+    def rows(m: int, seed: RngSeed) -> np.ndarray:
+        if S._factor is not None:
+            return mvn_sample(S._factor, m, seed)
+        gen, buf, done = seed.generator(), np.empty(m * S.dim), threading.Event()
+        filled = 0
+
+        def worker(i: int):
+            nonlocal filled
+            if i == 0:
+                try:
+                    return S.factor()
+                finally:
+                    done.set()
+            while filled < buf.size and not done.is_set():
+                end = min(filled + _BLOCK, buf.size)
+                gen.standard_normal(out=buf[filled:end])
+                filled = end
+
+        F = run_indexed(worker, 2, 2)[0]
+        need = m * F.rank
+        if filled < need:
+            gen.standard_normal(out=buf[filled:need])
+        return buf[:need].reshape(m, F.rank) @ F.factor.T
+
+    return rows
 
 
 def _multiplier_rows(X: np.ndarray):
@@ -87,7 +125,10 @@ def _multiplier_rows(X: np.ndarray):
 
 def _distribution(engine: str, rows, p: LpExponent, B: int, rng: RngSeed,
                   d: int) -> EmpiricalDistribution:
-    draws = _norm_draws(rows, (p,), B, rng, d)[p]
+    """The engine's draws of ||V||_p, computed under lpboot's hold (one BLAS
+    thread; lpboot.parallel says why)."""
+    with hold():
+        draws = _norm_draws(rows, (p,), B, rng, d)[p]
     return EmpiricalDistribution(draws, {"engine": engine, "p": p.label, "seed": _seed_label(rng)})
 
 

@@ -392,11 +392,11 @@ def run_experiment(cfg: ExperimentConfig) -> list:
     output_path, also write them there (and, for coverage, the per-(p,
     estimator) summary next to it).
 
-    A run that may start a pool, on its harness threads or in CV, holds
-    lpboot's one pool throughout (lpboot.parallel says why). A serial run
-    without CV starts no pool and keeps the BLAS threads it finds."""
+    Every run holds lpboot's one pool throughout (lpboot.parallel says why),
+    so a serial run computes on the same one BLAS thread as a pooled one and
+    its bytes do not depend on the worker count."""
     header, experiment = _EXPERIMENTS[cfg.kind]
-    with hold(cfg.kind != "probe" and (cfg.threads > 1 or cfg.uses_cv)):
+    with hold():
         Sigma = None if cfg.kind == "probe" else build_block_covariance(
             cfg.d, cfg.block, perm_seed=cfg.rng.child(0))
         records = experiment(cfg, Sigma)

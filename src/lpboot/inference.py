@@ -79,9 +79,10 @@ def estimate_covariance(X: np.ndarray, spec: EstimatorSpec, cv_seed: RngSeed) ->
     """Sample covariance regularized per spec; PSD-projected where needed.
 
     cv_seed is the stream corr_cv draws its folds from: fold k permutes the
-    rows with cv_seed.child(k). The other kinds use no randomness. With
-    corr_cv the call holds the pool for its whole body (lpboot.parallel says
-    why), as run_test does.
+    rows with cv_seed.child(k). The other kinds use no randomness. Every kind
+    holds the pool for the whole call, as run_test does, so its BLAS runs on
+    one thread and its bytes do not depend on the BLAS thread count
+    (lpboot.parallel says why).
 
     Sigma_hat is returned in the data's units, so the largest |entry| of X
     must lie in [2^-64, 2^64] (or X be all zero): outside it covariance
@@ -92,7 +93,7 @@ def estimate_covariance(X: np.ndarray, spec: EstimatorSpec, cv_seed: RngSeed) ->
         raise ValueError("the largest |entry| of the data lies outside [2^-64, 2^64], where "
                          "covariance entries can underflow or overflow; rescale it by a "
                          "power of two, as run_test does")
-    with hold(spec.kind == "corr_cv"):
+    with hold():
         S = sample_covariance(X)
         if spec.kind == "naive":
             return S
@@ -175,8 +176,13 @@ def run_test(X: np.ndarray, spec: TestSpec) -> TestResult:
     entries and CV risks (fourth powers of the data) neither overflow nor
     underflow, and in-range data keeps every byte. The hard-threshold level
     is a covariance level, so it is rescaled with Sigma_hat (by 2^-2k).
+
+    The call holds the pool for its whole body, whatever the estimator: its
+    BLAS runs on one thread, so the output bytes do not depend on the BLAS
+    thread count, and the draws' first chunk is drawn while Sigma_hat is
+    factorized (lpboot.parallel, bootstrap._mvn_rows).
     """
-    with hold(spec.estimator.kind == "corr_cv"):
+    with hold():
         X = np.asarray(X, dtype=float)
         stat = test_statistic(X, spec.M, spec.m0, spec.p)
         k = _rescale_exponent(X)

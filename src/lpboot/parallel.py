@@ -10,20 +10,31 @@ count it found and releases the lock; a hold nested in the same thread's
 hold finds 1 and restores 1. A pool already spreads its work over the cores,
 and OpenBLAS splitting every product over the same cores would oversubscribe
 them. run_indexed starts a pool only in a thread that holds the lock,
-re-entering the caller's hold where there is one. A call that finds the lock
-held by another thread, a pool's worker or any other, runs its indices
-serially, so pools never nest. A child process forked by the holding thread
-re-enters the hold and starts pools; one forked by another thread finds the
-lock held and runs serially. Its output is the same either way.
+re-entering the caller's hold where there is one. The caller is one of the
+pool's workers: it takes indices beside the pool's threads, on its warm
+caches and its own malloc arena. A call from a pool's worker (the caller
+too, while it runs an index) or from any other thread that finds the lock
+held runs its indices serially, so pools never nest. A child process forked
+by the holding thread re-enters the hold and starts pools; one forked by
+another thread finds the lock held and runs serially. Its output is the
+same either way.
 
-The calls that run BLAS on their own thread before or after a pool hold for
-their whole body, each stating when in one hold(<condition>): run_test and
-estimate_covariance with corr_cv, run_experiment with harness threads or CV,
-and run_indexed for its own pool. The reason is OpenBLAS's helper thread: an
-OpenBLAS call on two threads leaves it spinning for about 80 ms afterwards,
-whatever the count is set to then, and it would take a core from the pool's
-workers if the products before the pool ran on two threads. The calls that
-start no pool keep the BLAS threads they find.
+Which calls hold, and when, each in one hold(<condition>):
+- run_test (so also confidence_set and lpboot test), estimate_covariance,
+  run_experiment, and the draws of gpb_draws, proxy_draws and gmb_draws:
+  always, for their whole body;
+- run_indexed: where it would start more than one worker, for its pool;
+- cv_select_lambda called directly: only through its rungs' run_indexed.
+Two reasons. OpenBLAS's helper thread: an OpenBLAS call on two threads leaves
+it spinning for about 80 ms afterwards, whatever the count is set to then,
+and it would take a core from a pool's workers (CV's folds, or the draws'
+normals beside the covariance's factorization) if the products before the
+pool ran on two threads. And the bytes: from d of about 300 OpenBLAS on two
+threads splits eigh and the products and changes their last bits, so only
+calls that compute on one thread everywhere write the same bytes in a pool's
+worker, in a serial run and at any BLAS thread count. The price is the
+second BLAS thread where no pool runs: at n = 200, d = 1000 a naive,
+hard or band run_test takes 40-47% longer on one thread than on two.
 
 The module also loads numpy's bundled OpenBLAS once for ctypes calls: the
 thread-count pin here, and LAPACK eigenvalues for lpboot.covariance, which
@@ -43,6 +54,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 _POOL = threading.RLock()  # held by the one thread that may start a pool
+_INDEX = threading.local()  # .running is true while this thread runs a pool's index
 
 
 def _available_cores() -> int:
@@ -110,13 +122,38 @@ def hold(when: bool = True):
 
 def run_indexed(worker, count: int, threads: int) -> list:
     """[worker(i) for i in range(count)] on a pool of min(threads, count,
-    usable cores) threads, results in index order; the caller waits. When an
-    index raises, the indices not yet started are cancelled and the exception
-    propagates once the started ones have ended. With one worker, or while
-    another thread holds the pool, the call runs serially."""
+    usable cores) workers, results in index order: the caller and one thread
+    fewer, each taking the lowest index not yet started. When an index
+    raises, no further index starts, and the first exception propagates once
+    the started ones have ended. With one worker, inside a pool's worker, or
+    while another thread holds the pool, the call runs serially."""
     workers = min(threads, count, _available_cores())
-    with hold(workers > 1) as held:
+    with hold(workers > 1 and not getattr(_INDEX, "running", False)) as held:
         if not held:
             return [worker(i) for i in range(count)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(worker, range(count)))
+        results, failed, lock = [None] * count, [], threading.Lock()
+        indices = iter(range(count))
+
+        def take() -> None:
+            _INDEX.running = True
+            try:
+                while not failed:
+                    with lock:
+                        i = next(indices, None)
+                    if i is None:
+                        return
+                    try:
+                        results[i] = worker(i)
+                    except BaseException as exc:  # re-raised on the caller below
+                        failed.append(exc)
+            finally:
+                _INDEX.running = False
+
+        with ThreadPoolExecutor(max_workers=workers - 1) as pool:
+            helpers = [pool.submit(take) for _ in range(workers - 1)]
+            take()
+        for helper in helpers:
+            helper.result()
+        if failed:
+            raise failed[0]
+        return results

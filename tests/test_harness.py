@@ -311,7 +311,9 @@ class TestKsExperiment:
         assert mixed["cv"] == rows_by_engine("corr_cv")["corr_cv"]
 
     def test_blas_threads_do_not_change_output(self, tmp_path):
-        # sizes large enough that OpenBLAS would split the products over threads
+        # at these sizes OpenBLAS splits no product over threads, so the bytes
+        # would agree even unpinned (they do up to d = 200);
+        # test_blas_threads_do_not_change_draws_where_blas_splits covers d = 320
         cfgfile = tmp_path / "c.txt"
         cfgfile.write_text("kind=ks\nn=60\nd=40\nblock=2\nmc_reps=2\nB=600\n"
                            "truth_reps=100\ncv_folds=3\ncv_grid_size=4\nseed=13\n"
@@ -332,6 +334,17 @@ class TestKsExperiment:
                 run_experiment(cfg)
             outputs.append(open(cfg.output_path, "rb").read())
         assert outputs == [single.read_bytes()] * 2
+
+    def test_worker_count_does_not_change_output_where_blas_splits(self, blas_at_two,
+                                                                  monkeypatch):
+        # d = 500: a serial run that left BLAS two threads wrote other bytes
+        # than a pooled run, whose hold pins it to one
+        monkeypatch.setattr(parallel, "_available_cores", lambda: 2)
+        kw = dict(kind="ks", n=200, d=500, estimators=("proxy", "gmb", "naive"), mc_reps=2,
+                  B=200, truth_reps=50, seed=0)
+        assert run_experiment(ExperimentConfig(threads=1, **kw)) == \
+            run_experiment(ExperimentConfig(threads=2, **kw))
+        assert blas_at_two() == 2
 
     def test_proxy_tracks_truth(self):
         # the oracle engine should sit close to the simulated truth
@@ -370,6 +383,37 @@ def test_cv_risks_do_not_depend_on_blas_threads(tmp_path):
     for other in (here[1], json.loads(run_with_one_blas_thread("-c", CV_RISKS, *paths))):
         for (lam, risks), (lam0, risks0) in zip(other, here[0], strict=True):
             assert lam == lam0 and np.array_equal(risks, risks0, equal_nan=True)
+
+
+DRAW_DIGESTS = """
+import hashlib, json
+import numpy as np
+from lpboot.bootstrap import gpb_draws
+from lpboot.inference import EstimatorSpec, TestSpec, estimate_covariance, run_test
+from lpboot.lp import LpExponent
+from lpboot.sampling import RngSeed
+
+n, d = 200, 320
+X = RngSeed(2).generator().standard_normal((n, d))
+X[:, 1::2] += X[:, ::2]  # correlated neighbours, which hard(0.2) and band(2) keep
+draws = {}
+for est in ("naive", "hard(0.2)", "band(2)"):
+    spec = TestSpec(np.eye(d), np.zeros(d), LpExponent.finite(2), 0.05,
+                    EstimatorSpec.parse(est), 500, RngSeed(3))
+    draws[est] = run_test(X, spec).distribution.samples
+Sigma = estimate_covariance(X, EstimatorSpec("naive"), RngSeed(0))
+draws["gpb"] = gpb_draws(Sigma, LpExponent.finite(2), 500, RngSeed(5)).samples
+print(json.dumps({k: hashlib.sha256(v.tobytes()).hexdigest() for k, v in draws.items()}))
+"""
+
+
+def test_blas_threads_do_not_change_draws_where_blas_splits(blas_at_two, capsys):
+    # d = 320: OpenBLAS on two threads splits eigh and the products, and
+    # changes their last bits, unless the call holds the pin
+    exec(DRAW_DIGESTS, {})
+    here = json.loads(capsys.readouterr().out)
+    assert blas_at_two() == 2
+    assert here == json.loads(run_with_one_blas_thread("-c", DRAW_DIGESTS))
 
 
 class TestEngineDraws:

@@ -1,6 +1,7 @@
 """The shared pool: index order, at most one pool at a time, the cap at the
-usable cores, exceptions and the cancellation they cause, and the BLAS thread
-count around CV's fold pool."""
+usable cores, exceptions and the cancellation they cause, the BLAS thread
+count around CV's fold pool and every run_test, and the draws' first chunk
+drawn while the covariance is factorized."""
 
 import contextlib
 import sys
@@ -10,7 +11,8 @@ import time
 import numpy as np
 import pytest
 
-from lpboot import covariance, inference, parallel, sampling
+from lpboot import bootstrap, covariance, inference, parallel, sampling
+from lpboot.covariance import CovMatrix, sample_covariance
 from lpboot.harness import ExperimentConfig, run_experiment
 from lpboot.inference import EstimatorSpec, run_test
 from lpboot.lp import LpExponent
@@ -21,12 +23,12 @@ from lpboot.sampling import RngSeed
 @pytest.fixture
 def pools(monkeypatch):
     """The worker count of each pool run_indexed starts, in order, on 8
-    usable cores."""
+    usable cores: its executor's threads and the caller."""
     started = []
     executor = parallel.ThreadPoolExecutor
 
     def counting(max_workers):
-        started.append(max_workers)
+        started.append(max_workers + 1)
         return executor(max_workers=max_workers)
 
     monkeypatch.setattr(parallel, "ThreadPoolExecutor", counting)
@@ -66,6 +68,22 @@ def test_uses_at_most_the_usable_cores(pools, monkeypatch):
     assert run_indexed(lambda i: threading.current_thread(), 4, 1000) == [
         threading.current_thread()] * 4
     assert pools == [3]
+
+
+def test_caller_is_one_of_the_workers(pools):
+    # two indices that each wait for the other: one pool thread and the caller
+    both = threading.Barrier(2, timeout=10)
+
+    def worker(i):
+        both.wait()
+        return threading.current_thread(), run_indexed(lambda j: j, 3, 3)
+
+    ran = run_indexed(worker, 2, 2)
+    threads = [thread for thread, _ in ran]
+    assert threading.current_thread() in threads and len(set(threads)) == 2
+    # neither worker nests a pool, the caller included, though it holds the lock
+    assert [inner for _, inner in ran] == [[0, 1, 2]] * 2
+    assert pools == [2]
 
 
 def test_call_inside_a_worker_runs_serially(pools):
@@ -185,9 +203,10 @@ def test_cv_inside_harness_workers_starts_no_pool(pools):
     pooled = run_experiment(ExperimentConfig(threads=2, **kw))
     # one pool for the truth datasets, one for the replicates
     assert pools == [2, 2]
-    # a serial harness leaves CV free to spread its folds
+    # a serial harness leaves CV free to spread its folds, and each
+    # replicate's draws then factorize Sigma_hat beside their first normals
     assert run_experiment(ExperimentConfig(threads=1, **kw)) == pooled
-    assert pools == [2, 2] + [3] * 3
+    assert pools == [2, 2] + [3, 2] * 3
 
 
 def test_exception_propagates_and_blas_count_returns(blas_at_two, pools):
@@ -280,18 +299,17 @@ def factorizations(blas_at_two, monkeypatch):
     return seen, recording
 
 
-@pytest.mark.parametrize("kind, inside", [("corr_cv", 1), ("naive", 2), ("hard", 2),
-                                          ("band", 2)])
-def test_run_test_holds_the_pin_only_with_corr_cv(blas_at_two, factorizations, kind, inside):
+@pytest.mark.parametrize("kind", ["corr_cv", "naive", "hard", "band"])
+def test_run_test_holds_the_pin_for_every_kind(blas_at_two, factorizations, kind):
     seen, recording = factorizations
     X = RngSeed(3).generator().standard_normal((30, 5))
     run_test(X, _spec(kind, cv_folds=4))
-    assert seen == [inside]
+    assert seen == [1]
     assert blas_at_two() == 2
     recording.raising = True
     with pytest.raises(RuntimeError, match="factorization failed"):
         run_test(X, _spec(kind, cv_folds=4))
-    assert seen == [inside] * 2
+    assert seen == [1] * 2
     assert blas_at_two() == 2
     # the lock went with the pin: another thread can take the hold again
     got = []
@@ -328,7 +346,8 @@ def test_cv_from_another_thread_runs_serially_while_run_test_holds(pools, monkey
     monkeypatch.setattr(inference, "cv_select_lambda", with_cv_beside)
     run_test(X, _spec("corr_cv", cv_folds=2))
     assert other == [alone]
-    assert pools == [2]  # the holder's own CV re-enters its hold
+    # the holder's own CV re-enters its hold, and so do its draws
+    assert pools == [2, 2]
 
 
 @pytest.fixture
@@ -355,23 +374,21 @@ def blas_reads(blas_at_two, monkeypatch):
     return install
 
 
-@pytest.mark.parametrize("kind, inside", [("corr_cv", 1), ("naive", 2), ("hard", 2),
-                                          ("band", 2)])
-def test_estimate_covariance_holds_the_pin_only_with_corr_cv(blas_at_two, blas_reads, kind,
-                                                            inside):
+@pytest.mark.parametrize("kind", ["corr_cv", "naive", "hard", "band"])
+def test_estimate_covariance_holds_the_pin_for_every_kind(blas_at_two, blas_reads, kind):
     # called directly, outside run_test, as demos/covariance_tuning.py calls CV
     seen = blas_reads(inference, "sample_covariance", "psd_project")
     X = RngSeed(3).generator().standard_normal((30, 5))
     spec = EstimatorSpec(kind, cv_folds=2, cv_grid=(0.0, 0.5, 1.0))
     inference.estimate_covariance(X, spec, RngSeed(4))
-    projected = [("psd_project", inside)] if kind != "naive" else []
-    assert seen == [("sample_covariance", inside)] + projected
+    projected = [("psd_project", 1)] if kind != "naive" else []
+    assert seen == [("sample_covariance", 1)] + projected
     assert blas_at_two() == 2
     seen.clear()
     blas_reads.raising = True
     with pytest.raises(RuntimeError, match="sample_covariance failed"):
         inference.estimate_covariance(X, spec, RngSeed(4))
-    assert seen == [("sample_covariance", inside)]
+    assert seen == [("sample_covariance", 1)]
     assert blas_at_two() == 2
 
 
@@ -399,7 +416,7 @@ def test_cv_select_lambda_keeps_the_count_it_found(blas_at_two, blas_reads, monk
 @pytest.mark.parametrize("threads, estimators, inside", [
     (2, ("naive",), 1),
     (1, ("corr_cv",), 1),
-    (1, ("proxy", "naive"), 2),  # starts no pool, so holds nothing
+    (1, ("proxy", "naive"), 1),  # serial and without CV, but held all the same
 ])
 def test_run_experiment_holds_the_pin_when_it_may_pool(blas_at_two, factorizations, monkeypatch,
                                                        threads, estimators, inside):
@@ -430,3 +447,132 @@ def test_stress_each_index_runs_once(monkeypatch):
         sys.setswitchinterval(interval)
     assert out == list(range(count))
     assert runs == [1] * count
+
+
+def _first_chunk_covariances():
+    """Sample covariances at d = 200 of full rank, of rank 100 (copula data
+    with rank-one blocks of two equal coordinates) and of rank 0."""
+    d = 200
+    X = RngSeed(7).generator().standard_normal((2 * d, d))
+    latent = sampling.build_block_covariance(d, 2, 0.8, RngSeed(0))
+    C = sampling.copula_sample(latent, sampling.MarginalKind.UNIFORM_SYM, d, RngSeed(1))
+    return {"full": sample_covariance(X), "deficient": sample_covariance(C),
+            "zero": CovMatrix(np.zeros((d, d)))}
+
+
+@pytest.fixture
+def stall_factorization(monkeypatch):
+    """Once called, make index 1 of the overlap draw its first block before
+    index 0 starts the factorization, and then wait until it is done: so
+    index 1 has drawn some of the chunk's normals, and the caller draws the
+    rest. Returns the event set by index 1's first block."""
+    drew, factored = threading.Event(), threading.Event()
+    generator, factorize_psd = RngSeed.generator, sampling.factorize_psd
+
+    class Stalling:
+        def __init__(self, gen):
+            self.gen = gen
+
+        def standard_normal(self, *args, **kwargs):
+            out = self.gen.standard_normal(*args, **kwargs)
+            drew.set()
+            assert factored.wait(10)
+            return out
+
+    def factorize(S):
+        assert drew.wait(10)
+        try:
+            return factorize_psd(S)
+        finally:
+            factored.set()
+
+    def install():
+        monkeypatch.setattr(RngSeed, "generator", lambda seed: Stalling(generator(seed)))
+        monkeypatch.setattr(sampling, "factorize_psd", factorize)
+        return drew
+
+    return install
+
+
+class TestDrawOverlap:
+    """bootstrap._mvn_rows draws an unfactored covariance's first chunk while
+    index 0 of a two-index run_indexed factorizes it."""
+
+    @pytest.mark.parametrize("rank", ["full", "deficient", "zero"])
+    def test_pooled_first_chunk_equals_mvn_sample(self, pools, stall_factorization, rank):
+        S = _first_chunk_covariances()[rank]
+        F = sampling.factorize_psd(S)
+        assert F.rank == {"full": 200, "deficient": 100, "zero": 0}[rank]
+        seed = RngSeed(5).child(2)
+        want = sampling.mvn_sample(F, 1000, seed)
+        drew = stall_factorization()
+        with parallel.hold():
+            got = bootstrap._mvn_rows(S)(1000, seed)
+        assert drew.is_set()
+        assert got.tobytes() == want.tobytes()
+        assert pools == [2]
+
+    @pytest.mark.parametrize("rank", ["full", "deficient", "zero"])
+    def test_serial_first_chunk_equals_mvn_sample(self, pools, rank):
+        S = _first_chunk_covariances()[rank]
+        seed = RngSeed(5).child(2)
+        want = sampling.mvn_sample(sampling.factorize_psd(S), 1000, seed)
+        with held_by_another_thread():
+            got = bootstrap._mvn_rows(S)(1000, seed)
+        assert got.tobytes() == want.tobytes()
+        assert pools == []
+
+    def test_chunk_boundary(self, pools):
+        # B = 4097: a first chunk of 4096 rows drawn beside the factorization,
+        # then one row from the cached factor
+        S = _first_chunk_covariances()["deficient"]
+        F = sampling.factorize_psd(S)
+        p, rng = LpExponent.finite(2), RngSeed(6)
+        want = bootstrap._norm_draws(lambda m, seed: sampling.mvn_sample(F, m, seed), (p,),
+                                     4097, rng, S.dim)[p]
+        got = bootstrap.gpb_draws(S, p, 4097, rng)
+        assert np.array_equal(got.samples, np.sort(want))
+        assert pools == [2]
+        rows = bootstrap._mvn_rows(CovMatrix(S.values))
+        with parallel.hold():
+            first = rows(4096, rng.child(0))
+            second = rows(1, rng.child(1))
+        assert first.tobytes() == sampling.mvn_sample(F, 4096, rng.child(0)).tobytes()
+        assert second.tobytes() == sampling.mvn_sample(F, 1, rng.child(1)).tobytes()
+        assert pools == [2, 2]  # the second chunk reads the cached factor
+
+    def test_pool_only_where_the_factor_is_missing(self, pools):
+        S = _first_chunk_covariances()["full"]
+        p = LpExponent.finite(2)
+        first = bootstrap.gpb_draws(S, p, 100, RngSeed(8))
+        assert pools == [2]  # gpb_draws holds, so its overlap re-enters the hold
+        assert bootstrap.gpb_draws(S, p, 100, RngSeed(8)).samples.tobytes() == \
+            first.samples.tobytes()
+        assert pools == [2]
+        with held_by_another_thread():
+            again = bootstrap.gpb_draws(CovMatrix(S.values), p, 100, RngSeed(8))
+        assert again.samples.tobytes() == first.samples.tobytes()
+        assert pools == [2]
+
+    @pytest.mark.parametrize("serial", [False, True])
+    def test_not_psd_raises_and_releases(self, blas_at_two, pools, serial):
+        S = CovMatrix(np.diag([1.0, -1.0, 2.0]))
+        with contextlib.ExitStack() as stack:
+            if serial:
+                stack.enter_context(held_by_another_thread())
+            with pytest.raises(ValueError, match="not positive semi-definite"):
+                bootstrap.gpb_draws(S, LpExponent.finite(2), 100, RngSeed(9))
+        assert pools == ([] if serial else [2])
+        assert blas_at_two() == 2
+        got = []
+
+        def take():
+            with parallel.hold() as held:
+                got.append((held, blas_at_two()))
+
+        other = threading.Thread(target=take)
+        other.start()
+        other.join(10)
+        assert not other.is_alive()
+        assert got == [(True, 1)]
+        assert blas_at_two() == 2
