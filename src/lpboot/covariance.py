@@ -87,10 +87,13 @@ def sample_covariance(X: np.ndarray) -> CovMatrix:
     return CovMatrix(S, provenance="naive")
 
 
-def _keep_off_diagonal(a: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """a with the off-diagonal entries where keep is False zeroed; the
-    diagonal is always kept."""
-    out = np.where(keep, a, 0.0)
+def _keep_off_diagonal(a: np.ndarray, keep: np.ndarray,
+                       out: np.ndarray | None = None) -> np.ndarray:
+    """a with the off-diagonal entries where keep is False zeroed and the
+    diagonal kept, written into out (a float64 array of a's shape) if given."""
+    out = np.empty(a.shape) if out is None else out
+    out.fill(0.0)
+    np.copyto(out, a, where=keep)
     np.fill_diagonal(out, np.diag(a))
     return out
 
@@ -335,20 +338,14 @@ def _witness_gaps(S1: np.ndarray, sq: dict, accepted) -> dict:
 
 
 def _masks(S1: np.ndarray, corr: np.ndarray, levels: dict):
-    """For each key -> level of levels, yield (key, A), with A the mask of S1
-    that keeps the off-diagonal entries with corr >= level and the diagonal:
-    the bytes of _keep_off_diagonal(S1, corr >= level), built in one d x d
-    buffer of the caller's fold, with no d x d allocation per mask. Every
-    yield rebuilds the whole buffer, so a caller may overwrite A."""
+    """For each key -> level of levels, yield (key, A), with A the mask
+    _keep_off_diagonal(S1, corr >= level), built in one d x d buffer of the
+    caller's fold, with no d x d allocation per mask. Every yield rebuilds
+    the whole buffer, so a caller may overwrite A."""
     A = np.empty_like(S1)
     keep = np.empty(S1.shape, dtype=bool)
-    diag = np.diag(S1)
     for key, level in levels.items():
-        A.fill(0.0)
-        np.greater_equal(corr, level, out=keep)
-        np.copyto(A, S1, where=keep)
-        np.fill_diagonal(A, diag)
-        yield key, A
+        yield key, _keep_off_diagonal(S1, np.greater_equal(corr, level, out=keep), out=A)
 
 
 def _witness_rung(S1: np.ndarray, S2: np.ndarray, corr: np.ndarray, levels: dict) -> dict:
@@ -403,7 +400,7 @@ def _eigen_bounds(A: np.ndarray, u: float, dtype) -> tuple[float, float]:
 
 def _bound_first(gap: np.ndarray, deficit: np.ndarray, todo: np.ndarray) -> np.ndarray:
     """The entries of todo (folds x grid points) that the selective pass of
-    CV's first eigenvalue rung bounds: at each grid point, its entries in
+    CV's eigenvalue rung bounds: at each grid point, its entries in
     decreasing order of gap up to the shortest prefix whose 3/4 * summed gap
     exceeds the point's deficit, or all of them where none does."""
     first = np.zeros_like(todo)
@@ -432,42 +429,41 @@ def cv_select_lambda(X: np.ndarray, grid, folds: int, seed) -> tuple[float, list
     grid point, one whose summed lower bound does not exceed the cut, the
     least summed upper bound times 1 + 1e-9 plus the folds' rounding slack,
     so it could still win; liveness is recomputed after each pass.  The
-    rungs, in order:
+    three rungs, in order:
 
-    - the witness rung (_witness_rung) scores every mask: one the Cholesky
-      probe accepts is its own projection, so its risk U = ||A - S2|| is
-      exact, and a failing one gets [U - g_w, U], where g_w is at least its
+    - rung 0, the witness rung (_witness_rung), scores every mask: one the
+      Cholesky probe accepts is its own projection, so its risk U = ||A - S2||
+      is exact, and a failing one gets [U - g_w, U], with g_w at least its
       distance g to the PSD cone (_witness_gaps states why, with rounding);
-    - one eigenvalue rung per dtype of _eigvalsh, float32 first where
-      d^2 eps_32 <= 2^-5, that is d <= 512 (above it the widening would
-      reach 2^-5 ||A||_F and more), then float64, bounds the failing masks at
-      live grid points by g (_eigen_bounds) and intersects those bounds with
-      the ones the mask has, so it never loosens one;
-    - the clip makes the failing masks at live grid points exact.
+    - rung 1, the eigenvalue rung, bounds the failing masks at live grid
+      points by g (_eigen_bounds), from _eigvalsh in float32 where
+      d^2 eps_32 <= 2^-5, that is d <= 512 (above it the widening would reach
+      2^-5 ||A||_F and more), in float64 above, and intersects those bounds
+      with the ones the mask has, so it never loosens one;
+    - rung 2, the clip, makes the failing masks at live grid points exact.
 
-    The first eigenvalue rung runs in two passes.  The selective pass
+    The eigenvalue rung runs in two passes.  The selective pass
     (_bound_first) takes each live grid point, its deficit, the cut minus
     its summed lower bound, and its failing folds in decreasing order of the
     witness gap U - lower, and bounds only the shortest prefix whose
     3/4 * summed gap exceeds the deficit, or every one where none does.
     Bounded by g, a mask's lower bound rises by g_w - g, at least 3/4 of its
-    gap where g_w >= 4g: on the 3423 masks the first eigenvalue rung would
+    gap where g_w >= 4g: on the 3423 masks the eigenvalue rung would
     bound at the grid points the witness rung leaves live on the 64
     perfbench seed-0 datasets at 10 folds x 40 points, g_w / g has a 10th
     percentile of 4.9 and a median of 8.0.  The mop-up pass then bounds
     every failing mask at a grid point still live that the selective pass
     left.
 
-    None of this changes an output.  The witness bounds contain the
-    eigenvalue bounds, and the float32 bounds the float64 ones, so a grid
-    point that the wider bounds prune the float64 bounds prune too.  Until
-    the mop-up pass every bound is at least as wide as one full pass of the
-    first eigenvalue rung would make it, so the grid point with that pass's
-    least summed upper bound stays live, and after it every live grid point
-    has that pass's bounds.  So the least upper bound, the live set before
-    the clip and the clipped masks are those of float64 bounds on every
-    mask, and lambda-hat, every risk entry and every NaN position are
-    bit-equal to theirs wherever LAPACK converges.
+    Every rung's interval contains the mask's exact risk, up to the rounding
+    the slack covers, so a pruned grid point has a risk above the minimum,
+    and after the clip every live grid point is exact: lambda-hat and every
+    exact risk equal those of scoring every grid point apart.  Until the
+    mop-up pass every bound is at least as wide as one full pass of the
+    eigenvalue rung would make it, so the grid point with that pass's least
+    summed upper bound stays live, and after it every live grid point has
+    that pass's bounds: the live set before the clip, and so every NaN
+    position, does not depend on what the selective pass bounds.
 
     A risk entry is exact, equal to scoring every grid point apart, where
     some rung scored every fold's mask for that grid point exactly; the other
@@ -502,19 +498,16 @@ def cv_select_lambda(X: np.ndarray, grid, folds: int, seed) -> tuple[float, list
     keys, slack = [None] * folds, [0.0] * folds  # each fold's, recorded by rung 0
     last_rung = np.full((folds, len(grid)), -1)  # the rung that last scored each entry
     live = np.ones(len(grid), dtype=bool)
-    # the eigenvalue rungs between the witness rung and the clip, one per dtype
-    dtypes = [np.float64]
-    if X.shape[1] ** 2 * np.finfo(np.float32).eps <= 2.0**-5:
-        dtypes.insert(0, np.float32)
-    last = len(dtypes) + 1  # the clip's rung
+    # rung 1's precision
+    dtype = np.float32 if X.shape[1] ** 2 * np.finfo(np.float32).eps <= 2.0**-5 else np.float64
 
     def score(nu: int, rung: int, points) -> None:
         """Score fold nu's masks at the grid points `points`, and at every grid
         point that shares one of those masks: rung 0 exactly where the probe
-        accepts and by witness bounds elsewhere, an eigenvalue rung by bounds
-        that it intersects with those the mask has, the clip exactly."""
-        # an eigenvalue rung takes U from rung 0, so it needs no S2
-        S1, S2, corr = _cv_fold(X, n1, seed, nu, rung in (0, last))
+        accepts and by witness bounds elsewhere, rung 1 by eigenvalue bounds
+        that it intersects with those the mask has, rung 2 (the clip) exactly."""
+        # rung 1 takes U from rung 0, so it needs no S2
+        S1, S2, corr = _cv_fold(X, n1, seed, nu, rung != 1)
         if rung == 0:
             # U and g are rounded relative to ||A|| + ||S2||, and ||A|| <= ||S1||
             # for every mask: d^2 eps covers the d^2 squares summed in U and, by
@@ -532,21 +525,21 @@ def cv_select_lambda(X: np.ndarray, grid, folds: int, seed) -> tuple[float, list
             scored = {}
             for key, A in _masks(S1, corr, levels):
                 u = float(est[3, nu, masks[key]])
-                if rung == last:
+                if rung == 2:
                     risk = _frobenius(_eigen_clip(A) - S2)
                     scored[key] = risk, risk, risk, u
                 else:
-                    scored[key] = math.nan, *_eigen_bounds(A, u, dtypes[rung - 1]), u
+                    scored[key] = math.nan, *_eigen_bounds(A, u, dtype), u
         at = [i for i, key in enumerate(keys[nu]) if key in scored]
         new = np.array([scored[keys[nu][i]] for i in at]).T
-        if 0 < rung < last:  # never loosen a bound
+        if rung == 1:  # never loosen a bound
             new[1] = np.fmax(new[1], est[1, nu, at])
             new[2] = np.fmin(new[2], est[2, nu, at])
         est[:, nu, at] = new
         last_rung[nu, at] = rung
 
     # rung 1 runs twice: the selective pass, then the mop-up pass
-    for rung, selective in [(0, False), (1, True), *((r, False) for r in range(1, last + 1))]:
+    for rung, selective in [(0, False), (1, True), (1, False), (2, False)]:
         todo = live & np.isnan(est[0]) & (last_rung < rung)
         if selective:
             todo = _bound_first(est[3] - est[1], cut - lower, todo)
@@ -555,8 +548,8 @@ def cv_select_lambda(X: np.ndarray, grid, folds: int, seed) -> tuple[float, list
         # the slack keeps near-ties exact whatever the rounding in the bounds: a
         # relative part for the least upper bound and the folds' absolute parts,
         # which matter where that bound is small next to the matrices; a NaN
-        # bound compares False, so its grid point stays live. After the last
-        # rung every grid point live before it is exact, so the least upper
+        # bound compares False, so its grid point stays live. After the clip
+        # every grid point live before it is exact, so the least upper
         # bound is the least exact risk, and its first minimizer stays live
         lower = est[1].sum(axis=0)
         cut = est[2].sum(axis=0).min() * (1.0 + 1e-9) + math.fsum(slack)

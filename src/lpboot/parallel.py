@@ -3,33 +3,34 @@ replicates and for CV folds, and the hold on it: one lock plus an OpenBLAS
 thread pin.
 
 At most one pool runs in the process. One reentrant lock decides it, and
-hold(when) takes it without blocking where when is true; with when false it
-takes nothing and yields False. Every hold that takes the lock pins numpy's
-OpenBLAS to one thread and, on exit, also when the body raises, restores the
-count it found and releases the lock; a hold nested in the same thread's
-hold finds 1 and restores 1. A pool already spreads its work over the cores,
-and OpenBLAS splitting every product over the same cores would oversubscribe
-them. run_indexed starts a pool only in a thread that holds the lock,
-re-entering the caller's hold where there is one. The caller is one of the
-pool's workers: it takes indices beside the pool's threads, on its warm
-caches and its own malloc arena. A call from a pool's worker (the caller
-too, while it runs an index) or from any other thread that finds the lock
-held runs its indices serially, so pools never nest. A child process forked
-by the holding thread re-enters the hold and starts pools; one forked by
-another thread finds the lock held and runs serially. Its output is the
-same either way.
+hold() takes it without blocking and yields whether it did. Every hold that
+takes the lock pins numpy's OpenBLAS to one thread and, on exit, also when
+the body raises, restores the count it found and releases the lock; a hold
+nested in the same thread's hold finds 1 and restores 1. A pool already
+spreads its work over the cores, and OpenBLAS splitting every product over
+the same cores would oversubscribe them. run_indexed starts a pool only in
+a thread that holds the lock, re-entering the caller's hold where there is
+one. The caller is one of the pool's workers: it takes indices beside the
+pool's threads, on its warm caches and its own malloc arena. A call from a
+pool's worker (the caller too, while it runs an index) or from any other
+thread that finds the lock held runs its indices serially, so pools never
+nest. A child process forked by the holding thread re-enters the hold and
+starts pools; one forked by another thread finds the lock held and runs
+serially. Its output is the same either way.
 
-Which calls hold, and when, each in one hold(<condition>):
+Which calls hold, each in one hold():
 - run_test (so also confidence_set and lpboot test), estimate_covariance,
   run_experiment, and the draws of gpb_draws, proxy_draws and gmb_draws:
-  always, for their whole body;
+  for their whole body;
+- factorize_psd for its eigh and mvn_sample for its product, so also
+  copula_sample and every CovMatrix.factor();
 - run_indexed: where it would start more than one worker, for its pool;
 - cv_select_lambda called directly: only through its rungs' run_indexed.
 Two reasons. OpenBLAS's helper thread: an OpenBLAS call on two threads leaves
 it spinning for about 80 ms afterwards, whatever the count is set to then,
 and it would take a core from a pool's workers (CV's folds, or the draws'
 normals beside the covariance's factorization) if the products before the
-pool ran on two threads. And the bytes: from d of about 300 OpenBLAS on two
+pool ran on two threads. And the bytes: from d of about 250 OpenBLAS on two
 threads splits eigh and the products and changes their last bits, so only
 calls that compute on one thread everywhere write the same bytes in a pool's
 worker, in a serial run and at any BLAS thread count. The price is the
@@ -99,13 +100,12 @@ def _openblas_thread_calls():
 
 
 @contextlib.contextmanager
-def hold(when: bool = True):
-    """Where when is true, take the pool's lock without blocking and yield
-    whether this thread holds it. A hold that takes the lock pins the bundled
-    OpenBLAS to one thread and, on exit, restores the count it found and
-    releases the lock, also when the body raises. Where when is false, take
-    no lock, leave the BLAS count alone and yield False."""
-    if not (when and _POOL.acquire(blocking=False)):
+def hold():
+    """Take the pool's lock without blocking and yield whether this thread
+    holds it. A hold that takes the lock pins the bundled OpenBLAS to one
+    thread and, on exit, restores the count it found and releases the lock,
+    also when the body raises."""
+    if not _POOL.acquire(blocking=False):
         yield False
         return
     calls = saved = None
@@ -128,7 +128,9 @@ def run_indexed(worker, count: int, threads: int) -> list:
     the started ones have ended. With one worker, inside a pool's worker, or
     while another thread holds the pool, the call runs serially."""
     workers = min(threads, count, _available_cores())
-    with hold(workers > 1 and not getattr(_INDEX, "running", False)) as held:
+    if workers < 2 or getattr(_INDEX, "running", False):
+        return [worker(i) for i in range(count)]
+    with hold() as held:
         if not held:
             return [worker(i) for i in range(count)]
         results, failed, lock = [None] * count, [], threading.Lock()

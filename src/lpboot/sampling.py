@@ -14,6 +14,7 @@ from scipy import special
 
 from .covariance import PSD_CERT_TOL, RANK_TOL, CovMatrix
 from .lp import _exact_text
+from .parallel import hold
 
 
 @dataclass(frozen=True)
@@ -97,7 +98,8 @@ def marginal_quantile(kind: MarginalKind, u):
 def factorize_psd(S: CovMatrix) -> PsdFactor:
     """Eigen-based factor L (d x r) with L @ L.T = S; small eigenvalues dropped."""
     a = S.values
-    w, V = np.linalg.eigh(a)
+    with hold():  # one BLAS thread, so the bytes do not depend on the count
+        w, V = np.linalg.eigh(a)
     scale = float(np.abs(w).max(initial=0.0))
     if w.min(initial=0.0) < -PSD_CERT_TOL * scale:
         raise ValueError(f"matrix is not positive semi-definite (min eig {w.min():g})")
@@ -111,7 +113,8 @@ def mvn_sample(F: PsdFactor, count: int, rng: RngSeed) -> np.ndarray:
     """count i.i.d. rows from N(0, L L'); generated as g @ L.T with g standard normal."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    return rng.generator().standard_normal((count, F.rank)) @ F.factor.T
+    with hold():  # as in factorize_psd
+        return rng.generator().standard_normal((count, F.rank)) @ F.factor.T
 
 
 def build_block_covariance(d: int, block: int, decay: float = 0.8,

@@ -405,11 +405,19 @@ class TestCvSelectLambda:
 
     @staticmethod
     def _clip_rung_data():
-        """n = 12 rows, d = 8 strongly correlated coordinates, where the rung
-        of double-precision bounds and the clip rung run."""
+        """n = 12 rows, d = 8 strongly correlated coordinates, where the
+        eigenvalue rung leaves failing masks live and the clip rung runs."""
         rng = np.random.default_rng(1)
         return (rng.normal(size=(12, 8)) * rng.uniform(0.5, 3.0, size=8)
                 + rng.normal(size=(12, 1)) * rng.uniform(5.0, 20.0, size=8))
+
+    @staticmethod
+    def _one_live_point_data(d):
+        """n = 12 rows, d coordinates with a common factor, whose one grid
+        point 0.5 stays live after the witness rung, with a mask that fails
+        the probe in both folds of RngSeed(0)."""
+        rng = np.random.default_rng(20)
+        return rng.normal(size=(12, d)) + rng.normal(size=(12, 1))
 
     @staticmethod
     def _counted(monkeypatch, fail=()):
@@ -441,18 +449,19 @@ class TestCvSelectLambda:
             counts.append(self._counted(monkeypatch))
             runs.append(cv_select_lambda(X, grid, 3, RngSeed(1))[1])
             monkeypatch.undo()
-        assert counts[0] == counts[1] and counts[0]["float64"] and counts[0]["clip"]
+        assert counts[0] == counts[1] and counts[0]["float32"] and counts[0]["clip"]
         assert np.isnan(runs[0]).any()
         assert np.array_equal(runs[0], runs[1], equal_nan=True)
 
     def test_same_result_without_the_lapacke_entry_point(self, monkeypatch):
         # np.linalg.eigvalsh, the fallback for both precisions, gives the same
-        # lambda-hat and risks
+        # lambda-hat and risks; d = 513 takes the float64 rung
         S = sampling.build_block_covariance(60, 2, 0.8, RngSeed(0))
-        cases = [(sampling.copula_sample(S, sampling.MarginalKind.UNIFORM_SYM, 60, RngSeed(1)),
-                  4, RngSeed(2)), (self._clip_rung_data(), 3, RngSeed(1))]
         grid = list(np.linspace(0.0, 1.0, 12))
-        fast = [cv_select_lambda(X, grid, folds, seed) for X, folds, seed in cases]
+        cases = [(sampling.copula_sample(S, sampling.MarginalKind.UNIFORM_SYM, 60, RngSeed(1)),
+                  grid, 4, RngSeed(2)), (self._clip_rung_data(), grid, 3, RngSeed(1)),
+                 (self._one_live_point_data(513), [0.5], 2, RngSeed(0))]
+        fast = [cv_select_lambda(X, grid, folds, seed) for X, grid, folds, seed in cases]
         eigvalsh, dtypes = np.linalg.eigvalsh, []
 
         def counting(a):
@@ -461,16 +470,15 @@ class TestCvSelectLambda:
 
         without_lapacke(monkeypatch, "dsyevd", "ssyevd")
         monkeypatch.setattr(np.linalg, "eigvalsh", counting)
-        for (X, folds, seed), (lam, risks) in zip(cases, fast):
+        for (X, grid, folds, seed), (lam, risks) in zip(cases, fast):
             got = cv_select_lambda(X, grid, folds, seed)
             assert got[0] == lam and np.array_equal(got[1], risks, equal_nan=True)
         assert set(dtypes) == {np.dtype(np.float32), np.dtype(np.float64)}
 
     def test_failed_eigenvalues_leave_the_plain_bounds(self, monkeypatch):
-        # with [0, U] in place of the eigenvalue bounds in both precisions only
-        # the witness bounds prune, and every failing mask at a grid point
-        # they leave live is projected; lambda-hat and the exact risks do not
-        # change
+        # with [0, U] in place of the eigenvalue bounds only the witness
+        # bounds prune, and every failing mask at a grid point they leave live
+        # is projected; lambda-hat and the exact risks do not change
         def failing(a, dtype=np.float64):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
@@ -480,32 +488,14 @@ class TestCvSelectLambda:
         ours, ref = self._eigh_calls(monkeypatch, X, list(np.linspace(0.0, 1.0, 12)), 4, 2)
         assert 0 < ours <= ref
 
-    def test_failed_double_precision_keeps_the_single_precision_bounds(self, monkeypatch):
-        # the dsyevd rung intersects its bounds with those the mask has, so
-        # where dsyevd fails the clip rung projects what it projects with
-        # dsyevd, and where both precisions fail it projects every failing
-        # mask at a grid point the witness bounds leave live
-        X, grid = self._clip_rung_data(), list(np.linspace(0.0, 1.0, 12))
-        runs = []
-        for fail in ((), ("float64",), ("float64", "float32")):
-            calls = self._counted(monkeypatch, fail)
-            runs.append((cv_select_lambda(X, grid, 3, RngSeed(1)), calls))
-            monkeypatch.undo()
-            assert_matches_reference(runs[-1][0],
-                                     _cv_select_lambda_reference(X, grid, 3, RngSeed(1)))
-        (plain, calls), (kept, kept_calls), (_, none_calls) = runs
-        assert calls["float64"] and kept_calls["float64"]
-        assert kept[0] == plain[0] and np.array_equal(kept[1], plain[1], equal_nan=True)
-        assert kept_calls["clip"] == calls["clip"] < none_calls["clip"]
-
     @pytest.mark.parametrize("d, single", [(512, True), (513, False)])
     def test_single_precision_where_d_squared_eps32_is_at_most_2_to_minus_5(
             self, monkeypatch, d, single):
-        # d <= 512; above it the rung after the witness rung is dsyevd's. The
-        # one grid point stays live after the witness rung, and its mask fails
-        # the probe in both folds, so an eigenvalue rung runs on it
-        rng = np.random.default_rng(20)
-        X = rng.normal(size=(12, d)) + rng.normal(size=(12, 1))
+        # d <= 512; above it the eigenvalue rung is dsyevd's, and each call
+        # runs one precision only. The one grid point stays live after the
+        # witness rung, and its mask fails the probe in both folds, so the
+        # eigenvalue rung runs on it
+        X = self._one_live_point_data(d)
         for nu in range(2):
             S1, _, corr = covariance._cv_fold(X, covariance._cv_split(12), RngSeed(0), nu)
             assert not covariance._psd_accepts(covariance._keep_off_diagonal(S1, corr >= 0.5))
@@ -513,7 +503,7 @@ class TestCvSelectLambda:
         lam, risks = cv_select_lambda(X, [0.5], 2, RngSeed(0))
         assert lam == 0.5 and not math.isnan(risks[0])
         assert calls["float32"] == (2 if single else 0)
-        assert calls["float64"] == 2 and calls["clip"] == 2
+        assert calls["float64"] == (0 if single else 2) and calls["clip"] == 2
 
     @staticmethod
     def _copula_case():
@@ -539,8 +529,8 @@ class TestCvSelectLambda:
     @pytest.mark.parametrize("first", ["none", "largest gap", "all"])
     def test_output_does_not_depend_on_what_the_selective_pass_bounds(self, monkeypatch,
                                                                        first):
-        # the selective pass only loosens what the first eigenvalue rung
-        # would give until the mop-up pass bounds the failing masks at every
+        # the selective pass only loosens what the eigenvalue rung would
+        # give until the mop-up pass bounds the failing masks at every
         # grid point still live, so any choice of masks gives the same bytes
         X, grid, folds, seed = self._copula_case()
         plain = cv_select_lambda(X, grid, folds, seed)
@@ -565,8 +555,8 @@ class TestCvSelectLambda:
         monkeypatch.setattr(covariance, "run_indexed", run_indexed)
         got = cv_select_lambda(X, grid, folds, seed)
         assert got[0] == plain[0] and np.array_equal(got[1], plain[1], equal_nan=True)
-        # witness, selective, mop-up, dsyevd and clip passes
-        assert len(per_pass) == 5 and (per_pass[1] > 0) == (first != "none")
+        # witness, selective, mop-up and clip passes
+        assert len(per_pass) == 4 and (per_pass[1] > 0) == (first != "none")
         assert (per_pass[2] > 0) == (first != "all")
         assert_matches_reference(got, _cv_select_lambda_reference(X, grid, folds, seed))
 
@@ -704,7 +694,7 @@ class TestSinglePrecisionBound:
 
     def test_float32_bounds_contain_the_float64_bounds(self):
         # the widening by delta covers the error of both precisions' g, so the
-        # float32 rung prunes no grid point that float64 bounds would keep live,
+        # float32 bounds contain the risk wherever the float64 bounds do,
         # on every failing mask above: each data kind, near-PSD, past float32
         masks = [m for kind in self.DATA.values() for m in self._masks(kind(_factor_data()))]
         masks += self._near_psd_masks() + self._masks(_factor_data() * 2.0**70)
@@ -798,7 +788,7 @@ class TestWitnessBound:
 
     def test_fewer_eigenvalue_calls_than_failing_masks(self, monkeypatch):
         # copula data with d > n/3: the witness bounds prune grid points, so
-        # the eigenvalue rungs see only some of the failing masks
+        # the eigenvalue rung sees only some of the failing masks
         S = sampling.build_block_covariance(60, 2, 0.8, RngSeed(0))
         X = sampling.copula_sample(S, sampling.MarginalKind.UNIFORM_SYM, 60, RngSeed(1))
         grid, folds, seed = list(np.linspace(0.0, 1.0, 12)), 4, RngSeed(2)

@@ -13,6 +13,7 @@ from lpboot.bootstrap import (_CHUNK, _multiplier_rows, _mvn_rows, _norm_draws,
                               gmb_draws, gpb_draws, proxy_draws)
 from lpboot.covariance import RANK_TOL, CovMatrix, sample_covariance
 from lpboot.lp import LpExponent, lp_norm_rows
+from lpboot.parallel import hold
 from lpboot.sampling import (MarginalKind, RngSeed, build_block_covariance,
                              copula_sample, factorize_psd, marginal_quantile)
 
@@ -31,7 +32,8 @@ def ref_symmetrized(a):
 
 
 def ref_factor(values):
-    w, V = np.linalg.eigh(values)
+    with hold():  # factorize_psd's eigh runs on one BLAS thread
+        w, V = np.linalg.eigh(values)
     scale = float(np.abs(w).max(initial=0.0))
     keep = w > RANK_TOL * scale
     return V[:, keep] * np.sqrt(w[keep])

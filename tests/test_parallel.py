@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from lpboot import bootstrap, covariance, inference, parallel, sampling
+from lpboot import bootstrap, covariance, diagnostics, inference, parallel, sampling
 from lpboot.covariance import CovMatrix, sample_covariance
 from lpboot.harness import ExperimentConfig, run_experiment
 from lpboot.inference import EstimatorSpec, run_test
@@ -143,31 +143,6 @@ def held_by_another_thread():
         done.set()
         t.join(10)
     assert not t.is_alive()
-
-
-def test_hold_false_takes_nothing(blas_at_two):
-    got = []
-
-    def take():
-        with parallel.hold() as held:
-            got.append((held, blas_at_two()))
-
-    with parallel.hold(False) as held:
-        assert held is False
-        assert blas_at_two() == 2
-        # the lock is free: another thread takes the hold meanwhile
-        other = threading.Thread(target=take)
-        other.start()
-        other.join(10)
-    assert got == [(True, 1)]
-    assert blas_at_two() == 2
-    with held_by_another_thread():
-        assert blas_at_two() == 1  # the holder's pin
-        with parallel.hold(False) as held:
-            assert held is False
-            assert blas_at_two() == 1
-        assert blas_at_two() == 1
-    assert blas_at_two() == 2
 
 
 def test_nested_hold_pins_and_restores_the_count_it_found(blas_at_two):
@@ -411,6 +386,35 @@ def test_cv_select_lambda_keeps_the_count_it_found(blas_at_two, blas_reads, monk
         covariance.cv_select_lambda(X, [0.0, 0.5, 1.0], 2, RngSeed(4))
     assert seen and set(seen) == {("sample_covariance", 1)}
     assert blas_at_two() == 2
+
+
+def test_direct_calls_do_not_depend_on_the_blas_count():
+    # from d of about 250 OpenBLAS on two threads changes the last bits of
+    # eigh and of the products, unless the call pins one thread itself
+    calls = parallel._openblas_thread_calls()
+    if calls is None:
+        pytest.skip("numpy ships no OpenBLAS whose thread count can be set")
+    get, set_ = calls
+    d = 400
+    values = sampling.build_block_covariance(d, 10, 0.8, RngSeed(0)).values + 0.5 * np.eye(d)
+    F = sampling.factorize_psd(CovMatrix(values))
+    before, out = get(), []
+    try:
+        for count in (1, 2):
+            set_(count)
+            S = CovMatrix(values)  # uncached, so the probe factorizes it
+            report = diagnostics.levy_concentration(S, LpExponent.finite(2), 0.05, 1000,
+                                                    RngSeed(2))
+            out.append((sampling.copula_sample(CovMatrix(values),
+                                               sampling.MarginalKind.UNIFORM_SYM, 200,
+                                               RngSeed(1)).tobytes(),
+                        sampling.factorize_psd(CovMatrix(values)).factor.tobytes(),
+                        sampling.mvn_sample(F, 200, RngSeed(1)).tobytes(),
+                        report, S.factor().factor.tobytes()))
+            assert get() == count
+    finally:
+        set_(before)
+    assert out[0] == out[1]
 
 
 @pytest.mark.parametrize("threads, estimators, inside", [
