@@ -17,7 +17,7 @@ from typing import Iterable
 import numpy as np
 
 from .lp import LpExponent, _exact_text, lp_norm
-from .parallel import _openblas_function, run_indexed
+from .parallel import _openblas_function, hold, run_indexed
 
 # relative tolerance for the smallest eigenvalue of a matrix accepted as PSD
 PSD_CERT_TOL = 1e-8
@@ -82,7 +82,8 @@ def sample_covariance(X: np.ndarray) -> CovMatrix:
     if not np.all(np.isfinite(X)):
         raise ValueError("data entries must be finite")
     Xc = X - X.mean(axis=0)
-    S = Xc.T @ Xc
+    with hold():  # one BLAS thread, so the bytes do not depend on the count
+        S = Xc.T @ Xc
     S /= X.shape[0]
     return CovMatrix(S, provenance="naive")
 
@@ -143,56 +144,52 @@ def band(M: CovMatrix, ell: int) -> CovMatrix:
 
 
 _LAPACK_COL_MAJOR = 102
-_SYEVD = (ctypes.c_int64, ctypes.c_int, ctypes.c_char, ctypes.c_char, ctypes.c_int64,
-          ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p)
 # routine -> (return type, argument types) of its LAPACKE entry point
-_LAPACKE = {"dsyevd": _SYEVD, "ssyevd": _SYEVD,
+_LAPACKE = {"ssyevd": (ctypes.c_int64, ctypes.c_int, ctypes.c_char, ctypes.c_char,
+                       ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p),
             "dpotrf_work": (ctypes.c_int64, ctypes.c_int, ctypes.c_char, ctypes.c_int64,
                             ctypes.c_void_p, ctypes.c_int64)}
 
 
 def _lapacke(routine: str):
     """LAPACKE_<routine> of numpy's bundled OpenBLAS, or None where it is
-    missing: dsyevd and ssyevd, and dpotrf_work, dpotrf without LAPACKE's
-    scan for NaN. ctypes releases the GIL while it runs, so pool workers
-    call it concurrently."""
+    missing. ctypes serves only the routines numpy has no equal for, and
+    releases the GIL while they run: ssyevd (numpy computes a float32 input
+    in float64) and dpotrf_work, dpotrf without LAPACKE's scan for NaN
+    (np.linalg.cholesky, copying in and out, takes 92 against 70 us at
+    d = 200 and 7.4 against 4.3 ms at d = 1000, on one BLAS thread)."""
     return _openblas_function(f"scipy_LAPACKE_{routine}64_", *_LAPACKE[routine])
 
 
 def _eigvalsh(a: np.ndarray, dtype=np.float64) -> np.ndarray:
-    """Eigenvalues of a symmetric a, ascending, as float64, by LAPACK ?syevd
-    (values only, lower triangle) on a Fortran-order copy of a in dtype. In
-    float64 it is dsyevd, which np.linalg.eigvalsh calls: bit-equal values.
-    In float32, ssyevd takes about 0.7 of dsyevd's time at d = 200 on one
-    BLAS thread; a is first scaled by the power of two 2^-e (at most 2^1022)
-    that brings its largest |entry| into [1/2, 1), since covariance entries
-    reach 2^+-128, past float32's range. By Hoffman-Wielandt and the backward
-    error of the Householder reduction (Higham, Accuracy and Stability of
-    Numerical Algorithms, 2002, s19.3), a function of the eigenvalues that
-    is 1-Lipschitz in a in the Frobenius norm, such as the distance to the
-    PSD cone, then lies within d^2 eps_32 ||a||_F of its exact value.
-    np.linalg.eigvalsh of the same copy, which holds the GIL, is the fallback
-    where the library lacks the routine (it computes a float32 copy in
-    float64, inside that error). Raises LinAlgError where LAPACK fails."""
-    e, single = 0, dtype == np.float32
-    if single:
-        top = max(float(a.max(initial=0.0)), -float(a.min(initial=0.0)))
-        e = max(math.frexp(top)[1], -1022)
-        work = np.empty(a.shape, dtype=np.float32, order="F")
-        np.multiply(a, 2.0**-e, out=work, casting="same_kind")  # exact before the rounding
-    else:
-        work = np.array(a, dtype=float, order="F")
-    if work.ndim != 2 or work.shape[0] != work.shape[1]:
+    """Eigenvalues of a symmetric a, ascending, as float64: np.linalg.eigvalsh's,
+    except in float32 where the library has ssyevd (values only, lower
+    triangle), which takes about 0.7 of dsyevd's time at d = 200 on one BLAS
+    thread. It runs on a Fortran-order float32 copy of a scaled by the power
+    of two 2^-e (at most 2^1022) that brings its largest |entry| into
+    [1/2, 1), since covariance entries reach 2^+-128, past float32's range.
+    By Hoffman-Wielandt and the backward error of the Householder reduction
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2002, s19.3), a
+    function of the eigenvalues that is 1-Lipschitz in a in the Frobenius
+    norm, such as the distance to the PSD cone, then lies within
+    d^2 eps_32 ||a||_F of its exact value; so does float64's. numpy releases
+    the GIL too, but two concurrent np.linalg.eigvalsh calls overlap only
+    from d of about 500, and ssyevd's at every d; CV takes float64 only above
+    d = 512. Raises LinAlgError where LAPACK fails."""
+    ssyevd = _lapacke("ssyevd") if dtype == np.float32 else None
+    if ssyevd is None:
+        return np.linalg.eigvalsh(a)
+    n = a.shape[0]
+    if a.shape != (n, n):
         raise ValueError("eigenvalues need a square matrix")
-    syevd = _lapacke("ssyevd" if single else "dsyevd")
-    if syevd is None:
-        w = np.linalg.eigvalsh(work)
-    else:
-        n = work.shape[0]
-        w = np.empty(n, dtype=work.dtype)
-        if syevd(_LAPACK_COL_MAJOR, b"N", b"L", n, work.ctypes.data, max(n, 1), w.ctypes.data):
-            raise np.linalg.LinAlgError("Eigenvalues did not converge")
-    return np.ldexp(w.astype(float), e) if single else w
+    top = max(float(a.max(initial=0.0)), -float(a.min(initial=0.0)))
+    e = max(math.frexp(top)[1], -1022)
+    work = np.empty((n, n), dtype=np.float32, order="F")
+    np.multiply(a, 2.0**-e, out=work, casting="same_kind")  # exact before the rounding
+    w = np.empty(n, dtype=np.float32)
+    if ssyevd(_LAPACK_COL_MAJOR, b"N", b"L", n, work.ctypes.data, max(n, 1), w.ctypes.data):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    return np.ldexp(w.astype(float), e)
 
 
 def _probe_shift(diag: np.ndarray) -> float:
@@ -204,9 +201,8 @@ def _probe_shift(diag: np.ndarray) -> float:
 def _cholesky_succeeds(work: np.ndarray) -> bool:
     """Whether LAPACK dpotrf factors the square float64 array work, which it
     may overwrite: lower triangle, column-major, so work is in Fortran order
-    or symmetric. It is the routine np.linalg.cholesky calls, on the same
-    bytes, but through ctypes it makes no copy in or out and raises no
-    exception; np.linalg.cholesky is the fallback where the library lacks it."""
+    or symmetric: np.linalg.cholesky's routine on the same bytes, with no
+    copy and no exception (_lapacke), and np.linalg.cholesky where it is missing."""
     potrf = _lapacke("dpotrf_work")
     if potrf is None:
         try:
@@ -251,8 +247,9 @@ def psd_project(M: CovMatrix) -> CovMatrix:
     A Cholesky fast path accepts already-PSD inputs without a full
     eigendecomposition (the dominant cost inside cross-validation loops).
     """
-    a = M.values
-    return CovMatrix(a if _psd_accepts(a) else _eigen_clip(a), provenance=f"psd<-{M.provenance}")
+    with hold():  # as in sample_covariance
+        a = M.values if _psd_accepts(M.values) else _eigen_clip(M.values)
+    return CovMatrix(a, provenance=f"psd<-{M.provenance}")
 
 
 def _rescale_exponent(X: np.ndarray) -> int:
@@ -538,22 +535,23 @@ def cv_select_lambda(X: np.ndarray, grid, folds: int, seed) -> tuple[float, list
         est[:, nu, at] = new
         last_rung[nu, at] = rung
 
-    # rung 1 runs twice: the selective pass, then the mop-up pass
-    for rung, selective in [(0, False), (1, True), (1, False), (2, False)]:
-        todo = live & np.isnan(est[0]) & (last_rung < rung)
-        if selective:
-            todo = _bound_first(est[3] - est[1], cut - lower, todo)
-        todo = [(nu, np.flatnonzero(row)) for nu, row in enumerate(todo) if row.any()]
-        run_indexed(lambda j: score(todo[j][0], rung, todo[j][1]), len(todo), len(todo))
-        # the slack keeps near-ties exact whatever the rounding in the bounds: a
-        # relative part for the least upper bound and the folds' absolute parts,
-        # which matter where that bound is small next to the matrices; a NaN
-        # bound compares False, so its grid point stays live. After the clip
-        # every grid point live before it is exact, so the least upper
-        # bound is the least exact risk, and its first minimizer stays live
-        lower = est[1].sum(axis=0)
-        cut = est[2].sum(axis=0).min() * (1.0 + 1e-9) + math.fsum(slack)
-        live = ~(lower > cut)
+    with hold():  # one BLAS thread for every pass, pooled or serial
+        # rung 1 runs twice: the selective pass, then the mop-up pass
+        for rung, selective in [(0, False), (1, True), (1, False), (2, False)]:
+            todo = live & np.isnan(est[0]) & (last_rung < rung)
+            if selective:
+                todo = _bound_first(est[3] - est[1], cut - lower, todo)
+            todo = [(nu, np.flatnonzero(row)) for nu, row in enumerate(todo) if row.any()]
+            run_indexed(lambda j: score(todo[j][0], rung, todo[j][1]), len(todo), len(todo))
+            # the slack keeps near-ties exact whatever the rounding in the bounds: a
+            # relative part for the least upper bound and the folds' absolute parts,
+            # which matter where that bound is small next to the matrices; a NaN
+            # bound compares False, so its grid point stays live. After the clip
+            # every grid point live before it is exact, so the least upper
+            # bound is the least exact risk, and its first minimizer stays live
+            lower = est[1].sum(axis=0)
+            cut = est[2].sum(axis=0).min() * (1.0 + 1e-9) + math.fsum(slack)
+            live = ~(lower > cut)
     # summed in fold order, as a serial loop would, whichever thread ran a fold
     risks = np.zeros(len(grid))
     for risk in est[0]:
@@ -570,11 +568,11 @@ def cv_select_lambda(X: np.ndarray, grid, folds: int, seed) -> tuple[float, list
 
 def cov_diagnostics(S: CovMatrix) -> CovDiagnostics:
     """Numerical rank, diagonal extremes, and effective rank (trace / op-norm)."""
-    w = _eigvalsh(S.values)
-    wmax = float(np.abs(w).max(initial=0.0))
-    rank = int((w > RANK_TOL * max(wmax, 1e-300)).sum())
+    with hold():  # as in sample_covariance
+        w = _eigvalsh(S.values)
+    op = max(float(np.abs(w).max(initial=0.0)), 1e-300)
+    rank = int((w > RANK_TOL * op).sum())
     d = np.diag(S.values)
-    op = max(wmax, 1e-300)
     return CovDiagnostics(
         rank=rank,
         sigma_min_sq=float(d.min()),
@@ -589,7 +587,8 @@ def cov_error(est: CovMatrix, truth: CovMatrix,
     if est.dim != truth.dim:
         raise ValueError("dimension mismatch")
     diff = est.values - truth.values
-    delta_op = float(np.linalg.norm(diff, 2))
+    with hold():  # as in sample_covariance
+        delta_op = float(np.linalg.norm(diff, 2))
     ps = [p] if isinstance(p, LpExponent) else list(p)
     vec = diff.ravel()
     delta_p = {q: lp_norm(vec, q, d_context=est.dim) for q in ps}

@@ -23,9 +23,9 @@ Which calls hold, each in one hold():
   run_experiment, and the draws of gpb_draws, proxy_draws and gmb_draws:
   for their whole body;
 - factorize_psd for its eigh and mvn_sample for its product, so also
-  copula_sample and every CovMatrix.factor();
-- run_indexed: where it would start more than one worker, for its pool;
-- cv_select_lambda called directly: only through its rungs' run_indexed.
+  copula_sample and every CovMatrix.factor(); psd_project, cov_diagnostics
+  and cov_error for their LAPACK call; cv_select_lambda for its passes;
+- run_indexed: where it would start more than one worker, for its pool.
 Two reasons. OpenBLAS's helper thread: an OpenBLAS call on two threads leaves
 it spinning for about 80 ms afterwards, whatever the count is set to then,
 and it would take a core from a pool's workers (CV's folds, or the draws'
@@ -38,8 +38,8 @@ second BLAS thread where no pool runs: at n = 200, d = 1000 a naive,
 hard or band run_test takes 40-47% longer on one thread than on two.
 
 The module also loads numpy's bundled OpenBLAS once for ctypes calls: the
-thread-count pin here, and LAPACK eigenvalues for lpboot.covariance, which
-ctypes computes with the GIL released, so pool workers run them at once.
+thread-count pin here, and lpboot.covariance's ssyevd and dpotrf_work,
+which ctypes runs with the GIL released, so pool workers run them at once.
 """
 
 from __future__ import annotations

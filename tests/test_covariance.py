@@ -454,8 +454,9 @@ class TestCvSelectLambda:
         assert np.array_equal(runs[0], runs[1], equal_nan=True)
 
     def test_same_result_without_the_lapacke_entry_point(self, monkeypatch):
-        # np.linalg.eigvalsh, the fallback for both precisions, gives the same
-        # lambda-hat and risks; d = 513 takes the float64 rung
+        # without ssyevd the single-precision rung takes np.linalg.eigvalsh's
+        # float64 eigenvalues, which its widened bounds contain, and gives the
+        # same lambda-hat and risks; d = 513 takes the float64 rung
         S = sampling.build_block_covariance(60, 2, 0.8, RngSeed(0))
         grid = list(np.linspace(0.0, 1.0, 12))
         cases = [(sampling.copula_sample(S, sampling.MarginalKind.UNIFORM_SYM, 60, RngSeed(1)),
@@ -468,12 +469,12 @@ class TestCvSelectLambda:
             dtypes.append(a.dtype)
             return eigvalsh(a)
 
-        without_lapacke(monkeypatch, "dsyevd", "ssyevd")
+        without_lapacke(monkeypatch, "ssyevd")
         monkeypatch.setattr(np.linalg, "eigvalsh", counting)
         for (X, grid, folds, seed), (lam, risks) in zip(cases, fast):
             got = cv_select_lambda(X, grid, folds, seed)
             assert got[0] == lam and np.array_equal(got[1], risks, equal_nan=True)
-        assert set(dtypes) == {np.dtype(np.float32), np.dtype(np.float64)}
+        assert dtypes and set(dtypes) == {np.dtype(np.float64)}
 
     def test_failed_eigenvalues_leave_the_plain_bounds(self, monkeypatch):
         # with [0, U] in place of the eigenvalue bounds only the witness
@@ -604,11 +605,12 @@ class TestEigenvalues:
         assert np.array_equal(covariance._eigvalsh(a, np.float64), np.linalg.eigvalsh(a))
 
     def test_bundled_openblas_has_lapacke(self):
-        # without the entry point every eigenvalue call falls back to numpy's
-        # wrapper, which holds the GIL, so CV's pool workers run them in turn
+        # without ssyevd the single-precision rung takes numpy's float64
+        # eigenvalues, whose concurrent calls overlap only from d of about
+        # 500, and without dpotrf_work the probe copies through numpy
         if parallel._openblas() is None:
             pytest.skip("numpy ships no bundled scipy-openblas")
-        for routine in ("dsyevd", "ssyevd", "dpotrf_work"):
+        for routine in ("ssyevd", "dpotrf_work"):
             assert covariance._lapacke(routine) is not None
 
 
@@ -828,13 +830,16 @@ class TestProvenance:
 
 
 class TestDiagnostics:
-    def test_same_with_numpy_eigenvalues(self, monkeypatch):
+    def test_same_with_numpy_eigenvalues(self):
+        # full rank, rank 12 of 30, and indefinite
         rng = np.random.default_rng(19)
         a = rng.normal(size=(30, 12))
-        mats = [CovMatrix(a.T @ a), CovMatrix(a @ a.T), random_symmetric(rng, 9)]
-        fast = [cov_diagnostics(m) for m in mats]
-        without_lapacke(monkeypatch, "dsyevd", "ssyevd")
-        assert [cov_diagnostics(m) for m in mats] == fast
+        for m in [CovMatrix(a.T @ a), CovMatrix(a @ a.T), random_symmetric(rng, 9)]:
+            w = np.linalg.eigvalsh(m.values)
+            op = float(np.abs(w).max())
+            got = cov_diagnostics(m)
+            assert got.rank == int((w > covariance.RANK_TOL * op).sum())
+            assert got.effective_rank == float(np.trace(m.values)) / op
 
     def test_identity(self):
         d = cov_diagnostics(CovMatrix(np.eye(5)))

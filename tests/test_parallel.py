@@ -1,7 +1,8 @@
 """The shared pool: index order, at most one pool at a time, the cap at the
 usable cores, exceptions and the cancellation they cause, the BLAS thread
-count around CV's fold pool and every run_test, and the draws' first chunk
-drawn while the covariance is factorized."""
+count around CV, every run_test and every direct covariance call, lpboot
+without numpy's bundled OpenBLAS, and the draws' first chunk drawn while
+the covariance is factorized."""
 
 import contextlib
 import sys
@@ -367,39 +368,50 @@ def test_estimate_covariance_holds_the_pin_for_every_kind(blas_at_two, blas_read
     assert blas_at_two() == 2
 
 
-def test_cv_select_lambda_keeps_the_count_it_found(blas_at_two, blas_reads, monkeypatch):
-    # one fold runs serially in the caller, which takes no hold
+def test_cv_select_lambda_holds_the_pin(blas_at_two, blas_reads, monkeypatch):
+    # one fold runs serially in the caller, under the call's own hold
     seen = blas_reads(covariance, "sample_covariance")
     X = RngSeed(3).generator().standard_normal((30, 5))
     covariance.cv_select_lambda(X, [0.0, 0.5, 1.0], 1, RngSeed(4))
-    assert seen == [("sample_covariance", 2)] * 2  # the fold's two splits
+    assert seen == [("sample_covariance", 1)] * 2  # the fold's two splits
     assert blas_at_two() == 2
-    # two folds run on the pool, whose hold pins them
+    # two folds run on the pool, which re-enters that hold
     monkeypatch.setattr(parallel, "_available_cores", lambda: 2)
     seen.clear()
     covariance.cv_select_lambda(X, [0.0, 0.5, 1.0], 2, RngSeed(4))
     assert seen == [("sample_covariance", 1)] * 4
     assert blas_at_two() == 2
-    seen.clear()
     blas_reads.raising = True
-    with pytest.raises(RuntimeError, match="sample_covariance failed"):
-        covariance.cv_select_lambda(X, [0.0, 0.5, 1.0], 2, RngSeed(4))
-    assert seen and set(seen) == {("sample_covariance", 1)}
-    assert blas_at_two() == 2
+    for folds in (1, 2):
+        seen.clear()
+        with pytest.raises(RuntimeError, match="sample_covariance failed"):
+            covariance.cv_select_lambda(X, [0.0, 0.5, 1.0], folds, RngSeed(4))
+        assert seen and set(seen) == {("sample_covariance", 1)}
+        assert blas_at_two() == 2
 
 
 def test_direct_calls_do_not_depend_on_the_blas_count():
     # from d of about 250 OpenBLAS on two threads changes the last bits of
-    # eigh and of the products, unless the call pins one thread itself
+    # eigh, eigvalsh, the SVD and the products, unless the call pins one
+    # thread itself
     calls = parallel._openblas_thread_calls()
     if calls is None:
         pytest.skip("numpy ships no OpenBLAS whose thread count can be set")
     get, set_ = calls
-    d = 400
+    d = 450
     values = sampling.build_block_covariance(d, 10, 0.8, RngSeed(0)).values + 0.5 * np.eye(d)
     F = sampling.factorize_psd(CovMatrix(values))
+
+    def cv_bytes(got):
+        lam, risks = got
+        return lam, np.array(risks).tobytes()  # NaN entries compare equal as bytes
+
     before, out = get(), []
     try:
+        set_(1)  # the inputs of the covariance calls, the same bytes on every side
+        X = sampling.mvn_sample(F, 200, RngSeed(1))
+        S_hat = sample_covariance(X)
+        white = sample_covariance(RngSeed(1).generator().standard_normal((200, d)))
         for count in (1, 2):
             set_(count)
             S = CovMatrix(values)  # uncached, so the probe factorizes it
@@ -410,7 +422,13 @@ def test_direct_calls_do_not_depend_on_the_blas_count():
                                                RngSeed(1)).tobytes(),
                         sampling.factorize_psd(CovMatrix(values)).factor.tobytes(),
                         sampling.mvn_sample(F, 200, RngSeed(1)).tobytes(),
-                        report, S.factor().factor.tobytes()))
+                        report, S.factor().factor.tobytes(),
+                        sample_covariance(X).values.tobytes(),
+                        covariance.psd_project(covariance.threshold(S_hat, 0.05)).values.tobytes(),
+                        covariance.cov_diagnostics(S_hat),
+                        covariance.cov_error(white, CovMatrix(np.eye(d)), []).delta_op,
+                        cv_bytes(covariance.cv_select_lambda(X, np.linspace(0.0, 1.0, 12),
+                                                             1, RngSeed(2)))))
             assert get() == count
     finally:
         set_(before)
@@ -432,6 +450,49 @@ def test_run_experiment_holds_the_pin_when_it_may_pool(blas_at_two, factorizatio
     # every call, the serial Sigma.factor() before the truth pool included
     assert seen and set(seen) == {inside}
     assert blas_at_two() == 2
+
+
+def test_without_the_bundled_openblas(pools, monkeypatch):
+    # macOS and Windows wheels and numpy on MKL: no thread count to pin, and
+    # numpy's LAPACK in place of ssyevd and dpotrf_work, with the same bytes;
+    # the common factor makes CV's eigenvalue rung run
+    rng = RngSeed(3).generator()
+    X = rng.standard_normal((60, 40)) + 2.0 * rng.standard_normal((60, 1))
+    ks = ExperimentConfig(kind="ks", n=40, d=20, mc_reps=2, B=100, truth_reps=20, block=2,
+                          cv_folds=2, cv_grid_size=3, estimators=("corr_cv", "naive"))
+
+    def outputs():
+        got = run_test(X, _spec("corr_cv", d=40, cv_folds=4))
+        return (got.statistic, got.critical_value, got.reject, got.p_value,
+                got.distribution.samples.tobytes(), run_experiment(ks))
+
+    with_library = outputs()
+    eigvalsh, single = covariance._eigvalsh, []
+
+    def counting(a, dtype=np.float64):
+        single.append(dtype == np.float32)
+        return eigvalsh(a, dtype)
+
+    monkeypatch.setattr(parallel, "_openblas_thread_calls", lambda: None)
+    monkeypatch.setattr(covariance, "_lapacke", lambda routine: None)
+    monkeypatch.setattr(covariance, "_eigvalsh", counting)
+    with parallel.hold() as held:
+        assert held
+    got = []
+
+    def take():
+        with parallel.hold() as taken:
+            got.append(taken)
+
+    other = threading.Thread(target=take)  # the hold released the lock
+    other.start()
+    other.join(10)
+    assert got == [True]
+    pools.clear()
+    assert run_indexed(lambda i: i, 4, 2) == [0, 1, 2, 3]
+    assert pools == [2]
+    assert outputs() == with_library
+    assert any(single)
 
 
 def test_stress_each_index_runs_once(monkeypatch):
