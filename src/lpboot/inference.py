@@ -14,7 +14,7 @@ from scipy.special import gammaln
 
 from .bootstrap import (MAX_DRAWS, EmpiricalDistribution, critical_value,
                         gpb_draws)
-from .covariance import (CovMatrix, _rescale_exponent, band,
+from .covariance import (CovMatrix, _band_width, _rescale_exponent, band,
                          correlation_threshold, cv_select_lambda, psd_project,
                          sample_covariance, threshold)
 from .lp import LpExponent, _exact_text, lp_norm
@@ -39,8 +39,7 @@ class EstimatorSpec:
             raise ValueError(f"unknown estimator kind {self.kind!r}")
         if not 0.0 <= self.lam < math.inf:
             raise ValueError("threshold level must be finite and nonnegative")
-        if self.ell < 0:
-            raise ValueError("band width must be nonnegative")
+        object.__setattr__(self, "ell", _band_width(self.ell))  # band(True) reads band(1)
         if self.cv_folds < 1:
             raise ValueError("folds must be >= 1")
         if not self.cv_grid or not all(0.0 <= g <= 1.0 for g in self.cv_grid):

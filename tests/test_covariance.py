@@ -144,6 +144,12 @@ class TestThreshold:
         assert np.array_equal(np.diag(out), np.diag(m.values))
         assert np.allclose(out, out.T)
 
+    @pytest.mark.parametrize("lam", [math.nan, -0.1, -math.inf])
+    def test_rejects_a_level_that_is_not_nonnegative(self, lam):
+        # NaN compares False with 0.0, and would keep only the diagonal
+        with pytest.raises(ValueError, match="nonnegative"):
+            threshold(CovMatrix(np.eye(3)), lam)
+
 
 class TestCorrelationThreshold:
     def test_level_zero_identity(self):
@@ -187,6 +193,18 @@ class TestBand:
         j, k = np.indices((6, 6))
         assert np.all(out[np.abs(j - k) >= 2] == 0.0)
         assert np.array_equal(out[np.abs(j - k) <= 1], m.values[np.abs(j - k) <= 1])
+
+    @pytest.mark.parametrize("ell", [1.5, 1.0, np.float64(2.0), "1", None, -1])
+    def test_rejects_a_width_that_is_no_nonnegative_integer(self, ell):
+        # 1.5 would band at 1 but be labelled band(1.5)
+        with pytest.raises(ValueError, match="band width"):
+            band(CovMatrix(np.eye(3)), ell)
+
+    def test_takes_any_integer_width(self):
+        m = random_symmetric(np.random.default_rng(6), 4)
+        got = band(m, np.int64(1))
+        assert got.provenance == "band(1)<-unspecified"
+        assert got.values.tobytes() == band(m, 1).values.tobytes()
 
 
 class TestPsdProject:
@@ -707,6 +725,23 @@ class TestSinglePrecisionBound:
             assert lower <= lower64 <= upper64 <= upper
 
 
+def _masked_reference(a, keep):
+    """a with the off-diagonal entries where keep is False set to +0.0 and the
+    diagonal kept, by np.where, independently of _keep_off_diagonal."""
+    out = np.where(keep, a, 0.0)
+    np.fill_diagonal(out, np.diag(a))
+    return out
+
+
+def assert_masked(got, a, keep):
+    """got has the bytes of _masked_reference(a, keep), so +0.0, never -0.0,
+    at every dropped off-diagonal entry."""
+    assert got.tobytes() == _masked_reference(a, keep).tobytes()
+    dropped = ~keep
+    np.fill_diagonal(dropped, False)
+    assert not np.signbit(got[dropped]).any()
+
+
 class TestMasks:
     @given(n=st.integers(2, 12), d=st.integers(1, 8), constant=st.booleans(),
            levels=st.lists(st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0)),
@@ -727,9 +762,41 @@ class TestMasks:
         seen = []
         for key, A in covariance._masks(S1, corr, levels):
             seen.append(key)
-            assert A.tobytes() == covariance._keep_off_diagonal(S1, corr >= levels[key]).tobytes()
+            assert_masked(A, S1, corr >= levels[key])
             A.fill(np.nan)
         assert seen == list(levels)
+
+    @given(d=st.integers(1, 8), seed=st.integers(0, 2**32 - 1), zero_variance=st.booleans(),
+           negative_zeros=st.booleans(), lam=st.floats(0.0, 1.0), width=st.integers(0, 8))
+    @example(d=1, seed=0, zero_variance=True, negative_zeros=False, lam=0.0, width=0)
+    @example(d=4, seed=1, zero_variance=True, negative_zeros=True, lam=0.0, width=1)
+    @example(d=6, seed=2, zero_variance=False, negative_zeros=True, lam=0.3, width=2)
+    @settings(max_examples=100, deadline=None)
+    def test_every_mask_against_a_masked_copy(self, d, seed, zero_variance, negative_zeros,
+                                              lam, width):
+        # negative off-diagonal entries, which a float product a * keep turns
+        # into -0.0 where dropped; -0.0 entries, which keep their sign where
+        # kept (level 0 keeps every pair); a zero-variance coordinate; d = 1
+        rng = np.random.default_rng(seed)
+        a = np.triu(rng.normal(size=(d, d)), 1)
+        a += a.T
+        if negative_zeros:  # after the sum, where -0.0 + 0.0 would give +0.0
+            at = np.triu(rng.random((d, d)) < 0.3, 1)
+            at[0, -1] = d > 1
+            a[at | at.T] = -0.0
+        np.fill_diagonal(a, rng.uniform(0.5, 2.0, size=d))
+        if zero_variance:
+            a[0, :] = a[:, 0] = 0.0
+        M = CovMatrix(a)
+        assert M.values.tobytes() == a.tobytes()
+        assert_masked(threshold(M, lam).values, a, np.abs(a) > lam)
+        corr = covariance._abs_correlation(a)
+        assert_masked(correlation_threshold(M, lam).values, a, corr >= lam)
+        j, k = np.indices(a.shape)
+        assert_masked(band(M, width).values, a, np.abs(j - k) <= width)
+        levels = dict(enumerate([0.0, lam, 1.0, 0.5]))
+        for key, A in covariance._masks(a, corr, levels):
+            assert_masked(A, a, corr >= levels[key])
 
 
 class TestWitnessBound:

@@ -1,6 +1,7 @@
 """The draw path computes in place: the same bytes as the out-of-place
 expressions it replaced (written out below as the references), a caller's
-array never written, and at most two chunk-sized arrays alive per chunk."""
+array never written, and at most two chunk-sized arrays alive per chunk;
+CV's masks are built in their fold's buffers."""
 
 import math
 import tracemalloc
@@ -11,7 +12,8 @@ from scipy import special
 
 from lpboot.bootstrap import (_CHUNK, _multiplier_rows, _mvn_rows, _norm_draws,
                               gmb_draws, gpb_draws, proxy_draws)
-from lpboot.covariance import RANK_TOL, CovMatrix, sample_covariance
+from lpboot.covariance import (RANK_TOL, CovMatrix, _abs_correlation, _masks,
+                               sample_covariance)
 from lpboot.lp import LpExponent, lp_norm_rows
 from lpboot.parallel import hold
 from lpboot.sampling import (MarginalKind, RngSeed, build_block_covariance,
@@ -231,3 +233,20 @@ def test_factorize_psd_holds_two_matrices():
     G = RngSeed(15).generator().standard_normal((2 * d, d))
     S = CovMatrix(G.T @ G / (2 * d))
     assert traced_peak(lambda: factorize_psd(S)) <= 2.3 * d * d * 8
+
+
+def test_masks_allocate_no_matrix_per_mask():
+    # a fold's 40 masks in its two buffers, the d x d float64 mask and the
+    # d x d bool keep (1.125 of a d x d float64 array), beside the product's
+    # cast of the bools through numpy's 8192-entry buffer (0.2 of one at
+    # d = 200); a cast of the whole keep adds 1, a bool keep per mask 0.125
+    d = 200
+    X = RngSeed(16).generator().standard_normal((d, d))
+    S1 = sample_covariance(X[:d // 3]).values
+    corr = _abs_correlation(S1)
+    levels = dict(enumerate(np.linspace(0.0, 1.0, 40)))
+
+    def build():
+        assert sum(1 for _ in _masks(S1, corr, levels)) == 40
+
+    assert traced_peak(build) <= 1.4 * d * d * 8

@@ -47,6 +47,8 @@ class TestEstimatorSpec:
         dict(kind="hard", lam=math.inf),
         dict(kind="hard", lam=-1.0),
         dict(kind="band", ell=-1),
+        dict(kind="band", ell=1.5),
+        dict(kind="band", ell=np.float64(2.0)),
         dict(kind="corr_cv", cv_folds=0),
         dict(kind="corr_cv", cv_grid=()),
         dict(kind="corr_cv", cv_grid=(0.0, 1.5)),
@@ -56,6 +58,11 @@ class TestEstimatorSpec:
     def test_rejects_degenerate_specs(self, kw):
         with pytest.raises(ValueError):
             EstimatorSpec(**kw)
+
+    def test_band_width_is_an_int(self):
+        for ell in (np.int64(2), True):
+            spec = EstimatorSpec("band", ell=ell)
+            assert type(spec.ell) is int and spec.label == f"band({int(ell)})"
 
 
 class TestEstimateCovariance:
