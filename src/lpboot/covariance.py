@@ -75,17 +75,30 @@ class CovError:
     delta_p: dict  # LpExponent -> entrywise lp error of the vectorized difference
 
 
-def sample_covariance(X: np.ndarray) -> CovMatrix:
-    """Sample covariance with divisor n (not n-1); PSD by construction."""
-    X = np.asarray(X, dtype=float)
+def _gram(X: np.ndarray) -> np.ndarray:
+    """Xc^T Xc / n for the float64 rows X centered by their mean: exactly
+    symmetric, since numpy computes the product of a matrix with its own
+    transpose by syrk and mirrors the triangle, so CovMatrix's symmetrization
+    leaves its bytes as they are. Checks nothing, and pins nothing."""
+    Xc = X - X.mean(axis=0)
+    S = Xc.T @ Xc
+    S /= X.shape[0]
+    return S
+
+
+def _check_data(X: np.ndarray) -> None:
     if X.ndim != 2 or X.shape[0] < 2:
         raise ValueError("need at least two observations")
     if not np.all(np.isfinite(X)):
         raise ValueError("data entries must be finite")
-    Xc = X - X.mean(axis=0)
+
+
+def sample_covariance(X: np.ndarray) -> CovMatrix:
+    """Sample covariance with divisor n (not n-1); PSD by construction."""
+    X = np.asarray(X, dtype=float)
+    _check_data(X)
     with hold():  # one BLAS thread, so the bytes do not depend on the count
-        S = Xc.T @ Xc
-    S /= X.shape[0]
+        S = _gram(X)
     return CovMatrix(S, provenance="naive")
 
 
@@ -184,12 +197,16 @@ def _lapacke(routine: str):
 
 
 def _eigvalsh(a: np.ndarray, dtype=np.float64) -> np.ndarray:
-    """Eigenvalues of a symmetric a, ascending, as float64: np.linalg.eigvalsh's,
-    except in float32 where the library has ssyevd (values only, lower
-    triangle), which takes about 0.7 of dsyevd's time at d = 200 on one BLAS
-    thread. It runs on a Fortran-order float32 copy of a scaled by the power
-    of two 2^-e (at most 2^1022) that brings its largest |entry| into
-    [1/2, 1), since covariance entries reach 2^+-128, past float32's range.
+    """Eigenvalues of an exactly symmetric a, ascending, as float64:
+    np.linalg.eigvalsh's, except in float32 where the library has ssyevd
+    (values only, lower triangle), which takes about 0.7 of dsyevd's time at
+    d = 200 on one BLAS thread. It runs on a C-order float32 copy of a scaled
+    by the power of two 2^-e (at most 2^1022) that brings its largest |entry|
+    into [1/2, 1), since covariance entries reach 2^+-128, past float32's
+    range. Read in column-major order that copy is its transpose, equal to
+    it as a is symmetric, so LAPACK sees the bytes of the Fortran-order copy,
+    which a strided cast writes in about twice the time (13 against 6 us at
+    d = 200).
     By Hoffman-Wielandt and the backward error of the Householder reduction
     (Higham, Accuracy and Stability of Numerical Algorithms, 2002, s19.3), a
     function of the eigenvalues that is 1-Lipschitz in a in the Frobenius
@@ -206,7 +223,7 @@ def _eigvalsh(a: np.ndarray, dtype=np.float64) -> np.ndarray:
         raise ValueError("eigenvalues need a square matrix")
     top = max(float(a.max(initial=0.0)), -float(a.min(initial=0.0)))
     e = max(math.frexp(top)[1], -1022)
-    work = np.empty((n, n), dtype=np.float32, order="F")
+    work = np.empty((n, n), dtype=np.float32)
     np.multiply(a, 2.0**-e, out=work, casting="same_kind")  # exact before the rounding
     w = np.empty(n, dtype=np.float32)
     if ssyevd(_LAPACK_COL_MAJOR, b"N", b"L", n, work.ctypes.data, max(n, 1), w.ctypes.data):
@@ -296,10 +313,12 @@ def _cv_split(n: int) -> int:
 def _cv_fold(X: np.ndarray, n1: int, seed, nu: int, second: bool = True):
     """Fold nu's halves, S1 on the first n1 rows of its permutation and S2 on
     the rest (None unless `second`), and |corr(S1)|; built from the fold's own
-    seed, so every call returns the same bytes."""
+    seed, so every call returns the same bytes. Each half is _gram's, the
+    bytes of sample_covariance without its checks and its CovMatrix: the
+    caller checks X once."""
     perm = seed.child(nu).generator().permutation(X.shape[0])
-    S1 = sample_covariance(X[perm[:n1]]).values
-    S2 = sample_covariance(X[perm[n1:]]).values if second else None
+    S1 = _gram(X[perm[:n1]])
+    S2 = _gram(X[perm[n1:]]) if second else None
     return S1, S2, _abs_correlation(S1)
 
 
@@ -324,15 +343,19 @@ def _witness_gaps(S1: np.ndarray, sq: dict, accepted) -> dict:
     W = (1 - t) A_lo + t A_hi has ||A - W||^2 = (1 - t)^2 x + t^2 y, least at
     xy / (x + y); x itself where no witness lies above A.
 
-    Rounding: each squared norm is a sum of d^2 products, within d^2 eps
-    ||S1||^2 of its value, so x and y are inflated by 2 d^2 eps ||S1||^2,
-    which also covers the subtraction, and the bound increases in both.  A
-    witness the probe accepted is PSD only once shifted by the probe's tau
-    and Cholesky's backward error: RR^T = W + tau I + E with
-    ||E||_F <= gamma_{d+1} tr(W + tau I) (Higham, Accuracy and Stability of
-    Numerical Algorithms, 2002, Thm 10.3), and tr W = tr S1, so every
-    bound adds tau sqrt(d) + gamma_{d+1} (tr S1 + d tau), the distance from W
-    to that PSD matrix, for a convex combination too."""
+    Rounding: each squared norm is a sum of d^2 products of entries of S1,
+    within d^2 eps ||S1||^2 of its value whatever the order of the sum
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2002, s4.2: any
+    order of summing m nonnegative terms is within gamma_{m-1} of their sum,
+    and fused multiply-adds only drop the products' rounding), so a blocked
+    BLAS ddot is covered as einsum is; x and y are inflated by
+    2 d^2 eps ||S1||^2, which also covers the subtraction, and the bound
+    increases in both.  A witness the probe accepted is PSD only once
+    shifted by the probe's tau and Cholesky's backward error:
+    RR^T = W + tau I + E with ||E||_F <= gamma_{d+1} tr(W + tau I) (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2002, Thm 10.3), and
+    tr W = tr S1, so every bound adds tau sqrt(d) + gamma_{d+1} (tr S1 + d tau),
+    the distance from W to that PSD matrix, for a convex combination too."""
     d = S1.shape[0]
     eps = np.finfo(float).eps
     diag = np.diag(S1)
@@ -375,7 +398,10 @@ def _witness_rung(S1: np.ndarray, S2: np.ndarray, corr: np.ndarray, levels: dict
     Cholesky probe accepts A, [U - g_w, U] with g_w from _witness_gaps
     elsewhere. A - S2 goes into a second d x d buffer, and the probe factors
     the shifted mask in place once U and ||A||^2 are taken: the same
-    decision as _psd_accepts."""
+    decision as _psd_accepts. ||A||^2 is BLAS ddot's, on one thread under
+    the caller's hold (1.6 against einsum's 10.4 us at d = 200), as only
+    _witness_gaps' bounds read it; U stays _frobenius's, as an accepted
+    mask reports it as its exact risk."""
     D = np.empty_like(S1)
     diag = np.diag(S1)
     shifted = diag + _probe_shift(diag)
@@ -383,7 +409,7 @@ def _witness_rung(S1: np.ndarray, S2: np.ndarray, corr: np.ndarray, levels: dict
     for key, A in _masks(S1, corr, levels):
         np.subtract(A, S2, out=D)
         u = _frobenius(D)
-        sq[key] = float(np.einsum("ij,ij->", A, A))
+        sq[key] = float(np.vdot(A, A))
         np.fill_diagonal(A, shifted)
         if _cholesky_succeeds(A):  # A is symmetric, as S1 and corr are
             accepted.add(key)
@@ -431,6 +457,18 @@ def _bound_first(gap: np.ndarray, deficit: np.ndarray, todo: np.ndarray) -> np.n
         k = np.searchsorted(np.cumsum(gap[at, i]) * 0.75, deficit[i], side="right")
         first[at[:k + 1], i] = True
     return first
+
+
+def _longest_first(jobs: list, keys: list) -> list:
+    """CV's jobs, (fold nu, its grid points), in decreasing order of the
+    number of distinct masks each scores, ties in fold order, so that on a
+    pool no long job starts last beside idle workers. Before rung 0 records
+    a fold's keys, each of its grid points counts as a mask."""
+    def masks(job) -> int:
+        nu, points = job
+        return len(points) if keys[nu] is None else len({keys[nu][i] for i in points})
+
+    return sorted(jobs, key=masks, reverse=True)
 
 
 def cv_select_lambda(X: np.ndarray, grid, folds: int, seed) -> tuple[float, list[float]]:
@@ -491,8 +529,10 @@ def cv_select_lambda(X: np.ndarray, grid, folds: int, seed) -> tuple[float, list
     entries are NaN, and their risk is above the minimum (730 of the 2560
     entries on the 64 perfbench seed-0 datasets at 10 folds x 40 points).
     Each pass runs its folds on lpboot's one pool (lpboot.parallel), capped
-    at the usable cores; the probe and the eigenvalues run with the GIL
-    released.
+    at the usable cores, longest first (_longest_first); the probe and the
+    eigenvalues run with the GIL released. Every fold writes only its own
+    entries and the risks are summed in fold order, so neither the pool nor
+    the job order changes a byte.
 
     Data whose largest |entry| lies outside [2^-64, 2^64] is rescaled by the
     power of two that brings it into [1/2, 1) first, so lambda-hat does not
@@ -500,7 +540,8 @@ def cv_select_lambda(X: np.ndarray, grid, folds: int, seed) -> tuple[float, list
     (inf past the largest float).
     """
     X = np.asarray(X, dtype=float)
-    n = X.shape[0]
+    _check_data(X)
+    n, d = X.shape
     grid = [float(g) for g in grid]
     if not grid:
         raise ValueError("empty threshold grid")
@@ -520,7 +561,8 @@ def cv_select_lambda(X: np.ndarray, grid, folds: int, seed) -> tuple[float, list
     last_rung = np.full((folds, len(grid)), -1)  # the rung that last scored each entry
     live = np.ones(len(grid), dtype=bool)
     # rung 1's precision
-    dtype = np.float32 if X.shape[1] ** 2 * np.finfo(np.float32).eps <= 2.0**-5 else np.float64
+    dtype = np.float32 if d * d * np.finfo(np.float32).eps <= 2.0**-5 else np.float64
+    upper = np.less.outer(np.arange(d), np.arange(d))  # the strict upper triangle
 
     def score(nu: int, rung: int, points) -> None:
         """Score fold nu's masks at the grid points `points`, and at every grid
@@ -533,9 +575,8 @@ def cv_select_lambda(X: np.ndarray, grid, folds: int, seed) -> tuple[float, list
             # U and g are rounded relative to ||A|| + ||S2||, and ||A|| <= ||S1||
             # for every mask: d^2 eps covers the d^2 squares summed in U and, by
             # Weyl's inequality, the backward error of dsyevd's eigenvalues in g
-            d = S1.shape[0]
             slack[nu] = d * d * np.finfo(float).eps * (_frobenius(S1) + _frobenius(S2))
-            off = np.sort(corr[np.triu_indices_from(corr, 1)])
+            off = np.sort(corr[upper])
             keys[nu] = (off.size - np.searchsorted(off, grid, side="left")).tolist()
         masks = {keys[nu][i]: i for i in points}
         levels = {key: grid[i] for key, i in masks.items()}
@@ -565,7 +606,8 @@ def cv_select_lambda(X: np.ndarray, grid, folds: int, seed) -> tuple[float, list
             todo = live & np.isnan(est[0]) & (last_rung < rung)
             if selective:
                 todo = _bound_first(est[3] - est[1], cut - lower, todo)
-            todo = [(nu, np.flatnonzero(row)) for nu, row in enumerate(todo) if row.any()]
+            todo = _longest_first([(nu, np.flatnonzero(row))
+                                   for nu, row in enumerate(todo) if row.any()], keys)
             run_indexed(lambda j: score(todo[j][0], rung, todo[j][1]), len(todo), len(todo))
             # the slack keeps near-ties exact whatever the rounding in the bounds: a
             # relative part for the least upper bound and the folds' absolute parts,

@@ -89,6 +89,14 @@ class ExperimentConfig:
             self.delta_grid = tuple(default_delta_grid(self.kind, self.n, self.d))
         if not all(math.isfinite(delta) for delta in self.delta_grid):
             raise ValueError("delta_grid values must be finite")
+        # float64 entries in the largest array numpy can index: the data are
+        # n x d and the covariance d x d
+        largest = np.iinfo(np.intp).max // 8
+        if max(self.n, self.d) * self.d > largest:
+            raise ValueError(f"n * d and d * d must be at most {largest}")
+        # a power run's shift sqrt(n) * delta * v, where v has unit entries
+        if not math.isfinite(math.sqrt(self.n) * max(map(abs, self.delta_grid), default=0.0)):
+            raise ValueError("delta_grid values times sqrt(n) must be finite")
         for p in self.p_list:
             p.resolve(self.d)
         if self.uses_cv:

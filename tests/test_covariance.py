@@ -116,6 +116,27 @@ class TestSampleCovariance:
         with pytest.raises(ValueError):
             sample_covariance(np.ones((1, 3)))
 
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(2, 70), d=st.integers(1, 60), seed=st.integers(0, 2**32 - 1),
+           scale=st.sampled_from([-60, 0, 60]), constant=st.booleans(),
+           negative_zeros=st.booleans())
+    @example(n=2, d=1, seed=0, scale=0, constant=True, negative_zeros=True)
+    @example(n=70, d=60, seed=1, scale=60, constant=True, negative_zeros=True)
+    @example(n=70, d=60, seed=2, scale=-60, constant=True, negative_zeros=False)
+    def test_gram_is_sample_covariance_and_exactly_symmetric(self, n, d, seed, scale,
+                                                             constant, negative_zeros):
+        # CV's folds take _gram's matrix as it is, skipping CovMatrix's
+        # symmetrization, which must therefore leave every byte as it is
+        X = RngSeed(seed).generator().standard_normal((n, d)) * 2.0**scale
+        if constant:
+            X[:, d // 2] = 3.0 * 2.0**scale
+        if negative_zeros:
+            X[::2, 0] = -0.0
+        with parallel.hold():
+            S = covariance._gram(X)
+        assert S.tobytes() == S.T.tobytes()
+        assert S.tobytes() == sample_covariance(X).values.tobytes()
+
 
 class TestThreshold:
     def test_zero_level_hard_is_identity(self):
@@ -328,6 +349,14 @@ class TestCvSelectLambda:
             with pytest.raises(ValueError, match=r"\[0, 1\]"):
                 cv_select_lambda(X, grid, 2, None)
 
+    def test_rejects_bad_data_before_fold_work(self):
+        # the folds' matrices are built unchecked, so the call checks X once
+        for bad in (math.nan, math.inf, -math.inf):
+            X = np.random.default_rng(14).normal(size=(30, 4))
+            X[7, 2] = bad
+            with pytest.raises(ValueError, match="data entries must be finite"):
+                cv_select_lambda(X, [0.0, 0.5], 2, None)
+
     def test_constant_column_is_uncorrelated(self):
         X = np.random.default_rng(15).normal(size=(30, 4))
         X[:, 2] = 3.0
@@ -439,10 +468,12 @@ class TestCvSelectLambda:
 
     @staticmethod
     def _counted(monkeypatch, fail=()):
-        """Calls of _eigvalsh per dtype ("float32", "float64") and of the clip
-        ("clip"); _eigvalsh raises in the dtypes named in fail."""
-        calls = {"float32": 0, "float64": 0, "clip": 0}
+        """Calls of _eigvalsh per dtype ("float32", "float64"), of the clip
+        ("clip") and of the probe ("probe"); _eigvalsh raises in the dtypes
+        named in fail."""
+        calls = {"float32": 0, "float64": 0, "clip": 0, "probe": 0}
         eigvalsh, clip = covariance._eigvalsh, covariance._eigen_clip
+        probe = covariance._cholesky_succeeds
 
         def counting(a, dtype=np.float64):
             name = np.dtype(dtype).name
@@ -455,9 +486,40 @@ class TestCvSelectLambda:
             calls["clip"] += 1
             return clip(a)
 
+        def probing(work):
+            calls["probe"] += 1
+            return probe(work)
+
         monkeypatch.setattr(covariance, "_eigvalsh", counting)
         monkeypatch.setattr(covariance, "_eigen_clip", clipping)
+        monkeypatch.setattr(covariance, "_cholesky_succeeds", probing)
         return calls
+
+    @pytest.mark.parametrize("case", ["copula", "clip"])
+    def test_pass_order_changes_nothing(self, monkeypatch, case):
+        # each pass runs its folds longest first; reversed, serial or pooled,
+        # every fold does the same work and writes the same entries
+        if case == "copula":  # n = d = 60 at 10 folds x 40 points
+            X, _, _, seed = self._copula_case()
+            grid, folds = list(np.linspace(0.0, 1.0, 40)), 10
+        else:
+            X, grid, folds = self._clip_rung_data(), list(np.linspace(0.0, 1.0, 12)), 3
+            seed = RngSeed(1)
+        longest_first, runs = covariance._longest_first, []
+        for cores in (1, 3):
+            for reverse in (False, True):
+                monkeypatch.setattr(parallel, "_available_cores", lambda c=cores: c)
+                if reverse:
+                    monkeypatch.setattr(covariance, "_longest_first",
+                                        lambda jobs, keys: longest_first(jobs, keys)[::-1])
+                calls = self._counted(monkeypatch)
+                lam, risks = cv_select_lambda(X, grid, folds, seed)
+                runs.append((lam, np.array(risks).tobytes(), calls))
+                monkeypatch.undo()
+        assert all(run == runs[0] for run in runs[1:])
+        lam, risks, calls = runs[0]
+        assert np.isnan(np.frombuffer(risks)).any() and calls["float32"] and calls["probe"]
+        assert calls["clip"] or case == "copula"
 
     def test_serial_and_pooled_runs_leave_nan_in_the_same_places(self, monkeypatch):
         X, grid = self._clip_rung_data(), list(np.linspace(0.0, 1.0, 12))

@@ -123,7 +123,18 @@ class TestExperimentConfig:
                           ("power-dense", dict(d=10**400, block=1))):
             with pytest.raises(ValueError, match="too large for a float"):
                 ExperimentConfig(kind=kind, **big)
-        assert ExperimentConfig(kind="ks", n=10**400).n == 10**400
+        # so are sizes past the largest array numpy can index, and shifts that
+        # overflow: each failed only after compute started
+        for kind, big in (("ks", dict(n=10**23)), ("ks", dict(n=10**400)),
+                          ("coverage", dict(d=2**31, block=1)),
+                          ("power-dense", dict(n=10**23, delta_grid=(0.0, 1.0)))):
+            with pytest.raises(ValueError, match=r"n \* d and d \* d must be at most"):
+                ExperimentConfig(kind=kind, **big)
+        for kind, grid in (("power-dense", (0.0, 1e308)), ("power-sparse", (-1e308,)),
+                           ("power-dense", (0.0, 2e307))):
+            with pytest.raises(ValueError, match=r"delta_grid values times sqrt\(n\)"):
+                ExperimentConfig(kind=kind, delta_grid=grid)
+        ExperimentConfig(kind="power-dense", n=30, d=10, block=2, delta_grid=(0.0, 1e307))
         # no CV runs here, so three rows are enough
         ExperimentConfig(kind="ks", n=3, d=10, block=2, estimators=("naive", "proxy"))
         # proxy draws from the true covariance; every other engine needs two rows
@@ -734,6 +745,8 @@ FUZZ_FILES = {
     "negative_block.txt": "kind=ks\nn=30\nd=10\nblock=-2\n",
     "small_ks.txt": "kind=ks\nn=30\nd=10\nblock=2\n",
     "many_truth.txt": f"kind=ks\nn=30\nd=10\nblock=2\ntruth_reps={MAX_DRAWS + 1}\n",
+    "huge_delta.txt": "kind=power-dense\nn=30\nd=10\nblock=2\ndelta_grid=0,1e308\n",
+    "huge_n.txt": f"kind=ks\nn={10**23}\nd=10\nblock=2\n",
 }
 
 
@@ -767,6 +780,8 @@ LATER_EARLY_FAILURES = [
     ["ks", "--config", "many_truth.txt", "--out", "o.csv"],
     ["ks", "--config", "small_ks.txt", "--out", "outdir"],
     ["test", "x.csv", "--out", "outdir"],
+    ["power", "--config", "huge_delta.txt", "--out", "o.csv"],
+    ["ks", "--config", "huge_n.txt", "--out", "o.csv"],
 ]
 
 
@@ -842,6 +857,8 @@ def test_cli_bad_input_exits_cleanly(tmp_path, monkeypatch, capsys, argv):
                 "nan_delta.txt": "delta_grid values must be finite",
                 "negative_seed.txt": "seed must be nonnegative",
                 "negative_block.txt": "error: block must be nonnegative",
-                "many_truth.txt": f"error: truth_reps must be at most {MAX_DRAWS}"}.get(argv[2] if len(argv) > 2 else "")
+                "many_truth.txt": f"error: truth_reps must be at most {MAX_DRAWS}",
+                "huge_delta.txt": "error: delta_grid values times sqrt(n) must be finite",
+                "huge_n.txt": "error: n * d and d * d must be at most"}.get(argv[2] if len(argv) > 2 else "")
     if expected:
         assert code == 2 and expected in err

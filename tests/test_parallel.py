@@ -235,20 +235,22 @@ def test_exception_cancels_indices_not_started():
 def test_run_test_with_corr_cv_restores_blas(blas_at_two, monkeypatch):
     monkeypatch.setattr(parallel, "_available_cores", lambda: 2)
     seen = []
-    sample_covariance = covariance.sample_covariance
+    gram = covariance._gram
 
     def recording(X):
-        seen.append(blas_at_two())
-        return sample_covariance(X)
+        seen.append((len(X), blas_at_two()))
+        return gram(X)
 
-    # only the folds look this name up in covariance
-    monkeypatch.setattr(covariance, "sample_covariance", recording)
+    # the folds' splits and sample_covariance build their matrices with _gram
+    monkeypatch.setattr(covariance, "_gram", recording)
     X = RngSeed(3).generator().standard_normal((30, 5))
     spec = inference.TestSpec(M=np.eye(5), m0=np.zeros(5), p=LpExponent.finite(2),
                               alpha=0.05, estimator=EstimatorSpec("corr_cv", cv_folds=4),
                               B=100, seed=RngSeed(4))
     run_test(X, spec)
-    assert seen == [1] * 8  # two splits per fold
+    splits = [blas for rows, blas in seen if rows < len(X)]
+    assert splits == [1] * 8  # two splits per fold
+    assert sorted(seen) == [(10, 1)] * 4 + [(20, 1)] * 4 + [(30, 1)]  # and the sample's
     assert blas_at_two() == 2
 
 
@@ -370,23 +372,23 @@ def test_estimate_covariance_holds_the_pin_for_every_kind(blas_at_two, blas_read
 
 def test_cv_select_lambda_holds_the_pin(blas_at_two, blas_reads, monkeypatch):
     # one fold runs serially in the caller, under the call's own hold
-    seen = blas_reads(covariance, "sample_covariance")
+    seen = blas_reads(covariance, "_gram")
     X = RngSeed(3).generator().standard_normal((30, 5))
     covariance.cv_select_lambda(X, [0.0, 0.5, 1.0], 1, RngSeed(4))
-    assert seen == [("sample_covariance", 1)] * 2  # the fold's two splits
+    assert seen == [("_gram", 1)] * 2  # the fold's two splits
     assert blas_at_two() == 2
     # two folds run on the pool, which re-enters that hold
     monkeypatch.setattr(parallel, "_available_cores", lambda: 2)
     seen.clear()
     covariance.cv_select_lambda(X, [0.0, 0.5, 1.0], 2, RngSeed(4))
-    assert seen == [("sample_covariance", 1)] * 4
+    assert seen == [("_gram", 1)] * 4
     assert blas_at_two() == 2
     blas_reads.raising = True
     for folds in (1, 2):
         seen.clear()
-        with pytest.raises(RuntimeError, match="sample_covariance failed"):
+        with pytest.raises(RuntimeError, match="_gram failed"):
             covariance.cv_select_lambda(X, [0.0, 0.5, 1.0], folds, RngSeed(4))
-        assert seen and set(seen) == {("sample_covariance", 1)}
+        assert seen and set(seen) == {("_gram", 1)}
         assert blas_at_two() == 2
 
 
@@ -453,9 +455,10 @@ def test_run_experiment_holds_the_pin_when_it_may_pool(blas_at_two, factorizatio
 
 
 def test_without_the_bundled_openblas(pools, monkeypatch):
-    # macOS and Windows wheels and numpy on MKL: no thread count to pin, and
-    # numpy's LAPACK in place of ssyevd and dpotrf_work, with the same bytes;
-    # the common factor makes CV's eigenvalue rung run
+    # macOS and Windows wheels and numpy on MKL: no thread count to pin, so
+    # no pool beside the BLAS's own threads, and numpy's LAPACK in place of
+    # ssyevd and dpotrf_work, with the same bytes; the common factor makes
+    # CV's eigenvalue rung run
     rng = RngSeed(3).generator()
     X = rng.standard_normal((60, 40)) + 2.0 * rng.standard_normal((60, 1))
     ks = ExperimentConfig(kind="ks", n=40, d=20, mc_reps=2, B=100, truth_reps=20, block=2,
@@ -490,8 +493,9 @@ def test_without_the_bundled_openblas(pools, monkeypatch):
     assert got == [True]
     pools.clear()
     assert run_indexed(lambda i: i, 4, 2) == [0, 1, 2, 3]
-    assert pools == [2]
+    assert pools == []
     assert outputs() == with_library
+    assert pools == []
     assert any(single)
 
 
