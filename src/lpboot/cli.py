@@ -190,10 +190,11 @@ def main(argv=None) -> int:
         _check_out_dir(cfg.output_path)
         run_experiment(cfg)
         return 0
-    except ValueError as exc:  # ConfigError is one
-        print(f"error: {exc}", file=sys.stderr)
-        return CONFIG_ERROR
-    except Exception as exc:  # runtime failure
+    except Exception as exc:
+        # ConfigError is a ValueError; so is numpy's LinAlgError, a runtime failure
+        if isinstance(exc, ValueError) and not isinstance(exc, np.linalg.LinAlgError):
+            print(f"error: {exc}", file=sys.stderr)
+            return CONFIG_ERROR
         print(f"runtime error: {exc}", file=sys.stderr)
         return RUNTIME_ERROR
 

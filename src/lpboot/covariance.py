@@ -459,18 +459,6 @@ def _bound_first(gap: np.ndarray, deficit: np.ndarray, todo: np.ndarray) -> np.n
     return first
 
 
-def _longest_first(jobs: list, keys: list) -> list:
-    """CV's jobs, (fold nu, its grid points), in decreasing order of the
-    number of distinct masks each scores, ties in fold order, so that on a
-    pool no long job starts last beside idle workers. Before rung 0 records
-    a fold's keys, each of its grid points counts as a mask."""
-    def masks(job) -> int:
-        nu, points = job
-        return len(points) if keys[nu] is None else len({keys[nu][i] for i in points})
-
-    return sorted(jobs, key=masks, reverse=True)
-
-
 def cv_select_lambda(X: np.ndarray, grid, folds: int, seed) -> tuple[float, list[float]]:
     """Cross-validated correlation-threshold level (Bickel & Levina 2008).
 
@@ -529,10 +517,10 @@ def cv_select_lambda(X: np.ndarray, grid, folds: int, seed) -> tuple[float, list
     entries are NaN, and their risk is above the minimum (730 of the 2560
     entries on the 64 perfbench seed-0 datasets at 10 folds x 40 points).
     Each pass runs its folds on lpboot's one pool (lpboot.parallel), capped
-    at the usable cores, longest first (_longest_first); the probe and the
-    eigenvalues run with the GIL released. Every fold writes only its own
-    entries and the risks are summed in fold order, so neither the pool nor
-    the job order changes a byte.
+    at the usable cores; the probe and the eigenvalues run with the GIL
+    released. Every fold writes only its own entries and the risks are summed
+    in fold order, so neither the pool nor the order the folds run in changes
+    a byte.
 
     Data whose largest |entry| lies outside [2^-64, 2^64] is rescaled by the
     power of two that brings it into [1/2, 1) first, so lambda-hat does not
@@ -606,8 +594,7 @@ def cv_select_lambda(X: np.ndarray, grid, folds: int, seed) -> tuple[float, list
             todo = live & np.isnan(est[0]) & (last_rung < rung)
             if selective:
                 todo = _bound_first(est[3] - est[1], cut - lower, todo)
-            todo = _longest_first([(nu, np.flatnonzero(row))
-                                   for nu, row in enumerate(todo) if row.any()], keys)
+            todo = [(nu, np.flatnonzero(row)) for nu, row in enumerate(todo) if row.any()]
             run_indexed(lambda j: score(todo[j][0], rung, todo[j][1]), len(todo), len(todo))
             # the slack keeps near-ties exact whatever the rounding in the bounds: a
             # relative part for the least upper bound and the folds' absolute parts,

@@ -80,8 +80,9 @@ def comparison_ks(Sx: CovMatrix, Sy: CovMatrix, p: LpExponent, n_mc: int,
         for S in (Sx, Sy):
             r = max(S.factor().rank, 1)
             snorm = lp_norm(np.sqrt(np.diag(S.values)), p, d_context=d)
-            if snorm > 0.0:
-                sides.append(math.sqrt(q * q * d ** (1.0 / q) * r ** (1.0 / q) * delta_p) / snorm)
+            if snorm > 0.0:  # 0 where delta_p is, not inf * 0 where q * q overflows
+                sides.append(math.sqrt(q * q * d ** (1.0 / q) * r ** (1.0 / q) * delta_p) / snorm
+                             if delta_p else 0.0)
         bound = min(sides) if sides else math.inf
     else:
         delta_inf = next(iter(err.delta_p.values()))

@@ -54,8 +54,8 @@ class ExperimentConfig:
     seed: int = 0
     output_path: str = ""
     block: int = 0          # 0 -> d/100 when divisible, else smallest even choice
-    cv_folds: int = 10
-    cv_grid_size: int = 40
+    cv_folds: int = EstimatorSpec.cv_folds  # CV's defaults are EstimatorSpec's
+    cv_grid_size: int = len(EstimatorSpec.cv_grid)
     threads: int = field(default_factory=_available_cores)
 
     def __post_init__(self):

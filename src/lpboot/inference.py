@@ -190,16 +190,23 @@ def run_test(X: np.ndarray, spec: TestSpec) -> TestResult:
             # a level past the largest float lies above every rescaled entry
             with np.errstate(over="ignore"):
                 est = replace(est, lam=min(float(np.ldexp(est.lam, -2 * k)), sys.float_info.max))
-        Sigma = estimate_covariance(np.ldexp(X, -k) if k else X, est, spec.seed.child(1, 0))
-        if np.array_equal(spec.M, np.eye(Sigma.dim)):
-            Omega = Sigma  # M Sigma_hat M' = Sigma_hat, without two d^3 products
-        else:
-            with np.errstate(over="ignore", invalid="ignore"):
-                Omega = spec.M @ Sigma.values @ spec.M.T
-            if not np.isfinite(Omega).all():
+        X = np.ldexp(X, -k) if k else X
+        identity = np.array_equal(spec.M, np.eye(X.shape[1]))
+        # every estimate is PSD with ||Sigma_hat||_F <= tr(S), S the sample
+        # covariance, so every entry of |M| |Sigma_hat| |M'| is at most
+        # max_i ||m_i||^2 tr(S): twice that finite (or tr(S) = 0, where the
+        # product is NaN), M Sigma_hat M' is finite
+        with np.errstate(over="ignore"):
+            if not identity and math.isinf(2.0 * float((spec.M ** 2).sum(axis=1).max())
+                                           * float(X.var(axis=0).sum())):
                 raise ValueError("the conjugation M Sigma_hat M' overflows: the restriction "
                                  "map's entries are too large for a float")
-            Omega = CovMatrix(Omega, provenance=f"conjugate<-{Sigma.provenance}")
+        Sigma = estimate_covariance(X, est, spec.seed.child(1, 0))
+        if identity:
+            Omega = Sigma  # M Sigma_hat M' = Sigma_hat, without two d^3 products
+        else:
+            Omega = CovMatrix(spec.M @ Sigma.values @ spec.M.T,
+                              provenance=f"conjugate<-{Sigma.provenance}")
         dist = gpb_draws(Omega, spec.p, spec.B, spec.seed.child(2))
         if k:
             dist = EmpiricalDistribution(np.ldexp(dist.samples, k), dist.meta)

@@ -348,6 +348,11 @@ class TestCvSelectLambda:
         for grid in ([0.2, 1.5], [-0.1], [float("nan")]):
             with pytest.raises(ValueError, match=r"\[0, 1\]"):
                 cv_select_lambda(X, grid, 2, None)
+        with pytest.raises(ValueError, match="empty threshold grid"):
+            cv_select_lambda(X, [], 2, None)
+        for folds in (0, -1):
+            with pytest.raises(ValueError, match="folds must be >= 1"):
+                cv_select_lambda(X, [0.2], folds, None)
 
     def test_rejects_bad_data_before_fold_work(self):
         # the folds' matrices are built unchecked, so the call checks X once
@@ -497,7 +502,7 @@ class TestCvSelectLambda:
 
     @pytest.mark.parametrize("case", ["copula", "clip"])
     def test_pass_order_changes_nothing(self, monkeypatch, case):
-        # each pass runs its folds longest first; reversed, serial or pooled,
+        # each pass runs its folds in fold order; reversed, serial or pooled,
         # every fold does the same work and writes the same entries
         if case == "copula":  # n = d = 60 at 10 folds x 40 points
             X, _, _, seed = self._copula_case()
@@ -505,18 +510,23 @@ class TestCvSelectLambda:
         else:
             X, grid, folds = self._clip_rung_data(), list(np.linspace(0.0, 1.0, 12)), 3
             seed = RngSeed(1)
-        longest_first, runs = covariance._longest_first, []
+        run_indexed, runs, reversed_passes = covariance.run_indexed, [], []
+
+        def reversed_jobs(worker, count, threads):  # job j runs as job count - 1 - j
+            reversed_passes.append(count)
+            return run_indexed(lambda j: worker(count - 1 - j), count, threads)[::-1]
+
         for cores in (1, 3):
             for reverse in (False, True):
                 monkeypatch.setattr(parallel, "_available_cores", lambda c=cores: c)
                 if reverse:
-                    monkeypatch.setattr(covariance, "_longest_first",
-                                        lambda jobs, keys: longest_first(jobs, keys)[::-1])
+                    monkeypatch.setattr(covariance, "run_indexed", reversed_jobs)
                 calls = self._counted(monkeypatch)
                 lam, risks = cv_select_lambda(X, grid, folds, seed)
                 runs.append((lam, np.array(risks).tobytes(), calls))
                 monkeypatch.undo()
         assert all(run == runs[0] for run in runs[1:])
+        assert max(reversed_passes) > 1  # some pass ran more than one fold, reversed
         lam, risks, calls = runs[0]
         assert np.isnan(np.frombuffer(risks)).any() and calls["float32"] and calls["probe"]
         assert calls["clip"] or case == "copula"
@@ -1001,6 +1011,10 @@ class TestCovError:
         assert err.delta_op == pytest.approx(4.0)
         assert err.delta_p[LpExponent.finite(2)] == pytest.approx(5.0)
         assert err.delta_p[LpExponent.infinity()] == pytest.approx(4.0)
+
+    def test_rejects_a_mismatched_dimension(self):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            cov_error(CovMatrix(np.eye(2)), CovMatrix(np.eye(3)), LpExponent.finite(2))
 
     def test_sup_error_below_operator_error(self):
         rng = np.random.default_rng(13)

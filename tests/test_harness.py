@@ -70,6 +70,13 @@ class TestExperimentConfig:
         assert len(cfg.p_list) == 4
         assert cfg.estimators == ("proxy", "gmb", "naive", "corr_cv")
         assert cfg.threads == len(os.sched_getaffinity(0)) >= 1
+        # CV's 10 folds x 40 points are EstimatorSpec's
+        cv = EstimatorSpec("corr_cv")
+        assert (cfg.cv_folds, tuple(cfg.cv_grid)) == (cv.cv_folds, cv.cv_grid)
+        assert (cfg.cv_folds, len(cfg.cv_grid)) == (10, 40)
+        # d / 100 where 100 divides d, else 2 for an even d and 1 for an odd one
+        for d, block in ((300, 3), (1000, 10), (50, 2), (250, 2), (51, 1), (3, 1)):
+            assert ExperimentConfig(kind="ks", d=d).block == block
 
     def test_power_fills_delta_grid(self):
         cfg = ExperimentConfig(kind="power-dense", n=100, d=100)
@@ -195,6 +202,11 @@ class TestDeltaGrid:
     def test_sparse_scale(self):
         grid = default_delta_grid("power-sparse", 200, 200)
         assert grid[-1] == pytest.approx(6.0 * math.sqrt(math.log(200) / 200))
+
+    def test_rejects_a_kind_without_a_grid(self):
+        for kind in ("ks", "power", "probe"):
+            with pytest.raises(ValueError, match=f"no delta grid for kind '{kind}'"):
+                default_delta_grid(kind, 200, 200)
 
     def test_sparse_direction(self):
         v = sparse_direction(200)
@@ -747,6 +759,7 @@ FUZZ_FILES = {
     "many_truth.txt": f"kind=ks\nn=30\nd=10\nblock=2\ntruth_reps={MAX_DRAWS + 1}\n",
     "huge_delta.txt": "kind=power-dense\nn=30\nd=10\nblock=2\ndelta_grid=0,1e308\n",
     "huge_n.txt": f"kind=ks\nn={10**23}\nd=10\nblock=2\n",
+    "malformed.csv": "1,2\n3,x\n4,5\n",
 }
 
 
@@ -782,6 +795,7 @@ LATER_EARLY_FAILURES = [
     ["test", "x.csv", "--out", "outdir"],
     ["power", "--config", "huge_delta.txt", "--out", "o.csv"],
     ["ks", "--config", "huge_n.txt", "--out", "o.csv"],
+    ["test", "malformed.csv"],
 ]
 
 
@@ -833,6 +847,8 @@ def test_cli_bad_input_exits_cleanly(tmp_path, monkeypatch, capsys, argv):
         assert code == 2 and "error: empty.csv: no data" in err
     if argv[1] in ("nan.csv", "inf.csv"):
         assert code == 2 and f"error: {argv[1]}: non-finite value" in err
+    if argv[1] == "malformed.csv":
+        assert code == 2 and "error: malformed CSV malformed.csv" in err
     if argv[2:3] in (["--p"], ["--estimator"]):
         assert code == 2 and f"error: {argv[2]} {argv[3]!r}" in err
     if "nodir/o.csv" in argv:
@@ -862,3 +878,32 @@ def test_cli_bad_input_exits_cleanly(tmp_path, monkeypatch, capsys, argv):
                 "huge_n.txt": "error: n * d and d * d must be at most"}.get(argv[2] if len(argv) > 2 else "")
     if expected:
         assert code == 2 and expected in err
+
+
+def test_paper_scale_checks_the_output_before_compute(tmp_path, monkeypatch, capsys):
+    def no_compute(*args, **kwargs):
+        raise AssertionError("compute ran before the options were checked")
+
+    monkeypatch.setattr(harness, "copula_sample", no_compute)
+    monkeypatch.setattr(cli, "run_experiment", no_compute)
+    out = tmp_path / "missing" / "x.csv"
+    assert main(["ks", "--paper-scale", "--out", str(out)]) == 2
+    assert f"error: cannot write {out}: no directory" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["test", "x.csv", "--B", "50"],
+                                  ["ks", "--config", "small_ks.txt", "--out", "o.csv"]])
+@pytest.mark.parametrize("exc", [RuntimeError("boom"), MemoryError("boom"),
+                                 np.linalg.LinAlgError("boom")])
+def test_runtime_failure_exits_1_without_a_traceback(tmp_path, monkeypatch, capsys, argv, exc):
+    for name in ("x.csv", "small_ks.txt"):
+        (tmp_path / name).write_text(FUZZ_FILES[name])
+    monkeypatch.chdir(tmp_path)
+
+    def fail(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, "run_test", fail)
+    monkeypatch.setattr(cli, "run_experiment", fail)
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "runtime error: boom\n"

@@ -146,6 +146,19 @@ class TestTestStatistic:
         with pytest.raises(ValueError):
             restriction_stat(np.ones((5, 3)), np.eye(2), np.zeros(2), LpExponent.finite(2))
 
+    def test_rejects_non_finite_and_overflowing_inputs(self):
+        for where in ("X", "M", "m0"):
+            for bad in (math.nan, math.inf, -math.inf):
+                args = dict(X=np.ones((5, 2)), M=np.eye(2), m0=np.zeros(2))
+                args[where] = args[where].copy()
+                args[where].flat[1] = bad
+                with pytest.raises(ValueError, match="must be finite"):
+                    restriction_stat(**args, p=LpExponent.finite(2))
+        # the column sums overflow, and so does sqrt(n) m0
+        for X, m0 in ((np.full((4, 2), 1e308), np.zeros(2)), (np.ones((4, 2)), np.full(2, 1e308))):
+            with pytest.raises(ValueError, match="the test statistic overflows"):
+                restriction_stat(X, np.eye(2), m0, LpExponent.finite(2))
+
 
 # `lpboot test` rows for test_csv_row_shape's data, recorded before the row
 # formatting moved to harness._format
@@ -336,6 +349,15 @@ class TestConfidenceSet:
     def test_contains_center(self):
         cs = ConfidenceSet(center=np.zeros(3), radius=0.0, p=LpExponent.finite(2))
         assert cs.contains(np.zeros(3))
+
+    def test_contains_rejects_a_point_of_another_dimension(self):
+        X = np.random.default_rng(0).normal(size=(20, 3))
+        for cs in (ConfidenceSet(center=np.zeros(3), radius=1.0, p=LpExponent.finite(2)),
+                   confidence_set(X, LpExponent.finite(2), 0.05, EstimatorSpec("naive"), 100,
+                                  RngSeed(0))):
+            for mu in (np.zeros(2), np.zeros(4), np.zeros((3, 1))):
+                with pytest.raises(ValueError, match="dimension mismatch"):
+                    cs.contains(mu)
 
     def test_ball_geometry(self):
         cs = ConfidenceSet(center=np.zeros(2), radius=1.0, p=LpExponent.finite(1))

@@ -95,6 +95,9 @@ class TestLpNorm:
             lp_norm(np.array([]), P2)
         with pytest.raises(ValueError):
             lp_norm(np.array([1.0, np.nan]), P2)
+        for X in (np.ones(3), np.ones((3, 0)), np.ones((2, 2, 2))):
+            with pytest.raises(ValueError, match="2-d array with nonempty rows"):
+                lp_norm_rows(X, P2)
 
     @given(st.floats(-1e3, 1e3).filter(lambda c: abs(c) > 1e-6),
            st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=8),
@@ -150,6 +153,9 @@ class TestSmoothNorm:
             smooth_norm(np.ones(2), 3, 0.1)
         with pytest.raises(ValueError):
             smooth_norm(np.ones(2), 2, 0.0)
+        for beta in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError, match="beta must be positive"):
+                smooth_max(np.ones(2), beta)
 
     def test_sandwich_bulk(self):
         rng = np.random.default_rng(3)
@@ -236,6 +242,9 @@ class TestGradient:
             mp_gradient(np.array([1.0, 0.0]), 2.0)
         with pytest.raises(ValueError):
             mp_gradient(np.array([1.0, 1.0]), 1.0)
+        for p in (1.0, 0.5, math.nan):
+            with pytest.raises(ValueError, match="derivatives require p > 1"):
+                mp_higher_derivatives(np.array([1.0, 1.0]), p)
 
 
 class TestHigherDerivatives:

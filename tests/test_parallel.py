@@ -457,17 +457,20 @@ def test_run_experiment_holds_the_pin_when_it_may_pool(blas_at_two, factorizatio
 def test_without_the_bundled_openblas(pools, monkeypatch):
     # macOS and Windows wheels and numpy on MKL: no thread count to pin, so
     # no pool beside the BLAS's own threads, and numpy's LAPACK in place of
-    # ssyevd and dpotrf_work, with the same bytes; the common factor makes
-    # CV's eigenvalue rung run
+    # ssyevd and dpotrf_work, with the same bytes, also at the benchmark's
+    # n = d = 200 with CV's default 10 x 40; the common factor makes CV's
+    # eigenvalue rung run
     rng = RngSeed(3).generator()
     X = rng.standard_normal((60, 40)) + 2.0 * rng.standard_normal((60, 1))
+    wide = rng.standard_normal((200, 200)) + 2.0 * rng.standard_normal((200, 1))
     ks = ExperimentConfig(kind="ks", n=40, d=20, mc_reps=2, B=100, truth_reps=20, block=2,
                           cv_folds=2, cv_grid_size=3, estimators=("corr_cv", "naive"))
 
     def outputs():
-        got = run_test(X, _spec("corr_cv", d=40, cv_folds=4))
-        return (got.statistic, got.critical_value, got.reject, got.p_value,
-                got.distribution.samples.tobytes(), run_experiment(ks))
+        got = [run_test(X, _spec("corr_cv", d=40, cv_folds=4)),
+               run_test(wide, _spec("corr_cv", d=200))]
+        return [(res.statistic, res.critical_value, res.reject, res.p_value,
+                 res.distribution.samples.tobytes()) for res in got] + [run_experiment(ks)]
 
     with_library = outputs()
     eigvalsh, single = covariance._eigvalsh, []

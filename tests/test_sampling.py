@@ -116,6 +116,12 @@ class TestMvnSample:
         f = factorize_psd(CovMatrix(np.zeros((3, 3))))
         assert np.all(mvn_sample(f, 5, RngSeed(0)) == 0.0)
 
+    def test_rejects_a_count_below_one(self):
+        f = factorize_psd(CovMatrix(np.eye(3)))
+        for count in (0, -1):
+            with pytest.raises(ValueError, match="count must be >= 1"):
+                mvn_sample(f, count, RngSeed(0))
+
     def test_deterministic(self):
         f = factorize_psd(CovMatrix(np.eye(3)))
         assert np.array_equal(mvn_sample(f, 4, RngSeed(1)), mvn_sample(f, 4, RngSeed(1)))
@@ -161,6 +167,9 @@ class TestBlockCovariance:
     def test_rejects_nondividing_block(self):
         with pytest.raises(ValueError):
             build_block_covariance(10, 3, 0.8)
+        for decay in (0.0, 1.0, -0.5, 1.5, math.nan):
+            with pytest.raises(ValueError, match=r"decay must lie in \(0, 1\)"):
+                build_block_covariance(10, 2, decay)
 
 
 class TestCopulaSample:
@@ -180,6 +189,17 @@ class TestCopulaSample:
             xs = np.sort(X[:, 0])
             ks = np.abs(cdf(xs) - np.arange(1, n + 1) / n).max()
             assert ks <= 0.01
+
+    def test_rejects_bad_input(self):
+        for n in (0, -1):
+            with pytest.raises(ValueError, match="n must be >= 1"):
+                copula_sample(CovMatrix(np.eye(2)), MarginalKind.UNIFORM_SYM, n, RngSeed(0))
+        for diag in ([1.0, 0.0], [0.0, 0.0]):
+            S = CovMatrix(np.diag(diag))
+            with pytest.raises(ValueError, match="strictly positive diagonal"):
+                copula_sample(S, MarginalKind.UNIFORM_SYM, 5, RngSeed(0))
+            with pytest.raises(ValueError, match="strictly positive diagonal"):
+                copula_covariance(S, MarginalKind.UNIFORM_SYM)
 
     def test_rank_order_preserved(self):
         S = build_block_covariance(4, 2, 0.8, RngSeed(7))
