@@ -12,19 +12,26 @@ import math
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .covariance import CovMatrix
 from .lp import LpExponent, _row_norms
 from .parallel import hold, run_indexed
-from .sampling import RngSeed, mvn_sample
+from .sampling import RngSeed
 
 # hard cap on retained draws; full sorted samples are kept for quantiles/KS
 MAX_DRAWS = 10**6
 _CHUNK = 4096
-# standard normals drawn between two looks at whether the factorization is done
+# standard normals drawn between two looks at whether the source's W is known
 _BLOCK = 8192
+# rows of a chunk whose product and norms one worker computes at a time: a
+# multiple of 24, so each block's rows come out in the bytes one product over
+# the chunk gives them (OpenBLAS's gemm computes a product's rows in groups
+# that 24 rows align with; 256-row blocks changed the last bits wherever
+# d > 192 was not a multiple of 8)
+_ROWS = 264
 
 
 @dataclass
@@ -50,77 +57,135 @@ def _seed_label(rng: RngSeed) -> str:
     return str(rng.master) + "".join(f".{i}" for i in rng.stream_path)
 
 
-def _norm_draws(rows, p_list, B: int, rng: RngSeed, d: int) -> dict:
-    """B draws of ||V||_p for every p in p_list, all read from one stream of
-    Gaussian rows V: chunk k has at most _CHUNK rows, made by rows(m,
-    rng.child(k)), so memory stays bounded and single-p output equals
-    multi-p output draw-for-draw. One norm pass per chunk serves every p.
+class _Rows(NamedTuple):
+    """A row source for the kernel: rows z @ W for rows z of i.i.d. standard
+    normals. prepare() returns W, at most `bound` rows by d; the kernel calls
+    it once, beside the first chunk's normals, so a source can leave whatever
+    W needs (an estimate, a factorization) to prepare."""
 
-    The array a row source returns belongs to the kernel, which overwrites
-    it with its absolute values and then the norm pass's ratios, so a source
-    must return a fresh float array each call. A chunk then holds at most two
-    arrays of its size at once (a source's standard normals and their
-    product, or the ratios and one scratch array): every further array would
-    be fresh memory, which the system maps and zeroes page by page on first
-    touch."""
+    bound: int
+    prepare: Callable[[], np.ndarray]
+
+
+class _Chunk:
+    """One chunk of the kernel as a two-index run_indexed pipeline over the
+    chunk's m rows, in blocks of _ROWS rows.
+
+    Index 0 runs the source's prepare where W is not yet known, then takes
+    the blocks whose normals are already drawn, and never waits. Index 1 draws
+    the chunk's normals from its one generator, in order, _BLOCK at a time:
+    up to m * bound while W is unknown, and m * rank once it is. It waits for
+    prepare if it has to, then takes the blocks that are left. A block is
+    Z[lo:hi] @ W, its absolute values in place and their norms into the
+    output. Philox normals are prefix-stable (the first N of a longer or
+    blocked request are a request of N), and every block writes only its own
+    rows, so the bytes do not depend on which index takes a block. Run
+    serially (inside a pool's worker, or while another thread holds the pool)
+    index 0 runs first: W is known before any normal is drawn, and index 1
+    then draws m * rank normals and takes every block."""
+
+    def __init__(self, source: _Rows, W, m: int, seed: RngSeed, qs, outs):
+        self.prepare, self.W, self.m, self.qs, self.outs = source.prepare, W, m, qs, outs
+        self.gen = seed.generator()
+        self.normals = np.empty(m * (source.bound if W is None else W.shape[0]))
+        self.filled = 0  # normals drawn, in order
+        self.taken = 0  # blocks started
+        self.lock = threading.Lock()
+        self.ready = threading.Event()  # prepare has ended: W is set unless it raised
+        if W is not None:
+            self.ready.set()
+
+    def __call__(self, i: int) -> None:
+        if i == 0:
+            if not self.ready.is_set():
+                try:
+                    self.W = self.prepare()
+                finally:
+                    self.ready.set()
+            self._take()
+            return
+        limit = self.normals.size
+        while True:
+            if self.ready.is_set():
+                if self.W is None:  # prepare raised, and index 0 re-raises it
+                    return
+                limit = self.m * self.W.shape[0]
+            if self.filled >= limit:
+                break
+            end = min(self.filled + _BLOCK, limit)
+            self.gen.standard_normal(out=self.normals[self.filled:end])
+            self.filled = end
+        self.ready.wait()
+        if self.W is not None:
+            self._take()
+
+    def _take(self) -> None:
+        """Blocks in order, while the next one's normals are drawn."""
+        rank = self.W.shape[0]
+        # numpy multiplies a single row by gemv, not gemm, in other bytes, so
+        # a last block of one row joins the block before it
+        blocks = max(1, (self.m - 2) // _ROWS + 1)
+        while True:
+            with self.lock:
+                j = self.taken
+                hi = self.m if j == blocks - 1 else (j + 1) * _ROWS
+                if j == blocks or hi * rank > self.filled:
+                    return
+                self.taken = j + 1
+            self._block(j * _ROWS, hi, rank)
+
+    def _block(self, lo: int, hi: int, rank: int) -> None:
+        """Rows lo:hi: a method, so that a worker's product is freed before
+        its next block's is made."""
+        V = self.normals[lo * rank:hi * rank].reshape(hi - lo, rank) @ self.W
+        for out, norms in zip(self.outs, _row_norms(np.abs(V, out=V), self.qs)):
+            out[lo:hi] = norms
+
+
+def _norm_draws(source: _Rows, p_list, B: int, rng: RngSeed, d: int) -> dict:
+    """B draws of ||V||_p for every p in p_list, all read from one stream of
+    Gaussian rows V = Z W of the source: chunk k has at most _CHUNK rows, its
+    normals Z drawn from rng.child(k), so memory stays bounded and single-p
+    output equals multi-p output draw-for-draw. One norm pass per block of
+    _ROWS rows serves every p.
+
+    Each chunk is a two-index run_indexed pipeline (_Chunk): the source's
+    prepare runs in the first chunk beside its normals, and the blocks'
+    products and norms run on both workers. A chunk holds its normals, and
+    per worker one block's product (plus one scratch array where several
+    finite p share the norm pass): a block's product is overwritten with its
+    absolute values and then the norm pass's ratios. With _ROWS a multiple
+    of 24 the draws are the bytes of one product per chunk (mvn_sample's,
+    for _mvn_rows): so measured with OpenBLAS 0.3.31's SkylakeX kernels at
+    every d up to 1024."""
     if not 1 <= B <= MAX_DRAWS:
         raise ValueError(f"B must lie in [1, {MAX_DRAWS}]")
     qs = [p.resolve(d) for p in p_list]
     out = {p: np.empty(B) for p in p_list}
+    W = None
     for k, pos in enumerate(range(0, B, _CHUNK)):
-        V = rows(min(_CHUNK, B - pos), rng.child(k))
-        for p, norms in zip(p_list, _row_norms(np.abs(V, out=V), qs)):
-            out[p][pos:pos + V.shape[0]] = norms
+        m = min(_CHUNK, B - pos)
+        chunk = _Chunk(source, W, m, rng.child(k), qs, [out[p][pos:pos + m] for p in p_list])
+        run_indexed(chunk, 2, 2)
+        W = chunk.W
     return out
 
 
-def _mvn_rows(S: CovMatrix):
-    """Row source for the kernel: m rows of N(0, S), the bytes of
-    mvn_sample(S.factor(), m, seed).
-
-    Where S has no cached factor, the first call computes it together with
-    its own standard normals, on a two-index run_indexed: index 0 runs
-    S.factor(), index 1 fills an m x d buffer from seed's generator, block by
-    block, until index 0 is done. The call then draws what is still missing
-    of the m * rank normals from the same generator. Philox normals are
-    prefix-stable (the first N of a longer or blocked request are a request
-    of N), so the rows do not depend on how far index 1 got. Run serially
-    (inside a pool's worker, or while another thread holds the pool), index
-    0 runs first and index 1 draws nothing."""
-    def rows(m: int, seed: RngSeed) -> np.ndarray:
-        if S._factor is not None:
-            return mvn_sample(S._factor, m, seed)
-        gen, buf, done = seed.generator(), np.empty(m * S.dim), threading.Event()
-        filled = 0
-
-        def worker(i: int):
-            nonlocal filled
-            if i == 0:
-                try:
-                    return S.factor()
-                finally:
-                    done.set()
-            while filled < buf.size and not done.is_set():
-                end = min(filled + _BLOCK, buf.size)
-                gen.standard_normal(out=buf[filled:end])
-                filled = end
-
-        F = run_indexed(worker, 2, 2)[0]
-        need = m * F.rank
-        if filled < need:
-            gen.standard_normal(out=buf[filled:need])
-        return buf[:need].reshape(m, F.rank) @ F.factor.T
-
-    return rows
+def _mvn_rows(S: CovMatrix) -> _Rows:
+    """Row source for the kernel: rows of N(0, S), W the transpose of S's PSD
+    factor; prepare factorizes S where no factor is cached."""
+    return _Rows(S.dim, lambda: S.factor().factor.T)
 
 
-def _multiplier_rows(X: np.ndarray):
-    """Row source for the kernel: m rows n^{-1/2} sum_i g_i (X_i - Xbar) with
-    i.i.d. standard normal multipliers g_i."""
-    n = X.shape[0]
-    Xc = X - X.mean(axis=0)
-    Xc /= math.sqrt(n)
-    return lambda m, seed: seed.generator().standard_normal((m, n)) @ Xc
+def _multiplier_rows(X: np.ndarray) -> _Rows:
+    """Row source for the kernel: rows n^{-1/2} sum_i g_i (X_i - Xbar) with
+    i.i.d. standard normal multipliers g_i, W = (X - Xbar) / sqrt(n)."""
+    def prepare() -> np.ndarray:
+        Xc = X - X.mean(axis=0)
+        Xc /= math.sqrt(X.shape[0])
+        return Xc
+
+    return _Rows(X.shape[0], prepare)
 
 
 def _distribution(engine: str, rows, p: LpExponent, B: int, rng: RngSeed,

@@ -12,8 +12,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.special import gammaln
 
-from .bootstrap import (MAX_DRAWS, EmpiricalDistribution, critical_value,
-                        gpb_draws)
+from .bootstrap import (MAX_DRAWS, EmpiricalDistribution, _distribution, _Rows,
+                        critical_value)
 from .covariance import (CovMatrix, _band_width, _rescale_exponent, band,
                          correlation_threshold, cv_select_lambda, psd_project,
                          sample_covariance, threshold)
@@ -93,6 +93,19 @@ def estimate_covariance(X: np.ndarray, spec: EstimatorSpec, cv_seed: RngSeed) ->
                          "covariance entries can underflow or overflow; rescale it by a "
                          "power of two, as run_test does")
     with hold():
+        return _estimator(X, spec, cv_seed)()
+
+
+def _estimator(X: np.ndarray, spec: EstimatorSpec, cv_seed: RngSeed):
+    """spec's estimate of X's covariance as a step to run later: corr_cv
+    selects lambda-hat now, so CV's folds may pool, and the returned function
+    computes the rest (the sample covariance, its threshold, band or
+    correlation threshold, and the PSD projection), so run_test can run it
+    beside the draws' normals."""
+    if spec.kind == "corr_cv":
+        lam_hat, _ = cv_select_lambda(X, list(spec.cv_grid), spec.cv_folds, cv_seed)
+
+    def estimate() -> CovMatrix:
         S = sample_covariance(X)
         if spec.kind == "naive":
             return S
@@ -101,8 +114,9 @@ def estimate_covariance(X: np.ndarray, spec: EstimatorSpec, cv_seed: RngSeed) ->
         if spec.kind == "band":
             return psd_project(band(S, spec.ell))
         # corr_cv, the one kind left that EstimatorSpec admits
-        lam_hat, _ = cv_select_lambda(X, list(spec.cv_grid), spec.cv_folds, cv_seed)
         return psd_project(correlation_threshold(S, lam_hat))
+
+    return estimate
 
 
 @dataclass
@@ -146,8 +160,20 @@ def test_statistic(X: np.ndarray, M: np.ndarray, m0: np.ndarray, p: LpExponent) 
     if not all(np.isfinite(a).all() for a in (X, M, m0)):
         raise ValueError("data, restriction map and target must be finite")
     with np.errstate(over="ignore", invalid="ignore"):
-        total = X.sum(axis=0) @ M.T
+        total = _column_sum(X) @ M.T
     return _statistic(total, X.shape[0], m0, p)
+
+
+def _column_sum(X: np.ndarray) -> np.ndarray:
+    """sum_i X_i, summed on the data's exact power-of-two rescaling where its
+    largest |entry| lies outside [2^-64, 2^64] (_rescale_exponent), so no
+    partial sum overflows and the sum is inf only where it passes the largest
+    float, whatever the order of the rows; other data keeps every byte."""
+    k = _rescale_exponent(X)
+    if not k:
+        return X.sum(axis=0)
+    with np.errstate(over="ignore"):
+        return np.ldexp(np.ldexp(X, -k).sum(axis=0), k)
 
 
 def _statistic(total: np.ndarray, n: int, m0: np.ndarray, p: LpExponent) -> float:
@@ -171,15 +197,19 @@ def run_test(X: np.ndarray, spec: TestSpec) -> TestResult:
 
     Data whose largest |entry| lies outside [2^-64, 2^64] has Sigma_hat
     estimated on its rescaling by the power of two that brings it into
-    [1/2, 1), and the draws scaled back: an exact rescaling, so covariance
-    entries and CV risks (fourth powers of the data) neither overflow nor
-    underflow, and in-range data keeps every byte. The hard-threshold level
-    is a covariance level, so it is rescaled with Sigma_hat (by 2^-2k).
+    [1/2, 1), and the draws scaled back (a ValueError where a draw then
+    passes the largest float): an exact rescaling, so covariance entries and
+    CV risks (fourth powers of the data) neither overflow nor underflow, and
+    in-range data keeps every byte. The hard-threshold level is a covariance
+    level, so it is rescaled with Sigma_hat (by 2^-2k).
 
     The call holds the pool for its whole body, whatever the estimator: its
     BLAS runs on one thread, so the output bytes do not depend on the BLAS
-    thread count, and the draws' first chunk is drawn while Sigma_hat is
-    factorized (lpboot.parallel, bootstrap._mvn_rows).
+    thread count. Every estimate step after CV's lambda-hat (the sample
+    covariance, the threshold, band or correlation threshold, the PSD
+    projection, the conjugation and the factorization) is the draws' prepare
+    step, run beside their first normals (lpboot.parallel,
+    bootstrap._norm_draws); the draws are gpb_draws' of M Sigma_hat M'.
     """
     with hold():
         X = np.asarray(X, dtype=float)
@@ -201,15 +231,26 @@ def run_test(X: np.ndarray, spec: TestSpec) -> TestResult:
                                            * float(X.var(axis=0).sum())):
                 raise ValueError("the conjugation M Sigma_hat M' overflows: the restriction "
                                  "map's entries are too large for a float")
-        Sigma = estimate_covariance(X, est, spec.seed.child(1, 0))
-        if identity:
-            Omega = Sigma  # M Sigma_hat M' = Sigma_hat, without two d^3 products
-        else:
-            Omega = CovMatrix(spec.M @ Sigma.values @ spec.M.T,
-                              provenance=f"conjugate<-{Sigma.provenance}")
-        dist = gpb_draws(Omega, spec.p, spec.B, spec.seed.child(2))
+        estimate = _estimator(X, est, spec.seed.child(1, 0))
+
+        def prepare() -> np.ndarray:
+            Sigma = estimate()
+            if identity:
+                Omega = Sigma  # M Sigma_hat M' = Sigma_hat, without two d^3 products
+            else:
+                Omega = CovMatrix(spec.M @ Sigma.values @ spec.M.T,
+                                  provenance=f"conjugate<-{Sigma.provenance}")
+            return Omega.factor().factor.T
+
+        dim = spec.M.shape[0]
+        dist = _distribution("gpb", _Rows(dim, prepare), spec.p, spec.B, spec.seed.child(2), dim)
         if k:
-            dist = EmpiricalDistribution(np.ldexp(dist.samples, k), dist.meta)
+            with np.errstate(over="ignore"):
+                samples = np.ldexp(dist.samples, k)
+            if math.isinf(samples[-1]):  # the samples are sorted
+                raise ValueError("the bootstrap draws overflow: scaled back to the data's units "
+                                 f"by 2^{k}, the largest draw passes the largest float")
+            dist = EmpiricalDistribution(samples, dist.meta)
         crit = critical_value(dist, spec.alpha)
         p_value = float((dist.samples >= stat).mean())
         return TestResult(statistic=stat, critical_value=crit,
@@ -257,7 +298,7 @@ def confidence_set(X: np.ndarray, p: LpExponent, alpha: float,
     res = run_test(X, TestSpec(np.eye(d), np.zeros(d), p, alpha, estimator, B, seed))
     n, crit = X.shape[0], res.critical_value
     return ConfidenceSet(center=X.mean(axis=0), radius=crit / math.sqrt(n), p=p,
-                         dual=(X.sum(axis=0), n, crit))
+                         dual=(_column_sum(X), n, crit))
 
 
 @dataclass

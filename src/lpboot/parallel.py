@@ -1,6 +1,6 @@
 """The one thread pool of lpboot, for the harness's truth datasets and
-replicates and for CV folds, and the hold on it: one lock plus an OpenBLAS
-thread pin.
+replicates, for CV folds and for the bootstrap kernel's chunks, and the hold
+on it: one lock plus an OpenBLAS thread pin.
 
 At most one pool runs in the process. One reentrant lock decides it, and
 hold() takes it without blocking and yields whether it did. Every hold that
@@ -31,11 +31,18 @@ Which calls hold, each in one hold():
   copula_sample and every CovMatrix.factor(); psd_project, cov_diagnostics
   and cov_error for their LAPACK call; cv_select_lambda for its passes;
 - run_indexed: where it would start more than one worker, for its pool.
-Two reasons. OpenBLAS's helper thread: an OpenBLAS call on two threads leaves
-it spinning for about 80 ms afterwards, whatever the count is set to then,
-and it would take a core from a pool's workers (CV's folds, or the draws'
-normals beside the covariance's factorization) if the products before the
-pool ran on two threads. And the bytes: from d of about 250 OpenBLAS on two
+Two different jobs share a pool in one place, the bootstrap kernel's chunks
+(bootstrap._norm_draws): each chunk is a two-index run_indexed whose index 0
+runs the row source's prepare step (for run_test every estimate step after
+CV's lambda-hat, the conjugation and the factorization) while index 1 draws
+the chunk's normals, and then both multiply blocks of rows and take their
+norms. A hold() on the pool's thread finds the lock held, so a step there
+runs under the pin of the caller's hold.
+Two reasons for the holds. OpenBLAS's helper thread: an OpenBLAS call on two
+threads leaves it spinning for about 80 ms afterwards, whatever the count is
+set to then, and it would take a core from a pool's workers (CV's folds, or
+a chunk's prepare step, normals and blocks) if the products before the pool
+ran on two threads. And the bytes: from d of about 250 OpenBLAS on two
 threads splits eigh and the products and changes their last bits, so only
 calls that compute on one thread everywhere write the same bytes in a pool's
 worker, in a serial run and at any BLAS thread count. The price is the

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from lpboot.bootstrap import (_CHUNK, EmpiricalDistribution, _norm_draws,
+from lpboot.bootstrap import (_CHUNK, EmpiricalDistribution, _norm_draws, _Rows,
                               critical_value, empirical_quantile, gmb_draws,
                               gpb_draws, ks_distance, proxy_draws)
 from lpboot.covariance import CovMatrix, sample_covariance
@@ -194,22 +194,17 @@ def test_one_norm_pass_equals_each_p_alone():
     d = 7
     p_list = (LpExponent.finite(1), LpExponent.finite(2), LpExponent.log_dim(),
               LpExponent.infinity(), LpExponent.finite(3.5))
-    chunks = []
-
-    def rows(m, seed):
-        V = seed.generator().standard_normal((m, d)) * 10.0 ** np.arange(-3, 4)
-        V[::5] = 0.0  # all-zero rows
-        chunks.append(V.copy())  # the kernel owns, and overwrites, what a source returns
-        return V
-
     B = _CHUNK + 300  # two chunks
-    draws = _norm_draws(rows, p_list, B, RngSeed(21), d)
-    assert len(chunks) == 2
-    first = list(chunks)
-    for p in p_list:
-        q = p.resolve(d)
-        want = np.concatenate([_reference_row_norms(V, q) for V in first])
-        assert want.tobytes() == draws[p].tobytes()
-        assert want.tobytes() == np.concatenate([lp_norm_rows(V, p) for V in first]).tobytes()
-        assert draws[p].tobytes() == _norm_draws(rows, (p,), B, RngSeed(21), d)[p].tobytes()
-    assert not draws[LpExponent.finite(2)][::5][:3].any()
+    # rows at mixed scales, and all-zero rows
+    for W in (np.diag(10.0 ** np.arange(-3, 4)), np.zeros((d, d))):
+        draws = _norm_draws(_Rows(d, lambda: W), p_list, B, RngSeed(21), d)
+        chunks = [RngSeed(21).child(k).generator().standard_normal((m, d)) @ W
+                  for k, m in enumerate((_CHUNK, 300))]
+        for p in p_list:
+            q = p.resolve(d)
+            want = np.concatenate([_reference_row_norms(V, q) for V in chunks])
+            assert want.tobytes() == draws[p].tobytes()
+            assert want.tobytes() == np.concatenate([lp_norm_rows(V, p) for V in chunks]).tobytes()
+            alone = _norm_draws(_Rows(d, lambda: W), (p,), B, RngSeed(21), d)[p]
+            assert draws[p].tobytes() == alone.tobytes()
+        assert W.any() == draws[LpExponent.finite(2)].all()

@@ -1,14 +1,13 @@
 """Concentration and distribution-comparison probes."""
 
 import math
-import sys
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from lpboot import sampling
-from lpboot.bootstrap import _CHUNK, MAX_DRAWS, proxy_draws
+from lpboot import bootstrap
+from lpboot.bootstrap import _CHUNK, _ROWS, MAX_DRAWS, proxy_draws
 from lpboot.covariance import CovMatrix
 from lpboot.diagnostics import comparison_ks, levy_concentration
 from lpboot.lp import LpExponent
@@ -35,21 +34,25 @@ class TestLevyConcentration:
 
     def test_draws_in_chunks(self, monkeypatch):
         # the probe draws through the bootstrap kernel, one bounded chunk at a
-        # time, whichever module the sampler is called through
-        original = sampling.mvn_sample
-        asked = []
+        # time, and takes the norms of one block of a chunk's rows at a time
+        chunks, blocks = [], []
+        Chunk, row_norms = bootstrap._Chunk, bootstrap._row_norms
 
-        def counting(F, count, rng):
-            asked.append(count)
-            return original(F, count, rng)
+        class Counting(Chunk):
+            def __init__(self, source, W, m, *args):
+                chunks.append(m)
+                super().__init__(source, W, m, *args)
 
-        for module in list(sys.modules.values()):
-            if module.__name__.startswith("lpboot") and \
-                    getattr(module, "mvn_sample", None) is original:
-                monkeypatch.setattr(module, "mvn_sample", counting)
+        def counting(absx, qs):
+            blocks.append(len(absx))
+            return row_norms(absx, qs)
+
+        monkeypatch.setattr(bootstrap, "_Chunk", Counting)
+        monkeypatch.setattr(bootstrap, "_row_norms", counting)
         levy_concentration(CovMatrix(np.eye(3)), LpExponent.finite(2), 0.1,
                            3 * _CHUNK, RngSeed(0))
-        assert sum(asked) == 3 * _CHUNK and max(asked) <= _CHUNK
+        assert chunks == [_CHUNK] * 3
+        assert sum(blocks) == 3 * _CHUNK and max(blocks) == _ROWS
 
     def test_scalar_case_against_exact_density(self):
         # d=1, p=1: |Z| has max window mass 2 Phi(w/1) - 1 for windows at 0

@@ -694,7 +694,11 @@ class TestCli:
         ("\n".join(f"{1e307 * k},1" for k in range(1, 11)), [], "the test statistic overflows"),
         ("1,2,3\n4,5,6\n7,8,1\n2,2,2", ["--M-file", "M.csv"],
          "the conjugation M Sigma_hat M' overflows"),
-    ], ids=["column-sum", "M-file"])
+        # rows x1, -x1, x2, -x2, x3, -x3: statistic 0, draws past the largest float
+        ("\n".join(",".join(repr(s * 3e307 * v) for v in x) for x in
+                   ([1.2, 1.25, 1.3, 1.22], [1.21, 1.29, 1.24, 1.27], [1.28, 1.23, 1.26, 1.2])
+                   for s in (1, -1)), [], "the bootstrap draws overflow"),
+    ], ids=["column-sum", "M-file", "draws"])
     def test_test_subcommand_overflow_is_one_error_line(self, tmp_path, data, extra, message):
         # in a child process, so warnings print as they would for a user
         (tmp_path / "x.csv").write_text(data + "\n")

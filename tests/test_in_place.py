@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy import special
 
-from lpboot.bootstrap import (_CHUNK, _multiplier_rows, _mvn_rows, _norm_draws,
+from lpboot.bootstrap import (_CHUNK, _ROWS, _multiplier_rows, _mvn_rows, _norm_draws,
                               gmb_draws, gpb_draws, proxy_draws)
 from lpboot.covariance import (RANK_TOL, CovMatrix, _abs_correlation, _masks,
                                sample_covariance)
@@ -218,14 +218,20 @@ def traced_peak(call) -> int:
     (LpExponent.finite(1), LpExponent.finite(2), LpExponent.log_dim(), LpExponent.infinity()),
 ], ids=["one p", "four p"])
 def test_a_chunk_holds_two_arrays_of_its_size(p_list):
-    # the normals and their product, or the ratios and one scratch array;
-    # the out-of-place norm pass held four
+    # the normals, and on each of the two workers one block's product (and
+    # one scratch array where several finite p share the norm pass), plus
+    # the factor where the chunk makes it; the one-product chunk held its
+    # normals and a product of the same size, the out-of-place norm pass four
     d, m = 200, 1000
     G = RngSeed(13).generator().standard_normal((2 * d, d))
-    rows = _mvn_rows(CovMatrix(G.T @ G / (2 * d)))
-    rows(1, RngSeed(0))  # factorizes outside the traced call
-    peak = traced_peak(lambda: _norm_draws(rows, p_list, m, RngSeed(14), d))
-    assert peak <= 2.1 * m * d * 8
+    arrays = 2 if sum(not math.isinf(p.resolve(d)) for p in p_list) > 1 else 1
+    for cached in (True, False):
+        S = CovMatrix(G.T @ G / (2 * d))
+        if cached:
+            S.factor()  # outside the traced call
+        peak = traced_peak(lambda: _norm_draws(_mvn_rows(S), p_list, m, RngSeed(14), d))
+        factor = 0 if cached else d * d * 8
+        assert peak <= (1.1 * m + 2 * arrays * _ROWS) * d * 8 + factor
 
 
 def test_factorize_psd_holds_two_matrices():

@@ -159,6 +159,19 @@ class TestTestStatistic:
             with pytest.raises(ValueError, match="the test statistic overflows"):
                 restriction_stat(X, np.eye(2), m0, LpExponent.finite(2))
 
+    def test_overflow_does_not_depend_on_the_row_order(self):
+        # rows x1, x2, x3, -x1, -x2, -x3 sum to 0, but a running sum in that
+        # order passes the largest float; the rescaled data's sum does not
+        X = 5e307 * np.concatenate([LARGE_ROWS, -LARGE_ROWS])
+        interleaved = X[[0, 3, 1, 4, 2, 5]]
+        with np.errstate(over="raise"):
+            for data in (X, interleaved):
+                stat = restriction_stat(data, np.eye(4), np.zeros(4), LpExponent.finite(2))
+                assert 0.0 <= stat <= 1e-14 * 5e307
+                with pytest.raises(ValueError, match="the bootstrap draws overflow"):
+                    run_test(data, make_spec(4, LpExponent.finite(2),
+                                             estimator=EstimatorSpec("naive")))
+
 
 # `lpboot test` rows for test_csv_row_shape's data, recorded before the row
 # formatting moved to harness._format
@@ -167,6 +180,11 @@ GOLDEN_TEST_ROWS = {
     "corr_cv": "3.6263887976860012,3.7678935389158896,0.074999999999999997,0,logd,0.05,corr_cv,"
                "200,3",
 }
+
+
+# three rows whose column sums, scaled by 5e307, pass the largest float
+LARGE_ROWS = np.array([[1.2, 1.25, 1.3, 1.22], [1.21, 1.29, 1.24, 1.27],
+                       [1.28, 1.23, 1.26, 1.2]])
 
 
 def make_spec(d, p, alpha=0.05, estimator=None, B=400, seed=0, M=None, m0=None):
@@ -296,6 +314,19 @@ class TestRunTest:
                               (res.critical_value, base.critical_value)):
                 assert got == pytest.approx(c * want, rel=1e-9, abs=0.0)
             assert (res.p_value, res.reject) == (base.p_value, base.reject)
+
+    @pytest.mark.parametrize("p", ["1", "2"])
+    def test_draws_past_the_largest_float_raise(self, p):
+        # the statistic is 0, but the draws, scaled back to the data's units
+        # by 2^k, pass the largest float
+        x = LARGE_ROWS
+        X = 3e307 * np.stack([x[0], -x[0], x[1], -x[1], x[2], -x[2]])
+        spec = make_spec(4, LpExponent.parse(p), estimator=EstimatorSpec("naive"))
+        with np.errstate(over="raise"):
+            assert restriction_stat(X, spec.M, spec.m0, spec.p) == 0.0
+            with pytest.raises(ValueError, match="the bootstrap draws overflow: scaled back "
+                                                 "to the data's units by 2\\^1022"):
+                run_test(X, spec)
 
     def test_restriction_map_conjugates_covariance(self):
         # with M selecting one coordinate, the critical value matches a

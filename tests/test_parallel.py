@@ -532,18 +532,43 @@ def _first_chunk_covariances():
             "zero": CovMatrix(np.zeros((d, d)))}
 
 
+FOUR_P = (LpExponent.finite(1), LpExponent.finite(2), LpExponent.log_dim(),
+          LpExponent.infinity())
+
+
+def _one_product_draws(rows, B, rng, d, p_list=FOUR_P):
+    """The kernel's draws as one product per chunk made them: chunk k's rows
+    are rows(m, rng.child(k)), their norms taken in one pass."""
+    qs = [p.resolve(d) for p in p_list]
+    parts = []
+    for k, pos in enumerate(range(0, B, bootstrap._CHUNK)):
+        V = rows(min(bootstrap._CHUNK, B - pos), rng.child(k))
+        parts.append(bootstrap._row_norms(np.abs(V), qs))
+    return {p: np.concatenate([norms[i] for norms in parts]) for i, p in enumerate(p_list)}
+
+
+def _same_draws(got, want):
+    assert list(got) == list(want)
+    for p in want:
+        assert got[p].tobytes() == want[p].tobytes(), p
+
+
 @pytest.fixture
 def stall_factorization(monkeypatch):
-    """Once called, make index 1 of the overlap draw its first block before
-    index 0 starts the factorization, and then wait until it is done: so
-    index 1 has drawn some of the chunk's normals, and the caller draws the
-    rest. Returns the event set by index 1's first block."""
+    """Once called, make index 1 of a chunk's pipeline draw its first block
+    of normals before index 0 starts the factorization, and then wait until
+    it is done: so index 1 has drawn some of the chunk's normals before W is
+    known, and draws the rest after. Returns the event set by index 1's
+    first block."""
     drew, factored = threading.Event(), threading.Event()
     generator, factorize_psd = RngSeed.generator, sampling.factorize_psd
 
     class Stalling:
         def __init__(self, gen):
             self.gen = gen
+
+        def __getattr__(self, name):  # CV's folds permute with the generator
+            return getattr(self.gen, name)
 
         def standard_normal(self, *args, **kwargs):
             out = self.gen.standard_normal(*args, **kwargs)
@@ -566,9 +591,60 @@ def stall_factorization(monkeypatch):
     return install
 
 
+def _no_thread_left(before):
+    """No thread started since `before` (threading.enumerate()) still runs."""
+    assert set(threading.enumerate()) <= set(before)
+
+
+# one row, a block's edges, a chunk's
+BLOCK_EDGES = [1, 255, 256, 257, bootstrap._ROWS - 1, bootstrap._ROWS, bootstrap._ROWS + 1,
+               1000, 4097]
+
+
 class TestDrawOverlap:
-    """bootstrap._mvn_rows draws an unfactored covariance's first chunk while
-    index 0 of a two-index run_indexed factorizes it."""
+    """bootstrap._norm_draws runs each chunk as a two-index run_indexed
+    pipeline: index 0 prepares the source's W (here, factorizes an
+    unfactored covariance) while index 1 draws the chunk's normals, and then
+    both take blocks of rows. Pooled, serial and with a stalled prepare, the
+    draws are the bytes of one product per chunk."""
+
+    @pytest.mark.parametrize("B", BLOCK_EDGES)
+    @pytest.mark.parametrize("rank", ["full", "deficient", "zero", "full at d = 199"])
+    def test_mvn_pipeline_bytes(self, pools, stall_factorization, rank, B):
+        if rank == "full at d = 199":  # where 256-row blocks changed the last bits
+            S = sample_covariance(RngSeed(7).generator().standard_normal((400, 199)))
+        else:
+            S = _first_chunk_covariances()[rank]
+        F = sampling.factorize_psd(S)
+        rng = RngSeed(5).child(2)
+        want = _one_product_draws(lambda m, seed: sampling.mvn_sample(F, m, seed), B, rng, S.dim)
+        for mode in ("pooled", "serial", "stalled"):
+            pools.clear()
+            drew = stall_factorization() if mode == "stalled" else None
+            with held_by_another_thread() if mode == "serial" else parallel.hold():
+                got = bootstrap._norm_draws(bootstrap._mvn_rows(CovMatrix(S.values)), FOUR_P, B,
+                                            rng, S.dim)
+            _same_draws(got, want)
+            assert pools == ([] if mode == "serial" else [2] * -(-B // bootstrap._CHUNK))
+            assert drew is None or drew.is_set()
+
+    @pytest.mark.parametrize("B", BLOCK_EDGES)
+    @pytest.mark.parametrize("data", ["mixed", "constant"])
+    def test_multiplier_pipeline_bytes(self, pools, data, B):
+        n, d = 60, 200
+        X = RngSeed(8).generator().standard_normal((n, d)) * np.linspace(0.01, 100.0, d)
+        if data == "constant":  # identical rows, whose mean is exact: all-zero draws
+            X = np.tile(np.arange(d) - 100.0, (n, 1))
+        Xc = (X - X.mean(axis=0)) / np.sqrt(n)
+        rng = RngSeed(9)
+        want = _one_product_draws(lambda m, seed: seed.generator().standard_normal((m, n)) @ Xc,
+                                  B, rng, d)
+        for serial in (False, True):
+            with held_by_another_thread() if serial else parallel.hold():
+                got = bootstrap._norm_draws(bootstrap._multiplier_rows(X), FOUR_P, B, rng, d)
+            _same_draws(got, want)
+        assert pools == [2] * -(-B // bootstrap._CHUNK)  # none while another thread holds
+        assert (data == "constant") == (not want[FOUR_P[0]].any())
 
     @pytest.mark.parametrize("rank", ["full", "deficient", "zero"])
     def test_pooled_first_chunk_equals_mvn_sample(self, pools, stall_factorization, rank):
@@ -576,65 +652,108 @@ class TestDrawOverlap:
         F = sampling.factorize_psd(S)
         assert F.rank == {"full": 200, "deficient": 100, "zero": 0}[rank]
         seed = RngSeed(5).child(2)
-        want = sampling.mvn_sample(F, 1000, seed)
+        want = _one_product_draws(lambda m, s: sampling.mvn_sample(F, m, s), 1000, seed, S.dim)
         drew = stall_factorization()
         with parallel.hold():
-            got = bootstrap._mvn_rows(S)(1000, seed)
+            got = bootstrap._norm_draws(bootstrap._mvn_rows(S), FOUR_P, 1000, seed, S.dim)
         assert drew.is_set()
-        assert got.tobytes() == want.tobytes()
+        _same_draws(got, want)
         assert pools == [2]
 
     @pytest.mark.parametrize("rank", ["full", "deficient", "zero"])
     def test_serial_first_chunk_equals_mvn_sample(self, pools, rank):
         S = _first_chunk_covariances()[rank]
         seed = RngSeed(5).child(2)
-        want = sampling.mvn_sample(sampling.factorize_psd(S), 1000, seed)
+        F = sampling.factorize_psd(S)
+        want = _one_product_draws(lambda m, s: sampling.mvn_sample(F, m, s), 1000, seed, S.dim)
         with held_by_another_thread():
-            got = bootstrap._mvn_rows(S)(1000, seed)
-        assert got.tobytes() == want.tobytes()
+            got = bootstrap._norm_draws(bootstrap._mvn_rows(S), FOUR_P, 1000, seed, S.dim)
+        _same_draws(got, want)
         assert pools == []
 
     def test_chunk_boundary(self, pools):
         # B = 4097: a first chunk of 4096 rows drawn beside the factorization,
-        # then one row from the cached factor
+        # then one row from the factor the first chunk made
         S = _first_chunk_covariances()["deficient"]
         F = sampling.factorize_psd(S)
         p, rng = LpExponent.finite(2), RngSeed(6)
-        want = bootstrap._norm_draws(lambda m, seed: sampling.mvn_sample(F, m, seed), (p,),
-                                     4097, rng, S.dim)[p]
+        want = _one_product_draws(lambda m, seed: sampling.mvn_sample(F, m, seed), 4097, rng,
+                                  S.dim, (p,))[p]
         got = bootstrap.gpb_draws(S, p, 4097, rng)
         assert np.array_equal(got.samples, np.sort(want))
-        assert pools == [2]
-        rows = bootstrap._mvn_rows(CovMatrix(S.values))
-        with parallel.hold():
-            first = rows(4096, rng.child(0))
-            second = rows(1, rng.child(1))
-        assert first.tobytes() == sampling.mvn_sample(F, 4096, rng.child(0)).tobytes()
-        assert second.tobytes() == sampling.mvn_sample(F, 1, rng.child(1)).tobytes()
-        assert pools == [2, 2]  # the second chunk reads the cached factor
+        assert pools == [2, 2]  # one pipeline per chunk
 
-    def test_pool_only_where_the_factor_is_missing(self, pools):
+    def test_one_pipeline_per_chunk(self, pools):
         S = _first_chunk_covariances()["full"]
         p = LpExponent.finite(2)
         first = bootstrap.gpb_draws(S, p, 100, RngSeed(8))
-        assert pools == [2]  # gpb_draws holds, so its overlap re-enters the hold
+        assert pools == [2]  # gpb_draws holds, so its pipeline re-enters the hold
         assert bootstrap.gpb_draws(S, p, 100, RngSeed(8)).samples.tobytes() == \
             first.samples.tobytes()
-        assert pools == [2]
+        assert pools == [2, 2]  # a cached factor: prepare returns at once
         with held_by_another_thread():
             again = bootstrap.gpb_draws(CovMatrix(S.values), p, 100, RngSeed(8))
         assert again.samples.tobytes() == first.samples.tobytes()
-        assert pools == [2]
+        assert pools == [2, 2]
+
+    @pytest.mark.parametrize("kind", ["naive", "hard", "band", "corr_cv"])
+    @pytest.mark.parametrize("square", [True, False], ids=["M=I", "M"])
+    def test_run_test_draws_equal_gpb_draws(self, pools, stall_factorization, kind, square):
+        # run_test's prepare step (estimate, conjugation, factorization) runs
+        # beside the normals: its draws are gpb_draws' of M Sigma_hat M'
+        n, d = 40, 30
+        X = RngSeed(10).generator().standard_normal((n, d)) + RngSeed(11).generator(
+            ).standard_normal((n, 1))
+        M = np.eye(d) if square else RngSeed(12).generator().standard_normal((5, d))
+        est = EstimatorSpec(kind, lam=0.2, ell=3, cv_folds=3)
+        spec = inference.TestSpec(M=M, m0=np.zeros(M.shape[0]), p=LpExponent.log_dim(),
+                                  alpha=0.05, estimator=est, B=1000, seed=RngSeed(13))
+        Sigma = inference.estimate_covariance(X, est, spec.seed.child(1, 0))
+        Omega = Sigma if square else CovMatrix(M @ Sigma.values @ M.T)
+        want = bootstrap.gpb_draws(Omega, spec.p, spec.B, spec.seed.child(2))
+        runs = []
+        for mode in ("pooled", "serial", "stalled"):
+            pools.clear()
+            with held_by_another_thread() if mode == "serial" else contextlib.nullcontext():
+                if mode == "stalled":
+                    stall_factorization()
+                runs.append(run_test(X, spec))
+            # CV's passes, where there is CV, then one pipeline; none serially
+            if mode == "serial":
+                assert pools == []
+            else:
+                assert pools[-1] == 2 and (len(pools) == 1 or kind == "corr_cv")
+        for res in runs:
+            assert res.distribution.samples.tobytes() == want.samples.tobytes()
+            assert res.distribution.meta == want.meta
+            assert (res.statistic, res.critical_value, res.p_value) == (
+                runs[0].statistic, runs[0].critical_value, runs[0].p_value)
 
     @pytest.mark.parametrize("serial", [False, True])
     def test_not_psd_raises_and_releases(self, blas_at_two, pools, serial):
-        S = CovMatrix(np.diag([1.0, -1.0, 2.0]))
-        with contextlib.ExitStack() as stack:
-            if serial:
-                stack.enter_context(held_by_another_thread())
-            with pytest.raises(ValueError, match="not positive semi-definite"):
-                bootstrap.gpb_draws(S, LpExponent.finite(2), 100, RngSeed(9))
-        assert pools == ([] if serial else [2])
+        # prepare (the factorization) raises its own error, and index 1 stops
+        # drawing: no helper thread is left running
+        before = threading.enumerate()
+        for values, B in ((np.diag([1.0, -1.0, 2.0]), 100),
+                          (np.diag(np.r_[-1.0, np.ones(199)]), 4097)):
+            raised = []
+
+            def draw():
+                try:
+                    bootstrap.gpb_draws(CovMatrix(values), LpExponent.finite(2), B, RngSeed(9))
+                except ValueError as exc:
+                    raised.append(exc)
+
+            with contextlib.ExitStack() as stack:
+                if serial:
+                    stack.enter_context(held_by_another_thread())
+                caller = threading.Thread(target=draw)  # so a hang fails the test
+                caller.start()
+                caller.join(30)
+                assert not caller.is_alive()
+            assert len(raised) == 1 and "not positive semi-definite" in str(raised[0])
+            _no_thread_left(before)
+        assert pools == ([] if serial else [2, 2])  # no pipeline after the failed chunk
         assert blas_at_two() == 2
         got = []
 
