@@ -58,24 +58,26 @@ def _seed_label(rng: RngSeed) -> str:
 
 
 class _Rows(NamedTuple):
-    """A row source for the kernel: rows z @ W for rows z of i.i.d. standard
-    normals. prepare() returns W, at most `bound` rows by d; the kernel calls
-    it once, beside the first chunk's normals, so a source can leave whatever
-    W needs (an estimate, a factorization) to prepare."""
+    """A row source for the kernel whose W is not known yet: rows z @ W for
+    rows z of i.i.d. standard normals. prepare() returns W, at most `bound`
+    rows by d; the kernel calls it once, beside the first chunk's normals, so
+    a source can leave whatever W needs (an estimate, a factorization) to
+    prepare. A source whose W is known is W itself."""
 
     bound: int
     prepare: Callable[[], np.ndarray]
 
 
 class _Chunk:
-    """One chunk of the kernel as a two-index run_indexed pipeline over the
-    chunk's m rows, in blocks of _ROWS rows.
+    """One chunk of the kernel over its m rows, in blocks of _ROWS rows.
 
-    Index 0 runs the source's prepare where W is not yet known, then takes
-    the blocks whose normals are already drawn, and never waits. Index 1 draws
-    the chunk's normals from its one generator, in order, _BLOCK at a time:
-    up to m * bound while W is unknown, and m * rank once it is. It waits for
-    prepare if it has to, then takes the blocks that are left. A block is
+    While W is unknown the chunk is a two-index run_indexed pipeline. Index
+    0 runs the source's prepare, then takes the blocks whose normals are
+    already drawn, and never waits. Index 1 draws the chunk's normals from
+    its one generator, in order, _BLOCK at a time: up to m * bound while W is
+    unknown, and m * rank once it is. It waits for prepare if it has to, then
+    takes the blocks that are left. Where W is known, index 1 alone is the
+    chunk: it draws m * rank normals and takes every block. A block is
     Z[lo:hi] @ W, its absolute values in place and their norms into the
     output. Philox normals are prefix-stable (the first N of a longer or
     blocked request are a request of N), and every block writes only its own
@@ -84,8 +86,8 @@ class _Chunk:
     index 0 runs first: W is known before any normal is drawn, and index 1
     then draws m * rank normals and takes every block."""
 
-    def __init__(self, source: _Rows, W, m: int, seed: RngSeed, qs, outs):
-        self.prepare, self.W, self.m, self.qs, self.outs = source.prepare, W, m, qs, outs
+    def __init__(self, source, W, m: int, seed: RngSeed, qs, outs):
+        self.source, self.W, self.m, self.qs, self.outs = source, W, m, qs, outs
         self.gen = seed.generator()
         self.normals = np.empty(m * (source.bound if W is None else W.shape[0]))
         self.filled = 0  # normals drawn, in order
@@ -97,11 +99,10 @@ class _Chunk:
 
     def __call__(self, i: int) -> None:
         if i == 0:
-            if not self.ready.is_set():
-                try:
-                    self.W = self.prepare()
-                finally:
-                    self.ready.set()
+            try:
+                self.W = self.source.prepare()
+            finally:
+                self.ready.set()
             self._take()
             return
         limit = self.normals.size
@@ -142,50 +143,55 @@ class _Chunk:
             out[lo:hi] = norms
 
 
-def _norm_draws(source: _Rows, p_list, B: int, rng: RngSeed, d: int) -> dict:
+def _norm_draws(source, p_list, B: int, rng: RngSeed, d: int) -> dict:
     """B draws of ||V||_p for every p in p_list, all read from one stream of
-    Gaussian rows V = Z W of the source: chunk k has at most _CHUNK rows, its
-    normals Z drawn from rng.child(k), so memory stays bounded and single-p
-    output equals multi-p output draw-for-draw. One norm pass per block of
-    _ROWS rows serves every p.
+    Gaussian rows V = Z W of the source (W itself, or a _Rows that prepares
+    it): chunk k has at most _CHUNK rows, its normals Z drawn from
+    rng.child(k), so memory stays bounded and single-p output equals multi-p
+    output draw-for-draw. One norm pass per block of _ROWS rows serves every
+    p.
 
-    Each chunk is a two-index run_indexed pipeline (_Chunk): the source's
-    prepare runs in the first chunk beside its normals, and the blocks'
-    products and norms run on both workers. A chunk holds its normals, and
-    per worker one block's product (plus one scratch array where several
-    finite p share the norm pass): a block's product is overwritten with its
-    absolute values and then the norm pass's ratios. With _ROWS a multiple
-    of 24 the draws are the bytes of one product per chunk (mvn_sample's,
-    for _mvn_rows): so measured with OpenBLAS 0.3.31's SkylakeX kernels at
-    every d up to 1024."""
+    Each chunk is a _Chunk. While W is unknown, that is in the first chunk
+    of a _Rows source, the chunk is a two-index run_indexed pipeline: the
+    source's prepare runs beside the chunk's normals, and then both workers
+    take blocks. Every other chunk runs on the calling thread, with no pool.
+    A chunk holds its normals, and per worker one block's product (plus one
+    scratch array where several finite p share the norm pass): a block's
+    product is overwritten with its absolute values and then the norm pass's
+    ratios. With _ROWS a multiple of 24 the draws are the bytes of one
+    product per chunk (mvn_sample's, for _mvn_rows): so measured with
+    OpenBLAS 0.3.31's SkylakeX kernels at every d up to 1024."""
     if not 1 <= B <= MAX_DRAWS:
         raise ValueError(f"B must lie in [1, {MAX_DRAWS}]")
     qs = [p.resolve(d) for p in p_list]
     out = {p: np.empty(B) for p in p_list}
-    W = None
+    W = source if isinstance(source, np.ndarray) else None
     for k, pos in enumerate(range(0, B, _CHUNK)):
         m = min(_CHUNK, B - pos)
         chunk = _Chunk(source, W, m, rng.child(k), qs, [out[p][pos:pos + m] for p in p_list])
-        run_indexed(chunk, 2, 2)
-        W = chunk.W
+        if W is None:
+            run_indexed(chunk, 2, 2)
+            W = chunk.W
+        else:
+            chunk(1)
     return out
 
 
-def _mvn_rows(S: CovMatrix) -> _Rows:
+def _mvn_rows(S: CovMatrix):
     """Row source for the kernel: rows of N(0, S), W the transpose of S's PSD
-    factor; prepare factorizes S where no factor is cached."""
+    factor, known where S caches its factor; else a _Rows whose prepare
+    factorizes S."""
+    if S._factor is not None:
+        return S._factor.factor.T
     return _Rows(S.dim, lambda: S.factor().factor.T)
 
 
-def _multiplier_rows(X: np.ndarray) -> _Rows:
+def _multiplier_rows(X: np.ndarray) -> np.ndarray:
     """Row source for the kernel: rows n^{-1/2} sum_i g_i (X_i - Xbar) with
     i.i.d. standard normal multipliers g_i, W = (X - Xbar) / sqrt(n)."""
-    def prepare() -> np.ndarray:
-        Xc = X - X.mean(axis=0)
-        Xc /= math.sqrt(X.shape[0])
-        return Xc
-
-    return _Rows(X.shape[0], prepare)
+    Xc = X - X.mean(axis=0)
+    Xc /= math.sqrt(X.shape[0])
+    return Xc
 
 
 def _distribution(engine: str, rows, p: LpExponent, B: int, rng: RngSeed,
@@ -197,8 +203,13 @@ def _distribution(engine: str, rows, p: LpExponent, B: int, rng: RngSeed,
     return EmpiricalDistribution(draws, {"engine": engine, "p": p.label, "seed": _seed_label(rng)})
 
 
-def gpb_draws(Sigma_hat: CovMatrix, p: LpExponent, B: int, rng: RngSeed) -> EmpiricalDistribution:
-    """Draws of ||V||_p with V ~ N(0, Sigma_hat)."""
+def gpb_draws(Sigma_hat: CovMatrix | _Rows, p: LpExponent, B: int,
+              rng: RngSeed) -> EmpiricalDistribution:
+    """Draws of ||V||_p with V ~ N(0, Sigma_hat). Sigma_hat may also be given
+    as a _Rows of dimension `bound` whose prepare returns the transpose of
+    its PSD factor, as run_test does to estimate it beside the normals."""
+    if isinstance(Sigma_hat, _Rows):
+        return _distribution("gpb", Sigma_hat, p, B, rng, Sigma_hat.bound)
     return _distribution("gpb", _mvn_rows(Sigma_hat), p, B, rng, Sigma_hat.dim)
 
 

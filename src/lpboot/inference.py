@@ -12,8 +12,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.special import gammaln
 
-from .bootstrap import (MAX_DRAWS, EmpiricalDistribution, _distribution, _Rows,
-                        critical_value)
+from .bootstrap import (MAX_DRAWS, EmpiricalDistribution, _Rows, critical_value,
+                        gpb_draws)
 from .covariance import (CovMatrix, _band_width, _rescale_exponent, band,
                          correlation_threshold, cv_select_lambda, psd_project,
                          sample_covariance, threshold)
@@ -151,6 +151,12 @@ class TestResult:
 
 def test_statistic(X: np.ndarray, M: np.ndarray, m0: np.ndarray, p: LpExponent) -> float:
     """||n^{-1/2} sum_i (M X_i - m0)||_p."""
+    X, M, m0 = _statistic_inputs(X, M, m0)
+    return _restricted_statistic(X, _rescale_exponent(X), M, m0, p)
+
+
+def _statistic_inputs(X, M, m0) -> tuple:
+    """X, M and m0 as float arrays, checked for matching shapes and finite."""
     X = np.asarray(X, dtype=float)
     M = np.asarray(M, dtype=float)
     m0 = np.asarray(m0, dtype=float)
@@ -159,17 +165,22 @@ def test_statistic(X: np.ndarray, M: np.ndarray, m0: np.ndarray, p: LpExponent) 
                          f"map of shape {M.shape}, target of size {m0.size}")
     if not all(np.isfinite(a).all() for a in (X, M, m0)):
         raise ValueError("data, restriction map and target must be finite")
+    return X, M, m0
+
+
+def _restricted_statistic(X: np.ndarray, k: int, M: np.ndarray, m0: np.ndarray,
+                          p: LpExponent) -> float:
+    """test_statistic of checked inputs, k = _rescale_exponent(X)."""
     with np.errstate(over="ignore", invalid="ignore"):
-        total = _column_sum(X) @ M.T
+        total = _column_sum(X, k) @ M.T
     return _statistic(total, X.shape[0], m0, p)
 
 
-def _column_sum(X: np.ndarray) -> np.ndarray:
-    """sum_i X_i, summed on the data's exact power-of-two rescaling where its
-    largest |entry| lies outside [2^-64, 2^64] (_rescale_exponent), so no
-    partial sum overflows and the sum is inf only where it passes the largest
-    float, whatever the order of the rows; other data keeps every byte."""
-    k = _rescale_exponent(X)
+def _column_sum(X: np.ndarray, k: int) -> np.ndarray:
+    """sum_i X_i, summed on the data's exact power-of-two rescaling X * 2^-k
+    where k = _rescale_exponent(X) is not 0, so no partial sum overflows and
+    the sum is inf only where it passes the largest float, whatever the order
+    of the rows; data with k = 0 keeps every byte."""
     if not k:
         return X.sum(axis=0)
     with np.errstate(over="ignore"):
@@ -212,9 +223,9 @@ def run_test(X: np.ndarray, spec: TestSpec) -> TestResult:
     bootstrap._norm_draws); the draws are gpb_draws' of M Sigma_hat M'.
     """
     with hold():
-        X = np.asarray(X, dtype=float)
-        stat = test_statistic(X, spec.M, spec.m0, spec.p)
+        X, M, m0 = _statistic_inputs(X, spec.M, spec.m0)
         k = _rescale_exponent(X)
+        stat = _restricted_statistic(X, k, M, m0, spec.p)
         est = spec.estimator
         if k and est.kind == "hard":
             # a level past the largest float lies above every rescaled entry
@@ -242,8 +253,7 @@ def run_test(X: np.ndarray, spec: TestSpec) -> TestResult:
                                   provenance=f"conjugate<-{Sigma.provenance}")
             return Omega.factor().factor.T
 
-        dim = spec.M.shape[0]
-        dist = _distribution("gpb", _Rows(dim, prepare), spec.p, spec.B, spec.seed.child(2), dim)
+        dist = gpb_draws(_Rows(spec.M.shape[0], prepare), spec.p, spec.B, spec.seed.child(2))
         if k:
             with np.errstate(over="ignore"):
                 samples = np.ldexp(dist.samples, k)
@@ -298,7 +308,7 @@ def confidence_set(X: np.ndarray, p: LpExponent, alpha: float,
     res = run_test(X, TestSpec(np.eye(d), np.zeros(d), p, alpha, estimator, B, seed))
     n, crit = X.shape[0], res.critical_value
     return ConfidenceSet(center=X.mean(axis=0), radius=crit / math.sqrt(n), p=p,
-                         dual=(_column_sum(X), n, crit))
+                         dual=(_column_sum(X, _rescale_exponent(X)), n, crit))
 
 
 @dataclass

@@ -31,13 +31,16 @@ Which calls hold, each in one hold():
   copula_sample and every CovMatrix.factor(); psd_project, cov_diagnostics
   and cov_error for their LAPACK call; cv_select_lambda for its passes;
 - run_indexed: where it would start more than one worker, for its pool.
-Two different jobs share a pool in one place, the bootstrap kernel's chunks
-(bootstrap._norm_draws): each chunk is a two-index run_indexed whose index 0
-runs the row source's prepare step (for run_test every estimate step after
-CV's lambda-hat, the conjugation and the factorization) while index 1 draws
-the chunk's normals, and then both multiply blocks of rows and take their
-norms. A hold() on the pool's thread finds the lock held, so a step there
-runs under the pin of the caller's hold.
+Two different jobs share a pool in one place, the bootstrap kernel's first
+chunk of a row source whose W is not known yet (bootstrap._norm_draws): a
+two-index run_indexed whose index 0 runs the source's prepare step (for
+run_test every estimate step after CV's lambda-hat, the conjugation and the
+factorization; for gpb_draws and proxy_draws of a covariance with no cached
+factor, the factorization) while index 1 draws the chunk's normals, and then
+both multiply blocks of rows and take their norms. Every chunk whose W is
+known (a cached factor, gmb_draws' centred data, a later chunk) runs on the
+calling thread, with no pool. A hold() on the pool's thread finds the lock
+held, so a step there runs under the pin of the caller's hold.
 Two reasons for the holds. OpenBLAS's helper thread: an OpenBLAS call on two
 threads leaves it spinning for about 80 ms afterwards, whatever the count is
 set to then, and it would take a core from a pool's workers (CV's folds, or

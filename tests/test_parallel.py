@@ -602,11 +602,12 @@ BLOCK_EDGES = [1, 255, 256, 257, bootstrap._ROWS - 1, bootstrap._ROWS, bootstrap
 
 
 class TestDrawOverlap:
-    """bootstrap._norm_draws runs each chunk as a two-index run_indexed
-    pipeline: index 0 prepares the source's W (here, factorizes an
-    unfactored covariance) while index 1 draws the chunk's normals, and then
-    both take blocks of rows. Pooled, serial and with a stalled prepare, the
-    draws are the bytes of one product per chunk."""
+    """bootstrap._norm_draws runs a chunk whose W is not known yet (the first
+    chunk of an unfactored covariance) as a two-index run_indexed pipeline:
+    index 0 prepares W (here, factorizes the covariance) while index 1 draws
+    the chunk's normals, and then both take blocks of rows. Every other chunk
+    runs on the calling thread, with no pool. Pooled, serial and with a
+    stalled prepare, the draws are the bytes of one product per chunk."""
 
     @pytest.mark.parametrize("B", BLOCK_EDGES)
     @pytest.mark.parametrize("rank", ["full", "deficient", "zero", "full at d = 199"])
@@ -625,12 +626,12 @@ class TestDrawOverlap:
                 got = bootstrap._norm_draws(bootstrap._mvn_rows(CovMatrix(S.values)), FOUR_P, B,
                                             rng, S.dim)
             _same_draws(got, want)
-            assert pools == ([] if mode == "serial" else [2] * -(-B // bootstrap._CHUNK))
+            assert pools == ([] if mode == "serial" else [2])  # the first chunk's alone
             assert drew is None or drew.is_set()
 
     @pytest.mark.parametrize("B", BLOCK_EDGES)
     @pytest.mark.parametrize("data", ["mixed", "constant"])
-    def test_multiplier_pipeline_bytes(self, pools, data, B):
+    def test_multiplier_draw_bytes(self, pools, data, B):
         n, d = 60, 200
         X = RngSeed(8).generator().standard_normal((n, d)) * np.linspace(0.01, 100.0, d)
         if data == "constant":  # identical rows, whose mean is exact: all-zero draws
@@ -643,7 +644,7 @@ class TestDrawOverlap:
             with held_by_another_thread() if serial else parallel.hold():
                 got = bootstrap._norm_draws(bootstrap._multiplier_rows(X), FOUR_P, B, rng, d)
             _same_draws(got, want)
-        assert pools == [2] * -(-B // bootstrap._CHUNK)  # none while another thread holds
+        assert pools == []  # W is known: no chunk pools
         assert (data == "constant") == (not want[FOUR_P[0]].any())
 
     @pytest.mark.parametrize("rank", ["full", "deficient", "zero"])
@@ -673,7 +674,7 @@ class TestDrawOverlap:
 
     def test_chunk_boundary(self, pools):
         # B = 4097: a first chunk of 4096 rows drawn beside the factorization,
-        # then one row from the factor the first chunk made
+        # then one row from the factor the first chunk made, with no pool
         S = _first_chunk_covariances()["deficient"]
         F = sampling.factorize_psd(S)
         p, rng = LpExponent.finite(2), RngSeed(6)
@@ -681,20 +682,20 @@ class TestDrawOverlap:
                                   S.dim, (p,))[p]
         got = bootstrap.gpb_draws(S, p, 4097, rng)
         assert np.array_equal(got.samples, np.sort(want))
-        assert pools == [2, 2]  # one pipeline per chunk
+        assert pools == [2]
 
-    def test_one_pipeline_per_chunk(self, pools):
+    def test_pool_only_where_the_factor_is_missing(self, pools):
         S = _first_chunk_covariances()["full"]
         p = LpExponent.finite(2)
         first = bootstrap.gpb_draws(S, p, 100, RngSeed(8))
         assert pools == [2]  # gpb_draws holds, so its pipeline re-enters the hold
         assert bootstrap.gpb_draws(S, p, 100, RngSeed(8)).samples.tobytes() == \
             first.samples.tobytes()
-        assert pools == [2, 2]  # a cached factor: prepare returns at once
+        assert pools == [2]  # a cached factor: W is known
         with held_by_another_thread():
             again = bootstrap.gpb_draws(CovMatrix(S.values), p, 100, RngSeed(8))
         assert again.samples.tobytes() == first.samples.tobytes()
-        assert pools == [2, 2]
+        assert pools == [2]
 
     @pytest.mark.parametrize("kind", ["naive", "hard", "band", "corr_cv"])
     @pytest.mark.parametrize("square", [True, False], ids=["M=I", "M"])
@@ -753,7 +754,7 @@ class TestDrawOverlap:
                 assert not caller.is_alive()
             assert len(raised) == 1 and "not positive semi-definite" in str(raised[0])
             _no_thread_left(before)
-        assert pools == ([] if serial else [2, 2])  # no pipeline after the failed chunk
+        assert pools == ([] if serial else [2, 2])  # first chunks; none after a failure
         assert blas_at_two() == 2
         got = []
 
