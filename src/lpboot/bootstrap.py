@@ -23,15 +23,13 @@ from .sampling import RngSeed
 
 # hard cap on retained draws; full sorted samples are kept for quantiles/KS
 MAX_DRAWS = 10**6
-_CHUNK = 4096
-# standard normals drawn between two looks at whether the source's W is known
-_BLOCK = 8192
-# rows of a chunk whose product and norms one worker computes at a time: a
-# multiple of 24, so each block's rows come out in the bytes one product over
-# the chunk gives them (OpenBLAS's gemm computes a product's rows in groups
-# that 24 rows align with; 256-row blocks changed the last bits wherever
-# d > 192 was not a multiple of 8)
+# rows of a block: its normals come from their own stream, and one worker
+# computes its product and norms
 _ROWS = 264
+# blocks whose normals are drawn ahead while a source's W is not known yet
+_AHEAD = 16
+# standard normals drawn between two looks at whether W is known
+_BLOCK = 8192
 
 
 @dataclass
@@ -60,120 +58,96 @@ def _seed_label(rng: RngSeed) -> str:
 class _Rows(NamedTuple):
     """A row source for the kernel whose W is not known yet: rows z @ W for
     rows z of i.i.d. standard normals. prepare() returns W, at most `bound`
-    rows by d; the kernel calls it once, beside the first chunk's normals, so
-    a source can leave whatever W needs (an estimate, a factorization) to
-    prepare. A source whose W is known is W itself."""
+    rows by d; the kernel calls it once, while the first blocks' normals are
+    drawn at width `bound`, so a source can leave whatever W needs (an
+    estimate, a factorization) to prepare. A source whose W is known is W
+    itself."""
 
     bound: int
     prepare: Callable[[], np.ndarray]
 
 
-class _Chunk:
-    """One chunk of the kernel over its m rows, in blocks of _ROWS rows.
-
-    While W is unknown the chunk is a two-index run_indexed pipeline. Index
-    0 runs the source's prepare, then takes the blocks whose normals are
-    already drawn, and never waits. Index 1 draws the chunk's normals from
-    its one generator, in order, _BLOCK at a time: up to m * bound while W is
-    unknown, and m * rank once it is. It waits for prepare if it has to, then
-    takes the blocks that are left. Where W is known, index 1 alone is the
-    chunk: it draws m * rank normals and takes every block. A block is
-    Z[lo:hi] @ W, its absolute values in place and their norms into the
-    output. Philox normals are prefix-stable (the first N of a longer or
-    blocked request are a request of N), and every block writes only its own
-    rows, so the bytes do not depend on which index takes a block. Run
-    serially (inside a pool's worker, or while another thread holds the pool)
-    index 0 runs first: W is known before any normal is drawn, and index 1
-    then draws m * rank normals and takes every block."""
-
-    def __init__(self, source, W, m: int, seed: RngSeed, qs, outs):
-        self.source, self.W, self.m, self.qs, self.outs = source, W, m, qs, outs
-        self.gen = seed.generator()
-        self.normals = np.empty(m * (source.bound if W is None else W.shape[0]))
-        self.filled = 0  # normals drawn, in order
-        self.taken = 0  # blocks started
-        self.lock = threading.Lock()
-        self.ready = threading.Event()  # prepare has ended: W is set unless it raised
-        if W is not None:
-            self.ready.set()
-
-    def __call__(self, i: int) -> None:
-        if i == 0:
-            try:
-                self.W = self.source.prepare()
-            finally:
-                self.ready.set()
-            self._take()
-            return
-        limit = self.normals.size
-        while True:
-            if self.ready.is_set():
-                if self.W is None:  # prepare raised, and index 0 re-raises it
-                    return
-                limit = self.m * self.W.shape[0]
-            if self.filled >= limit:
-                break
-            end = min(self.filled + _BLOCK, limit)
-            self.gen.standard_normal(out=self.normals[self.filled:end])
-            self.filled = end
-        self.ready.wait()
-        if self.W is not None:
-            self._take()
-
-    def _take(self) -> None:
-        """Blocks in order, while the next one's normals are drawn."""
-        rank = self.W.shape[0]
-        # numpy multiplies a single row by gemv, not gemm, in other bytes, so
-        # a last block of one row joins the block before it
-        blocks = max(1, (self.m - 2) // _ROWS + 1)
-        while True:
-            with self.lock:
-                j = self.taken
-                hi = self.m if j == blocks - 1 else (j + 1) * _ROWS
-                if j == blocks or hi * rank > self.filled:
-                    return
-                self.taken = j + 1
-            self._block(j * _ROWS, hi, rank)
-
-    def _block(self, lo: int, hi: int, rank: int) -> None:
-        """Rows lo:hi: a method, so that a worker's product is freed before
-        its next block's is made."""
-        V = self.normals[lo * rank:hi * rank].reshape(hi - lo, rank) @ self.W
-        for out, norms in zip(self.outs, _row_norms(np.abs(V, out=V), self.qs)):
-            out[lo:hi] = norms
-
-
 def _norm_draws(source, p_list, B: int, rng: RngSeed, d: int) -> dict:
-    """B draws of ||V||_p for every p in p_list, all read from one stream of
-    Gaussian rows V = Z W of the source (W itself, or a _Rows that prepares
-    it): chunk k has at most _CHUNK rows, its normals Z drawn from
-    rng.child(k), so memory stays bounded and single-p output equals multi-p
-    output draw-for-draw. One norm pass per block of _ROWS rows serves every
-    p.
+    """B draws of ||V||_p for every p in p_list, from Gaussian rows V = Z W
+    of the source (W itself, or a _Rows that prepares it), so single-p
+    output equals multi-p output draw-for-draw.
 
-    Each chunk is a _Chunk. While W is unknown, that is in the first chunk
-    of a _Rows source, the chunk is a two-index run_indexed pipeline: the
-    source's prepare runs beside the chunk's normals, and then both workers
-    take blocks. Every other chunk runs on the calling thread, with no pool.
-    A chunk holds its normals, and per worker one block's product (plus one
-    scratch array where several finite p share the norm pass): a block's
-    product is overwritten with its absolute values and then the norm pass's
-    ratios. With _ROWS a multiple of 24 the draws are the bytes of one
-    product per chunk (mvn_sample's, for _mvn_rows): so measured with
-    OpenBLAS 0.3.31's SkylakeX kernels at every d up to 1024."""
+    Block j is rows j * _ROWS up to (j + 1) * _ROWS (the last block fewer):
+    its normals Z are rng.child(j).generator().standard_normal(rows * rank),
+    and one worker computes its product Z @ W, its absolute values in place
+    and one norm pass for every p into the output. So block j's draws are
+    the norms of mvn_sample(F, rows, rng.child(j)) (for gmb, of the
+    multipliers' product), whichever worker computes them, and memory is one
+    block's normals and product (plus one scratch array where several finite
+    p share the norm pass) per worker. Where W is known the blocks run in
+    order on the calling thread, with no pool.
+
+    A _Rows source is one run_indexed(step, 2 + blocks, 2): index 0 runs
+    prepare while index 1 draws the first _AHEAD blocks' normals at width
+    bound into one buffer, _BLOCK at a time, and stops once W is known.
+    Every later index is a block: it waits for W, then multiplies its drawn
+    prefix (Philox normals are prefix-stable: the first N of a longer or a
+    blocked request are a request of N), or draws its normals itself where
+    index 1 did not draw them all, into the buffer once index 1 has
+    stopped. Run serially (inside a pool's worker, or while another thread
+    holds the pool) index 0 runs first, and index 1 draws nothing."""
     if not 1 <= B <= MAX_DRAWS:
         raise ValueError(f"B must lie in [1, {MAX_DRAWS}]")
     qs = [p.resolve(d) for p in p_list]
     out = {p: np.empty(B) for p in p_list}
+    blocks = (B - 1) // _ROWS + 1
     W = source if isinstance(source, np.ndarray) else None
-    for k, pos in enumerate(range(0, B, _CHUNK)):
-        m = min(_CHUNK, B - pos)
-        chunk = _Chunk(source, W, m, rng.child(k), qs, [out[p][pos:pos + m] for p in p_list])
-        if W is None:
-            run_indexed(chunk, 2, 2)
-            W = chunk.W
+
+    def block(j: int) -> None:
+        lo, hi = j * _ROWS, min((j + 1) * _ROWS, B)
+        size = (hi - lo) * W.shape[0]
+        if j < len(drawn):
+            normals = ahead[j * width:j * width + size]
+            if drawn[j] < size:
+                stopped.wait()  # index 1 may be drawing it still
+                if drawn[j] < size:  # index 1 stopped short of it: drawn again
+                    rng.child(j).generator().standard_normal(out=normals)
         else:
-            chunk(1)
+            normals = rng.child(j).generator().standard_normal(size)
+        V = normals.reshape(hi - lo, W.shape[0]) @ W
+        for p, norms in zip(p_list, _row_norms(np.abs(V, out=V), qs)):
+            out[p][lo:hi] = norms
+
+    if W is not None:
+        drawn = []
+        for j in range(blocks):
+            block(j)
+        return out
+    width = _ROWS * source.bound
+    ahead = np.empty(min(B, _AHEAD * _ROWS) * source.bound)  # made and freed by the caller
+    drawn = [0] * min(blocks, _AHEAD)  # normals index 1 drew of each block, from its start
+    known, stopped = threading.Event(), threading.Event()  # prepare ended; index 1 ended
+
+    def step(i: int) -> None:
+        nonlocal W
+        if i == 0:
+            try:
+                W = source.prepare()
+            finally:
+                known.set()
+        elif i == 1:
+            try:
+                for j in range(len(drawn)):
+                    if known.is_set():
+                        return
+                    gen, region = rng.child(j).generator(), ahead[j * width:(j + 1) * width]
+                    while drawn[j] < region.size and not known.is_set():
+                        end = min(drawn[j] + _BLOCK, region.size)
+                        gen.standard_normal(out=region[drawn[j]:end])
+                        drawn[j] = end
+            finally:
+                stopped.set()
+        else:
+            known.wait()
+            if W is not None:  # else prepare raised, and index 0 re-raises it
+                block(i - 2)
+
+    run_indexed(step, 2 + blocks, 2)
     return out
 
 

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from lpboot.bootstrap import (_CHUNK, EmpiricalDistribution, _norm_draws, _Rows,
+from lpboot.bootstrap import (_AHEAD, _BLOCK, _ROWS, EmpiricalDistribution, _norm_draws, _Rows,
                               critical_value, empirical_quantile, gmb_draws,
                               gpb_draws, ks_distance, proxy_draws)
 from lpboot.covariance import CovMatrix, sample_covariance
@@ -105,9 +105,9 @@ class TestGpbDraws:
         assert np.array_equal(a.samples, b.samples)
 
     def test_chunking_invisible(self):
-        # a B just over the chunk boundary has the same first draws
+        # a B past a block's end has the same draws in every whole block
         S = CovMatrix(np.eye(2))
-        small = gpb_draws(S, LpExponent.finite(2), 4096, RngSeed(4))
+        small = gpb_draws(S, LpExponent.finite(2), 15 * _ROWS, RngSeed(4))
         big = gpb_draws(S, LpExponent.finite(2), 5000, RngSeed(4))
         assert set(small.samples) <= set(big.samples)
 
@@ -194,12 +194,12 @@ def test_one_norm_pass_equals_each_p_alone():
     d = 7
     p_list = (LpExponent.finite(1), LpExponent.finite(2), LpExponent.log_dim(),
               LpExponent.infinity(), LpExponent.finite(3.5))
-    B = _CHUNK + 300  # two chunks
+    B = _AHEAD * _ROWS + 300  # blocks drawn ahead, and blocks past them
     # rows at mixed scales, and all-zero rows
     for W in (np.diag(10.0 ** np.arange(-3, 4)), np.zeros((d, d))):
         draws = _norm_draws(_Rows(d, lambda: W), p_list, B, RngSeed(21), d)
-        chunks = [RngSeed(21).child(k).generator().standard_normal((m, d)) @ W
-                  for k, m in enumerate((_CHUNK, 300))]
+        chunks = [RngSeed(21).child(j).generator().standard_normal((min(_ROWS, B - lo), d)) @ W
+                  for j, lo in enumerate(range(0, B, _ROWS))]
         for p in p_list:
             q = p.resolve(d)
             want = np.concatenate([_reference_row_norms(V, q) for V in chunks])
@@ -208,3 +208,44 @@ def test_one_norm_pass_equals_each_p_alone():
             alone = _norm_draws(_Rows(d, lambda: W), (p,), B, RngSeed(21), d)[p]
             assert draws[p].tobytes() == alone.tobytes()
         assert W.any() == draws[LpExponent.finite(2)].all()
+
+
+def test_philox_normals_are_prefix_stable():
+    # the draw kernel rests on this numpy property: the first N normals of a
+    # Philox stream are the same drawn alone, as the start of a longer
+    # request, or as blocked out= requests of any sizes. The kernel's
+    # drawn-ahead normals are such a blocked request, and a block uses their
+    # prefix as its own request; a numpy that breaks this fails here first
+    def stream():
+        return RngSeed(3).child(1).generator()
+
+    N, M = 5000, 3 * _BLOCK + 7
+    alone = stream().standard_normal(N)
+    assert alone.tobytes() == stream().standard_normal(M)[:N].tobytes(), \
+        "standard_normal(N) is not a prefix of standard_normal(M > N)"
+    assert alone.tobytes() == stream().standard_normal((50, N // 50)).tobytes()
+    for sizes in ((_BLOCK,), (1, 7, 1000), (4999, 2)):
+        blocked, gen, lo = np.empty(M), stream(), 0
+        while lo < M:
+            for size in sizes:
+                gen.standard_normal(out=blocked[lo:lo + size])
+                lo += size
+        assert alone.tobytes() == blocked[:N].tobytes(), \
+            f"blocked standard_normal(out=...) requests of sizes {sizes} are not a prefix"
+
+
+def test_draws_within_one_block_are_block_0s():
+    # B <= _ROWS draws one block from rng.child(0), as the kernel's first
+    # 4096-row chunk of one product did, so these bytes are the same as
+    # before blocks had their own streams
+    G = RngSeed(22).generator().standard_normal((40, 30))
+    S, X = sample_covariance(G), G[:12]
+    p = LpExponent.finite(2)
+    for B in (1, 100, _ROWS):
+        F = CovMatrix(S.values).factor()
+        want = lp_norm_rows(RngSeed(23).child(0).generator().standard_normal((B, F.rank))
+                            @ F.factor.T, p)
+        assert gpb_draws(S, p, B, RngSeed(23)).samples.tobytes() == np.sort(want).tobytes()
+        Xc = (X - X.mean(axis=0)) / math.sqrt(12)
+        want = lp_norm_rows(RngSeed(23).child(0).generator().standard_normal((B, 12)) @ Xc, p)
+        assert gmb_draws(X, p, B, RngSeed(23)).samples.tobytes() == np.sort(want).tobytes()

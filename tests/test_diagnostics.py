@@ -7,7 +7,7 @@ import pytest
 from scipy import stats
 
 from lpboot import bootstrap
-from lpboot.bootstrap import _CHUNK, _ROWS, MAX_DRAWS, proxy_draws
+from lpboot.bootstrap import _AHEAD, _ROWS, MAX_DRAWS, proxy_draws
 from lpboot.covariance import CovMatrix
 from lpboot.diagnostics import comparison_ks, levy_concentration
 from lpboot.lp import LpExponent
@@ -23,9 +23,9 @@ class TestLevyConcentration:
 
     def test_estimate_matches_direct_scan(self):
         # brute-force window scan over the same draws gives the same value;
-        # n_mc spans two kernel chunks
+        # n_mc spans more kernel blocks than are drawn ahead
         S = CovMatrix(np.eye(4))
-        p, eps, n_mc = LpExponent.finite(2), 0.3, _CHUNK + 1000
+        p, eps, n_mc = LpExponent.finite(2), 0.3, _AHEAD * _ROWS + 1000
         rep = levy_concentration(S, p, eps, n_mc, RngSeed(1))
         draws = proxy_draws(S, p, n_mc, RngSeed(1)).samples
         width = eps * math.sqrt(4.0) / math.sqrt(2.0 * 4 ** 0.5)  # ||sigma||_2 / omega
@@ -33,26 +33,27 @@ class TestLevyConcentration:
         assert rep.estimate == pytest.approx(brute, abs=1e-12)
 
     def test_draws_in_chunks(self, monkeypatch):
-        # the probe draws through the bootstrap kernel, one bounded chunk at a
-        # time, and takes the norms of one block of a chunk's rows at a time
-        chunks, blocks = [], []
-        Chunk, row_norms = bootstrap._Chunk, bootstrap._row_norms
+        # the probe draws through the bootstrap kernel: its factor is known,
+        # so block j's rows come from stream j of the probe's seed, in order
+        # on one thread, and the norms are taken one block at a time
+        streams, blocks = [], []
+        generator, row_norms = RngSeed.generator, bootstrap._row_norms
 
-        class Counting(Chunk):
-            def __init__(self, source, W, m, *args):
-                chunks.append(m)
-                super().__init__(source, W, m, *args)
+        def generate(seed):
+            streams.append(seed.stream_path)
+            return generator(seed)
 
         def counting(absx, qs):
             blocks.append(len(absx))
             return row_norms(absx, qs)
 
-        monkeypatch.setattr(bootstrap, "_Chunk", Counting)
+        monkeypatch.setattr(RngSeed, "generator", generate)
         monkeypatch.setattr(bootstrap, "_row_norms", counting)
-        levy_concentration(CovMatrix(np.eye(3)), LpExponent.finite(2), 0.1,
-                           3 * _CHUNK, RngSeed(0))
-        assert chunks == [_CHUNK] * 3
-        assert sum(blocks) == 3 * _CHUNK and max(blocks) == _ROWS
+        n_mc = 3 * _AHEAD * _ROWS + 5
+        levy_concentration(CovMatrix(np.eye(3)), LpExponent.finite(2), 0.1, n_mc,
+                           RngSeed(0).child(4))
+        assert streams == [(4, j) for j in range(3 * _AHEAD + 1)]
+        assert blocks == [_ROWS] * (3 * _AHEAD) + [5]
 
     def test_scalar_case_against_exact_density(self):
         # d=1, p=1: |Z| has max window mass 2 Phi(w/1) - 1 for windows at 0

@@ -441,7 +441,7 @@ def test_blas_threads_do_not_change_draws_where_blas_splits(blas_at_two, capsys)
 
 class TestEngineDraws:
     def test_replicate_draws_equal_public_engines(self):
-        # B crosses the 4096-row chunk boundary; each engine keeps its sub-stream
+        # B spans many blocks, the last cut short; each engine keeps its sub-stream
         cfg = small_cfg("ks", n=30, d=10, B=4097)
         S = build_block_covariance(cfg.d, cfg.block, perm_seed=RngSeed(1))
         Sigma_X = copula_covariance(S, cfg.marginal)

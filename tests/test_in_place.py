@@ -1,7 +1,7 @@
 """The draw path computes in place: the same bytes as the out-of-place
 expressions it replaced (written out below as the references), a caller's
-array never written, and at most two chunk-sized arrays alive per chunk;
-CV's masks are built in their fold's buffers."""
+array never written, and per worker one block's arrays alive beside the
+normals drawn ahead; CV's masks are built in their fold's buffers."""
 
 import math
 import tracemalloc
@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy import special
 
-from lpboot.bootstrap import (_CHUNK, _ROWS, _multiplier_rows, _mvn_rows, _norm_draws,
+from lpboot.bootstrap import (_AHEAD, _ROWS, _multiplier_rows, _mvn_rows, _norm_draws,
                               gmb_draws, gpb_draws, proxy_draws)
 from lpboot.covariance import (RANK_TOL, CovMatrix, _abs_correlation, _masks,
                                sample_covariance)
@@ -21,7 +21,7 @@ from lpboot.sampling import (MarginalKind, RngSeed, build_block_covariance,
 
 P_LIST = (LpExponent.finite(1), LpExponent.finite(2), LpExponent.finite(3.5),
           LpExponent.log_dim(), LpExponent.infinity())
-B = _CHUNK + 300  # two chunks
+B = _AHEAD * _ROWS + 300  # blocks drawn ahead, and blocks past them
 
 
 # ---------------------------------------------------------------------------
@@ -54,10 +54,10 @@ def ref_row_norms(X, qs):
 def ref_draws(rows, p_list, rng, d):
     qs = [p.resolve(d) for p in p_list]
     out = {p: np.empty(B) for p in p_list}
-    for k, pos in enumerate(range(0, B, _CHUNK)):
-        V = rows(min(_CHUNK, B - pos), rng.child(k))
+    for j, lo in enumerate(range(0, B, _ROWS)):
+        V = rows(min(_ROWS, B - lo), rng.child(j))
         for p, norms in zip(p_list, ref_row_norms(V, qs)):
-            out[p][pos:pos + V.shape[0]] = norms
+            out[p][lo:lo + V.shape[0]] = norms
     return out
 
 
@@ -218,24 +218,26 @@ def traced_peak(call) -> int:
     (LpExponent.finite(1), LpExponent.finite(2), LpExponent.log_dim(), LpExponent.infinity()),
 ], ids=["one p", "four p"])
 def test_a_chunk_holds_two_arrays_of_its_size(p_list):
-    # the normals, and on each worker one block's product (and one scratch
-    # array where several finite p share the norm pass), plus the factor
-    # where the chunk makes it: a cached factor runs the chunk on one worker,
-    # a missing one on two. Besides: the draws themselves, and per worker
-    # 128 KiB for numpy's reduction buffers and the chunk's small objects.
-    # The one-product chunk held its normals and a product of the same size,
-    # the out-of-place norm pass four
-    d, m = 200, 1000
+    # per worker one block's product (and one scratch array where several
+    # finite p share the norm pass) and, where the block draws them itself,
+    # its normals. A cached factor runs the blocks on one worker, and
+    # nothing else grows with B. A missing factor runs them on two, beside
+    # the normals drawn ahead for the first _AHEAD blocks, which a block
+    # drawn again reuses, and the factor. Besides: the draws themselves,
+    # and per worker 128 KiB for numpy's reduction buffers and the call's
+    # small objects
+    d = 200
     G = RngSeed(13).generator().standard_normal((2 * d, d))
     arrays = 2 if sum(not math.isinf(p.resolve(d)) for p in p_list) > 1 else 1
-    for cached in (True, False):
+    for cached, m in ((True, 10_000), (False, 1000), (False, 10_000)):
         S = CovMatrix(G.T @ G / (2 * d))
         if cached:
             S.factor()  # outside the traced call
         peak = traced_peak(lambda: _norm_draws(_mvn_rows(S), p_list, m, RngSeed(14), d))
-        workers, factor = (1, 0) if cached else (2, d * d * 8)
-        assert peak <= ((m + workers * arrays * _ROWS) * d * 8 + len(p_list) * m * 8
-                        + workers * 2**17 + factor)
+        workers, ahead, factor = (1, 0, 0) if cached else (2, min(m, _AHEAD * _ROWS), d * d * 8)
+        normals = _ROWS if m > ahead else 0
+        assert peak <= ((ahead + workers * (normals + arrays * _ROWS)) * d * 8
+                        + len(p_list) * m * 8 + workers * 2**17 + factor)
 
 
 def test_factorize_psd_holds_two_matrices():

@@ -1,7 +1,7 @@
 """The shared pool: index order, at most one pool at a time, the cap at the
 usable cores, exceptions and the cancellation they cause, the BLAS thread
 count around CV, every run_test and every direct covariance call, lpboot
-without numpy's bundled OpenBLAS, and the draws' first chunk drawn while
+without numpy's bundled OpenBLAS, and the draws' first blocks drawn while
 the covariance is factorized."""
 
 import contextlib
@@ -536,13 +536,13 @@ FOUR_P = (LpExponent.finite(1), LpExponent.finite(2), LpExponent.log_dim(),
           LpExponent.infinity())
 
 
-def _one_product_draws(rows, B, rng, d, p_list=FOUR_P):
-    """The kernel's draws as one product per chunk made them: chunk k's rows
-    are rows(m, rng.child(k)), their norms taken in one pass."""
+def _block_draws(rows, B, rng, d, p_list=FOUR_P):
+    """The kernel's draws block by block: block j's rows are rows(m,
+    rng.child(j)) for its m rows, their norms taken in one pass."""
     qs = [p.resolve(d) for p in p_list]
     parts = []
-    for k, pos in enumerate(range(0, B, bootstrap._CHUNK)):
-        V = rows(min(bootstrap._CHUNK, B - pos), rng.child(k))
+    for j, lo in enumerate(range(0, B, bootstrap._ROWS)):
+        V = rows(min(bootstrap._ROWS, B - lo), rng.child(j))
         parts.append(bootstrap._row_norms(np.abs(V), qs))
     return {p: np.concatenate([norms[i] for norms in parts]) for i, p in enumerate(p_list)}
 
@@ -555,13 +555,16 @@ def _same_draws(got, want):
 
 @pytest.fixture
 def stall_factorization(monkeypatch):
-    """Once called, make index 1 of a chunk's pipeline draw its first block
-    of normals before index 0 starts the factorization, and then wait until
-    it is done: so index 1 has drawn some of the chunk's normals before W is
-    known, and draws the rest after. Returns the event set by index 1's
-    first block."""
-    drew, factored = threading.Event(), threading.Event()
-    generator, factorize_psd = RngSeed.generator, sampling.factorize_psd
+    """Once called, make index 1 of the kernel's pipeline draw its first
+    _BLOCK step of normals before index 0 starts the factorization, and
+    then wait until index 0 has ended: so W becomes known while index 1 is
+    partway through block 0 wherever that block needs more normals than one
+    step drew, and block 0's worker draws it again. Returns the list of
+    every generator's stream path, in the order they are made."""
+    drew, prepared = threading.Event(), threading.Event()
+    streams = []
+    generator, factorize_psd, indexed = RngSeed.generator, sampling.factorize_psd, \
+        bootstrap.run_indexed
 
     class Stalling:
         def __init__(self, gen):
@@ -573,20 +576,32 @@ def stall_factorization(monkeypatch):
         def standard_normal(self, *args, **kwargs):
             out = self.gen.standard_normal(*args, **kwargs)
             drew.set()
-            assert factored.wait(10)
+            assert prepared.wait(10)
             return out
+
+    def generate(seed):
+        streams.append(seed.stream_path)
+        return Stalling(generator(seed))
 
     def factorize(S):
         assert drew.wait(10)
-        try:
-            return factorize_psd(S)
-        finally:
-            factored.set()
+        return factorize_psd(S)
+
+    def run_indexed(worker, count, threads):
+        def step(i):
+            try:
+                return worker(i)
+            finally:
+                if i == 0:  # prepare has ended: W is known
+                    prepared.set()
+
+        return indexed(step, count, threads)
 
     def install():
-        monkeypatch.setattr(RngSeed, "generator", lambda seed: Stalling(generator(seed)))
+        monkeypatch.setattr(RngSeed, "generator", generate)
         monkeypatch.setattr(sampling, "factorize_psd", factorize)
-        return drew
+        monkeypatch.setattr(bootstrap, "run_indexed", run_indexed)
+        return streams
 
     return install
 
@@ -596,18 +611,22 @@ def _no_thread_left(before):
     assert set(threading.enumerate()) <= set(before)
 
 
-# one row, a block's edges, a chunk's
+# one row, a block's edges (and the 256-row blocks of an earlier kernel),
+# many blocks, and past the blocks drawn ahead
+AHEAD_ROWS = bootstrap._AHEAD * bootstrap._ROWS
 BLOCK_EDGES = [1, 255, 256, 257, bootstrap._ROWS - 1, bootstrap._ROWS, bootstrap._ROWS + 1,
-               1000, 4097]
+               1000, 4097, AHEAD_ROWS + 1]
 
 
 class TestDrawOverlap:
-    """bootstrap._norm_draws runs a chunk whose W is not known yet (the first
-    chunk of an unfactored covariance) as a two-index run_indexed pipeline:
-    index 0 prepares W (here, factorizes the covariance) while index 1 draws
-    the chunk's normals, and then both take blocks of rows. Every other chunk
-    runs on the calling thread, with no pool. Pooled, serial and with a
-    stalled prepare, the draws are the bytes of one product per chunk."""
+    """bootstrap._norm_draws draws block j of rows from stream j of its
+    seed. A source whose W is not known yet (an unfactored covariance) is
+    one run_indexed pipeline: index 0 prepares W (here, factorizes the
+    covariance) while index 1 draws the first blocks' normals ahead, and
+    every later index is a block. A source whose W is known runs its blocks
+    on the calling thread, with no pool. Pooled, serial and with a stalled
+    prepare, block j's draws are the norms of mvn_sample(F, rows,
+    rng.child(j))."""
 
     @pytest.mark.parametrize("B", BLOCK_EDGES)
     @pytest.mark.parametrize("rank", ["full", "deficient", "zero", "full at d = 199"])
@@ -618,16 +637,27 @@ class TestDrawOverlap:
             S = _first_chunk_covariances()[rank]
         F = sampling.factorize_psd(S)
         rng = RngSeed(5).child(2)
-        want = _one_product_draws(lambda m, seed: sampling.mvn_sample(F, m, seed), B, rng, S.dim)
-        for mode in ("pooled", "serial", "stalled"):
+        want = _block_draws(lambda m, seed: sampling.mvn_sample(F, m, seed), B, rng, S.dim)
+        blocks = {rng.child(j).stream_path for j in range(len(range(0, B, bootstrap._ROWS)))}
+        for mode in ("pooled", "serial", "cached", "stalled"):
             pools.clear()
-            drew = stall_factorization() if mode == "stalled" else None
+            streams = stall_factorization() if mode == "stalled" else None
+            S_mode = CovMatrix(S.values)
+            if mode == "cached":
+                S_mode.factor()
             with held_by_another_thread() if mode == "serial" else parallel.hold():
-                got = bootstrap._norm_draws(bootstrap._mvn_rows(CovMatrix(S.values)), FOUR_P, B,
-                                            rng, S.dim)
+                got = bootstrap._norm_draws(bootstrap._mvn_rows(S_mode), FOUR_P, B, rng, S.dim)
             _same_draws(got, want)
-            assert pools == ([] if mode == "serial" else [2])  # the first chunk's alone
-            assert drew is None or drew.is_set()
+            assert pools == ([2] if mode in ("pooled", "stalled") else [])
+            # each block's stream once, and block 0's again where the one
+            # step index 1 drew of it, at width d, held fewer than its
+            # rows * rank normals
+            if streams is not None and F.rank:  # a block of rank 0 draws no normals
+                assert set(streams) == blocks
+                rows = min(B, bootstrap._ROWS)
+                again = rows * F.rank > min(bootstrap._BLOCK, rows * S.dim)
+                assert streams.count(rng.child(0).stream_path) == 1 + again
+                assert len(streams) == len(blocks) + again
 
     @pytest.mark.parametrize("B", BLOCK_EDGES)
     @pytest.mark.parametrize("data", ["mixed", "constant"])
@@ -638,13 +668,13 @@ class TestDrawOverlap:
             X = np.tile(np.arange(d) - 100.0, (n, 1))
         Xc = (X - X.mean(axis=0)) / np.sqrt(n)
         rng = RngSeed(9)
-        want = _one_product_draws(lambda m, seed: seed.generator().standard_normal((m, n)) @ Xc,
-                                  B, rng, d)
+        want = _block_draws(lambda m, seed: seed.generator().standard_normal((m, n)) @ Xc,
+                            B, rng, d)
         for serial in (False, True):
             with held_by_another_thread() if serial else parallel.hold():
                 got = bootstrap._norm_draws(bootstrap._multiplier_rows(X), FOUR_P, B, rng, d)
             _same_draws(got, want)
-        assert pools == []  # W is known: no chunk pools
+        assert pools == []  # W is known: no pool
         assert (data == "constant") == (not want[FOUR_P[0]].any())
 
     @pytest.mark.parametrize("rank", ["full", "deficient", "zero"])
@@ -653,11 +683,11 @@ class TestDrawOverlap:
         F = sampling.factorize_psd(S)
         assert F.rank == {"full": 200, "deficient": 100, "zero": 0}[rank]
         seed = RngSeed(5).child(2)
-        want = _one_product_draws(lambda m, s: sampling.mvn_sample(F, m, s), 1000, seed, S.dim)
-        drew = stall_factorization()
+        want = _block_draws(lambda m, s: sampling.mvn_sample(F, m, s), 1000, seed, S.dim)
+        streams = stall_factorization()
         with parallel.hold():
             got = bootstrap._norm_draws(bootstrap._mvn_rows(S), FOUR_P, 1000, seed, S.dim)
-        assert drew.is_set()
+        assert streams.count(seed.child(0).stream_path) == 1 + (rank != "zero")
         _same_draws(got, want)
         assert pools == [2]
 
@@ -666,23 +696,54 @@ class TestDrawOverlap:
         S = _first_chunk_covariances()[rank]
         seed = RngSeed(5).child(2)
         F = sampling.factorize_psd(S)
-        want = _one_product_draws(lambda m, s: sampling.mvn_sample(F, m, s), 1000, seed, S.dim)
+        want = _block_draws(lambda m, s: sampling.mvn_sample(F, m, s), 1000, seed, S.dim)
         with held_by_another_thread():
             got = bootstrap._norm_draws(bootstrap._mvn_rows(S), FOUR_P, 1000, seed, S.dim)
         _same_draws(got, want)
         assert pools == []
 
-    def test_chunk_boundary(self, pools):
-        # B = 4097: a first chunk of 4096 rows drawn beside the factorization,
-        # then one row from the factor the first chunk made, with no pool
+    def test_chunk_boundary(self, pools, stall_factorization):
+        # past the blocks drawn ahead: a pooled, stalled draw of _AHEAD
+        # blocks and one row, in which index 1 draws one step of block 0
+        # before W is known, block 0's worker draws it again, and every
+        # other block draws its own normals once, the last outside the
+        # look-ahead buffer
         S = _first_chunk_covariances()["deficient"]
         F = sampling.factorize_psd(S)
-        p, rng = LpExponent.finite(2), RngSeed(6)
-        want = _one_product_draws(lambda m, seed: sampling.mvn_sample(F, m, seed), 4097, rng,
-                                  S.dim, (p,))[p]
-        got = bootstrap.gpb_draws(S, p, 4097, rng)
+        p, rng, B = LpExponent.finite(2), RngSeed(6), AHEAD_ROWS + 1
+        want = _block_draws(lambda m, seed: sampling.mvn_sample(F, m, seed), B, rng,
+                            S.dim, (p,))[p]
+        streams = stall_factorization()
+        got = bootstrap.gpb_draws(S, p, B, rng)
         assert np.array_equal(got.samples, np.sort(want))
         assert pools == [2]
+        blocks = [rng.child(j).stream_path for j in range(bootstrap._AHEAD + 1)]
+        assert sorted(streams) == sorted(blocks + blocks[:1])
+
+    def test_more_workers_than_cores_keep_the_bytes(self, pools, monkeypatch):
+        # the blocks read what index 1 drew ahead and its counts: with four
+        # workers (more than the cores) and a short switch interval, every
+        # schedule still gives each block its own stream's bytes
+        indexed = bootstrap.run_indexed
+        monkeypatch.setattr(bootstrap, "run_indexed",
+                            lambda worker, count, threads: indexed(worker, count, 4))
+        d = 40
+        S = sample_covariance(RngSeed(3).generator().standard_normal((25, d)))  # rank 24
+        F = sampling.factorize_psd(S)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for B in (1, bootstrap._ROWS + 1, 2000, AHEAD_ROWS + bootstrap._ROWS + 1):
+                want = _block_draws(lambda m, seed: sampling.mvn_sample(F, m, seed), B,
+                                    RngSeed(4), d)
+                for _ in range(5):
+                    with parallel.hold():
+                        got = bootstrap._norm_draws(bootstrap._mvn_rows(CovMatrix(S.values)),
+                                                    FOUR_P, B, RngSeed(4), d)
+                    _same_draws(got, want)
+        finally:
+            sys.setswitchinterval(interval)
+        assert pools == [3] * 5 + [4] * 15  # B = 1 has three indices
 
     def test_pool_only_where_the_factor_is_missing(self, pools):
         S = _first_chunk_covariances()["full"]
@@ -754,7 +815,7 @@ class TestDrawOverlap:
                 assert not caller.is_alive()
             assert len(raised) == 1 and "not positive semi-definite" in str(raised[0])
             _no_thread_left(before)
-        assert pools == ([] if serial else [2, 2])  # first chunks; none after a failure
+        assert pools == ([] if serial else [2, 2])  # one pipeline each; no block after a failure
         assert blas_at_two() == 2
         got = []
 
