@@ -28,8 +28,6 @@ MAX_DRAWS = 10**6
 _ROWS = 264
 # blocks whose normals are drawn ahead while a source's W is not known yet
 _AHEAD = 16
-# standard normals drawn between two looks at whether W is known
-_BLOCK = 8192
 
 
 @dataclass
@@ -83,30 +81,29 @@ def _norm_draws(source, p_list, B: int, rng: RngSeed, d: int) -> dict:
     order on the calling thread, with no pool.
 
     A _Rows source is one run_indexed(step, 2 + blocks, 2): index 0 runs
-    prepare while index 1 draws the first _AHEAD blocks' normals at width
-    bound into one buffer, _BLOCK at a time, and stops once W is known.
-    Every later index is a block: it waits for W, then multiplies its drawn
-    prefix (Philox normals are prefix-stable: the first N of a longer or a
-    blocked request are a request of N), or draws its normals itself where
-    index 1 did not draw them all, into the buffer once index 1 has
-    stopped. Run serially (inside a pool's worker, or while another thread
-    holds the pool) index 0 runs first, and index 1 draws nothing."""
+    prepare while index 1 draws the first _AHEAD blocks' normals ahead, each
+    block whole at width bound with one request into its region of one
+    buffer, looking before each block whether W is known and stopping once
+    it is. Every later index is a block: it waits for W, then multiplies the
+    prefix of its region where index 1 drew the block whole (Philox normals
+    are prefix-stable: the first N of a longer request are a request of N),
+    or else draws its own normals into fresh memory, never into the buffer,
+    which index 1 may still be writing. Run serially (inside a pool's
+    worker, or while another thread holds the pool) index 0 runs first, and
+    index 1 draws nothing."""
     if not 1 <= B <= MAX_DRAWS:
         raise ValueError(f"B must lie in [1, {MAX_DRAWS}]")
     qs = [p.resolve(d) for p in p_list]
     out = {p: np.empty(B) for p in p_list}
     blocks = (B - 1) // _ROWS + 1
     W = source if isinstance(source, np.ndarray) else None
+    drawn = 0  # whole blocks index 1 drew ahead
 
     def block(j: int) -> None:
         lo, hi = j * _ROWS, min((j + 1) * _ROWS, B)
         size = (hi - lo) * W.shape[0]
-        if j < len(drawn):
+        if j < drawn:
             normals = ahead[j * width:j * width + size]
-            if drawn[j] < size:
-                stopped.wait()  # index 1 may be drawing it still
-                if drawn[j] < size:  # index 1 stopped short of it: drawn again
-                    rng.child(j).generator().standard_normal(out=normals)
         else:
             normals = rng.child(j).generator().standard_normal(size)
         V = normals.reshape(hi - lo, W.shape[0]) @ W
@@ -114,34 +111,26 @@ def _norm_draws(source, p_list, B: int, rng: RngSeed, d: int) -> dict:
             out[p][lo:hi] = norms
 
     if W is not None:
-        drawn = []
         for j in range(blocks):
             block(j)
         return out
     width = _ROWS * source.bound
     ahead = np.empty(min(B, _AHEAD * _ROWS) * source.bound)  # made and freed by the caller
-    drawn = [0] * min(blocks, _AHEAD)  # normals index 1 drew of each block, from its start
-    known, stopped = threading.Event(), threading.Event()  # prepare ended; index 1 ended
+    known = threading.Event()  # prepare ended
 
     def step(i: int) -> None:
-        nonlocal W
+        nonlocal W, drawn
         if i == 0:
             try:
                 W = source.prepare()
             finally:
                 known.set()
         elif i == 1:
-            try:
-                for j in range(len(drawn)):
-                    if known.is_set():
-                        return
-                    gen, region = rng.child(j).generator(), ahead[j * width:(j + 1) * width]
-                    while drawn[j] < region.size and not known.is_set():
-                        end = min(drawn[j] + _BLOCK, region.size)
-                        gen.standard_normal(out=region[drawn[j]:end])
-                        drawn[j] = end
-            finally:
-                stopped.set()
+            for j in range(min(blocks, _AHEAD)):
+                if known.is_set():
+                    return
+                rng.child(j).generator().standard_normal(out=ahead[j * width:(j + 1) * width])
+                drawn = j + 1
         else:
             known.wait()
             if W is not None:  # else prepare raised, and index 0 re-raises it

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 import warnings
 from dataclasses import replace
@@ -16,8 +15,8 @@ from dataclasses import replace
 import numpy as np
 
 from .bootstrap import _seed_label
-from .harness import (ExperimentConfig, _format, _write_csv, config_from_dict,
-                      parse_config, paper_scale_preset, run_experiment)
+from .harness import (ExperimentConfig, _check_output_path, _format, _write_csv,
+                      config_from_dict, parse_config, paper_scale_preset, run_experiment)
 from .inference import EstimatorSpec, TestSpec, run_test
 from .inference import lp_ball_volume
 from .lp import LpExponent, _exact_text
@@ -38,16 +37,6 @@ def _parse_option(option: str, parse, text: str):
         return parse(text)
     except ValueError as exc:
         raise ConfigError(f"{option} {text!r}: {exc}") from exc
-
-
-def _check_out_dir(path: str) -> None:
-    """Fail before any compute when path names a directory or a file in a
-    missing directory."""
-    if os.path.isdir(path):
-        raise ConfigError(f"cannot write {path}: it is a directory")
-    directory = os.path.dirname(path) or "."
-    if not os.path.isdir(directory):
-        raise ConfigError(f"cannot write {path}: no directory {directory}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -145,7 +134,7 @@ def _cmd_test(args) -> int:
     estimator = _parse_option("--estimator", EstimatorSpec.parse, args.estimator)
     seed = _parse_option("--seed", RngSeed, args.seed)
     if args.out:
-        _check_out_dir(args.out)
+        _check_output_path(args.out)
     X = _load_csv(args.data, skip_header=args.header)
     d = X.shape[1]
     M = _load_csv(args.M_file) if args.M_file else np.eye(d)
@@ -187,7 +176,6 @@ def main(argv=None) -> int:
         cfg = _experiment_config(args)
         if not cfg.output_path:
             raise ConfigError("an output path is required (--out or output_path=...)")
-        _check_out_dir(cfg.output_path)
         run_experiment(cfg)
         return 0
     except Exception as exc:

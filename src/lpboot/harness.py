@@ -252,6 +252,17 @@ def _run_indexed(worker, count: int, threads: int) -> list:
     return run_indexed(worker, count, threads)
 
 
+def _check_output_path(path: str) -> None:
+    """A ValueError where path names a directory or a file in a missing
+    directory, so a run that cannot write its output fails before any
+    compute."""
+    if os.path.isdir(path):
+        raise ValueError(f"cannot write {path}: it is a directory")
+    directory = os.path.dirname(path) or "."
+    if not os.path.isdir(directory):
+        raise ValueError(f"cannot write {path}: no directory {directory}")
+
+
 def _write_csv(path: str, header: str, rows) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
@@ -398,12 +409,14 @@ KINDS = tuple(_EXPERIMENTS)
 def run_experiment(cfg: ExperimentConfig) -> list:
     """Run the experiment cfg.kind names and return its CSV rows; with an
     output_path, also write them there (and, for coverage, the per-(p,
-    estimator) summary next to it).
+    estimator) summary next to it), checked before any compute.
 
     Every run holds lpboot's one pool throughout (lpboot.parallel says why),
     so a serial run computes on the same one BLAS thread as a pooled one and
     its bytes do not depend on the worker count."""
     header, experiment = _EXPERIMENTS[cfg.kind]
+    if cfg.output_path:
+        _check_output_path(cfg.output_path)
     with hold():
         Sigma = None if cfg.kind == "probe" else build_block_covariance(
             cfg.d, cfg.block, perm_seed=cfg.rng.child(0))

@@ -187,11 +187,17 @@ def _column_sum(X: np.ndarray, k: int) -> np.ndarray:
         return np.ldexp(np.ldexp(X, -k).sum(axis=0), k)
 
 
+def _scaled_gap(total: np.ndarray, n: int, m0: np.ndarray) -> np.ndarray:
+    """total / sqrt(n) - sqrt(n) m0, inf or NaN where an entry passes the
+    largest float."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return total / math.sqrt(n) - math.sqrt(n) * m0
+
+
 def _statistic(total: np.ndarray, n: int, m0: np.ndarray, p: LpExponent) -> float:
     """||total / sqrt(n) - sqrt(n) m0||_p for total = sum_i M X_i, the statistic
     run_test rejects on; a ValueError where it overflows."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        s = total / math.sqrt(n) - math.sqrt(n) * m0
+    s = _scaled_gap(total, n, m0)
     if not np.isfinite(s).all():
         raise ValueError("the test statistic overflows: sum_i (M X_i - m0) / sqrt(n) has "
                          "an entry past the largest float")
@@ -276,7 +282,9 @@ class ConfidenceSet:
     column sum, n and the critical value, and contains(mu) evaluates that
     test's statistic: mu lies in the set exactly when run_test of mu accepts.
     A set built from center, radius and p alone is the ball
-    ||center - mu||_p <= radius."""
+    ||center - mu||_p <= radius. In both forms a finite mu whose statistic
+    or distance passes the largest float lies outside, past the finite
+    critical value or radius; a mu that is not finite is a ValueError."""
 
     center: np.ndarray
     radius: float
@@ -287,13 +295,18 @@ class ConfidenceSet:
         mu = np.asarray(mu, dtype=float)
         if mu.shape != self.center.shape:
             raise ValueError("dimension mismatch")
+        if not np.isfinite(mu).all():
+            raise ValueError("mu must be finite")
         if self.dual is not None:
             total, n, crit = self.dual
-            return not _statistic(total, n, mu, self.p) > crit
-        diff = self.center - mu
+            s = _scaled_gap(total, n, mu)
+            return bool(np.isfinite(s).all()) and not lp_norm(s, self.p, d_context=mu.size) > crit
+        with np.errstate(over="ignore"):
+            diff = self.center - mu
         if not diff.any():
             return True
-        return lp_norm(diff, self.p, d_context=self.center.size) <= self.radius
+        return bool(np.isfinite(diff).all()) and \
+            lp_norm(diff, self.p, d_context=self.center.size) <= self.radius
 
 
 def confidence_set(X: np.ndarray, p: LpExponent, alpha: float,
@@ -325,7 +338,9 @@ def lp_ball_volume(d: int, p: float, r: float) -> BallVolume:
     """Volume (2r)^d Gamma(1+1/p)^d / Gamma(1+d/p) of the lp-ball of radius r."""
     if d < 1 or not p >= 1.0 or not 0.0 < r < math.inf:
         raise ValueError("need d >= 1, p >= 1, 0 < r < inf")
-    logv = d * math.log(2.0 * r) + d * gammaln(1.0 + 1.0 / p) - gammaln(1.0 + d / p)
+    # log(2r) as log 2 + log r only where 2r passes the largest float
+    log_2r = math.log(2.0 * r) if 2.0 * r < math.inf else math.log(2.0) + math.log(r)
+    logv = d * log_2r + d * gammaln(1.0 + 1.0 / p) - gammaln(1.0 + d / p)
     try:
         vol = math.exp(logv)
     except OverflowError:

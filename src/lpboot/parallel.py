@@ -36,11 +36,12 @@ from a row source whose W is not known yet (bootstrap._norm_draws): index 0
 runs the source's prepare step (for run_test every estimate step after
 CV's lambda-hat, the conjugation and the factorization; for gpb_draws and
 proxy_draws of a covariance with no cached factor, the factorization) while
-index 1 draws the first blocks' normals ahead, and every later index is a
-block of rows to multiply and take the norms of. Draws whose W is known (a
-cached factor, gmb_draws' centred data) run on the calling thread, with no
-pool. A hold() on the pool's thread finds the lock held, so a step there
-runs under the pin of the caller's hold.
+index 1 draws the first blocks' normals ahead, a whole block at a time
+until W is known, and every later index is a block of rows to multiply
+(its normals drawn whole by index 1, else its own) and take the norms of.
+Draws whose W is known (a cached factor, gmb_draws' centred data) run on
+the calling thread, with no pool. A hold() on the pool's thread finds the
+lock held, so a step there runs under the pin of the caller's hold.
 Two reasons for the holds. OpenBLAS's helper thread: an OpenBLAS call on two
 threads leaves it spinning for about 80 ms afterwards, whatever the count is
 set to then, and it would take a core from a pool's workers (CV's folds, or

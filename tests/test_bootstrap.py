@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from lpboot.bootstrap import (_AHEAD, _BLOCK, _ROWS, EmpiricalDistribution, _norm_draws, _Rows,
+from lpboot.bootstrap import (_AHEAD, _ROWS, EmpiricalDistribution, _norm_draws, _Rows,
                               critical_value, empirical_quantile, gmb_draws,
                               gpb_draws, ks_distance, proxy_draws)
 from lpboot.covariance import CovMatrix, sample_covariance
@@ -213,18 +213,19 @@ def test_one_norm_pass_equals_each_p_alone():
 def test_philox_normals_are_prefix_stable():
     # the draw kernel rests on this numpy property: the first N normals of a
     # Philox stream are the same drawn alone, as the start of a longer
-    # request, or as blocked out= requests of any sizes. The kernel's
-    # drawn-ahead normals are such a blocked request, and a block uses their
-    # prefix as its own request; a numpy that breaks this fails here first
+    # request, or as blocked out= requests of any sizes. A block drawn ahead
+    # is one out= request at width bound, and the block uses its prefix as
+    # its own request of rows * rank; a numpy that breaks this fails here
+    # first
     def stream():
         return RngSeed(3).child(1).generator()
 
-    N, M = 5000, 3 * _BLOCK + 7
+    N, M = 5000, 3 * 8192 + 7
     alone = stream().standard_normal(N)
     assert alone.tobytes() == stream().standard_normal(M)[:N].tobytes(), \
         "standard_normal(N) is not a prefix of standard_normal(M > N)"
     assert alone.tobytes() == stream().standard_normal((50, N // 50)).tobytes()
-    for sizes in ((_BLOCK,), (1, 7, 1000), (4999, 2)):
+    for sizes in ((8192,), (1, 7, 1000), (4999, 2)):
         blocked, gen, lo = np.empty(M), stream(), 0
         while lo < M:
             for size in sizes:

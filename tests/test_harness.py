@@ -735,6 +735,17 @@ class TestCli:
         exact = d * math.log(2.0 * r) + d * math.lgamma(1.0 + 1.0 / p) - math.lgamma(1.0 + d / p)
         assert float(outv.split("=")[1]) == pytest.approx(exact, rel=1e-11)
 
+    @pytest.mark.parametrize("d", ["1", "3"])
+    @pytest.mark.parametrize("r", ["1e308", repr(sys.float_info.max)])
+    def test_volume_log_where_the_diameter_overflows(self, capsys, d, r):
+        # 2r passes the largest float: the log volume is d (log 2 + log r) + ...
+        assert main(["volume", "--d", d, "--p", "2", "--r", r]) == 0
+        outv = capsys.readouterr().out
+        assert outv.startswith("log_volume=")
+        d, r = int(d), float(r)
+        exact = d * (math.log(2.0) + math.log(r)) + d * math.lgamma(1.5) - math.lgamma(1.0 + d / 2)
+        assert float(outv.split("=")[1]) == pytest.approx(exact, rel=1e-11)
+
     def test_volume_bad_args(self, capsys):
         assert main(["volume", "--d", "0", "--p", "2", "--r", "1"]) == 2
 
@@ -889,10 +900,24 @@ def test_paper_scale_checks_the_output_before_compute(tmp_path, monkeypatch, cap
         raise AssertionError("compute ran before the options were checked")
 
     monkeypatch.setattr(harness, "copula_sample", no_compute)
-    monkeypatch.setattr(cli, "run_experiment", no_compute)
+    monkeypatch.setattr(harness, "build_block_covariance", no_compute)
     out = tmp_path / "missing" / "x.csv"
     assert main(["ks", "--paper-scale", "--out", str(out)]) == 2
     assert f"error: cannot write {out}: no directory" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("where", ["missing directory", "directory"])
+def test_run_experiment_checks_the_output_path_before_compute(tmp_path, monkeypatch, where):
+    def no_compute(*args, **kwargs):
+        raise AssertionError("compute ran before the output path was checked")
+
+    monkeypatch.setattr(harness, "build_block_covariance", no_compute)
+    out = tmp_path / "missing" / "o.csv" if where == "missing directory" else tmp_path
+    cfg = ExperimentConfig(kind="ks", n=20, d=20, mc_reps=3, B=100, truth_reps=50, block=2,
+                           output_path=str(out))
+    message = "no directory" if where == "missing directory" else "it is a directory"
+    with pytest.raises(ValueError, match=f"cannot write .*: {message}"):
+        run_experiment(cfg)
 
 
 @pytest.mark.parametrize("argv", [["test", "x.csv", "--B", "50"],

@@ -2,6 +2,7 @@
 
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -390,6 +391,29 @@ class TestConfidenceSet:
                 with pytest.raises(ValueError, match="dimension mismatch"):
                     cs.contains(mu)
 
+    def test_contains_is_false_past_the_largest_float(self):
+        # a finite mu whose statistic (dual form) or distance (ball form)
+        # passes the largest float lies outside the set; a mu that is not
+        # finite is a ValueError in both forms
+        X = RngSeed(0).generator().standard_normal((50, 20))
+        dual = confidence_set(X, LpExponent.finite(2), 0.05, EstimatorSpec("naive"), 200,
+                              RngSeed(1))
+        ball = ConfidenceSet(center=dual.center, radius=dual.radius, p=dual.p)
+        far_ball = ConfidenceSet(center=np.full(20, -1e308), radius=1.0, p=dual.p)
+        for cs in (dual, ball, far_ball):
+            for mu in (np.full(20, 1e308), np.full(20, -sys.float_info.max),
+                       np.r_[1e308, np.zeros(19)]):
+                assert cs.contains(mu) is False
+            for bad in (math.inf, -math.inf, math.nan):
+                mu = cs.center.copy()
+                mu[3] = bad
+                with pytest.raises(ValueError, match="must be finite"):
+                    cs.contains(mu)
+        assert dual.contains(X.mean(axis=0)) and ball.contains(X.mean(axis=0))
+        # the test itself still rejects a statistic it cannot represent
+        with pytest.raises(ValueError, match="the test statistic overflows"):
+            run_test(X, make_spec(20, dual.p, B=200, seed=1, m0=np.full(20, 1e308)))
+
     def test_ball_geometry(self):
         cs = ConfidenceSet(center=np.zeros(2), radius=1.0, p=LpExponent.finite(1))
         assert cs.contains(np.array([0.5, 0.5]))
@@ -486,6 +510,16 @@ class TestBallVolume:
         v = lp_ball_volume(1, math.inf, math.exp(709.5) / 2)
         assert v.representable and v.volume == pytest.approx(math.exp(709.5), rel=1e-12)
         assert not lp_ball_volume(1, math.inf, 1e308).representable
+
+    @pytest.mark.parametrize("d", [1, 3])
+    @pytest.mark.parametrize("r", [1e308, sys.float_info.max])
+    def test_log_volume_is_finite_where_the_diameter_overflows(self, d, r):
+        # 2r passes the largest float, and log(2r) = log 2 + log r does not
+        v = lp_ball_volume(d, 2.0, r)
+        assert math.isfinite(v.log_volume) and not v.representable
+        # halving r, whose 2r is finite, takes d log 2 off the log volume
+        assert v.log_volume - lp_ball_volume(d, 2.0, r / 2).log_volume == pytest.approx(
+            d * math.log(2.0), abs=1e-12)
 
     def test_underflow_keeps_log(self):
         v = lp_ball_volume(2000, 1.0, 1.0)

@@ -521,7 +521,7 @@ def test_stress_each_index_runs_once(monkeypatch):
     assert runs == [1] * count
 
 
-def _first_chunk_covariances():
+def _draw_covariances():
     """Sample covariances at d = 200 of full rank, of rank 100 (copula data
     with rank-one blocks of two equal coordinates) and of rank 0."""
     d = 200
@@ -553,57 +553,81 @@ def _same_draws(got, want):
         assert got[p].tobytes() == want[p].tobytes(), p
 
 
+LOOKAHEAD_ORDERS = ("prepare first", "ahead first", "block 0 twice")
+
+
 @pytest.fixture
-def stall_factorization(monkeypatch):
-    """Once called, make index 1 of the kernel's pipeline draw its first
-    _BLOCK step of normals before index 0 starts the factorization, and
-    then wait until index 0 has ended: so W becomes known while index 1 is
-    partway through block 0 wherever that block needs more normals than one
-    step drew, and block 0's worker draws it again. Returns the list of
-    every generator's stream path, in the order they are made."""
-    drew, prepared = threading.Event(), threading.Event()
-    streams = []
-    generator, factorize_psd, indexed = RngSeed.generator, sampling.factorize_psd, \
-        bootstrap.run_indexed
+def lookahead_order(monkeypatch):
+    """Once called with one of LOOKAHEAD_ORDERS, run the kernel's pipeline
+    in that fixed order, and return the list of every generator made, as
+    (stream path, index of the kernel's run_indexed that made it, or None
+    outside it), in the order they are made:
+    - "prepare first": index 1 waits before its first block until index 0
+      (prepare) has ended, so it draws no block ahead;
+    - "ahead first": index 0 waits until index 1 has returned, so index 1
+      draws every block it may ahead;
+    - "block 0 twice": index 0 waits until index 1 is inside block 0's draw,
+      and index 1 waits there until block 0's worker has made its own
+      generator, so block 0 is drawn twice."""
+    running = threading.local()
+    generator, indexed = RngSeed.generator, bootstrap.run_indexed
 
-    class Stalling:
-        def __init__(self, gen):
-            self.gen = gen
+    def install(order):
+        made = []
+        prepared, returned, in_block_0, block_0_made = (threading.Event() for _ in range(4))
+        waits = {"prepare first": {1: prepared}, "ahead first": {0: returned},
+                 "block 0 twice": {0: in_block_0}}[order]
+        ends = {0: prepared, 1: returned}
 
-        def __getattr__(self, name):  # CV's folds permute with the generator
-            return getattr(self.gen, name)
+        class HeldInBlock0:
+            def __init__(self, gen):
+                self.gen = gen
 
-        def standard_normal(self, *args, **kwargs):
-            out = self.gen.standard_normal(*args, **kwargs)
-            drew.set()
-            assert prepared.wait(10)
-            return out
+            def standard_normal(self, *args, **kwargs):
+                in_block_0.set()
+                assert block_0_made.wait(10)
+                return self.gen.standard_normal(*args, **kwargs)
 
-    def generate(seed):
-        streams.append(seed.stream_path)
-        return Stalling(generator(seed))
+        def generate(seed):
+            index = getattr(running, "index", None)
+            made.append((seed.stream_path, index))
+            if order != "block 0 twice":
+                return generator(seed)
+            if index == 2:
+                block_0_made.set()
+            return HeldInBlock0(generator(seed)) if index == 1 else generator(seed)
 
-    def factorize(S):
-        assert drew.wait(10)
-        return factorize_psd(S)
+        def run_indexed(worker, count, threads):
+            def step(i):
+                if i in waits:
+                    assert waits[i].wait(10)
+                running.index = i
+                try:
+                    return worker(i)
+                finally:
+                    running.index = None
+                    if i in ends:
+                        ends[i].set()
 
-    def run_indexed(worker, count, threads):
-        def step(i):
-            try:
-                return worker(i)
-            finally:
-                if i == 0:  # prepare has ended: W is known
-                    prepared.set()
+            return indexed(step, count, threads)
 
-        return indexed(step, count, threads)
-
-    def install():
         monkeypatch.setattr(RngSeed, "generator", generate)
-        monkeypatch.setattr(sampling, "factorize_psd", factorize)
         monkeypatch.setattr(bootstrap, "run_indexed", run_indexed)
-        return streams
+        return made
 
     return install
+
+
+def _lookahead_streams(order, rng, B):
+    """The generators the kernel makes, in that order, for B draws from rng:
+    (stream path, index that makes it), sorted. Index 1 draws blocks ahead,
+    and index 2 + j is block j."""
+    blocks = (B - 1) // bootstrap._ROWS + 1
+    ahead = {"prepare first": 0, "ahead first": min(blocks, bootstrap._AHEAD),
+             "block 0 twice": 1}[order]
+    own = range(0 if order == "block 0 twice" else ahead, blocks)
+    return sorted([(rng.child(j).stream_path, 1) for j in range(ahead)]
+                  + [(rng.child(j).stream_path, 2 + j) for j in own])
 
 
 def _no_thread_left(before):
@@ -624,40 +648,36 @@ class TestDrawOverlap:
     one run_indexed pipeline: index 0 prepares W (here, factorizes the
     covariance) while index 1 draws the first blocks' normals ahead, and
     every later index is a block. A source whose W is known runs its blocks
-    on the calling thread, with no pool. Pooled, serial and with a stalled
-    prepare, block j's draws are the norms of mvn_sample(F, rows,
-    rng.child(j))."""
+    on the calling thread, with no pool. Pooled, serial and in each fixed
+    order of prepare and the look-ahead, block j's draws are the norms of
+    mvn_sample(F, rows, rng.child(j))."""
 
     @pytest.mark.parametrize("B", BLOCK_EDGES)
     @pytest.mark.parametrize("rank", ["full", "deficient", "zero", "full at d = 199"])
-    def test_mvn_pipeline_bytes(self, pools, stall_factorization, rank, B):
+    def test_mvn_pipeline_bytes(self, pools, lookahead_order, rank, B):
         if rank == "full at d = 199":  # where 256-row blocks changed the last bits
             S = sample_covariance(RngSeed(7).generator().standard_normal((400, 199)))
         else:
-            S = _first_chunk_covariances()[rank]
+            S = _draw_covariances()[rank]
         F = sampling.factorize_psd(S)
         rng = RngSeed(5).child(2)
         want = _block_draws(lambda m, seed: sampling.mvn_sample(F, m, seed), B, rng, S.dim)
         blocks = {rng.child(j).stream_path for j in range(len(range(0, B, bootstrap._ROWS)))}
-        for mode in ("pooled", "serial", "cached", "stalled"):
+        for mode in ("pooled", "serial", "cached") + LOOKAHEAD_ORDERS:
             pools.clear()
-            streams = stall_factorization() if mode == "stalled" else None
+            streams = lookahead_order(mode) if mode in LOOKAHEAD_ORDERS else None
             S_mode = CovMatrix(S.values)
             if mode == "cached":
                 S_mode.factor()
             with held_by_another_thread() if mode == "serial" else parallel.hold():
                 got = bootstrap._norm_draws(bootstrap._mvn_rows(S_mode), FOUR_P, B, rng, S.dim)
             _same_draws(got, want)
-            assert pools == ([2] if mode in ("pooled", "stalled") else [])
-            # each block's stream once, and block 0's again where the one
-            # step index 1 drew of it, at width d, held fewer than its
-            # rows * rank normals
-            if streams is not None and F.rank:  # a block of rank 0 draws no normals
-                assert set(streams) == blocks
-                rows = min(B, bootstrap._ROWS)
-                again = rows * F.rank > min(bootstrap._BLOCK, rows * S.dim)
-                assert streams.count(rng.child(0).stream_path) == 1 + again
-                assert len(streams) == len(blocks) + again
+            assert pools == ([] if mode in ("serial", "cached") else [2])
+            # each block's stream once, by index 1 or by the block, and block
+            # 0's twice where index 1 was inside it when W became known
+            if streams is not None:
+                assert {path for path, _ in streams} == blocks
+                assert sorted(streams) == _lookahead_streams(mode, rng, B)
 
     @pytest.mark.parametrize("B", BLOCK_EDGES)
     @pytest.mark.parametrize("data", ["mixed", "constant"])
@@ -678,22 +698,27 @@ class TestDrawOverlap:
         assert (data == "constant") == (not want[FOUR_P[0]].any())
 
     @pytest.mark.parametrize("rank", ["full", "deficient", "zero"])
-    def test_pooled_first_chunk_equals_mvn_sample(self, pools, stall_factorization, rank):
-        S = _first_chunk_covariances()[rank]
+    def test_pooled_lookahead_equals_mvn_sample(self, pools, lookahead_order, rank):
+        S = _draw_covariances()[rank]
         F = sampling.factorize_psd(S)
         assert F.rank == {"full": 200, "deficient": 100, "zero": 0}[rank]
         seed = RngSeed(5).child(2)
         want = _block_draws(lambda m, s: sampling.mvn_sample(F, m, s), 1000, seed, S.dim)
-        streams = stall_factorization()
-        with parallel.hold():
-            got = bootstrap._norm_draws(bootstrap._mvn_rows(S), FOUR_P, 1000, seed, S.dim)
-        assert streams.count(seed.child(0).stream_path) == 1 + (rank != "zero")
-        _same_draws(got, want)
-        assert pools == [2]
+        for order in LOOKAHEAD_ORDERS:
+            pools.clear()
+            streams = lookahead_order(order)
+            with parallel.hold():
+                got = bootstrap._norm_draws(bootstrap._mvn_rows(CovMatrix(S.values)), FOUR_P,
+                                            1000, seed, S.dim)
+            # index 1 draws at width d, so a block of rank 0 is drawn ahead too
+            assert [path for path, _ in streams].count(seed.child(0).stream_path) == \
+                1 + (order == "block 0 twice")
+            _same_draws(got, want)
+            assert pools == [2]
 
     @pytest.mark.parametrize("rank", ["full", "deficient", "zero"])
-    def test_serial_first_chunk_equals_mvn_sample(self, pools, rank):
-        S = _first_chunk_covariances()[rank]
+    def test_serial_blocks_equal_mvn_sample(self, pools, rank):
+        S = _draw_covariances()[rank]
         seed = RngSeed(5).child(2)
         F = sampling.factorize_psd(S)
         want = _block_draws(lambda m, s: sampling.mvn_sample(F, m, s), 1000, seed, S.dim)
@@ -702,26 +727,25 @@ class TestDrawOverlap:
         _same_draws(got, want)
         assert pools == []
 
-    def test_chunk_boundary(self, pools, stall_factorization):
-        # past the blocks drawn ahead: a pooled, stalled draw of _AHEAD
-        # blocks and one row, in which index 1 draws one step of block 0
-        # before W is known, block 0's worker draws it again, and every
-        # other block draws its own normals once, the last outside the
-        # look-ahead buffer
-        S = _first_chunk_covariances()["deficient"]
+    def test_block_past_the_lookahead(self, pools, lookahead_order):
+        # a pooled draw of _AHEAD blocks and one row, in which index 1 is
+        # inside block 0's draw when W becomes known: block 0's worker draws
+        # it again, and every other block draws its own normals once, the
+        # last outside the look-ahead buffer
+        S = _draw_covariances()["deficient"]
         F = sampling.factorize_psd(S)
         p, rng, B = LpExponent.finite(2), RngSeed(6), AHEAD_ROWS + 1
         want = _block_draws(lambda m, seed: sampling.mvn_sample(F, m, seed), B, rng,
                             S.dim, (p,))[p]
-        streams = stall_factorization()
+        streams = lookahead_order("block 0 twice")
         got = bootstrap.gpb_draws(S, p, B, rng)
         assert np.array_equal(got.samples, np.sort(want))
         assert pools == [2]
         blocks = [rng.child(j).stream_path for j in range(bootstrap._AHEAD + 1)]
-        assert sorted(streams) == sorted(blocks + blocks[:1])
+        assert sorted(path for path, _ in streams) == sorted(blocks + blocks[:1])
 
     def test_more_workers_than_cores_keep_the_bytes(self, pools, monkeypatch):
-        # the blocks read what index 1 drew ahead and its counts: with four
+        # the blocks read what index 1 drew ahead and its count: with four
         # workers (more than the cores) and a short switch interval, every
         # schedule still gives each block its own stream's bytes
         indexed = bootstrap.run_indexed
@@ -746,7 +770,7 @@ class TestDrawOverlap:
         assert pools == [3] * 5 + [4] * 15  # B = 1 has three indices
 
     def test_pool_only_where_the_factor_is_missing(self, pools):
-        S = _first_chunk_covariances()["full"]
+        S = _draw_covariances()["full"]
         p = LpExponent.finite(2)
         first = bootstrap.gpb_draws(S, p, 100, RngSeed(8))
         assert pools == [2]  # gpb_draws holds, so its pipeline re-enters the hold
@@ -760,7 +784,7 @@ class TestDrawOverlap:
 
     @pytest.mark.parametrize("kind", ["naive", "hard", "band", "corr_cv"])
     @pytest.mark.parametrize("square", [True, False], ids=["M=I", "M"])
-    def test_run_test_draws_equal_gpb_draws(self, pools, stall_factorization, kind, square):
+    def test_run_test_draws_equal_gpb_draws(self, pools, lookahead_order, kind, square):
         # run_test's prepare step (estimate, conjugation, factorization) runs
         # beside the normals: its draws are gpb_draws' of M Sigma_hat M'
         n, d = 40, 30
@@ -774,11 +798,11 @@ class TestDrawOverlap:
         Omega = Sigma if square else CovMatrix(M @ Sigma.values @ M.T)
         want = bootstrap.gpb_draws(Omega, spec.p, spec.B, spec.seed.child(2))
         runs = []
-        for mode in ("pooled", "serial", "stalled"):
+        for mode in ("pooled", "serial") + LOOKAHEAD_ORDERS:
             pools.clear()
             with held_by_another_thread() if mode == "serial" else contextlib.nullcontext():
-                if mode == "stalled":
-                    stall_factorization()
+                if mode in LOOKAHEAD_ORDERS:
+                    lookahead_order(mode)
                 runs.append(run_test(X, spec))
             # CV's passes, where there is CV, then one pipeline; none serially
             if mode == "serial":
