@@ -85,25 +85,31 @@ def _norm_draws(source, p_list, B: int, rng: RngSeed, d: int) -> dict:
     block whole at width bound with one request into its region of one
     buffer, looking before each block whether W is known and stopping once
     it is. Every later index is a block: it waits for W, then multiplies the
-    prefix of its region where index 1 drew the block whole (Philox normals
-    are prefix-stable: the first N of a longer request are a request of N),
-    or else draws its own normals into fresh memory, never into the buffer,
-    which index 1 may still be writing. Run serially (inside a pool's
-    worker, or while another thread holds the pool) index 0 runs first, and
-    index 1 draws nothing."""
+    prefix of its region (Philox normals are prefix-stable: the first N of a
+    longer request are a request of N). A block of the buffer that index 1
+    did not draw waits for index 1 to return, as index 1 may be drawing it
+    still, then draws it into its region itself if index 1 stopped before
+    it, so no block is drawn twice; a later block draws its own normals.
+    Run serially (inside a pool's worker, or while another thread holds the
+    pool) index 0 runs first, and index 1 draws nothing."""
     if not 1 <= B <= MAX_DRAWS:
         raise ValueError(f"B must lie in [1, {MAX_DRAWS}]")
     qs = [p.resolve(d) for p in p_list]
     out = {p: np.empty(B) for p in p_list}
     blocks = (B - 1) // _ROWS + 1
     W = source if isinstance(source, np.ndarray) else None
-    drawn = 0  # whole blocks index 1 drew ahead
+    lead = 0 if W is not None else min(blocks, _AHEAD)  # blocks with a region in the buffer
+    drawn = 0  # of them, the ones index 1 drew ahead
 
     def block(j: int) -> None:
         lo, hi = j * _ROWS, min((j + 1) * _ROWS, B)
         size = (hi - lo) * W.shape[0]
-        if j < drawn:
+        if j < lead:
             normals = ahead[j * width:j * width + size]
+            if j >= drawn:
+                stopped.wait()  # index 1 may be drawing it still
+                if j >= drawn:  # index 1 stopped before it
+                    rng.child(j).generator().standard_normal(out=normals)
         else:
             normals = rng.child(j).generator().standard_normal(size)
         V = normals.reshape(hi - lo, W.shape[0]) @ W
@@ -116,7 +122,7 @@ def _norm_draws(source, p_list, B: int, rng: RngSeed, d: int) -> dict:
         return out
     width = _ROWS * source.bound
     ahead = np.empty(min(B, _AHEAD * _ROWS) * source.bound)  # made and freed by the caller
-    known = threading.Event()  # prepare ended
+    known, stopped = threading.Event(), threading.Event()  # prepare ended; index 1 ended
 
     def step(i: int) -> None:
         nonlocal W, drawn
@@ -126,11 +132,14 @@ def _norm_draws(source, p_list, B: int, rng: RngSeed, d: int) -> dict:
             finally:
                 known.set()
         elif i == 1:
-            for j in range(min(blocks, _AHEAD)):
-                if known.is_set():
-                    return
-                rng.child(j).generator().standard_normal(out=ahead[j * width:(j + 1) * width])
-                drawn = j + 1
+            try:
+                for j in range(lead):
+                    if known.is_set():
+                        return
+                    rng.child(j).generator().standard_normal(out=ahead[j * width:(j + 1) * width])
+                    drawn = j + 1
+            finally:
+                stopped.set()
         else:
             known.wait()
             if W is not None:  # else prepare raised, and index 0 re-raises it

@@ -38,7 +38,7 @@ CV's lambda-hat, the conjugation and the factorization; for gpb_draws and
 proxy_draws of a covariance with no cached factor, the factorization) while
 index 1 draws the first blocks' normals ahead, a whole block at a time
 until W is known, and every later index is a block of rows to multiply
-(its normals drawn whole by index 1, else its own) and take the norms of.
+(its normals drawn by index 1, else by itself, once) and take the norms of.
 Draws whose W is known (a cached factor, gmb_draws' centred data) run on
 the calling thread, with no pool. A hold() on the pool's thread finds the
 lock held, so a step there runs under the pin of the caller's hold.

@@ -218,12 +218,12 @@ def traced_peak(call) -> int:
     (LpExponent.finite(1), LpExponent.finite(2), LpExponent.log_dim(), LpExponent.infinity()),
 ], ids=["one p", "four p"])
 def test_a_chunk_holds_two_arrays_of_its_size(p_list):
-    # per worker one block's normals and product (and one scratch array
-    # where several finite p share the norm pass). A cached factor runs the
-    # blocks on one worker, and nothing else grows with B. A missing factor
-    # runs them on two, beside the normals drawn ahead for the first _AHEAD
-    # blocks and the factor; a block not drawn ahead whole draws its own
-    # normals whatever B is, as when prepare ends before index 1 draws.
+    # per worker one block's product (and one scratch array where several
+    # finite p share the norm pass) and, where the block draws them into
+    # fresh memory, its normals. A cached factor runs the blocks on one
+    # worker, and nothing else grows with B. A missing factor runs them on
+    # two, beside the look-ahead buffer of the first _AHEAD blocks' normals,
+    # which a block below _AHEAD reads or draws into, and the factor.
     # Besides: the draws themselves, and per worker 128 KiB for numpy's
     # reduction buffers and the call's small objects
     d = 200
@@ -235,7 +235,8 @@ def test_a_chunk_holds_two_arrays_of_its_size(p_list):
             S.factor()  # outside the traced call
         peak = traced_peak(lambda: _norm_draws(_mvn_rows(S), p_list, m, RngSeed(14), d))
         workers, ahead, factor = (1, 0, 0) if cached else (2, min(m, _AHEAD * _ROWS), d * d * 8)
-        assert peak <= ((ahead + workers * (1 + arrays) * _ROWS) * d * 8
+        normals = _ROWS if m > ahead else 0
+        assert peak <= ((ahead + workers * (normals + arrays * _ROWS)) * d * 8
                         + len(p_list) * m * 8 + workers * 2**17 + factor)
 
 

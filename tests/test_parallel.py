@@ -553,7 +553,7 @@ def _same_draws(got, want):
         assert got[p].tobytes() == want[p].tobytes(), p
 
 
-LOOKAHEAD_ORDERS = ("prepare first", "ahead first", "block 0 twice")
+LOOKAHEAD_ORDERS = ("prepare first", "ahead first", "block 0 waits")
 
 
 @pytest.fixture
@@ -566,17 +566,17 @@ def lookahead_order(monkeypatch):
       (prepare) has ended, so it draws no block ahead;
     - "ahead first": index 0 waits until index 1 has returned, so index 1
       draws every block it may ahead;
-    - "block 0 twice": index 0 waits until index 1 is inside block 0's draw,
-      and index 1 waits there until block 0's worker has made its own
-      generator, so block 0 is drawn twice."""
+    - "block 0 waits": index 0 waits until index 1 is inside block 0's draw,
+      and index 1 waits there until block 0's worker has started, so W is
+      known and block 0's worker finds block 0 being drawn, and uses it."""
     running = threading.local()
     generator, indexed = RngSeed.generator, bootstrap.run_indexed
 
     def install(order):
         made = []
-        prepared, returned, in_block_0, block_0_made = (threading.Event() for _ in range(4))
+        prepared, returned, in_block_0, block_0_started = (threading.Event() for _ in range(4))
         waits = {"prepare first": {1: prepared}, "ahead first": {0: returned},
-                 "block 0 twice": {0: in_block_0}}[order]
+                 "block 0 waits": {0: in_block_0}}[order]
         ends = {0: prepared, 1: returned}
 
         class HeldInBlock0:
@@ -585,22 +585,21 @@ def lookahead_order(monkeypatch):
 
             def standard_normal(self, *args, **kwargs):
                 in_block_0.set()
-                assert block_0_made.wait(10)
+                assert block_0_started.wait(10)
                 return self.gen.standard_normal(*args, **kwargs)
 
         def generate(seed):
             index = getattr(running, "index", None)
             made.append((seed.stream_path, index))
-            if order != "block 0 twice":
-                return generator(seed)
-            if index == 2:
-                block_0_made.set()
-            return HeldInBlock0(generator(seed)) if index == 1 else generator(seed)
+            held = order == "block 0 waits" and index == 1
+            return HeldInBlock0(generator(seed)) if held else generator(seed)
 
         def run_indexed(worker, count, threads):
             def step(i):
                 if i in waits:
                     assert waits[i].wait(10)
+                if i == 2:
+                    block_0_started.set()
                 running.index = i
                 try:
                     return worker(i)
@@ -624,8 +623,8 @@ def _lookahead_streams(order, rng, B):
     and index 2 + j is block j."""
     blocks = (B - 1) // bootstrap._ROWS + 1
     ahead = {"prepare first": 0, "ahead first": min(blocks, bootstrap._AHEAD),
-             "block 0 twice": 1}[order]
-    own = range(0 if order == "block 0 twice" else ahead, blocks)
+             "block 0 waits": 1}[order]
+    own = range(ahead, blocks)
     return sorted([(rng.child(j).stream_path, 1) for j in range(ahead)]
                   + [(rng.child(j).stream_path, 2 + j) for j in own])
 
@@ -673,8 +672,8 @@ class TestDrawOverlap:
                 got = bootstrap._norm_draws(bootstrap._mvn_rows(S_mode), FOUR_P, B, rng, S.dim)
             _same_draws(got, want)
             assert pools == ([] if mode in ("serial", "cached") else [2])
-            # each block's stream once, by index 1 or by the block, and block
-            # 0's twice where index 1 was inside it when W became known
+            # each block's stream once, by index 1 or by the block, even
+            # where index 1 was inside block 0's draw when W became known
             if streams is not None:
                 assert {path for path, _ in streams} == blocks
                 assert sorted(streams) == _lookahead_streams(mode, rng, B)
@@ -711,8 +710,7 @@ class TestDrawOverlap:
                 got = bootstrap._norm_draws(bootstrap._mvn_rows(CovMatrix(S.values)), FOUR_P,
                                             1000, seed, S.dim)
             # index 1 draws at width d, so a block of rank 0 is drawn ahead too
-            assert [path for path, _ in streams].count(seed.child(0).stream_path) == \
-                1 + (order == "block 0 twice")
+            assert [path for path, _ in streams].count(seed.child(0).stream_path) == 1
             _same_draws(got, want)
             assert pools == [2]
 
@@ -729,20 +727,22 @@ class TestDrawOverlap:
 
     def test_block_past_the_lookahead(self, pools, lookahead_order):
         # a pooled draw of _AHEAD blocks and one row, in which index 1 is
-        # inside block 0's draw when W becomes known: block 0's worker draws
-        # it again, and every other block draws its own normals once, the
-        # last outside the look-ahead buffer
+        # inside block 0's draw when W becomes known: block 0's worker uses
+        # what index 1 drew, and every other block draws its own normals
+        # once, into its region of the look-ahead buffer or, for the last,
+        # outside it
         S = _draw_covariances()["deficient"]
         F = sampling.factorize_psd(S)
         p, rng, B = LpExponent.finite(2), RngSeed(6), AHEAD_ROWS + 1
         want = _block_draws(lambda m, seed: sampling.mvn_sample(F, m, seed), B, rng,
                             S.dim, (p,))[p]
-        streams = lookahead_order("block 0 twice")
+        streams = lookahead_order("block 0 waits")
         got = bootstrap.gpb_draws(S, p, B, rng)
         assert np.array_equal(got.samples, np.sort(want))
         assert pools == [2]
         blocks = [rng.child(j).stream_path for j in range(bootstrap._AHEAD + 1)]
-        assert sorted(path for path, _ in streams) == sorted(blocks + blocks[:1])
+        assert sorted(streams) == sorted([(blocks[0], 1)] + [
+            (path, 2 + j) for j, path in enumerate(blocks) if j > 0])
 
     def test_more_workers_than_cores_keep_the_bytes(self, pools, monkeypatch):
         # the blocks read what index 1 drew ahead and its count: with four
