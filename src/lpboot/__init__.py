@@ -27,4 +27,5 @@ from .sampling import (MarginalKind, PsdFactor, RngSeed,
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the public functions and classes; the submodules the imports bind are not callable
+__all__ = [name for name in dir() if not name.startswith("_") and callable(globals()[name])]

@@ -16,7 +16,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .covariance import CovMatrix
+from .covariance import CovMatrix, _check_data, _integer
 from .lp import LpExponent, _row_norms
 from .parallel import hold, run_indexed
 from .sampling import RngSeed
@@ -54,18 +54,18 @@ def _seed_label(rng: RngSeed) -> str:
 
 
 class _Rows(NamedTuple):
-    """A row source for the kernel whose W is not known yet: rows z @ W for
-    rows z of i.i.d. standard normals. prepare() returns W, at most `bound`
-    rows by d; the kernel calls it once, while the first blocks' normals are
-    drawn at width `bound`, so a source can leave whatever W needs (an
-    estimate, a factorization) to prepare. A source whose W is known is W
-    itself."""
+    """A row source for the kernel whose W is not known yet: rows z @ W of
+    `bound` coordinates for rows z of i.i.d. standard normals. prepare()
+    returns W, at most `bound` rows by `bound`; the kernel calls it once,
+    while the first blocks' normals are drawn at width `bound`, so a source
+    can leave whatever W needs (an estimate, a factorization) to prepare. A
+    source whose W is known is W itself."""
 
     bound: int
     prepare: Callable[[], np.ndarray]
 
 
-def _norm_draws(source, p_list, B: int, rng: RngSeed, d: int) -> dict:
+def _norm_draws(source, p_list, B: int, rng: RngSeed) -> dict:
     """B draws of ||V||_p for every p in p_list, from Gaussian rows V = Z W
     of the source (W itself, or a _Rows that prepares it), so single-p
     output equals multi-p output draw-for-draw.
@@ -92,12 +92,11 @@ def _norm_draws(source, p_list, B: int, rng: RngSeed, d: int) -> dict:
     it, so no block is drawn twice; a later block draws its own normals.
     Run serially (inside a pool's worker, or while another thread holds the
     pool) index 0 runs first, and index 1 draws nothing."""
-    if not 1 <= B <= MAX_DRAWS:
-        raise ValueError(f"B must lie in [1, {MAX_DRAWS}]")
-    qs = [p.resolve(d) for p in p_list]
+    B = _integer(B, "B", 1, MAX_DRAWS)
+    W = source if isinstance(source, np.ndarray) else None
+    qs = [p.resolve(source.bound if W is None else W.shape[1]) for p in p_list]
     out = {p: np.empty(B) for p in p_list}
     blocks = (B - 1) // _ROWS + 1
-    W = source if isinstance(source, np.ndarray) else None
     lead = 0 if W is not None else min(blocks, _AHEAD)  # blocks with a region in the buffer
     drawn = 0  # of them, the ones index 1 drew ahead
 
@@ -166,12 +165,11 @@ def _multiplier_rows(X: np.ndarray) -> np.ndarray:
     return Xc
 
 
-def _distribution(engine: str, rows, p: LpExponent, B: int, rng: RngSeed,
-                  d: int) -> EmpiricalDistribution:
+def _distribution(engine: str, rows, p: LpExponent, B: int, rng: RngSeed) -> EmpiricalDistribution:
     """The engine's draws of ||V||_p, computed under lpboot's hold (one BLAS
     thread; lpboot.parallel says why)."""
     with hold():
-        draws = _norm_draws(rows, (p,), B, rng, d)[p]
+        draws = _norm_draws(rows, (p,), B, rng)[p]
     return EmpiricalDistribution(draws, {"engine": engine, "p": p.label, "seed": _seed_label(rng)})
 
 
@@ -180,14 +178,13 @@ def gpb_draws(Sigma_hat: CovMatrix | _Rows, p: LpExponent, B: int,
     """Draws of ||V||_p with V ~ N(0, Sigma_hat). Sigma_hat may also be given
     as a _Rows of dimension `bound` whose prepare returns the transpose of
     its PSD factor, as run_test does to estimate it beside the normals."""
-    if isinstance(Sigma_hat, _Rows):
-        return _distribution("gpb", Sigma_hat, p, B, rng, Sigma_hat.bound)
-    return _distribution("gpb", _mvn_rows(Sigma_hat), p, B, rng, Sigma_hat.dim)
+    rows = Sigma_hat if isinstance(Sigma_hat, _Rows) else _mvn_rows(Sigma_hat)
+    return _distribution("gpb", rows, p, B, rng)
 
 
 def proxy_draws(Sigma_true: CovMatrix, p: LpExponent, B: int, rng: RngSeed) -> EmpiricalDistribution:
     """Oracle variant of gpb_draws using the true covariance."""
-    return _distribution("proxy", _mvn_rows(Sigma_true), p, B, rng, Sigma_true.dim)
+    return _distribution("proxy", _mvn_rows(Sigma_true), p, B, rng)
 
 
 def gmb_draws(X: np.ndarray, p: LpExponent, B: int, rng: RngSeed) -> EmpiricalDistribution:
@@ -197,9 +194,8 @@ def gmb_draws(X: np.ndarray, p: LpExponent, B: int, rng: RngSeed) -> EmpiricalDi
     norm, the law gpb_draws samples for the sample covariance.
     """
     X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[0] < 2:
-        raise ValueError("need at least two observations")
-    return _distribution("gmb", _multiplier_rows(X), p, B, rng, X.shape[1])
+    _check_data(X)
+    return _distribution("gmb", _multiplier_rows(X), p, B, rng)
 
 
 def empirical_quantile(D: EmpiricalDistribution, alpha: float | Fraction) -> float:
@@ -217,8 +213,9 @@ def empirical_quantile(D: EmpiricalDistribution, alpha: float | Fraction) -> flo
 
 def critical_value(D: EmpiricalDistribution, alpha: float) -> float:
     """Upper-alpha critical value: the quantile at the exact level 1 - alpha
-    (the float 1 - alpha can exceed it, e.g. 1 - 0.059 > 0.941)."""
-    return empirical_quantile(D, 1 - Fraction(str(alpha)))
+    (the float 1 - alpha can exceed it, e.g. 1 - 0.059 > 0.941); an alpha
+    outside (0, 1), NaN too, goes to empirical_quantile's check as it is."""
+    return empirical_quantile(D, 1 - Fraction(str(alpha)) if 0.0 < alpha < 1.0 else alpha)
 
 
 def ks_distance(A: EmpiricalDistribution, B: EmpiricalDistribution) -> float:

@@ -158,21 +158,25 @@ def correlation_threshold(M: CovMatrix, lam: float) -> CovMatrix:
                      provenance=f"corr-threshold({_exact_text(lam)})<-{M.provenance}")
 
 
-def _band_width(ell) -> int:
-    """ell as an int, or a ValueError where it is no nonnegative integer: a
-    width of 1.5 would band at 1 but be labelled band(1.5)."""
+def _integer(value, name: str, least: int, most: int | None = None) -> int:
+    """value as an int, or a ValueError where it is no integer or lies outside
+    [least, most]: every count from outside comes here, as 2.5 would run as 2
+    but be reported as 2.5, or fail inside numpy once compute has started."""
     try:
-        width = operator.index(ell)
+        value = operator.index(value)
     except TypeError:
-        raise ValueError(f"band width must be an integer, not {ell!r}") from None
-    if width < 0:
-        raise ValueError("band width must be nonnegative")
-    return width
+        raise ValueError(f"{name} must be an integer, not {value!r}") from None
+    if most is not None and not least <= value <= most:
+        raise ValueError(f"{name} must lie in [{least}, {most}]")
+    if value < least:
+        raise ValueError(f"{name} must be nonnegative" if least == 0 else
+                         f"{name} must be >= {least}")
+    return value
 
 
 def band(M: CovMatrix, ell: int) -> CovMatrix:
     """Zero all entries with |j - k| > ell."""
-    ell = _band_width(ell)
+    ell = _integer(ell, "band width", 0)
     j, k = np.indices(M.values.shape)
     return CovMatrix(_keep_off_diagonal(M.values, np.abs(j - k) <= ell),
                      provenance=f"band({ell})<-{M.provenance}")
@@ -310,12 +314,13 @@ def _cv_split(n: int) -> int:
     return n1
 
 
-def _cv_fold(X: np.ndarray, n1: int, seed, nu: int, second: bool = True):
-    """Fold nu's halves, S1 on the first n1 rows of its permutation and S2 on
-    the rest (None unless `second`), and |corr(S1)|; built from the fold's own
-    seed, so every call returns the same bytes. Each half is _gram's, the
-    bytes of sample_covariance without its checks and its CovMatrix: the
-    caller checks X once."""
+def _cv_fold(X: np.ndarray, seed, nu: int, second: bool = True):
+    """Fold nu's halves, S1 on the first _cv_split(n) of the n rows of its
+    permutation and S2 on the rest (None unless `second`), and |corr(S1)|;
+    built from the fold's own seed, so every call returns the same bytes.
+    Each half is _gram's, the bytes of sample_covariance without its checks
+    and its CovMatrix: the caller checks X once."""
+    n1 = _cv_split(X.shape[0])
     perm = seed.child(nu).generator().permutation(X.shape[0])
     S1 = _gram(X[perm[:n1]])
     S2 = _gram(X[perm[n1:]]) if second else None
@@ -535,9 +540,8 @@ def cv_select_lambda(X: np.ndarray, grid, folds: int, seed) -> tuple[float, list
         raise ValueError("empty threshold grid")
     for lam in grid:
         _check_correlation_level(lam)
-    if folds < 1:
-        raise ValueError("folds must be >= 1")
-    n1 = _cv_split(n)
+    folds = _integer(folds, "folds", 1)
+    _cv_split(n)  # a ValueError before any fold runs
     k = _rescale_exponent(X)
     if k:
         X = np.ldexp(X, -k)
@@ -558,7 +562,7 @@ def cv_select_lambda(X: np.ndarray, grid, folds: int, seed) -> tuple[float, list
         accepts and by witness bounds elsewhere, rung 1 by eigenvalue bounds
         that it intersects with those the mask has, rung 2 (the clip) exactly."""
         # rung 1 takes U from rung 0, so it needs no S2
-        S1, S2, corr = _cv_fold(X, n1, seed, nu, rung != 1)
+        S1, S2, corr = _cv_fold(X, seed, nu, rung != 1)
         if rung == 0:
             # U and g are rounded relative to ||A|| + ||S2||, and ||A|| <= ||S1||
             # for every mask: d^2 eps covers the d^2 squares summed in U and, by

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bootstrap import MAX_DRAWS, ks_distance, proxy_draws
-from .covariance import CovMatrix, cov_error
+from .covariance import CovMatrix, _integer, cov_error
 from .lp import LpExponent, lp_norm
 from .sampling import RngSeed
 
@@ -46,8 +46,7 @@ def levy_concentration(S: CovMatrix, p: LpExponent, eps: float, n_mc: int,
     width eps * ||sigma||_p / omega_p(d, r); passes when <= C * eps."""
     if not eps > 0.0:
         raise ValueError("eps must be positive")
-    if not 1000 <= n_mc <= MAX_DRAWS:
-        raise ValueError(f"n_mc must lie in [1000, {MAX_DRAWS}]")
+    n_mc = _integer(n_mc, "n_mc", 1000, MAX_DRAWS)
     d = S.dim
     sigma = np.sqrt(np.diag(S.values))
     width = eps * lp_norm(sigma, p, d_context=d) / _omega(p, d, max(S.factor().rank, 1))
@@ -66,8 +65,7 @@ def comparison_ks(Sx: CovMatrix, Sy: CovMatrix, p: LpExponent, n_mc: int,
     the covariance-difference bound (plus KS sampling noise)."""
     if Sx.dim != Sy.dim:
         raise ValueError("dimension mismatch")
-    if not 1000 <= n_mc <= MAX_DRAWS:
-        raise ValueError(f"n_mc must lie in [1000, {MAX_DRAWS}]")
+    n_mc = _integer(n_mc, "n_mc", 1000, MAX_DRAWS)
     d = Sx.dim
     Dx = proxy_draws(Sx, p, n_mc, rng.child(0))
     Dy = proxy_draws(Sy, p, n_mc, rng.child(1))

@@ -16,7 +16,7 @@ import numpy as np
 
 from .bootstrap import (MAX_DRAWS, EmpiricalDistribution, _multiplier_rows,
                         _mvn_rows, _norm_draws, critical_value, ks_distance)
-from .covariance import CovMatrix, _cv_split
+from .covariance import CovMatrix, _cv_split, _integer
 from .diagnostics import ProbeReport, comparison_ks, levy_concentration
 from .inference import EstimatorSpec, estimate_covariance
 from .lp import LpExponent, lp_norm
@@ -61,12 +61,11 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
-        for name in ("n", "d", "mc_reps", "B", "truth_reps", "cv_folds", "cv_grid_size",
-                     "threads"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive")
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
+        for name, least, most in (("n", 1, None), ("d", 1, None), ("mc_reps", 1, None),
+                                  ("B", 1, MAX_DRAWS), ("truth_reps", 1, MAX_DRAWS),
+                                  ("cv_folds", 1, None), ("cv_grid_size", 1, None),
+                                  ("threads", 1, None), ("seed", 0, None), ("block", 0, None)):
+            setattr(self, name, _integer(getattr(self, name), name, least, most))
         for name in ("p_list", "estimators"):
             if not getattr(self, name):
                 raise ValueError(f"{name} must not be empty")
@@ -79,8 +78,6 @@ class ExperimentConfig:
         if len(set(self.p_list)) < len(self.p_list):
             raise ValueError(f"p_list {', '.join(p.label for p in self.p_list)} "
                              "names one exponent twice")
-        if self.block < 0:
-            raise ValueError("block must be nonnegative")
         if self.block == 0:
             self.block = _default_block(self.d)
         if self.d % self.block != 0:
@@ -101,9 +98,6 @@ class ExperimentConfig:
             p.resolve(self.d)
         if self.uses_cv:
             _cv_split(self.n)
-        for name in ("B", "truth_reps"):
-            if getattr(self, name) > MAX_DRAWS:
-                raise ValueError(f"{name} must be at most {MAX_DRAWS}")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
 
@@ -220,7 +214,7 @@ def _engine_draws(name: str, X: np.ndarray, Sigma_true: CovMatrix,
         rows = _mvn_rows(estimate_covariance(X, spec, rep_seed.child(4)))
         stream = {"naive": (3,), "corr_cv": (5,), "hard": (6, *spec.lam.as_integer_ratio()),
                   "band": (7, spec.ell)}[spec.kind]
-    draws = _norm_draws(rows, cfg.p_list, cfg.B, rep_seed.child(*stream), cfg.d)
+    draws = _norm_draws(rows, cfg.p_list, cfg.B, rep_seed.child(*stream))
     return {p: EmpiricalDistribution(v, {"engine": name, "p": p.label}) for p, v in draws.items()}
 
 

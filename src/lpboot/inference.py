@@ -4,6 +4,7 @@ simultaneous confidence sets, and lp-ball volumes.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import re
 import sys
@@ -14,7 +15,7 @@ from scipy.special import gammaln
 
 from .bootstrap import (MAX_DRAWS, EmpiricalDistribution, _Rows, critical_value,
                         gpb_draws)
-from .covariance import (CovMatrix, _band_width, _rescale_exponent, band,
+from .covariance import (CovMatrix, _integer, _rescale_exponent, band,
                          correlation_threshold, cv_select_lambda, psd_project,
                          sample_covariance, threshold)
 from .lp import LpExponent, _exact_text, lp_norm
@@ -39,9 +40,8 @@ class EstimatorSpec:
             raise ValueError(f"unknown estimator kind {self.kind!r}")
         if not 0.0 <= self.lam < math.inf:
             raise ValueError("threshold level must be finite and nonnegative")
-        object.__setattr__(self, "ell", _band_width(self.ell))  # band(True) reads band(1)
-        if self.cv_folds < 1:
-            raise ValueError("folds must be >= 1")
+        object.__setattr__(self, "ell", _integer(self.ell, "band width", 0))
+        object.__setattr__(self, "cv_folds", _integer(self.cv_folds, "folds", 1))
         if not self.cv_grid or not all(0.0 <= g <= 1.0 for g in self.cv_grid):
             raise ValueError("cv_grid must be nonempty and lie in [0, 1]")
 
@@ -136,8 +136,7 @@ class TestSpec:
             raise ValueError("restriction map and target dimensions are inconsistent")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
-        if not 1 <= self.B <= MAX_DRAWS:
-            raise ValueError(f"B must lie in [1, {MAX_DRAWS}]")
+        self.B = _integer(self.B, "B", 1, MAX_DRAWS)
 
 
 @dataclass
@@ -335,14 +334,21 @@ class BallVolume:
 
 
 def lp_ball_volume(d: int, p: float, r: float) -> BallVolume:
-    """Volume (2r)^d Gamma(1+1/p)^d / Gamma(1+d/p) of the lp-ball of radius r."""
-    if d < 1 or not p >= 1.0 or not 0.0 < r < math.inf:
+    """Volume (2r)^d / (Gamma(1+d/p) / Gamma(1+1/p)^d) of the lp-ball of radius
+    r, in that form where it and (2r)^d are normal doubles (so d = 1 gives 2r
+    exactly), else exp(log_volume)."""
+    d = _integer(d, "d", 1)
+    if not p >= 1.0 or not 0.0 < r < math.inf:
         raise ValueError("need d >= 1, p >= 1, 0 < r < inf")
     # log(2r) as log 2 + log r only where 2r passes the largest float
     log_2r = math.log(2.0 * r) if 2.0 * r < math.inf else math.log(2.0) + math.log(r)
     logv = d * log_2r + d * gammaln(1.0 + 1.0 / p) - gammaln(1.0 + d / p)
-    try:
-        vol = math.exp(logv)
-    except OverflowError:
+    side = vol = math.inf  # where a step overflows
+    with contextlib.suppress(OverflowError):
+        side = math.pow(2.0 * r, d)
+        vol = side / (math.gamma(1.0 + d / p) / math.gamma(1.0 + 1.0 / p) ** d)
+    if not all(sys.float_info.min <= x < math.inf for x in (side, vol)):
         vol = math.inf
+        with contextlib.suppress(OverflowError):
+            vol = math.exp(logv)
     return BallVolume(log_volume=float(logv), volume=vol)

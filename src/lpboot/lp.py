@@ -141,6 +141,8 @@ def lp_norm_rows(X: np.ndarray, p: LpExponent, d_context: int | None = None) -> 
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] == 0:
         raise ValueError("expected a 2-d array with nonempty rows")
+    if not np.all(np.isfinite(X)):
+        raise ValueError("vector entries must be finite")
     d = X.shape[1] if d_context is None else int(d_context)
     return _row_norms(np.abs(X), [p.resolve(d)])[0]
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .covariance import PSD_CERT_TOL, RANK_TOL, CovMatrix
+from .covariance import PSD_CERT_TOL, RANK_TOL, CovMatrix, _integer
 from .lp import _exact_text
 from .parallel import hold
 
@@ -29,14 +29,12 @@ class RngSeed:
     stream_path: tuple = ()
 
     def __post_init__(self):
-        if self.master < 0:
-            raise ValueError("seed must be nonnegative")
+        object.__setattr__(self, "master", _integer(self.master, "seed", 0))
+        object.__setattr__(self, "stream_path",
+                           tuple(_integer(i, "stream index", 0) for i in self.stream_path))
 
     def child(self, *indices: int) -> "RngSeed":
-        for i in indices:
-            if i < 0:
-                raise ValueError("stream indices must be nonnegative")
-        return RngSeed(self.master, self.stream_path + tuple(int(i) for i in indices))
+        return RngSeed(self.master, self.stream_path + indices)
 
     def generator(self) -> np.random.Generator:
         ss = np.random.SeedSequence(self.master, spawn_key=self.stream_path)
@@ -111,8 +109,7 @@ def factorize_psd(S: CovMatrix) -> PsdFactor:
 
 def mvn_sample(F: PsdFactor, count: int, rng: RngSeed) -> np.ndarray:
     """count i.i.d. rows from N(0, L L'); generated as g @ L.T with g standard normal."""
-    if count < 1:
-        raise ValueError("count must be >= 1")
+    count = _integer(count, "count", 1)
     with hold():  # as in factorize_psd
         return rng.generator().standard_normal((count, F.rank)) @ F.factor.T
 
@@ -124,7 +121,8 @@ def build_block_covariance(d: int, block: int, decay: float = 0.8,
     The permutation is drawn once from perm_seed (identity when None);
     rank of the result is d / block.
     """
-    if block < 1 or d < 1 or d % block != 0:
+    d, block = _integer(d, "d", 1), _integer(block, "block", 1)
+    if d % block != 0:
         raise ValueError("block size must divide d")
     if not 0.0 < decay < 1.0:
         raise ValueError("decay must lie in (0, 1)")
@@ -180,8 +178,7 @@ def copula_sample(S: CovMatrix, kind: MarginalKind, n: int, rng: RngSeed) -> np.
     marginals of X are exactly F; all three marginals have mean zero, so no
     further centering is applied.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = _integer(n, "n", 1)
     sd = np.sqrt(np.diag(S.values))
     if np.any(sd <= 0.0):
         raise ValueError("latent covariance needs a strictly positive diagonal")

@@ -49,6 +49,14 @@ class TestEmpiricalQuantile:
             with pytest.raises(ValueError):
                 empirical_quantile(d, a)
 
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -0.5, 0.0, 1.0, 1.5])
+    def test_critical_value_rejects_a_level_outside_0_1(self, alpha):
+        # NaN reached Fraction("nan"), which raised "Invalid literal for Fraction"
+        d = dist([1.0, 2.0])
+        for level in (empirical_quantile, critical_value):
+            with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\)"):
+                level(d, alpha)
+
     @given(k=st.integers(1, 999), B=st.integers(100, 10_000))
     @example(k=59, B=1000)   # float: ceil((1 - 0.059) * 1000) = 942
     @example(k=180, B=250)   # float: ceil((1 - 0.18) * 250) = 206
@@ -177,6 +185,18 @@ class TestGmbDraws:
         with pytest.raises(ValueError):
             gmb_draws(np.ones((1, 3)), LpExponent.finite(2), 10, RngSeed(0))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_data_that_is_not_finite_before_drawing(self, bad, monkeypatch):
+        # the draws ran, with numpy's RuntimeWarnings, before the samples' check
+        def no_draws(*args, **kwargs):
+            raise AssertionError("the draws ran on data that is not finite")
+
+        monkeypatch.setattr(RngSeed, "generator", no_draws)
+        X = np.ones((5, 3))
+        X[2, 1] = bad
+        with pytest.raises(ValueError, match="data entries must be finite"):
+            gmb_draws(X, LpExponent.finite(2), 10, RngSeed(0))
+
 
 def _reference_row_norms(V, q):
     """Row norms at numeric exponent q, one exponent at a time, as each p
@@ -197,7 +217,7 @@ def test_one_norm_pass_equals_each_p_alone():
     B = _AHEAD * _ROWS + 300  # blocks drawn ahead, and blocks past them
     # rows at mixed scales, and all-zero rows
     for W in (np.diag(10.0 ** np.arange(-3, 4)), np.zeros((d, d))):
-        draws = _norm_draws(_Rows(d, lambda: W), p_list, B, RngSeed(21), d)
+        draws = _norm_draws(_Rows(d, lambda: W), p_list, B, RngSeed(21))
         chunks = [RngSeed(21).child(j).generator().standard_normal((min(_ROWS, B - lo), d)) @ W
                   for j, lo in enumerate(range(0, B, _ROWS))]
         for p in p_list:
@@ -205,7 +225,7 @@ def test_one_norm_pass_equals_each_p_alone():
             want = np.concatenate([_reference_row_norms(V, q) for V in chunks])
             assert want.tobytes() == draws[p].tobytes()
             assert want.tobytes() == np.concatenate([lp_norm_rows(V, p) for V in chunks]).tobytes()
-            alone = _norm_draws(_Rows(d, lambda: W), (p,), B, RngSeed(21), d)[p]
+            alone = _norm_draws(_Rows(d, lambda: W), (p,), B, RngSeed(21))[p]
             assert draws[p].tobytes() == alone.tobytes()
         assert W.any() == draws[LpExponent.finite(2)].all()
 

@@ -7,6 +7,10 @@ reject the draw with a ValueError before any compute starts, or the run
 completes with finite numbers. Only tiny accepted configs run, on at most two
 threads; the others are constructed and their guarantees checked, so that no
 draw allocates or starts threads at a huge size.
+
+Every count the library takes from outside (sizes, draws, folds, seeds and
+stream indices) must be an integer: anything else is a ValueError before any
+compute, and an integer of any type gives the bytes of the plain int.
 """
 
 import contextlib
@@ -20,18 +24,22 @@ import pytest
 from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
-from lpboot import cli, harness, inference
+from lpboot import bootstrap, cli, covariance, diagnostics, harness, inference, sampling
 from lpboot.bootstrap import MAX_DRAWS
 from lpboot.cli import main
-from lpboot.harness import KINDS, config_from_dict, run_experiment
-from lpboot.inference import EstimatorSpec, run_test
+from lpboot.covariance import CovMatrix, band, cv_select_lambda
+from lpboot.diagnostics import comparison_ks, levy_concentration
+from lpboot.harness import KINDS, ExperimentConfig, config_from_dict, run_experiment
+from lpboot.inference import EstimatorSpec, lp_ball_volume, run_test
 from lpboot.lp import LpExponent
-from lpboot.sampling import RngSeed
+from lpboot.sampling import (MarginalKind, RngSeed, build_block_covariance, copula_sample,
+                             mvn_sample)
 
 HUGE, SUBNORMAL = str(10**30), "5e-324"
 DEFAULT = None  # a drawn key left out, so that it takes ExperimentConfig's default
-# integers: 0, 1, negative, small, huge, and floats that no integer key accepts
-COUNTS = ["0", "1", "-1", "2", "3", HUGE, "1e308", "nan", "inf", SUBNORMAL, DEFAULT]
+# integers: 0, 1, negative, small, huge, and floats that no integer key accepts, as
+# text and as non-integral floats (which reach the library as they are)
+COUNTS = ["0", "1", "-1", "2", "3", HUGE, "1e308", "nan", "inf", SUBNORMAL, 0.5, 2.5, DEFAULT]
 ALPHAS = ["0", "1", "-1", "0.05", "1e-300", SUBNORMAL, "0.9999999999999999", "1e308",
           "nan", "inf"]
 P_LISTS = ["1", "1e308", "logd", "inf", "1,1e308,logd,inf", "0.5", "0", "-1", "nan",
@@ -105,14 +113,19 @@ def _edges(table: dict):
 
 @given(kind=st.sampled_from(KINDS), drawn=_edges(EDGES))
 @example(kind="probe", drawn={"p_list": "1e308"})  # a NaN comparison bound
+@example(kind="ks", drawn={"B": 2.5})  # ran, then failed inside numpy
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_an_accepted_config_runs_to_the_end(files, kind, drawn):
     values = {key: value for key, value in {"kind": kind, **TINY, **drawn}.items()
               if value is not DEFAULT}
     path = files("".join(f"{key}={value}\n" for key, value in values.items()))
     argv = [kind.partition("-")[0], "--config", path, "--out", path + ".csv"]
+    # a float reaches the library through replace, as the CLI's --seed and
+    # --threads do; the config file holds its text
+    floats = {key: value for key, value in values.items() if isinstance(value, float)}
     try:
-        cfg = config_from_dict(values)
+        cfg = dataclasses.replace(config_from_dict(
+            {key: value for key, value in values.items() if key not in floats}), **floats)
     except ValueError:
         cfg = None
     large = cfg is not None and any(getattr(cfg, key) > cap for key, cap in RUN_CAPS.items())
@@ -151,15 +164,22 @@ TEST_EDGES = {
     "B": COUNTS[:-1], "seed": COUNTS[:-1],
     "estimator": ["corr_cv", "hard(0)", "hard(1e308)", "hard(5e-324)", "hard(nan)", "band(0)",
                   "band(-1)", "band(9)"],
-    "cv_folds": [0, 1, -1, 2], "cv_grid": [(0.5,), (0.0,), (1.0,), (math.nan,), (2.0,)],
+    "cv_folds": [0, 1, -1, 2, 2.5], "cv_grid": [(0.5,), (0.0,), (1.0,), (math.nan,), (2.0,)],
     "M": [(rows, entry) for rows in (1, 2, 4) for entry in ENTRIES], "m0": ENTRIES,
 }
 TEST_TINY = {"p": "2", "alpha": "0.05", "B": "7", "seed": "0", "estimator": "naive",
              "cv_folds": None, "cv_grid": None, "M": None, "m0": None}
 
 
+def _count(value):
+    """A drawn count as `lpboot test` parses its text, or the float itself."""
+    return value if isinstance(value, float) else int(value)
+
+
 @given(drawn=_edges(TEST_EDGES))
 @example(drawn={"M": (1, 1e160)})  # the conjugation overflowed once CV had run
+@example(drawn={"B": 2.5})  # ran, then failed inside numpy
+@example(drawn={"estimator": "corr_cv", "cv_folds": 2.5})
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_an_accepted_test_spec_runs_to_the_end(files, drawn):
     opt = {**TEST_TINY, **drawn}
@@ -179,7 +199,7 @@ def test_an_accepted_test_spec_runs_to_the_end(files, drawn):
             estimator = dataclasses.replace(EstimatorSpec.parse(opt["estimator"]), **cv)
             spec = inference.TestSpec(M=M, m0=m0, p=LpExponent.parse(opt["p"]),
                                       alpha=float(opt["alpha"]), estimator=estimator,
-                                      B=int(opt["B"]), seed=RngSeed(int(opt["seed"])))
+                                      B=_count(opt["B"]), seed=RngSeed(_count(opt["seed"])))
             res = run_test(DATA, spec)
         except ValueError:
             assert not estimated, "a ValueError after compute started"
@@ -204,3 +224,94 @@ def test_an_accepted_test_spec_runs_to_the_end(files, drawn):
         if res is None:
             mp.setattr(inference, "estimate_covariance", _no_compute)
         assert _main(argv) == (0 if res is not None else 2)
+
+
+# every count that comes from outside, as a call of it: (call, a valid count,
+# the call's first compute steps as (owner, attribute))
+S = CovMatrix(np.eye(4) + 0.5, provenance="equicorrelated")
+P2 = LpExponent.finite(2)
+SIZES = {"n": 4, "d": 4, "block": 2, "mc_reps": 2, "B": 10, "truth_reps": 10, "threads": 1,
+         "cv_folds": 2, "cv_grid_size": 3, "seed": 0}
+
+
+def _spec_and_result(B):
+    spec = inference.TestSpec(np.eye(4), np.zeros(4), P2, 0.05, EstimatorSpec("naive"), B,
+                              RngSeed(0))
+    return spec, run_test(DATA, spec)
+
+
+def _config_and_rows(**count):
+    cfg = ExperimentConfig(kind="ks", **{**SIZES, **count})
+    return cfg, run_experiment(cfg)
+
+
+def _seed_and_draws(seed):
+    return seed, seed.generator().random(3)
+
+
+COUNT_SITES = {
+    "band": (lambda v: band(S, v), 1, [(covariance, "_keep_off_diagonal")]),
+    "EstimatorSpec.ell": (lambda v: EstimatorSpec("band", ell=v), 1, []),
+    "EstimatorSpec.cv_folds": (lambda v: EstimatorSpec("corr_cv", cv_folds=v), 2, []),
+    "cv_select_lambda": (lambda v: cv_select_lambda(DATA, (0.0, 0.5), v, RngSeed(0)), 2,
+                         [(covariance, "_cv_fold")]),
+    "TestSpec.B": (_spec_and_result, 7, [(inference, "_statistic_inputs")]),
+    "_norm_draws": (lambda v: bootstrap._norm_draws(np.eye(4), (P2,), v, RngSeed(0)), 7,
+                    [(RngSeed, "generator")]),
+    "RngSeed": (lambda v: _seed_and_draws(RngSeed(v)), 3, [(RngSeed, "generator")]),
+    "RngSeed.child": (lambda v: _seed_and_draws(RngSeed(1).child(v)), 3,
+                      [(RngSeed, "generator")]),
+    "mvn_sample": (lambda v: mvn_sample(S.factor(), v, RngSeed(0)), 5, [(RngSeed, "generator")]),
+    "copula_sample": (lambda v: copula_sample(S, MarginalKind.UNIFORM_SYM, v, RngSeed(0)), 5,
+                      [(sampling, "mvn_sample")]),
+    "build_block_covariance.d": (lambda v: build_block_covariance(v, 2), 4,
+                                 [(sampling, "CovMatrix")]),
+    "build_block_covariance.block": (lambda v: build_block_covariance(4, v), 2,
+                                     [(sampling, "CovMatrix")]),
+    "levy_concentration": (lambda v: levy_concentration(CovMatrix(S.values), P2, 0.1, v,
+                                                        RngSeed(0)), 1000,
+                           [(diagnostics, "lp_norm"), (diagnostics, "proxy_draws")]),
+    "comparison_ks": (lambda v: comparison_ks(S, CovMatrix(2.0 * S.values), P2, v, RngSeed(0)),
+                      1000, [(diagnostics, "proxy_draws")]),
+    "lp_ball_volume": (lambda v: lp_ball_volume(v, 2.0, 1.0), 3, [(inference, "gammaln")]),
+    **{f"ExperimentConfig.{name}": (lambda v, name=name: _config_and_rows(**{name: v}), k,
+                                    [(harness, "build_block_covariance")])
+       for name, k in SIZES.items()},
+}
+
+
+@pytest.mark.parametrize("value", [2.5, 1000.0, "3", None])
+@pytest.mark.parametrize("site", sorted(COUNT_SITES))
+def test_a_count_that_is_no_integer_is_rejected_before_compute(monkeypatch, site, value):
+    call, _, steps = COUNT_SITES[site]
+    for owner, name in steps:
+        monkeypatch.setattr(owner, name, _no_compute)
+    with pytest.raises(ValueError, match=f"must be an integer, not {value!r}"):
+        call(value)
+
+
+def _bytes(out) -> str:
+    """out down to the bytes of its arrays and the types and reprs of the rest."""
+    if isinstance(out, np.ndarray):
+        return f"{out.dtype}{out.shape}:{out.tobytes().hex()}"
+    if isinstance(out, (list, tuple)):
+        return "(" + ", ".join(map(_bytes, out)) + ")"
+    if isinstance(out, dict):
+        return "{" + ", ".join(f"{_bytes(k)}: {_bytes(v)}" for k, v in out.items()) + "}"
+    if dataclasses.is_dataclass(out):
+        return type(out).__name__ + _bytes(vars(out))
+    return f"{type(out).__name__}({out!r})"
+
+
+def _outcome(call, count) -> str:
+    try:
+        return _bytes(call(count))
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@pytest.mark.parametrize("site", sorted(COUNT_SITES))
+def test_an_integer_of_any_type_gives_the_plain_ints_bytes(site):
+    call, k, _ = COUNT_SITES[site]
+    assert _outcome(call, np.int64(k)) == _outcome(call, k)
+    assert _outcome(call, True) == _outcome(call, 1)

@@ -281,7 +281,7 @@ class TestPsdProject:
         matrices = [np.zeros((0, 0)), np.zeros((3, 3)), np.diag([1.0, -1e-300])]
         for seed in range(6):
             X = np.random.default_rng(seed).normal(size=(30, 20))  # n1 = 10 rows
-            S1, _, corr = covariance._cv_fold(X, covariance._cv_split(30), RngSeed(seed), 0)
+            S1, _, corr = covariance._cv_fold(X, RngSeed(seed), 0)
             assert np.linalg.matrix_rank(S1) == 9
             matrices += [covariance._keep_off_diagonal(S1, corr >= lam)
                          for lam in np.linspace(0.0, 1.0, 21)]
@@ -447,7 +447,7 @@ class TestCvSelectLambda:
         grid, folds, seed = list(np.linspace(0.0, 1.0, 12)), 4, RngSeed(2)
         accepted = np.ones(len(grid), dtype=bool)
         for nu in range(folds):
-            S1, _, corr = covariance._cv_fold(X, covariance._cv_split(60), seed, nu)
+            S1, _, corr = covariance._cv_fold(X, seed, nu)
             accepted &= [covariance._psd_accepts(covariance._keep_off_diagonal(S1, corr >= lam))
                          for lam in grid]
         risks = np.array(cv_select_lambda(X, grid, folds, seed)[1])
@@ -588,7 +588,7 @@ class TestCvSelectLambda:
         # eigenvalue rung runs on it
         X = self._one_live_point_data(d)
         for nu in range(2):
-            S1, _, corr = covariance._cv_fold(X, covariance._cv_split(12), RngSeed(0), nu)
+            S1, _, corr = covariance._cv_fold(X, RngSeed(0), nu)
             assert not covariance._psd_accepts(covariance._keep_off_diagonal(S1, corr >= 0.5))
         calls = self._counted(monkeypatch)
         lam, risks = cv_select_lambda(X, [0.5], 2, RngSeed(0))
@@ -730,9 +730,9 @@ class TestSinglePrecisionBound:
     def _masks(cls, X, accepted=False):
         """The fold masks the probe accepts (or rejects) over three folds, each
         with its fold's S2."""
-        n1, masks = covariance._cv_split(X.shape[0]), []
+        masks = []
         for nu in range(3):
-            S1, S2, corr = covariance._cv_fold(X, n1, RngSeed(0), nu)
+            S1, S2, corr = covariance._cv_fold(X, RngSeed(0), nu)
             for lam in cls.GRID:
                 A = covariance._keep_off_diagonal(S1, corr >= lam)
                 if covariance._psd_accepts(A) == accepted:
@@ -904,9 +904,9 @@ class TestWitnessBound:
     @pytest.mark.parametrize("kind", DATA)
     def test_failing_masks(self, kind):
         X = self.DATA[kind](_factor_data())
-        n1, checked = covariance._cv_split(X.shape[0]), 0
+        checked = 0
         for nu in range(3):
-            S1, _, corr = covariance._cv_fold(X, n1, RngSeed(0), nu)
+            S1, _, corr = covariance._cv_fold(X, RngSeed(0), nu)
             for A, g_w in self._gaps(S1, corr, self.GRID):
                 self.assert_above_g(A, g_w)
                 checked += 1
@@ -920,7 +920,7 @@ class TestWitnessBound:
         # probe accepts need not be PSD and the failing masks lie within a few
         # shifts of the PSD cone, so the probe's own rounding decides
         X = _factor_data()
-        S1, _, corr = covariance._cv_fold(X, covariance._cv_split(X.shape[0]), RngSeed(0), 0)
+        S1, _, corr = covariance._cv_fold(X, RngSeed(0), 0)
         B = S1 - s * covariance._probe_shift(np.diag(S1)) * np.eye(S1.shape[0])
         gaps = self._gaps(B, corr, self.GRID)
         assert gaps
@@ -935,7 +935,7 @@ class TestWitnessBound:
         grid, folds, seed = list(np.linspace(0.0, 1.0, 12)), 4, RngSeed(2)
         failing = 0  # distinct failing masks, summed over the folds
         for nu in range(folds):
-            S1, _, corr = covariance._cv_fold(X, covariance._cv_split(60), seed, nu)
+            S1, _, corr = covariance._cv_fold(X, seed, nu)
             failing += len({int(np.count_nonzero(np.triu(corr >= lam, 1))) for lam in grid
                             if not covariance._psd_accepts(
                                 covariance._keep_off_diagonal(S1, corr >= lam))})

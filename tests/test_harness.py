@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -95,9 +96,9 @@ class TestExperimentConfig:
             ExperimentConfig(kind="ks", alpha=1.5)
         with pytest.raises(ValueError):
             ExperimentConfig(kind="ks", mc_reps=0)
-        with pytest.raises(ValueError, match="B must be at most"):
+        with pytest.raises(ValueError, match=re.escape(f"B must lie in [1, {MAX_DRAWS}]")):
             ExperimentConfig(kind="ks", B=MAX_DRAWS + 1)
-        with pytest.raises(ValueError, match=f"truth_reps must be at most {MAX_DRAWS}"):
+        with pytest.raises(ValueError, match=re.escape(f"truth_reps must lie in [1, {MAX_DRAWS}]")):
             ExperimentConfig(kind="ks", truth_reps=MAX_DRAWS + 1)
         for name in ("cv_grid_size", "cv_folds", "threads"):
             with pytest.raises(ValueError, match=name):
@@ -113,7 +114,7 @@ class TestExperimentConfig:
         # sizes are checked before the power delta grid is derived from them
         for kind, bad in (("power-dense", dict(n=0)), ("power-sparse", dict(n=-5)),
                           ("power-sparse", dict(d=0))):
-            with pytest.raises(ValueError, match=f"{next(iter(bad))} must be positive"):
+            with pytest.raises(ValueError, match=f"{next(iter(bad))} must be >= 1"):
                 ExperimentConfig(kind=kind, **bad)
         with pytest.raises(ValueError, match="p_list 2, 2 names one exponent twice"):
             config_from_dict({"kind": "coverage", "p_list": "2,2"})
@@ -882,13 +883,13 @@ def test_cli_bad_input_exits_cleanly(tmp_path, monkeypatch, capsys, argv):
         assert "error: --seed -1:" in err
     expected = {"empty_p.txt": "p_list", "empty_estimators.txt": "estimators",
                 "tiny_cv.txt": "n=3 too small", "tiny_power.txt": "n=3 too small",
-                "logd_d2.txt": "d=2", "power_n0.txt": "error: n must be positive",
-                "sparse_d0.txt": "error: d must be positive",
+                "logd_d2.txt": "d=2", "power_n0.txt": "error: n must be >= 1",
+                "sparse_d0.txt": "error: d must be >= 1",
                 "repeated_p.txt": "p_list 2, 2 names one exponent twice",
                 "nan_delta.txt": "delta_grid values must be finite",
                 "negative_seed.txt": "seed must be nonnegative",
                 "negative_block.txt": "error: block must be nonnegative",
-                "many_truth.txt": f"error: truth_reps must be at most {MAX_DRAWS}",
+                "many_truth.txt": f"error: truth_reps must lie in [1, {MAX_DRAWS}]",
                 "huge_delta.txt": "error: delta_grid values times sqrt(n) must be finite",
                 "huge_n.txt": "error: n * d and d * d must be at most"}.get(argv[2] if len(argv) > 2 else "")
     if expected:

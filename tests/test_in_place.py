@@ -135,7 +135,7 @@ def test_all_p_at_once_equal_the_reference(source):
     else:
         X = datasets()["mixed"]
         rows, want_rows = _multiplier_rows(X), ref_multiplier_rows(X)
-    got = _norm_draws(rows, P_LIST, B, RngSeed(7), 12)
+    got = _norm_draws(rows, P_LIST, B, RngSeed(7))
     want = ref_draws(want_rows, P_LIST, RngSeed(7), 12)
     for p in P_LIST:
         assert same_bytes(got[p], want[p])
@@ -233,7 +233,7 @@ def test_a_chunk_holds_two_arrays_of_its_size(p_list):
         S = CovMatrix(G.T @ G / (2 * d))
         if cached:
             S.factor()  # outside the traced call
-        peak = traced_peak(lambda: _norm_draws(_mvn_rows(S), p_list, m, RngSeed(14), d))
+        peak = traced_peak(lambda: _norm_draws(_mvn_rows(S), p_list, m, RngSeed(14)))
         workers, ahead, factor = (1, 0, 0) if cached else (2, min(m, _AHEAD * _ROWS), d * d * 8)
         normals = _ROWS if m > ahead else 0
         assert peak <= ((ahead + workers * (normals + arrays * _ROWS)) * d * 8

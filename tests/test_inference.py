@@ -3,6 +3,7 @@
 import math
 import re
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -494,6 +495,23 @@ class TestBallVolume:
 
     def test_cube(self):
         assert lp_ball_volume(4, math.inf, 0.5).volume == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 7.0, 1e308, math.inf])
+    @pytest.mark.parametrize("r", [1e-300, 0.1, 0.5, 1.0, 1.7, 3.0, 123.456, 5e307])
+    def test_interval_is_exactly_the_diameter(self, p, r):
+        # exp(log volume) gave 1.9999999999999998 for 2r = 2, and 1.0000000000000136e308
+        assert lp_ball_volume(1, p, r).volume == 2.0 * r
+
+    @pytest.mark.parametrize("d", range(1, 11))
+    @pytest.mark.parametrize("p", [1.0, math.inf])
+    @pytest.mark.parametrize("r", [1e-30, 0.1, 0.5, 0.7, 1.0, 1.3, 2.9, 10.0, 1e20])
+    def test_cross_polytope_and_cube_within_one_ulp(self, d, p, r):
+        # exact volumes: (2r)^d / d! at p = 1 and (2r)^d at p = inf; the
+        # result is the exact volume rounded to a float, or a neighbour of it
+        exact = Fraction(2 * r) ** d / (math.factorial(d) if p == 1.0 else 1)
+        nearest = float(exact)
+        assert lp_ball_volume(d, p, r).volume in (
+            math.nextafter(nearest, 0.0), nearest, math.nextafter(nearest, math.inf))
 
     def test_closed_form_gamma(self):
         d, p, r = 5, 3.0, 1.4

@@ -99,6 +99,17 @@ class TestLpNorm:
             with pytest.raises(ValueError, match="2-d array with nonempty rows"):
                 lp_norm_rows(X, P2)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rows_reject_what_lp_norm_rejects(self, bad):
+        # a NaN row read NaN, an inf row NaN at p = 2 and inf at p = inf
+        X = np.ones((3, 4))
+        X[1, 2] = bad
+        for p in (P1, P2, PINF, PLOG):
+            with pytest.raises(ValueError, match="vector entries must be finite"):
+                lp_norm(X[1], p)
+            with pytest.raises(ValueError, match="vector entries must be finite"):
+                lp_norm_rows(X, p)
+
     @given(st.floats(-1e3, 1e3).filter(lambda c: abs(c) > 1e-6),
            st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=8),
            st.floats(1.0, 40.0))

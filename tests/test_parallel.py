@@ -669,7 +669,7 @@ class TestDrawOverlap:
             if mode == "cached":
                 S_mode.factor()
             with held_by_another_thread() if mode == "serial" else parallel.hold():
-                got = bootstrap._norm_draws(bootstrap._mvn_rows(S_mode), FOUR_P, B, rng, S.dim)
+                got = bootstrap._norm_draws(bootstrap._mvn_rows(S_mode), FOUR_P, B, rng)
             _same_draws(got, want)
             assert pools == ([] if mode in ("serial", "cached") else [2])
             # each block's stream once, by index 1 or by the block, even
@@ -691,7 +691,7 @@ class TestDrawOverlap:
                             B, rng, d)
         for serial in (False, True):
             with held_by_another_thread() if serial else parallel.hold():
-                got = bootstrap._norm_draws(bootstrap._multiplier_rows(X), FOUR_P, B, rng, d)
+                got = bootstrap._norm_draws(bootstrap._multiplier_rows(X), FOUR_P, B, rng)
             _same_draws(got, want)
         assert pools == []  # W is known: no pool
         assert (data == "constant") == (not want[FOUR_P[0]].any())
@@ -708,7 +708,7 @@ class TestDrawOverlap:
             streams = lookahead_order(order)
             with parallel.hold():
                 got = bootstrap._norm_draws(bootstrap._mvn_rows(CovMatrix(S.values)), FOUR_P,
-                                            1000, seed, S.dim)
+                                            1000, seed)
             # index 1 draws at width d, so a block of rank 0 is drawn ahead too
             assert [path for path, _ in streams].count(seed.child(0).stream_path) == 1
             _same_draws(got, want)
@@ -721,7 +721,7 @@ class TestDrawOverlap:
         F = sampling.factorize_psd(S)
         want = _block_draws(lambda m, s: sampling.mvn_sample(F, m, s), 1000, seed, S.dim)
         with held_by_another_thread():
-            got = bootstrap._norm_draws(bootstrap._mvn_rows(S), FOUR_P, 1000, seed, S.dim)
+            got = bootstrap._norm_draws(bootstrap._mvn_rows(S), FOUR_P, 1000, seed)
         _same_draws(got, want)
         assert pools == []
 
@@ -763,7 +763,7 @@ class TestDrawOverlap:
                 for _ in range(5):
                     with parallel.hold():
                         got = bootstrap._norm_draws(bootstrap._mvn_rows(CovMatrix(S.values)),
-                                                    FOUR_P, B, RngSeed(4), d)
+                                                    FOUR_P, B, RngSeed(4))
                     _same_draws(got, want)
         finally:
             sys.setswitchinterval(interval)

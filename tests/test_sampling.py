@@ -37,6 +37,13 @@ class TestRngSeed:
         with pytest.raises(ValueError, match="seed must be nonnegative"):
             RngSeed(-1)
 
+    def test_rejects_an_index_that_is_no_integer(self):
+        # int(1.5) would make it stream (1,)
+        with pytest.raises(ValueError, match="stream index must be an integer, not 1.5"):
+            RngSeed(1).child(1.5)
+        with pytest.raises(ValueError, match="stream index"):
+            RngSeed(1, (0, 1.5))
+
 
 class TestNormalCdf:
     def test_center_and_tail(self):
