@@ -640,7 +640,8 @@ def cov_diagnostics(S: CovMatrix) -> CovDiagnostics:
 
 def cov_error(est: CovMatrix, truth: CovMatrix,
               p: LpExponent | Iterable[LpExponent]) -> CovError:
-    """Operator-norm and entrywise lp errors of est relative to truth."""
+    """Operator-norm and entrywise lp errors of est relative to truth; p = log d
+    takes the matrices' d, not the d^2 of the entries measured."""
     if est.dim != truth.dim:
         raise ValueError("dimension mismatch")
     diff = est.values - truth.values
@@ -648,5 +649,6 @@ def cov_error(est: CovMatrix, truth: CovMatrix,
         delta_op = float(np.linalg.norm(diff, 2))
     ps = [p] if isinstance(p, LpExponent) else list(p)
     vec = diff.ravel()
-    delta_p = {q: lp_norm(vec, q, d_context=est.dim) for q in ps}
+    delta_p = {q: lp_norm(vec, LpExponent.finite(q.resolve(est.dim)) if q.kind == "logdim"
+                          else q) for q in ps}
     return CovError(delta_op=delta_op, delta_p=delta_p)

@@ -49,7 +49,7 @@ def levy_concentration(S: CovMatrix, p: LpExponent, eps: float, n_mc: int,
     n_mc = _integer(n_mc, "n_mc", 1000, MAX_DRAWS)
     d = S.dim
     sigma = np.sqrt(np.diag(S.values))
-    width = eps * lp_norm(sigma, p, d_context=d) / _omega(p, d, max(S.factor().rank, 1))
+    width = eps * lp_norm(sigma, p) / _omega(p, d, max(S.factor().rank, 1))
     # sorted draws from the bootstrap kernel; a zero covariance gives all-zero
     # draws and width 0, so one window holds all the mass
     draws = proxy_draws(S, p, n_mc, rng).samples
@@ -77,7 +77,7 @@ def comparison_ks(Sx: CovMatrix, Sy: CovMatrix, p: LpExponent, n_mc: int,
         sides = []
         for S in (Sx, Sy):
             r = max(S.factor().rank, 1)
-            snorm = lp_norm(np.sqrt(np.diag(S.values)), p, d_context=d)
+            snorm = lp_norm(np.sqrt(np.diag(S.values)), p)
             if snorm > 0.0:  # 0 where delta_p is, not inf * 0 where q * q overflows
                 sides.append(math.sqrt(q * q * d ** (1.0 / q) * r ** (1.0 / q) * delta_p) / snorm
                              if delta_p else 0.0)

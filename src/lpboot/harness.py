@@ -146,7 +146,7 @@ def sparse_direction(d: int) -> np.ndarray:
 
 
 def parse_config(path: str) -> ExperimentConfig:
-    values = {}
+    values, first = {}, {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
@@ -154,8 +154,10 @@ def parse_config(path: str) -> ExperimentConfig:
                 continue
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {raw.rstrip()!r}")
-            key, _, value = line.partition("=")
-            values[key.strip()] = value.strip()
+            key, _, value = (part.strip() for part in line.partition("="))
+            if key in first:
+                raise ValueError(f"{path}:{lineno}: config key {key!r} repeats line {first[key]}")
+            values[key], first[key] = value, lineno
     return config_from_dict(values)
 
 
@@ -220,7 +222,7 @@ def _engine_draws(name: str, X: np.ndarray, Sigma_true: CovMatrix,
 
 def _statistics(X: np.ndarray, p_list) -> dict:
     s = X.sum(axis=0) / math.sqrt(X.shape[0])
-    return {p: lp_norm(s, p, d_context=X.shape[1]) for p in p_list}
+    return {p: lp_norm(s, p) for p in p_list}
 
 
 def _truth_distributions(cfg: ExperimentConfig, Sigma: CovMatrix) -> dict:
@@ -356,7 +358,7 @@ def _power_records(cfg: ExperimentConfig, Sigma: CovMatrix) -> list:
         for i, delta in enumerate(deltas):
             s = s0 + sqrt_n * delta * v
             for j, p in enumerate(cfg.p_list):
-                reject[i, j] = lp_norm(s, p, d_context=cfg.d) > crit[p]
+                reject[i, j] = lp_norm(s, p) > crit[p]
         return reject
 
     power = np.stack(_replicates(cfg, Sigma, body)).mean(axis=0)  # deltas x p

@@ -200,7 +200,7 @@ def _statistic(total: np.ndarray, n: int, m0: np.ndarray, p: LpExponent) -> floa
     if not np.isfinite(s).all():
         raise ValueError("the test statistic overflows: sum_i (M X_i - m0) / sqrt(n) has "
                          "an entry past the largest float")
-    return lp_norm(s, p, d_context=m0.size)
+    return lp_norm(s, p)
 
 
 def run_test(X: np.ndarray, spec: TestSpec) -> TestResult:
@@ -299,13 +299,12 @@ class ConfidenceSet:
         if self.dual is not None:
             total, n, crit = self.dual
             s = _scaled_gap(total, n, mu)
-            return bool(np.isfinite(s).all()) and not lp_norm(s, self.p, d_context=mu.size) > crit
+            return bool(np.isfinite(s).all()) and not lp_norm(s, self.p) > crit
         with np.errstate(over="ignore"):
             diff = self.center - mu
         if not diff.any():
             return True
-        return bool(np.isfinite(diff).all()) and \
-            lp_norm(diff, self.p, d_context=self.center.size) <= self.radius
+        return bool(np.isfinite(diff).all()) and lp_norm(diff, self.p) <= self.radius
 
 
 def confidence_set(X: np.ndarray, p: LpExponent, alpha: float,

@@ -2,7 +2,7 @@
 closed-form partial derivatives of the norm on the positive orthant.
 
 Exponents are represented by :class:`LpExponent`, which covers finite
-p >= 1, the dimension-coupled value log(d), and infinity.  All norm
+p >= 1, log(d) for a vector of length d, and infinity.  All norm
 evaluations factor out the largest entry so that large exponents
 (log d, or user-chosen p of 50+) do not overflow.
 """
@@ -88,11 +88,9 @@ def _check_vector(x: np.ndarray) -> np.ndarray:
 
 def _pnorm(absx: np.ndarray, q: float) -> float:
     """Norm of a nonnegative vector at numeric exponent q, max-factored."""
-    if math.isinf(q):
-        return float(absx.max())
     m = float(absx.max())
-    if m == 0.0:
-        return 0.0
+    if math.isinf(q) or m == 0.0:
+        return m
     return m * float(((absx / m) ** q).sum() ** (1.0 / q))
 
 
@@ -126,14 +124,13 @@ def _row_norms(absx: np.ndarray, qs) -> list:
     return norms
 
 
-def lp_norm(x: np.ndarray, p: LpExponent, d_context: int | None = None) -> float:
-    """lp-norm of x; for log-dimension exponents d_context defaults to len(x)."""
+def lp_norm(x: np.ndarray, p: LpExponent) -> float:
+    """lp-norm of x; a log-dimension exponent is log(len(x))."""
     x = _check_vector(x)
-    d = len(x) if d_context is None else int(d_context)
-    return _pnorm(np.abs(x), p.resolve(d))
+    return _pnorm(np.abs(x), p.resolve(len(x)))
 
 
-def lp_norm_rows(X: np.ndarray, p: LpExponent, d_context: int | None = None) -> np.ndarray:
+def lp_norm_rows(X: np.ndarray, p: LpExponent) -> np.ndarray:
     """Row-wise lp-norms of a 2-d array (vectorized form of :func:`lp_norm`).
 
     X is left unchanged: the norm pass overwrites a fresh array of its
@@ -143,8 +140,7 @@ def lp_norm_rows(X: np.ndarray, p: LpExponent, d_context: int | None = None) -> 
         raise ValueError("expected a 2-d array with nonempty rows")
     if not np.all(np.isfinite(X)):
         raise ValueError("vector entries must be finite")
-    d = X.shape[1] if d_context is None else int(d_context)
-    return _row_norms(np.abs(X), [p.resolve(d)])[0]
+    return _row_norms(np.abs(X), [p.resolve(X.shape[1])])[0]
 
 
 def smooth_norm(x: np.ndarray, p: int, eta: float) -> float:

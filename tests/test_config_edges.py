@@ -93,6 +93,18 @@ def _no_compute(*args, **kwargs):
     raise AssertionError("compute ran for a config its checks reject")
 
 
+def _watch(mp, owner, name) -> list:
+    """A list that gets one entry per call of owner.name, which mp patches."""
+    step, calls = getattr(owner, name), []
+
+    def watch(*args, **kwargs):
+        calls.append(True)
+        return step(*args, **kwargs)
+
+    mp.setattr(owner, name, watch)
+    return calls
+
+
 def _check_constructed(cfg) -> None:
     """What the constructor guarantees of a config too large to run."""
     assert min(cfg.n, cfg.d, cfg.mc_reps, cfg.B, cfg.truth_reps, cfg.cv_folds,
@@ -187,14 +199,8 @@ def test_an_accepted_test_spec_runs_to_the_end(files, drawn):
     M = np.eye(4) if opt["M"] is None else np.full((rows, 4), opt["M"][1])
     m0 = np.zeros(rows) if opt["m0"] is None else np.full(rows, opt["m0"])
     cv = {key: opt[key] for key in ("cv_folds", "cv_grid") if opt[key] is not None}
-    estimate_covariance, estimated = inference.estimate_covariance, []
-
-    def estimate(*args, **kwargs):
-        estimated.append(True)
-        return estimate_covariance(*args, **kwargs)
-
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(inference, "estimate_covariance", estimate)
+        estimated = _watch(mp, inference, "_estimator")
         try:  # with the parsers `lpboot test` applies to its options
             estimator = dataclasses.replace(EstimatorSpec.parse(opt["estimator"]), **cv)
             spec = inference.TestSpec(M=M, m0=m0, p=LpExponent.parse(opt["p"]),
@@ -222,7 +228,7 @@ def test_an_accepted_test_spec_runs_to_the_end(files, drawn):
         argv += ["--m0-file", csv(m0[:, None])]
     with pytest.MonkeyPatch.context() as mp:
         if res is None:
-            mp.setattr(inference, "estimate_covariance", _no_compute)
+            mp.setattr(inference, "_estimator", _no_compute)
         assert _main(argv) == (0 if res is not None else 2)
 
 
@@ -315,3 +321,22 @@ def test_an_integer_of_any_type_gives_the_plain_ints_bytes(site):
     call, k, _ = COUNT_SITES[site]
     assert _outcome(call, np.int64(k)) == _outcome(call, k)
     assert _outcome(call, True) == _outcome(call, 1)
+
+
+# every _no_compute target above, as (a call with valid values, owner, attribute)
+NO_COMPUTE_TARGETS = {
+    **{f"{site}:{name}": (lambda call=call, k=k: call(k), owner, name)
+       for site, (call, k, steps) in COUNT_SITES.items() for owner, name in steps},
+    "copula_sample": (lambda: run_experiment(config_from_dict({"kind": "ks", **TINY})),
+                      harness, "copula_sample"),
+    "_estimator": (lambda: _spec_and_result(7), inference, "_estimator"),  # TEST_TINY's test
+}
+
+
+@pytest.mark.parametrize("target", sorted(NO_COMPUTE_TARGETS))
+def test_a_valid_call_reaches_each_no_compute_target(monkeypatch, target):
+    # a target the call never reaches could not see compute start
+    call, owner, name = NO_COMPUTE_TARGETS[target]
+    reached = _watch(monkeypatch, owner, name)
+    call()
+    assert reached, f"{target} is never reached"

@@ -13,7 +13,7 @@ from lpboot import covariance, inference, parallel, sampling
 from lpboot.covariance import (CovMatrix, band, correlation_threshold,
                                cov_diagnostics, cov_error, cv_select_lambda,
                                psd_project, sample_covariance, threshold)
-from lpboot.lp import LpExponent
+from lpboot.lp import LpExponent, lp_norm
 from lpboot.sampling import RngSeed, factorize_psd
 
 
@@ -1015,6 +1015,18 @@ class TestCovError:
     def test_rejects_a_mismatched_dimension(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
             cov_error(CovMatrix(np.eye(2)), CovMatrix(np.eye(3)), LpExponent.finite(2))
+
+    def test_log_dim_resolves_at_the_matrix_dimension(self):
+        # the d^2 entries are measured at p = log d, d = 5, not at log 25
+        a = np.arange(25.0).reshape(5, 5) / 7
+        est, truth, logd = CovMatrix(a @ a.T), CovMatrix(np.eye(5)), LpExponent.log_dim()
+        value = cov_error(est, truth, logd).delta_p[logd]
+        vec = (est.values - truth.values).ravel()
+        assert value.hex() == "0x1.095bdba074b92p+7"
+        assert value == lp_norm(vec, LpExponent.finite(math.log(5)))
+        assert value != lp_norm(vec, logd)
+        with pytest.raises(ValueError, match="requires d >= 3, got d=2"):
+            cov_error(CovMatrix(np.eye(2)), CovMatrix(np.eye(2)), logd)
 
     def test_sup_error_below_operator_error(self):
         rng = np.random.default_rng(13)

@@ -776,6 +776,7 @@ FUZZ_FILES = {
     "huge_delta.txt": "kind=power-dense\nn=30\nd=10\nblock=2\ndelta_grid=0,1e308\n",
     "huge_n.txt": f"kind=ks\nn={10**23}\nd=10\nblock=2\n",
     "malformed.csv": "1,2\n3,x\n4,5\n",
+    "repeated_key.txt": "kind=ks\nn=40\nd=10\nblock=2\n n = 30\n",
 }
 
 
@@ -812,6 +813,7 @@ LATER_EARLY_FAILURES = [
     ["power", "--config", "huge_delta.txt", "--out", "o.csv"],
     ["ks", "--config", "huge_n.txt", "--out", "o.csv"],
     ["test", "malformed.csv"],
+    ["ks", "--config", "repeated_key.txt", "--out", "o.csv"],
 ]
 
 
@@ -891,7 +893,8 @@ def test_cli_bad_input_exits_cleanly(tmp_path, monkeypatch, capsys, argv):
                 "negative_block.txt": "error: block must be nonnegative",
                 "many_truth.txt": f"error: truth_reps must lie in [1, {MAX_DRAWS}]",
                 "huge_delta.txt": "error: delta_grid values times sqrt(n) must be finite",
-                "huge_n.txt": "error: n * d and d * d must be at most"}.get(argv[2] if len(argv) > 2 else "")
+                "huge_n.txt": "error: n * d and d * d must be at most",
+                "repeated_key.txt": "repeated_key.txt:5: config key 'n' repeats line 2"}.get(argv[2] if len(argv) > 2 else "")
     if expected:
         assert code == 2 and expected in err
 

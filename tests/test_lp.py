@@ -40,6 +40,14 @@ class TestLpExponent:
         assert PLOG.resolve(100) == pytest.approx(math.log(100))
         with pytest.raises(ValueError):
             PLOG.resolve(2)
+        # a norm resolves log d at the length of the vector it measures
+        x = np.arange(1.0, 21.0)
+        for length in (3, 20):
+            at_length = lp_norm(x[:length], LpExponent.finite(math.log(length)))
+            assert lp_norm(x[:length], PLOG) == at_length
+            assert lp_norm_rows(np.stack([x[:length]] * 2), PLOG).tolist() == [at_length] * 2
+        with pytest.raises(ValueError, match="requires d >= 3, got d=2"):
+            lp_norm_rows(np.ones((4, 2)), PLOG)
 
     def test_labels(self):
         assert P1.label == "1" and PINF.label == "inf" and PLOG.label == "logd"
