@@ -20,7 +20,7 @@ from .inference import (ConfidenceSet, EstimatorSpec, TestResult, TestSpec,
                         run_test, test_statistic)
 from .lp import (LpDerivatives, LpExponent, lp_norm, lp_norm_rows,
                  mp_gradient, mp_higher_derivatives, smooth_max, smooth_norm)
-from .sampling import (MarginalKind, PsdFactor, RngSeed,
+from .sampling import (MarginalKind, RngSeed,
                        build_block_covariance, copula_covariance,
                        copula_sample, factorize_psd,
                        marginal_quantile, mvn_sample, normal_cdf)

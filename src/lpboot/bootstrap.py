@@ -153,8 +153,8 @@ def _mvn_rows(S: CovMatrix):
     factor, known where S caches its factor; else a _Rows whose prepare
     factorizes S."""
     if S._factor is not None:
-        return S._factor.factor.T
-    return _Rows(S.dim, lambda: S.factor().factor.T)
+        return S._factor.T
+    return _Rows(S.dim, lambda: S.factor().T)
 
 
 def _multiplier_rows(X: np.ndarray) -> np.ndarray:

@@ -36,7 +36,7 @@ class CovMatrix:
 
     values: np.ndarray
     provenance: str = "unspecified"
-    _factor: object = field(default=None, repr=False, compare=False)  # PsdFactor
+    _factor: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         a = np.asarray(self.values, dtype=float)
@@ -52,8 +52,9 @@ class CovMatrix:
     def dim(self) -> int:
         return self.values.shape[0]
 
-    def factor(self):
-        """PSD factorization, computed once and cached (lazy import avoids a module cycle)."""
+    def factor(self) -> np.ndarray:
+        """PSD factor L (d x r, r the numerical rank) with L @ L.T = S, computed
+        once and cached (lazy import avoids a module cycle)."""
         if self._factor is None:
             from .sampling import factorize_psd
 
@@ -288,7 +289,7 @@ def psd_project(M: CovMatrix) -> CovMatrix:
     """Frobenius-nearest PSD matrix: clip negative eigenvalues to zero.
 
     A Cholesky fast path accepts already-PSD inputs without a full
-    eigendecomposition (the dominant cost inside cross-validation loops).
+    eigendecomposition. Only final estimates are projected; CV never calls this.
     """
     with hold():  # as in sample_covariance
         a = M.values if _psd_accepts(M.values) else _eigen_clip(M.values)
@@ -627,14 +628,14 @@ def cov_diagnostics(S: CovMatrix) -> CovDiagnostics:
     """Numerical rank, diagonal extremes, and effective rank (trace / op-norm)."""
     with hold():  # as in sample_covariance
         w = _eigvalsh(S.values)
-    op = max(float(np.abs(w).max(initial=0.0)), 1e-300)
-    rank = int((w > RANK_TOL * op).sum())
+    op = float(np.abs(w).max(initial=0.0))
+    rank = int((w > RANK_TOL * op).sum())  # factorize_psd's rule, so its column count
     d = np.diag(S.values)
     return CovDiagnostics(
         rank=rank,
         sigma_min_sq=float(d.min()),
         sigma_max_sq=float(d.max()),
-        effective_rank=float(np.trace(S.values)) / op,
+        effective_rank=float(np.trace(S.values)) / max(op, 1e-300),
     )
 
 

@@ -49,7 +49,7 @@ def levy_concentration(S: CovMatrix, p: LpExponent, eps: float, n_mc: int,
     n_mc = _integer(n_mc, "n_mc", 1000, MAX_DRAWS)
     d = S.dim
     sigma = np.sqrt(np.diag(S.values))
-    width = eps * lp_norm(sigma, p) / _omega(p, d, max(S.factor().rank, 1))
+    width = eps * lp_norm(sigma, p) / _omega(p, d, max(S.factor().shape[1], 1))
     # sorted draws from the bootstrap kernel; a zero covariance gives all-zero
     # draws and width 0, so one window holds all the mass
     draws = proxy_draws(S, p, n_mc, rng).samples
@@ -70,19 +70,20 @@ def comparison_ks(Sx: CovMatrix, Sy: CovMatrix, p: LpExponent, n_mc: int,
     Dx = proxy_draws(Sx, p, n_mc, rng.child(0))
     Dy = proxy_draws(Sy, p, n_mc, rng.child(1))
     estimate = ks_distance(Dx, Dy)
-    err = cov_error(Sx, Sy, p if p.kind == "finite" else LpExponent.infinity())
     if p.kind == "finite":
         q = p.p
-        delta_p = next(iter(err.delta_p.values()))
+        # cov_error's entrywise error, without the operator norm it also takes
+        delta_p = lp_norm((Sx.values - Sy.values).ravel(), p)
         sides = []
         for S in (Sx, Sy):
-            r = max(S.factor().rank, 1)
+            r = max(S.factor().shape[1], 1)
             snorm = lp_norm(np.sqrt(np.diag(S.values)), p)
             if snorm > 0.0:  # 0 where delta_p is, not inf * 0 where q * q overflows
                 sides.append(math.sqrt(q * q * d ** (1.0 / q) * r ** (1.0 / q) * delta_p) / snorm
                              if delta_p else 0.0)
         bound = min(sides) if sides else math.inf
     else:
+        err = cov_error(Sx, Sy, LpExponent.infinity())
         delta_inf = next(iter(err.delta_p.values()))
         delta_op = err.delta_op
         denom = max(float(np.diag(Sx.values).max()), float(np.diag(Sy.values).max()))

@@ -82,6 +82,8 @@ class ExperimentConfig:
             self.block = _default_block(self.d)
         if self.d % self.block != 0:
             raise ValueError("block size must divide d")
+        if self.kind == "power-sparse" and self.d < 2:
+            raise ValueError(f"a sparse alternative needs d >= 2, got d={self.d}")
         if self.kind.startswith("power") and not self.delta_grid:
             self.delta_grid = tuple(default_delta_grid(self.kind, self.n, self.d))
         if not all(math.isfinite(delta) for delta in self.delta_grid):

@@ -256,7 +256,7 @@ def run_test(X: np.ndarray, spec: TestSpec) -> TestResult:
             else:
                 Omega = CovMatrix(spec.M @ Sigma.values @ spec.M.T,
                                   provenance=f"conjugate<-{Sigma.provenance}")
-            return Omega.factor().factor.T
+            return Omega.factor().T
 
         dist = gpb_draws(_Rows(spec.M.shape[0], prepare), spec.p, spec.B, spec.seed.child(2))
         if k:

@@ -61,14 +61,6 @@ class MarginalKind(enum.Enum):
         return aliases[t]
 
 
-@dataclass
-class PsdFactor:
-    """L with L @ L.T reconstructing the source covariance; r = rank columns."""
-
-    factor: np.ndarray
-    rank: int
-
-
 def normal_cdf(z):
     """Standard normal CDF, accurate to well below 1e-12 absolute."""
     return special.ndtr(z)
@@ -93,8 +85,8 @@ def marginal_quantile(kind: MarginalKind, u):
     return out if out.ndim else float(out)
 
 
-def factorize_psd(S: CovMatrix) -> PsdFactor:
-    """Eigen-based factor L (d x r) with L @ L.T = S; small eigenvalues dropped."""
+def factorize_psd(S: CovMatrix) -> np.ndarray:
+    """Eigen-based L (d x r) with L @ L.T = S; small eigenvalues dropped, so r = rank S."""
     a = S.values
     with hold():  # one BLAS thread, so the bytes do not depend on the count
         w, V = np.linalg.eigh(a)
@@ -104,14 +96,15 @@ def factorize_psd(S: CovMatrix) -> PsdFactor:
     keep = w > RANK_TOL * scale
     L = V[:, keep]  # a copy, scaled in place
     L *= np.sqrt(w[keep])
-    return PsdFactor(L, int(keep.sum()))
+    return L
 
 
-def mvn_sample(F: PsdFactor, count: int, rng: RngSeed) -> np.ndarray:
-    """count i.i.d. rows from N(0, L L'); generated as g @ L.T with g standard normal."""
+def mvn_sample(S: CovMatrix, count: int, rng: RngSeed) -> np.ndarray:
+    """count i.i.d. rows from N(0, S): g @ L.T, g standard normal and L = S.factor()."""
     count = _integer(count, "count", 1)
+    L = S.factor()
     with hold():  # as in factorize_psd
-        return rng.generator().standard_normal((count, F.rank)) @ F.factor.T
+        return rng.generator().standard_normal((count, L.shape[1])) @ L.T
 
 
 def build_block_covariance(d: int, block: int, decay: float = 0.8,
@@ -182,7 +175,7 @@ def copula_sample(S: CovMatrix, kind: MarginalKind, n: int, rng: RngSeed) -> np.
     sd = np.sqrt(np.diag(S.values))
     if np.any(sd <= 0.0):
         raise ValueError("latent covariance needs a strictly positive diagonal")
-    U = mvn_sample(S.factor(), n, rng)
+    U = mvn_sample(S, n, rng)
     U /= sd
     U = normal_cdf(U)  # frees the normals before the quantiles are computed
     np.clip(U, 1e-16, 1.0 - 1e-16, out=U)

@@ -263,9 +263,9 @@ def test_draws_within_one_block_are_block_0s():
     S, X = sample_covariance(G), G[:12]
     p = LpExponent.finite(2)
     for B in (1, 100, _ROWS):
-        F = CovMatrix(S.values).factor()
-        want = lp_norm_rows(RngSeed(23).child(0).generator().standard_normal((B, F.rank))
-                            @ F.factor.T, p)
+        L = CovMatrix(S.values).factor()
+        want = lp_norm_rows(RngSeed(23).child(0).generator().standard_normal((B, L.shape[1]))
+                            @ L.T, p)
         assert gpb_draws(S, p, B, RngSeed(23)).samples.tobytes() == np.sort(want).tobytes()
         Xc = (X - X.mean(axis=0)) / math.sqrt(12)
         want = lp_norm_rows(RngSeed(23).child(0).generator().standard_normal((B, 12)) @ Xc, p)

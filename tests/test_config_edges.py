@@ -63,6 +63,9 @@ TINY = {"n": "4", "d": "4", "block": "2", "mc_reps": "2", "B": "10", "truth_reps
 RUN_CAPS = {"n": 6, "d": 6, "mc_reps": 2, "B": 10, "truth_reps": 10, "threads": 2,
             "cv_folds": 3, "cv_grid_size": 3}
 LABELS = {"p", "estimator", "probe", "instance"}  # the CSV columns that hold no number
+# run_experiment's first compute step: the probe kind's first probe, and every
+# other kind's covariance
+FIRST_COMPUTE = ("build_block_covariance", "levy_concentration")
 
 
 @pytest.fixture(scope="module")
@@ -143,12 +146,13 @@ def test_an_accepted_config_runs_to_the_end(files, kind, drawn):
     large = cfg is not None and any(getattr(cfg, key) > cap for key, cap in RUN_CAPS.items())
     event("rejected" if cfg is None else "constructed only" if large else "run")
     with pytest.MonkeyPatch.context() as mp:
+        if cfg is None:  # the CLI's own run, stopped at each kind's first compute step
+            for name in FIRST_COMPUTE:
+                mp.setattr(harness, name, _no_compute)
+            assert _main(argv) == 2
+            return
         seen = []
         mp.setattr(cli, "run_experiment", seen.append)  # the CLI's run is the one below
-        if cfg is None:
-            mp.setattr(harness, "copula_sample", _no_compute)
-            assert _main(argv) == 2 and seen == []
-            return
         assert _main(argv) == 0
         assert seen == [dataclasses.replace(cfg, output_path=path + ".csv")]
     if large:
@@ -267,7 +271,7 @@ COUNT_SITES = {
     "RngSeed": (lambda v: _seed_and_draws(RngSeed(v)), 3, [(RngSeed, "generator")]),
     "RngSeed.child": (lambda v: _seed_and_draws(RngSeed(1).child(v)), 3,
                       [(RngSeed, "generator")]),
-    "mvn_sample": (lambda v: mvn_sample(S.factor(), v, RngSeed(0)), 5, [(RngSeed, "generator")]),
+    "mvn_sample": (lambda v: mvn_sample(S, v, RngSeed(0)), 5, [(RngSeed, "generator")]),
     "copula_sample": (lambda v: copula_sample(S, MarginalKind.UNIFORM_SYM, v, RngSeed(0)), 5,
                       [(sampling, "mvn_sample")]),
     "build_block_covariance.d": (lambda v: build_block_covariance(v, 2), 4,
@@ -323,19 +327,27 @@ def test_an_integer_of_any_type_gives_the_plain_ints_bytes(site):
     assert _outcome(call, True) == _outcome(call, 1)
 
 
+def _cli_run(kind: str) -> None:
+    """`lpboot <kind>` on TINY, its files in the working directory."""
+    with open("tiny.txt", "w", encoding="utf-8") as fh:
+        fh.write("".join(f"{key}={value}\n" for key, value in {"kind": kind, **TINY}.items()))
+    assert _main([kind, "--config", "tiny.txt", "--out", "tiny.csv"]) == 0
+
+
 # every _no_compute target above, as (a call with valid values, owner, attribute)
 NO_COMPUTE_TARGETS = {
     **{f"{site}:{name}": (lambda call=call, k=k: call(k), owner, name)
        for site, (call, k, steps) in COUNT_SITES.items() for owner, name in steps},
-    "copula_sample": (lambda: run_experiment(config_from_dict({"kind": "ks", **TINY})),
-                      harness, "copula_sample"),
+    **{f"{kind}:{name}": (lambda kind=kind: _cli_run(kind), harness, name)
+       for kind, name in (("ks", FIRST_COMPUTE[0]), ("probe", FIRST_COMPUTE[1]))},
     "_estimator": (lambda: _spec_and_result(7), inference, "_estimator"),  # TEST_TINY's test
 }
 
 
 @pytest.mark.parametrize("target", sorted(NO_COMPUTE_TARGETS))
-def test_a_valid_call_reaches_each_no_compute_target(monkeypatch, target):
+def test_a_valid_call_reaches_each_no_compute_target(monkeypatch, tmp_path, target):
     # a target the call never reaches could not see compute start
+    monkeypatch.chdir(tmp_path)
     call, owner, name = NO_COMPUTE_TARGETS[target]
     reached = _watch(monkeypatch, owner, name)
     call()

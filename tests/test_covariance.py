@@ -88,7 +88,7 @@ class TestCovMatrix:
         monkeypatch.setattr(sampling, "factorize_psd", counting)
         m = CovMatrix(np.diag([1.0, 1e-6]))
         first = m.factor()
-        assert first.rank == 2 and m.factor() is first
+        assert first.shape == (2, 2) and m.factor() is first
         assert len(calls) == 1 and calls[0] is m
 
 
@@ -970,15 +970,22 @@ class TestProvenance:
 
 class TestDiagnostics:
     def test_same_with_numpy_eigenvalues(self):
-        # full rank, rank 12 of 30, and indefinite
+        # full rank, rank 12 of 30, indefinite, and a rank-49 sample covariance
+        # scaled into the subnormals (where max |eigenvalue| < 1e-300), and zero
         rng = np.random.default_rng(19)
         a = rng.normal(size=(30, 12))
-        for m in [CovMatrix(a.T @ a), CovMatrix(a @ a.T), random_symmetric(rng, 9)]:
+        S = sample_covariance(np.random.default_rng(0).standard_normal((50, 80))).values
+        psd = [CovMatrix(a.T @ a), CovMatrix(a @ a.T)]
+        psd += [CovMatrix(S * scale) for scale in (1.0, 1e-300, 1e-310, 1e-315)]
+        psd += [CovMatrix(np.zeros((4, 4)))]
+        for m in psd + [random_symmetric(rng, 9)]:
             w = np.linalg.eigvalsh(m.values)
             op = float(np.abs(w).max())
             got = cov_diagnostics(m)
             assert got.rank == int((w > covariance.RANK_TOL * op).sum())
-            assert got.effective_rank == float(np.trace(m.values)) / op
+            if any(m is s for s in psd):  # factorize_psd's rule: its column count
+                assert got.rank == m.factor().shape[1]
+            assert got.effective_rank == float(np.trace(m.values)) / max(op, 1e-300)
 
     def test_identity(self):
         d = cov_diagnostics(CovMatrix(np.eye(5)))

@@ -86,6 +86,25 @@ class TestLevyConcentration:
             levy_concentration(S, LpExponent.finite(2), 0.1, 10, RngSeed(0))
 
 
+BLOCK = build_block_covariance(12, 3, 0.8, RngSeed(5)).values
+KS_PAIRS = {"block-shifted": (BLOCK, BLOCK + 0.1 * np.eye(12)),
+            "identity-doubled": (np.eye(12), 2.0 * np.eye(12))}
+# (estimate, bound, passed) of comparison_ks at n_mc = 1000 and seed 7, as
+# computed when the finite-p bound still took cov_error's operator norm too
+KS_REPORTS = {
+    ("block-shifted", "1"): ("0x1.ae147ae147ae0p-4", "0x1.8e22cd0f859d4p-1", True),
+    ("block-shifted", "2"): ("0x1.851eb851eb850p-4", "0x1.15051ac005720p+0", True),
+    ("block-shifted", "3.5"): ("0x1.a9fbe76c8b438p-4", "0x1.987c7ed044ab7p+0", True),
+    ("block-shifted", "logd"): ("0x1.916872b020c4cp-4", "0x1.7f9ac0b72c2e7p-1", True),
+    ("block-shifted", "inf"): ("0x1.ba5e353f7ced8p-4", "0x1.7f9ac0b72c2e7p-1", True),
+    ("identity-doubled", "1"): ("0x1.2e978d4fdf3b6p-1", "0x1.3988e1409212ep+1", True),
+    ("identity-doubled", "2"): ("0x1.3ced916872b02p-1", "0x1.50ea39fcbf165p+1", True),
+    ("identity-doubled", "3.5"): ("0x1.31a9fbe76c8b5p-1", "0x1.c3c8f2e6a807ap+1", True),
+    ("identity-doubled", "logd"): ("0x1.395810624dd2fp-1", "0x1.c1d0ef51cccaap+0", True),
+    ("identity-doubled", "inf"): ("0x1.08b4395810625p-1", "0x1.c1d0ef51cccaap+0", True),
+}
+
+
 class TestComparisonKs:
     def test_same_covariance_noise_level(self):
         S = build_block_covariance(20, 2, 0.8, RngSeed(5))
@@ -125,6 +144,27 @@ class TestComparisonKs:
         with pytest.raises(ValueError):
             comparison_ks(CovMatrix(np.eye(2)), CovMatrix(np.eye(3)),
                           LpExponent.finite(2), 1000, RngSeed(0))
+
+    @pytest.mark.parametrize("p", ["1", "2", "3.5", "logd", "inf"])
+    def test_operator_norm_only_where_the_bound_uses_it(self, monkeypatch, p):
+        # a finite-p bound reads the entrywise error alone, so no SVD is taken
+        orders, norm = [], np.linalg.norm
+
+        def recording(x, ord=None, *args, **kwargs):
+            orders.append(ord)
+            return norm(x, ord, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "norm", recording)
+        comparison_ks(CovMatrix(np.eye(6)), CovMatrix(2.0 * np.eye(6)), LpExponent.parse(p),
+                      1000, RngSeed(0))
+        assert (2 in orders) == (p in ("logd", "inf"))
+
+    @pytest.mark.parametrize("case", sorted(KS_REPORTS), ids=":p=".join)
+    def test_reports_keep_their_bits(self, case):
+        pair, p = case
+        a, b = KS_PAIRS[pair]
+        rep = comparison_ks(CovMatrix(a), CovMatrix(b), LpExponent.parse(p), 1000, RngSeed(7))
+        assert (rep.estimate.hex(), rep.bound.hex(), rep.passed) == KS_REPORTS[case]
 
 
 @pytest.mark.parametrize("probe", [

@@ -149,6 +149,19 @@ class TestExperimentConfig:
         ExperimentConfig(kind="coverage", n=1, d=10, block=2, estimators=("proxy",))
         ExperimentConfig(kind="probe", n=3)
 
+    def test_rejects_a_sparse_alternative_at_d_1(self):
+        # sparse_direction(1) is zero, so every delta would estimate the size
+        # as power; an explicit grid does not help
+        small = dict(n=12, d=1, p_list=(LpExponent.finite(1), LpExponent.finite(2)),
+                     mc_reps=3, B=20, cv_folds=2, cv_grid_size=3, threads=1)
+        for grid in ((), (0.0, 0.5)):
+            with pytest.raises(ValueError, match="d >= 2, got d=1"):
+                ExperimentConfig(kind="power-sparse", delta_grid=grid, **small)
+        assert not sparse_direction(1).any()
+        assert sparse_direction(2).all()
+        ExperimentConfig(kind="power-sparse", **{**small, "d": 2})
+        ExperimentConfig(kind="power-dense", **small)
+
     @pytest.mark.parametrize("bad", [dict(cv_grid_size=0), dict(B=MAX_DRAWS + 1),
                                      dict(truth_reps=MAX_DRAWS + 1)])
     def test_bad_config_fails_before_any_compute(self, tmp_path, monkeypatch, bad):
@@ -777,6 +790,7 @@ FUZZ_FILES = {
     "huge_n.txt": f"kind=ks\nn={10**23}\nd=10\nblock=2\n",
     "malformed.csv": "1,2\n3,x\n4,5\n",
     "repeated_key.txt": "kind=ks\nn=40\nd=10\nblock=2\n n = 30\n",
+    "sparse_d1.txt": "kind=power-sparse\nn=30\nd=1\np_list=1,2\n",
 }
 
 
@@ -814,6 +828,7 @@ LATER_EARLY_FAILURES = [
     ["ks", "--config", "huge_n.txt", "--out", "o.csv"],
     ["test", "malformed.csv"],
     ["ks", "--config", "repeated_key.txt", "--out", "o.csv"],
+    ["power", "--config", "sparse_d1.txt", "--sparse", "--out", "o.csv"],
 ]
 
 
@@ -894,7 +909,9 @@ def test_cli_bad_input_exits_cleanly(tmp_path, monkeypatch, capsys, argv):
                 "many_truth.txt": f"error: truth_reps must lie in [1, {MAX_DRAWS}]",
                 "huge_delta.txt": "error: delta_grid values times sqrt(n) must be finite",
                 "huge_n.txt": "error: n * d and d * d must be at most",
-                "repeated_key.txt": "repeated_key.txt:5: config key 'n' repeats line 2"}.get(argv[2] if len(argv) > 2 else "")
+                "repeated_key.txt": "repeated_key.txt:5: config key 'n' repeats line 2",
+                "sparse_d1.txt": "error: a sparse alternative needs d >= 2, got d=1",
+                }.get(argv[2] if len(argv) > 2 else "")
     if expected:
         assert code == 2 and expected in err
 

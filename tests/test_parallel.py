@@ -402,7 +402,7 @@ def test_direct_calls_do_not_depend_on_the_blas_count():
     get, set_ = calls
     d = 450
     values = sampling.build_block_covariance(d, 10, 0.8, RngSeed(0)).values + 0.5 * np.eye(d)
-    F = sampling.factorize_psd(CovMatrix(values))
+    F = CovMatrix(values)  # mvn_sample caches its factor
 
     def cv_bytes(got):
         lam, risks = got
@@ -422,9 +422,9 @@ def test_direct_calls_do_not_depend_on_the_blas_count():
             out.append((sampling.copula_sample(CovMatrix(values),
                                                sampling.MarginalKind.UNIFORM_SYM, 200,
                                                RngSeed(1)).tobytes(),
-                        sampling.factorize_psd(CovMatrix(values)).factor.tobytes(),
+                        sampling.factorize_psd(CovMatrix(values)).tobytes(),
                         sampling.mvn_sample(F, 200, RngSeed(1)).tobytes(),
-                        report, S.factor().factor.tobytes(),
+                        report, S.factor().tobytes(),
                         sample_covariance(X).values.tobytes(),
                         covariance.psd_project(covariance.threshold(S_hat, 0.05)).values.tobytes(),
                         covariance.cov_diagnostics(S_hat),
@@ -649,7 +649,7 @@ class TestDrawOverlap:
     every later index is a block. A source whose W is known runs its blocks
     on the calling thread, with no pool. Pooled, serial and in each fixed
     order of prepare and the look-ahead, block j's draws are the norms of
-    mvn_sample(F, rows, rng.child(j))."""
+    mvn_sample(F, rows, rng.child(j)), F a copy of the covariance."""
 
     @pytest.mark.parametrize("B", BLOCK_EDGES)
     @pytest.mark.parametrize("rank", ["full", "deficient", "zero", "full at d = 199"])
@@ -658,7 +658,7 @@ class TestDrawOverlap:
             S = sample_covariance(RngSeed(7).generator().standard_normal((400, 199)))
         else:
             S = _draw_covariances()[rank]
-        F = sampling.factorize_psd(S)
+        F = CovMatrix(S.values)  # a copy, so S itself stays unfactored
         rng = RngSeed(5).child(2)
         want = _block_draws(lambda m, seed: sampling.mvn_sample(F, m, seed), B, rng, S.dim)
         blocks = {rng.child(j).stream_path for j in range(len(range(0, B, bootstrap._ROWS)))}
@@ -699,8 +699,8 @@ class TestDrawOverlap:
     @pytest.mark.parametrize("rank", ["full", "deficient", "zero"])
     def test_pooled_lookahead_equals_mvn_sample(self, pools, lookahead_order, rank):
         S = _draw_covariances()[rank]
-        F = sampling.factorize_psd(S)
-        assert F.rank == {"full": 200, "deficient": 100, "zero": 0}[rank]
+        F = CovMatrix(S.values)  # a copy, so S itself stays unfactored
+        assert F.factor().shape[1] == {"full": 200, "deficient": 100, "zero": 0}[rank]
         seed = RngSeed(5).child(2)
         want = _block_draws(lambda m, s: sampling.mvn_sample(F, m, s), 1000, seed, S.dim)
         for order in LOOKAHEAD_ORDERS:
@@ -718,7 +718,7 @@ class TestDrawOverlap:
     def test_serial_blocks_equal_mvn_sample(self, pools, rank):
         S = _draw_covariances()[rank]
         seed = RngSeed(5).child(2)
-        F = sampling.factorize_psd(S)
+        F = CovMatrix(S.values)  # a copy, so S itself stays unfactored
         want = _block_draws(lambda m, s: sampling.mvn_sample(F, m, s), 1000, seed, S.dim)
         with held_by_another_thread():
             got = bootstrap._norm_draws(bootstrap._mvn_rows(S), FOUR_P, 1000, seed)
@@ -732,7 +732,7 @@ class TestDrawOverlap:
         # once, into its region of the look-ahead buffer or, for the last,
         # outside it
         S = _draw_covariances()["deficient"]
-        F = sampling.factorize_psd(S)
+        F = CovMatrix(S.values)  # a copy, so S itself stays unfactored
         p, rng, B = LpExponent.finite(2), RngSeed(6), AHEAD_ROWS + 1
         want = _block_draws(lambda m, seed: sampling.mvn_sample(F, m, seed), B, rng,
                             S.dim, (p,))[p]
@@ -753,7 +753,7 @@ class TestDrawOverlap:
                             lambda worker, count, threads: indexed(worker, count, 4))
         d = 40
         S = sample_covariance(RngSeed(3).generator().standard_normal((25, d)))  # rank 24
-        F = sampling.factorize_psd(S)
+        F = CovMatrix(S.values)  # a copy, so S itself stays unfactored
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
