@@ -22,7 +22,7 @@ from .parallel import _openblas_function, hold, run_indexed
 
 # relative tolerance for the smallest eigenvalue of a matrix accepted as PSD
 PSD_CERT_TOL = 1e-8
-# relative eigenvalue below which a direction does not count toward the rank
+# relative pivot or eigenvalue below which a direction does not count toward the rank
 RANK_TOL = 1e-10
 
 
@@ -53,8 +53,10 @@ class CovMatrix:
         return self.values.shape[0]
 
     def factor(self) -> np.ndarray:
-        """PSD factor L (d x r, r the numerical rank) with L @ L.T = S, computed
-        once and cached (lazy import avoids a module cycle)."""
+        """PSD factor L (d x r, r the numerical rank) with L @ L.T = S: the
+        certified pivoted Cholesky factor of factorize_psd, or its eigen
+        factor where the certificate fails; computed once and cached (lazy
+        import avoids a module cycle)."""
         if self._factor is None:
             from .sampling import factorize_psd
 
@@ -188,16 +190,20 @@ _LAPACK_COL_MAJOR = 102
 _LAPACKE = {"ssyevd": (ctypes.c_int64, ctypes.c_int, ctypes.c_char, ctypes.c_char,
                        ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p),
             "dpotrf_work": (ctypes.c_int64, ctypes.c_int, ctypes.c_char, ctypes.c_int64,
-                            ctypes.c_void_p, ctypes.c_int64)}
+                            ctypes.c_void_p, ctypes.c_int64),
+            "dpstrf": (ctypes.c_int64, ctypes.c_int, ctypes.c_char, ctypes.c_int64,
+                       ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p,
+                       ctypes.c_double)}
 
 
 def _lapacke(routine: str):
     """LAPACKE_<routine> of numpy's bundled OpenBLAS, or None where it is
     missing. ctypes serves only the routines numpy has no equal for, and
     releases the GIL while they run: ssyevd (numpy computes a float32 input
-    in float64) and dpotrf_work, dpotrf without LAPACKE's scan for NaN
+    in float64), dpotrf_work, dpotrf without LAPACKE's scan for NaN
     (np.linalg.cholesky, copying in and out, takes 92 against 70 us at
-    d = 200 and 7.4 against 4.3 ms at d = 1000, on one BLAS thread)."""
+    d = 200 and 7.4 against 4.3 ms at d = 1000, on one BLAS thread), and
+    dpstrf, the pivoted Cholesky factorization, which numpy lacks."""
     return _openblas_function(f"scipy_LAPACKE_{routine}64_", *_LAPACKE[routine])
 
 
@@ -625,17 +631,23 @@ def cv_select_lambda(X: np.ndarray, grid, folds: int, seed) -> tuple[float, list
 
 
 def cov_diagnostics(S: CovMatrix) -> CovDiagnostics:
-    """Numerical rank, diagonal extremes, and effective rank (trace / op-norm)."""
+    """Numerical rank, diagonal extremes, and effective rank (trace / op-norm).
+
+    The rank is the column count of S.factor(), so factorize_psd's rule,
+    and a matrix that is not PSD raises its ValueError. The effective rank
+    is taken on S scaled by the power of two of _rescale_exponent, exactly,
+    so it does not depend on S's scale; it is 0 for the zero matrix."""
+    rank = S.factor().shape[1]
+    k = _rescale_exponent(S.values)
+    a = np.ldexp(S.values, -k) if k else S.values
     with hold():  # as in sample_covariance
-        w = _eigvalsh(S.values)
-    op = float(np.abs(w).max(initial=0.0))
-    rank = int((w > RANK_TOL * op).sum())  # factorize_psd's rule, so its column count
+        op = float(np.abs(_eigvalsh(a)).max(initial=0.0))
     d = np.diag(S.values)
     return CovDiagnostics(
         rank=rank,
         sigma_min_sq=float(d.min()),
         sigma_max_sq=float(d.max()),
-        effective_rank=float(np.trace(S.values)) / max(op, 1e-300),
+        effective_rank=float(np.trace(a)) / op if op else 0.0,
     )
 
 

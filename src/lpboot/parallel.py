@@ -27,9 +27,10 @@ Which calls hold, each in one hold():
 - run_test (so also confidence_set and lpboot test), estimate_covariance,
   run_experiment, and the draws of gpb_draws, proxy_draws and gmb_draws:
   for their whole body;
-- factorize_psd for its eigh and mvn_sample for its product, so also
-  copula_sample and every CovMatrix.factor(); psd_project, cov_diagnostics
-  and cov_error for their LAPACK call; cv_select_lambda for its passes;
+- factorize_psd for its dpstrf, certificate and eigh fallback, and
+  mvn_sample for its product, so also copula_sample and every
+  CovMatrix.factor(); psd_project, cov_diagnostics and cov_error for their
+  LAPACK call; cv_select_lambda for its passes;
 - run_indexed: where it would start more than one worker, for its pool.
 Two different jobs share a pool in one place, the bootstrap kernel's draws
 from a row source whose W is not known yet (bootstrap._norm_draws): index 0
@@ -54,8 +55,9 @@ second BLAS thread where no pool runs: at n = 200, d = 1000 a naive,
 hard or band run_test takes 40-47% longer on one thread than on two.
 
 The module also loads numpy's bundled OpenBLAS once for ctypes calls: the
-thread-count pin here, and lpboot.covariance's ssyevd and dpotrf_work,
-which ctypes runs with the GIL released, so pool workers run them at once.
+thread-count pin here, and lpboot.covariance's ssyevd, dpotrf_work and
+dpstrf, which ctypes runs with the GIL released, so pool workers run them
+at once.
 """
 
 from __future__ import annotations

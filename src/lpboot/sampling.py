@@ -5,6 +5,7 @@ block rank-one covariance.
 
 from __future__ import annotations
 
+import ctypes
 import enum
 import math
 from dataclasses import dataclass
@@ -12,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .covariance import PSD_CERT_TOL, RANK_TOL, CovMatrix, _integer
+from .covariance import (_LAPACK_COL_MAJOR, PSD_CERT_TOL, RANK_TOL, CovMatrix, _frobenius,
+                         _integer, _lapacke, _rescale_exponent)
 from .lp import _exact_text
 from .parallel import hold
 
@@ -85,15 +87,71 @@ def marginal_quantile(kind: MarginalKind, u):
     return out if out.ndim else float(out)
 
 
+def _rank_floor(d: int, e: int) -> float:
+    """d * 2^-1075 in units of 2^2e: rounding each entry of a stored d x d
+    matrix moves it by at most half the subnormals' spacing 2^-1074, so its
+    eigenvalues by at most d * 2^-1075 (Weyl). No value below can tell a
+    direction from rounding. It exceeds RANK_TOL * max|S| only where
+    max|S| < d * 2.5e-314, in the subnormals."""
+    return math.ldexp(d, -1075 - 2 * e)
+
+
+def _pivoted_factor(a: np.ndarray) -> np.ndarray | None:
+    """factorize_psd's L by LAPACK dpstrf, or None where the library lacks it,
+    the matrix has no positive diagonal entry or the certificate fails."""
+    pstrf, d = _lapacke("dpstrf"), a.shape[0]
+    e = (_rescale_exponent(a) + 1) // 2  # a * 2^-2e has max|entry| in [1/4, 1), or e = 0
+    top = float(np.diag(a).max(initial=0.0))
+    if pstrf is None or not top > 0.0:
+        return None
+    work = np.ldexp(a, -2 * e) if e else a.copy()
+    top = math.ldexp(top, -2 * e)
+    piv, rank = np.empty(d, dtype=np.int64), ctypes.c_int64()
+    # column-major U of the symmetric work is, row-major, the lower triangle U^T
+    if pstrf(_LAPACK_COL_MAJOR, b"U", d, work.ctypes.data, max(d, 1), piv.ctypes.data,
+             ctypes.byref(rank), max(RANK_TOL * top, _rank_floor(d, e))) < 0:
+        return None
+    r = rank.value
+    work[:r, :r][np.tri(r, k=-1, dtype=bool).T] = 0.0  # the input left above U^T's diagonal
+    L = np.empty((d, r))
+    L[piv - 1] = work[:, :r]  # L = P U^T[:, :r]
+    np.matmul(L, L.T, out=work)  # R = L L^T - S in the work copy's memory
+    work -= np.ldexp(a, -2 * e) if e else a
+    if _frobenius(work) > PSD_CERT_TOL * top:
+        return None
+    if e:
+        np.ldexp(L, e, out=L)
+    return L
+
+
 def factorize_psd(S: CovMatrix) -> np.ndarray:
-    """Eigen-based L (d x r) with L @ L.T = S; small eigenvalues dropped, so r = rank S."""
+    """L (d x r) with L @ L.T = S, r the numerical rank of S; ValueError where
+    S is not PSD.
+
+    Pivoted Cholesky (LAPACK dpstrf; Higham, Accuracy and Stability of
+    Numerical Algorithms, 2002, s10.3) factors S * 2^-2e, the power of two
+    that brings max|S| into [1/4, 1) where it lies outside [2^-64, 2^64],
+    and L is scaled back by 2^e, exactly. The rank rule: r counts the
+    pivots above tol = max(RANK_TOL * max diag, d * 2^-1075 * 2^-2e)
+    (_rank_floor). The certificate: with R = S - L L^T computed from S and
+    L, Weyl gives lambda_min(S) >= -||R||_F, so L is accepted only where
+    ||R||_F <= PSD_CERT_TOL * max diag, and max diag <= max|lambda|, so
+    only where the eigen path below accepts S. Where it fails, or the
+    library lacks dpstrf, the eigen path decides: eigh, ValueError where
+    the smallest eigenvalue is below -PSD_CERT_TOL * max|lambda|, else
+    L = V sqrt(w) over the eigenvalues above max(RANK_TOL * max|lambda|,
+    d * 2^-1075). Either way L's columns span S's range, so any L gives
+    g @ L.T, g standard normal, the law N(0, S)."""
     a = S.values
     with hold():  # one BLAS thread, so the bytes do not depend on the count
+        L = _pivoted_factor(a)
+        if L is not None:
+            return L
         w, V = np.linalg.eigh(a)
     scale = float(np.abs(w).max(initial=0.0))
     if w.min(initial=0.0) < -PSD_CERT_TOL * scale:
         raise ValueError(f"matrix is not positive semi-definite (min eig {w.min():g})")
-    keep = w > RANK_TOL * scale
+    keep = w > max(RANK_TOL * scale, _rank_floor(a.shape[0], 0))
     L = V[:, keep]  # a copy, scaled in place
     L *= np.sqrt(w[keep])
     return L

@@ -697,11 +697,15 @@ class TestEigenvalues:
     def test_bundled_openblas_has_lapacke(self):
         # without ssyevd the single-precision rung takes numpy's float64
         # eigenvalues, whose concurrent calls overlap only from d of about
-        # 500, and without dpotrf_work the probe copies through numpy
+        # 500, without dpotrf_work the probe copies through numpy, and
+        # without dpstrf every factor takes eigh; a misspelled symbol or
+        # signature would do the same silently
         if parallel._openblas() is None:
             pytest.skip("numpy ships no bundled scipy-openblas")
-        for routine in ("ssyevd", "dpotrf_work"):
+        for routine in covariance._LAPACKE:
             assert covariance._lapacke(routine) is not None
+        a = np.random.default_rng(24).normal(size=(12, 5))
+        assert sampling._pivoted_factor(a @ a.T).shape == (12, 5)
 
 
 def _factor_data(n=30, d=40, seed=22):
@@ -970,22 +974,27 @@ class TestProvenance:
 
 class TestDiagnostics:
     def test_same_with_numpy_eigenvalues(self):
-        # full rank, rank 12 of 30, indefinite, and a rank-49 sample covariance
-        # scaled into the subnormals (where max |eigenvalue| < 1e-300), and zero
+        # full rank, rank 12 of 30, a rank-49 sample covariance scaled into the
+        # subnormals (where max |eigenvalue| < 1e-300), and zero. One rank
+        # rule, the factor's column count: 49 at every scale. The effective
+        # rank is numpy's on the matrix scaled by a power of two, exactly, so
+        # 16.39 at every scale (at 1e-315 the entries keep about 28 bits)
         rng = np.random.default_rng(19)
         a = rng.normal(size=(30, 12))
         S = sample_covariance(np.random.default_rng(0).standard_normal((50, 80))).values
-        psd = [CovMatrix(a.T @ a), CovMatrix(a @ a.T)]
-        psd += [CovMatrix(S * scale) for scale in (1.0, 1e-300, 1e-310, 1e-315)]
-        psd += [CovMatrix(np.zeros((4, 4)))]
-        for m in psd + [random_symmetric(rng, 9)]:
-            w = np.linalg.eigvalsh(m.values)
-            op = float(np.abs(w).max())
+        scaled = [CovMatrix(S * scale) for scale in (1.0, 1e-300, 1e-310, 1e-315)]
+        for m in [CovMatrix(a.T @ a), CovMatrix(a @ a.T)] + scaled + [CovMatrix(np.zeros((4, 4)))]:
             got = cov_diagnostics(m)
-            assert got.rank == int((w > covariance.RANK_TOL * op).sum())
-            if any(m is s for s in psd):  # factorize_psd's rule: its column count
-                assert got.rank == m.factor().shape[1]
-            assert got.effective_rank == float(np.trace(m.values)) / max(op, 1e-300)
+            assert got.rank == factorize_psd(m).shape[1] == m.factor().shape[1]
+            b = np.ldexp(m.values, -covariance._rescale_exponent(m.values))
+            op = float(np.abs(np.linalg.eigvalsh(b)).max())
+            assert got.effective_rank == (float(np.trace(b)) / op if op else 0.0)
+        assert [cov_diagnostics(m).rank for m in scaled] == [49] * 4
+        assert [cov_diagnostics(m).effective_rank for m in scaled] == \
+            pytest.approx([16.390879222059752] * 4, rel=1e-9)
+        assert cov_diagnostics(CovMatrix(np.zeros((4, 4)))).effective_rank == 0.0
+        with pytest.raises(ValueError, match="not positive semi-definite"):
+            cov_diagnostics(random_symmetric(rng, 9))  # indefinite: no factor, so no rank
 
     def test_identity(self):
         d = cov_diagnostics(CovMatrix(np.eye(5)))

@@ -3,6 +3,7 @@ expressions it replaced (written out below as the references), a caller's
 array never written, and per worker one block's arrays alive beside the
 normals drawn ahead; CV's masks are built in their fold's buffers."""
 
+import ctypes
 import math
 import tracemalloc
 
@@ -12,7 +13,8 @@ from scipy import special
 
 from lpboot.bootstrap import (_AHEAD, _ROWS, _multiplier_rows, _mvn_rows, _norm_draws,
                               gmb_draws, gpb_draws, proxy_draws)
-from lpboot.covariance import (RANK_TOL, CovMatrix, _abs_correlation, _masks,
+from lpboot import sampling
+from lpboot.covariance import (RANK_TOL, CovMatrix, _abs_correlation, _lapacke, _masks,
                                sample_covariance)
 from lpboot.lp import LpExponent, lp_norm_rows
 from lpboot.parallel import hold
@@ -33,12 +35,30 @@ def ref_symmetrized(a):
     return (a + a.T) / 2.0
 
 
-def ref_factor(values):
+def ref_eigen_factor(values):
     with hold():  # factorize_psd's eigh runs on one BLAS thread
         w, V = np.linalg.eigh(values)
     scale = float(np.abs(w).max(initial=0.0))
     keep = w > RANK_TOL * scale
     return V[:, keep] * np.sqrt(w[keep])
+
+
+def ref_factor(values):
+    """P U^T[:, :r] of dpstrf on a Fortran-order copy, with the factor U the
+    upper triangle of its first r rows; the eigen factor where the largest
+    diagonal entry is not positive. The inputs' entries need no rescaling."""
+    d, top = values.shape[0], float(np.diag(values).max(initial=0.0))
+    if not top > 0.0:
+        return ref_eigen_factor(values)
+    work = np.array(values, order="F")
+    piv, rank = np.empty(d, dtype=np.int64), ctypes.c_int64()
+    with hold():  # as above
+        assert _lapacke("dpstrf")(102, b"U", d, work.ctypes.data, d, piv.ctypes.data,
+                                  ctypes.byref(rank), RANK_TOL * top) >= 0
+    U = np.triu(work)[:rank.value]
+    L = np.empty((d, rank.value))
+    L[piv - 1] = U.T
+    return L
 
 
 def ref_row_norms(X, qs):
@@ -152,14 +172,28 @@ def test_copula_sample_equals_the_reference(kind, name):
     assert same_bytes(copula_sample(CovMatrix(values), kind, 40, RngSeed(8)), want)
 
 
-@pytest.mark.parametrize("name", ["full", "rank4", "zero", "large"])
-def test_factorize_psd_equals_the_reference(name):
+def factor_input(name):
     if name == "large":  # large enough for numpy to reuse temporaries itself
         G = RngSeed(9).generator().standard_normal((150, 250))
-        values = ref_symmetrized(G.T @ G / 150)  # rank 150 of 250
-    else:
-        values = ref_symmetrized(covariances()[name])
+        return ref_symmetrized(G.T @ G / 150)  # rank 150 of 250
+    return ref_symmetrized(covariances()[name])
+
+
+@pytest.mark.parametrize("name", ["full", "rank4", "zero", "large"])
+def test_factorize_psd_equals_the_reference(name):
+    values = factor_input(name)
     want = ref_factor(values)
+    L = factorize_psd(CovMatrix(values))
+    assert same_bytes(L, want)
+    assert L.shape[1] == want.shape[1]
+
+
+@pytest.mark.parametrize("name", ["full", "rank4", "zero", "large"])
+def test_factorize_psd_without_dpstrf_equals_the_eigen_reference(name, monkeypatch):
+    # a library without dpstrf takes the eigen path, whose bytes stay pinned
+    monkeypatch.setattr(sampling, "_lapacke", lambda routine: None)
+    values = factor_input(name)
+    want = ref_eigen_factor(values)
     L = factorize_psd(CovMatrix(values))
     assert same_bytes(L, want)
     assert L.shape[1] == want.shape[1]

@@ -14,7 +14,7 @@ from scipy.special import gamma
 from lpboot.bootstrap import MAX_DRAWS, gpb_draws
 from lpboot.cli import main
 from lpboot.covariance import CovMatrix, sample_covariance
-from lpboot import inference
+from lpboot import inference, sampling
 from lpboot.inference import (ConfidenceSet, EstimatorSpec, confidence_set,
                               estimate_covariance, lp_ball_volume, run_test)
 
@@ -175,9 +175,15 @@ class TestTestStatistic:
                                              estimator=EstimatorSpec("naive")))
 
 
-# `lpboot test` rows for test_csv_row_shape's data, recorded before the row
-# formatting moved to harness._format
+# `lpboot test` rows for test_csv_row_shape's data, on the pivoted Cholesky
+# factor, and on the eigen factor where the library lacks dpstrf, the latter
+# recorded before the row formatting moved to harness._format
 GOLDEN_TEST_ROWS = {
+    "naive": "3.6263887976860012,3.927547288956347,0.080000000000000002,0,logd,0.05,naive,200,3",
+    "corr_cv": "3.6263887976860012,3.7076966554125148,0.065000000000000002,0,logd,0.05,corr_cv,"
+               "200,3",
+}
+EIGEN_TEST_ROWS = {
     "naive": "3.6263887976860012,4.1773621857304724,0.10000000000000001,0,logd,0.05,naive,200,3",
     "corr_cv": "3.6263887976860012,3.7678935389158896,0.074999999999999997,0,logd,0.05,corr_cv,"
                "200,3",
@@ -367,15 +373,23 @@ class TestRunTest:
 
     def test_csv_row_shape(self, tmp_path, capsys):
         # the stdout row and the --out file, byte for byte
-        data = tmp_path / "x.csv"
-        np.savetxt(data, np.random.default_rng(9).normal(size=(30, 4)), delimiter=",")
-        out = tmp_path / "o.csv"
-        for estimator, row in GOLDEN_TEST_ROWS.items():
-            assert main(["test", str(data), "--estimator", estimator, "--p", "logd",
-                         "--B", "200", "--seed", "3", "--out", str(out)]) == 0
-            expected = f"statistic,critical_value,p_value,reject,p,alpha,estimator,B,seed\n{row}\n"
-            assert capsys.readouterr().out == expected
-            assert out.read_text() == expected
+        check_csv_rows(tmp_path, capsys, GOLDEN_TEST_ROWS)
+
+    def test_csv_row_shape_on_the_eigen_factor(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(sampling, "_lapacke", lambda routine: None)
+        check_csv_rows(tmp_path, capsys, EIGEN_TEST_ROWS)
+
+
+def check_csv_rows(tmp_path, capsys, rows):
+    data = tmp_path / "x.csv"
+    np.savetxt(data, np.random.default_rng(9).normal(size=(30, 4)), delimiter=",")
+    out = tmp_path / "o.csv"
+    for estimator, row in rows.items():
+        assert main(["test", str(data), "--estimator", estimator, "--p", "logd",
+                     "--B", "200", "--seed", "3", "--out", str(out)]) == 0
+        expected = f"statistic,critical_value,p_value,reject,p,alpha,estimator,B,seed\n{row}\n"
+        assert capsys.readouterr().out == expected
+        assert out.read_text() == expected
 
 
 class TestConfidenceSet:

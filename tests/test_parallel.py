@@ -459,7 +459,8 @@ def test_without_the_bundled_openblas(pools, monkeypatch):
     # no pool beside the BLAS's own threads, and numpy's LAPACK in place of
     # ssyevd and dpotrf_work, with the same bytes, also at the benchmark's
     # n = d = 200 with CV's default 10 x 40; the common factor makes CV's
-    # eigenvalue rung run
+    # eigenvalue rung run. dpstrf has no bit-equal stand-in, so it stays:
+    # test_in_place pins factorize_psd's eigen fallback
     rng = RngSeed(3).generator()
     X = rng.standard_normal((60, 40)) + 2.0 * rng.standard_normal((60, 1))
     wide = rng.standard_normal((200, 200)) + 2.0 * rng.standard_normal((200, 1))

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from lpboot.covariance import CovMatrix, cov_diagnostics
-from lpboot.sampling import (MarginalKind, RngSeed, build_block_covariance,
+from lpboot import sampling
+from lpboot.covariance import (PSD_CERT_TOL, RANK_TOL, CovMatrix, _lapacke, cov_diagnostics,
+                               psd_project, sample_covariance, threshold)
+from lpboot.sampling import (MarginalKind, RngSeed, _pivoted_factor, build_block_covariance,
                              copula_covariance, copula_sample, factorize_psd,
                              marginal_quantile, mvn_sample, normal_cdf)
 
@@ -94,6 +96,23 @@ class TestMarginalQuantile:
             marginal_quantile(MarginalKind.UNIFORM_SYM, 0.0)
 
 
+PSTRF = _lapacke("dpstrf")
+
+
+def law_cases():
+    """Block rank-one (rank 30 of 120), a naive estimate (rank 39 of 100), its
+    thresholded estimate, condition number 1e8, 1 x 1 and zero."""
+    rng = RngSeed(30).generator()
+    X = rng.standard_normal((40, 100)) * np.linspace(0.5, 3.0, 100)
+    Q, _ = np.linalg.qr(rng.standard_normal((60, 60)))
+    return {"block": build_block_covariance(120, 4, 0.8, RngSeed(31)).values,
+            "naive": sample_covariance(X).values,
+            "thresholded": psd_project(threshold(sample_covariance(X), 0.3)).values,
+            "near-singular": (Q * np.logspace(0, -8, 60)) @ Q.T,
+            "1x1": np.array([[2.5]]),
+            "zero": np.zeros((5, 5))}
+
+
 class TestFactorizePsd:
     def test_identity(self):
         L = factorize_psd(CovMatrix(np.eye(4)))
@@ -116,6 +135,72 @@ class TestFactorizePsd:
     def test_rejects_indefinite(self):
         with pytest.raises(ValueError):
             factorize_psd(CovMatrix(np.diag([1.0, -1.0])))
+
+    def test_rejects_indefinite_past_positive_pivots(self):
+        # dpstrf's leading pivots are positive and it stops at a rank, but the
+        # certificate rejects its factor, and eigh raises as it does alone
+        Q, _ = np.linalg.qr(np.random.default_rng(32).normal(size=(8, 8)))
+        for a in (np.array([[1.0, 2.0], [2.0, 1.0]]),
+                  (Q * [1.0, 0.5, 0.3, 0.2, 0.1, 0.05, 0.01, -1e-6]) @ Q.T):
+            S = CovMatrix(a)
+            if PSTRF is not None:
+                assert _pivoted_factor(S.values) is None
+            with pytest.raises(ValueError, match="not positive semi-definite"):
+                factorize_psd(S)
+
+    @pytest.mark.skipif(PSTRF is None, reason="the library lacks dpstrf")
+    def test_certificate_accepts_only_what_eigh_accepts(self):
+        # smallest eigenvalue -t max|lambda| on both sides of PSD_CERT_TOL
+        Q, _ = np.linalg.qr(np.random.default_rng(33).normal(size=(20, 20)))
+        accepted = 0
+        for t in np.logspace(-11, -6, 21):
+            S = CovMatrix((Q * np.append(np.linspace(1.0, 0.1, 19), -t)) @ Q.T)
+            w = np.linalg.eigvalsh(S.values)
+            if _pivoted_factor(S.values) is not None:
+                accepted += 1
+                assert w.min() >= -PSD_CERT_TOL * np.abs(w).max()
+        assert accepted > 0
+
+    @pytest.mark.parametrize("name", ["block", "naive", "thresholded", "near-singular", "1x1",
+                                      "zero"])
+    def test_reconstructs_at_the_eigen_rank(self, name):
+        # ||L L^T - S||_F <= 2 d eps ||S||_F, and the rank is the eigenvalue
+        # count above RANK_TOL * max|lambda|; every case but zero is pivoted
+        S = CovMatrix(law_cases()[name])
+        d, L = S.dim, factorize_psd(S)
+        w = np.linalg.eigvalsh(S.values)
+        assert L.shape == (d, int((w > RANK_TOL * np.abs(w).max()).sum()))
+        err = np.linalg.norm(L @ L.T - S.values)
+        assert err <= 2 * d * np.finfo(float).eps * np.linalg.norm(S.values)
+        if PSTRF is not None and name != "zero":
+            assert _pivoted_factor(S.values) is not None
+
+    def test_scales_exactly_by_powers_of_two(self):
+        # S 4^k has the factor 2^k L, bit for bit, while S 4^k stays normal:
+        # without the exact rescale the certificate overflows at k = 500
+        # and the pivots lose bits at k = -500
+        S = law_cases()["naive"]
+        L = factorize_psd(CovMatrix(S))
+        for k in (-500, -100, 100, 500):
+            assert np.array_equal(factorize_psd(CovMatrix(np.ldexp(S, 2 * k))), np.ldexp(L, k))
+
+    def test_same_law_as_the_eigen_factor(self, monkeypatch):
+        # two-sample KS of m = 20 000 draws per factor on four statistics of
+        # two matrices: by Massart's DKW bound and a union over the 8
+        # comparisons, all stay below 2 sqrt(log(32 / 1e-6) / (2 m)) but with
+        # probability at most 1e-6 under the same law
+        m = 20_000
+        bound = 2.0 * math.sqrt(math.log(32 / 1e-6) / (2 * m))
+        for name in ("block", "naive"):
+            values = law_cases()[name]
+            pivoted = mvn_sample(CovMatrix(values), m, RngSeed(40))
+            with monkeypatch.context() as patch:
+                patch.setattr(sampling, "_lapacke", lambda routine: None)
+                eigen = mvn_sample(CovMatrix(values), m, RngSeed(41))
+            u = np.linspace(-1.0, 1.0, values.shape[0])
+            for stat in (lambda V: np.linalg.norm(V, axis=1), lambda V: np.abs(V).max(axis=1),
+                         lambda V: V[:, 0], lambda V: V @ u):
+                assert stats.ks_2samp(stat(pivoted), stat(eigen)).statistic <= bound
 
 
 class TestMvnSample:
